@@ -42,71 +42,100 @@ let write_trace ?meta ~path obs =
   Printf.printf "trace written to %s (damd-trace/1) and %s (chrome://tracing)\n"
     path cp
 
+(* Bad command-line input. Only argument parsing and validation raise it;
+   [main] turns it into exit 2 and a one-line {"error": ...} document on
+   stderr. Every other exception is a bug and still fails loudly. *)
+exception Input_error of string
+
+let input_error fmt = Printf.ksprintf (fun msg -> raise (Input_error msg)) fmt
+
+let number of_string what s =
+  match of_string s with
+  | Some v -> v
+  | None -> input_error "bad %s: %S is not a number" what s
+
 (* [as:N:M] also carries commercial edge annotations; commands that only
-   need the graph take [parse_topology], the topo inspector keeps them. *)
+   need the graph take [parse_topology], the topo inspector keeps them.
+   The generators' preconditions are checked here, before they run. *)
 let parse_topology_full spec seed =
   let rng = Rng.create seed in
-  let fail () =
-    raise
-      (Invalid_argument
-         (Printf.sprintf
-            "unknown topology %S (expected fig1 | ring:N | torus:R:C | \
-             chordal:N:CHORDS | er:N:P | ba:N:M | as:N:M | waxman:N)"
-            spec))
+  let what = Printf.sprintf "topology %S" spec in
+  let int = number int_of_string_opt what in
+  let need ok what =
+    if not ok then input_error "bad topology %S: need %s" spec what
+  in
+  let ba_like n m =
+    let n = int n and m = int m in
+    need (m >= 2 && n > m) "M >= 2 and N > M";
+    (n, m)
   in
   match String.split_on_char ':' spec with
   | [ "fig1" ] -> (fst (Gen.figure1 ()), None)
   | [ "torus"; rows; cols ] ->
-      let rows = int_of_string rows and cols = int_of_string cols in
+      let rows = int rows and cols = int cols in
+      need (rows >= 2 && cols >= 2) "R, C >= 2";
       ( Gen.torus ~rows ~cols
           ~costs:(Gen.draw_costs rng (Gen.Uniform_int (1, 10)) (rows * cols)),
         None )
   | [ "ring"; n ] ->
-      let n = int_of_string n in
+      let n = int n in
+      need (n >= 3) "N >= 3";
       (Gen.ring ~n ~costs:(Gen.draw_costs rng (Gen.Uniform_int (1, 10)) n), None)
-  | [ "chordal"; n; chords ] ->
-      ( Gen.chordal_ring rng ~n:(int_of_string n) ~chords:(int_of_string chords)
-          (Gen.Uniform_int (1, 10)),
-        None )
+  | [ "chordal"; n; chords ] -> (
+      let n = int n and chords = int chords in
+      need (n >= 3 && chords >= 0) "N >= 3 and CHORDS >= 0";
+      match Gen.chordal_ring rng ~n ~chords (Gen.Uniform_int (1, 10)) with
+      | g -> (g, None)
+      | exception Gen.Edge_shortfall { added; _ } ->
+          input_error "bad topology %S: only %d chords fit" spec added)
   | [ "er"; n; p ] ->
-      ( Gen.erdos_renyi rng ~n:(int_of_string n) ~p:(float_of_string p)
+      let n = int n in
+      need (n >= 3) "N >= 3";
+      ( Gen.erdos_renyi rng ~n
+          ~p:(number float_of_string_opt what p)
           (Gen.Uniform_int (1, 10)),
         None )
   | [ "ba"; n; m ] ->
-      ( Gen.barabasi_albert rng ~n:(int_of_string n) ~m:(int_of_string m)
-          (Gen.Uniform_int (1, 10)),
-        None )
+      let n, m = ba_like n m in
+      (Gen.barabasi_albert rng ~n ~m (Gen.Uniform_int (1, 10)), None)
   | [ "as"; n; m ] ->
-      let g, annotations =
-        Gen.as_like rng ~n:(int_of_string n) ~m:(int_of_string m)
-          (Gen.Uniform_int (1, 10))
-      in
+      let n, m = ba_like n m in
+      let g, annotations = Gen.as_like rng ~n ~m (Gen.Uniform_int (1, 10)) in
       (g, Some annotations)
   | [ "waxman"; n ] ->
-      ( Gen.waxman rng ~n:(int_of_string n) ~alpha:0.7 ~beta:0.4
-          (Gen.Uniform_int (1, 10)),
+      let n = int n in
+      need (n >= 3) "N >= 3";
+      ( Gen.waxman rng ~n ~alpha:0.7 ~beta:0.4 (Gen.Uniform_int (1, 10)),
         None )
-  | _ -> fail ()
+  | _ ->
+      input_error
+        "unknown topology %S (expected fig1 | ring:N | torus:R:C | \
+         chordal:N:CHORDS | er:N:P | ba:N:M | as:N:M | waxman:N)"
+        spec
 
 let parse_topology spec seed = fst (parse_topology_full spec seed)
 
 let parse_deviation spec =
   let fail () =
-    raise
-      (Invalid_argument
-         (Printf.sprintf
-            "bad --deviant %S (expected NODE:KIND[:PARAM] with KIND one of \
-             misreport | inconsistent | corrupt-cost | drop-routing | drop-pricing | \
-             corrupt-routing | corrupt-pricing | spoof-routing | spoof-pricing | \
-             miscompute-routing | miscompute-pricing | underreport | misroute | \
-             silent | lying-checker | collude)"
-            spec))
+    input_error
+      "bad --deviant %S (expected NODE:KIND[:PARAM] with KIND one of \
+       misreport | inconsistent | corrupt-cost | drop-routing | drop-pricing | \
+       corrupt-routing | corrupt-pricing | spoof-routing | spoof-pricing | \
+       miscompute-routing | miscompute-pricing | underreport | misroute | \
+       silent | lying-checker | collude)"
+      spec
   in
+  let what = Printf.sprintf "--deviant %S" spec in
+  let int = number int_of_string_opt what in
   match String.split_on_char ':' spec with
   | node :: kind :: rest -> (
-      let node = int_of_string node in
-      let param default = match rest with [ p ] -> float_of_string p | _ -> default in
-      let iparam () = match rest with [ p ] -> int_of_string p | _ -> fail () in
+      let node = int node in
+      let param default =
+        match rest with
+        | [ p ] -> number float_of_string_opt what p
+        | _ -> default
+      in
+      let iparam () = match rest with [ p ] -> int p | _ -> fail () in
       let deviation =
         match kind with
         | "misreport" -> Adversary.Misreport_cost (param 5.)
@@ -143,7 +172,7 @@ let run_routing topology seed deviants no_checking no_copies deferred latency lo
     (fun spec ->
       let who, d = parse_deviation spec in
       if who < 0 || who >= n then
-        raise (Invalid_argument (Printf.sprintf "deviant node %d out of range" who));
+        input_error "deviant node %d out of range" who;
       deviations.(who) <- d)
     deviants;
   let params =
@@ -347,19 +376,22 @@ let verbose =
 
 let parse_election_deviation spec =
   let fail () =
-    raise
-      (Invalid_argument
-         (Printf.sprintf
-            "bad --deviant %S (expected NODE:KIND[:PARAM] with KIND one of \
-             underbid | overbid | misreport-cost | inconsistent | corrupt-forward | \
-             miscompute-winner | refuse)"
-            spec))
+    input_error
+      "bad --deviant %S (expected NODE:KIND[:PARAM] with KIND one of \
+       underbid | overbid | misreport-cost | inconsistent | corrupt-forward | \
+       miscompute-winner | refuse)"
+      spec
   in
+  let what = Printf.sprintf "--deviant %S" spec in
   let module Election = Damd_faithful.Election in
   match String.split_on_char ':' spec with
   | node :: kind :: rest -> (
-      let node = int_of_string node in
-      let param default = match rest with [ p ] -> float_of_string p | _ -> default in
+      let node = number int_of_string_opt what node in
+      let param default =
+        match rest with
+        | [ p ] -> number float_of_string_opt what p
+        | _ -> default
+      in
       let deviation =
         match kind with
         | "underbid" -> Election.Underbid_power
@@ -385,7 +417,7 @@ let run_election topology seed deviants no_checking benefit =
     (fun spec ->
       let who, d = parse_election_deviation spec in
       if who < 0 || who >= n then
-        raise (Invalid_argument (Printf.sprintf "deviant node %d out of range" who));
+        input_error "deviant node %d out of range" who;
       deviations.(who) <- d)
     deviants;
   let params =
@@ -428,6 +460,11 @@ let benefit_arg =
 
 (* --- the specification linter --- *)
 
+let check_mutation = function
+  | Some m when not (Damd_speccheck.Mutate.known m) ->
+      input_error "unknown mutation %S (see `damd lint --list-mutations`)" m
+  | _ -> ()
+
 let run_lint topology seed mutate json_path list_mutations =
   let module Speccheck = Damd_speccheck in
   let module Check = Speccheck.Check in
@@ -442,13 +479,7 @@ let run_lint topology seed mutate json_path list_mutations =
       Speccheck.Mutate.names
   else begin
     let g = parse_topology topology seed in
-    (match mutate with
-    | Some m when not (Speccheck.Mutate.known m) ->
-        raise
-          (Invalid_argument
-             (Printf.sprintf
-                "unknown mutation %S (see `damd lint --list-mutations`)" m))
-    | _ -> ());
+    check_mutation mutate;
     let report =
       Lint.run ~adversary:Adversary.all_labels ?mutation:mutate ~graph:g
         ~topology Damd_speccheck.Fpss_spec.ir
@@ -513,21 +544,12 @@ let run_verify topology seed mutate json_path bound por_s domains key_audit
   let module Explore = Speccheck.Explore in
   let module Verify = Speccheck.Verify in
   let g = parse_topology topology seed in
-  (match mutate with
-  | Some m when not (Speccheck.Mutate.known m) ->
-      raise
-        (Invalid_argument
-           (Printf.sprintf
-              "unknown mutation %S (see `damd lint --list-mutations`)" m))
-  | _ -> ());
+  check_mutation mutate;
   let por =
     match por_s with
     | "on" -> true
     | "off" -> false
-    | s ->
-        raise
-          (Invalid_argument
-             (Printf.sprintf "bad --por %S (expected on | off)" s))
+    | s -> input_error "bad --por %S (expected on | off)" s
   in
   let obs =
     match trace_out with None -> Obs.noop | Some _ -> Obs.memory ()
@@ -655,13 +677,7 @@ let run_analyze topology seed mutate json_path bound differential
   let module Absint = Speccheck.Absint in
   let module Analyze = Speccheck.Analyze in
   let g = parse_topology topology seed in
-  (match mutate with
-  | Some m when not (Speccheck.Mutate.known m) ->
-      raise
-        (Invalid_argument
-           (Printf.sprintf
-              "unknown mutation %S (see `damd lint --list-mutations`)" m))
-  | _ -> ());
+  check_mutation mutate;
   let obs =
     match trace_out with None -> Obs.noop | Some _ -> Obs.memory ()
   in
@@ -799,11 +815,8 @@ let run_tla deviation nodes seat stall isolated out cfg_out =
     with
     | Some d -> d
     | None ->
-        raise
-          (Invalid_argument
-             (Printf.sprintf "unknown deviation %S (expected one of %s)"
-                deviation
-                (String.concat " | " (List.map Dev.to_string Dev.all))))
+        input_error "unknown deviation %S (expected one of %s)" deviation
+          (String.concat " | " (List.map Dev.to_string Dev.all))
   in
   let stall = stall || dev = Dev.Silent_in_construction in
   let module_text = Tla.emit ir in
@@ -887,11 +900,8 @@ let run_gauntlet campaigns seed weaken_s json_path replay no_shrink faults
     match Campaign.weaken_of_string weaken_s with
     | Some w -> w
     | None ->
-        raise
-          (Invalid_argument
-             (Printf.sprintf
-                "bad --weaken %S (expected none | pricing | settlement | all)"
-                weaken_s))
+        input_error "bad --weaken %S (expected none | pricing | settlement | all)"
+          weaken_s
   in
   let mix = { Campaign.faults; epsilon } in
   let trace_meta extra =
@@ -1031,7 +1041,7 @@ let run_trace topology seed deviants rate out =
     (fun spec ->
       let who, d = parse_deviation spec in
       if who < 0 || who >= n then
-        raise (Invalid_argument (Printf.sprintf "deviant node %d out of range" who));
+        input_error "deviant node %d out of range" who;
       deviations.(who) <- d)
     deviants;
   let obs = Obs.memory ~detail:true () in
@@ -1274,4 +1284,13 @@ let cmd =
       trace_cmd;
     ]
 
-let () = exit (Cmd.eval cmd)
+let () =
+  match Cmd.eval ~catch:false cmd with
+  | code -> exit code
+  | exception Input_error msg ->
+      Json.to_channel ~indent:0 stderr (Json.Obj [ ("error", Json.String msg) ]);
+      exit 2
+  | exception e ->
+      Printf.eprintf "damd: internal error, uncaught exception:\n%s\n"
+        (Printexc.to_string e);
+      exit Cmd.Exit.internal_error

@@ -1,5 +1,4 @@
 module Action = Damd_core.Action
-module G = Damd_graph.Graph
 module Obs = Damd_obs.Obs
 module Clock = Damd_obs.Clock
 module Json = Damd_util.Json
@@ -96,7 +95,7 @@ let transfer (a : Ir.action) (e : env) =
    is considered a possible flow (shadowed duplicates included): this
    over-approximates any concrete strategy, matching the reachability
    notion the structural checks already use. *)
-let flow_fixpoint (ir : Ir.t) =
+let flow_fixpoint (m : Machine.t) (ir : Ir.t) =
   let track_deps = List.length ir.Ir.actions <= 62 in
   let bit_of =
     let tbl = Hashtbl.create 16 in
@@ -109,19 +108,12 @@ let flow_fixpoint (ir : Ir.t) =
   let envs : (string, env) Hashtbl.t = Hashtbl.create 16 in
   let outs : (string, cell) Hashtbl.t = Hashtbl.create 16 in
   let odeps : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  (* both lookups are linear in the IR; hoist them out of the loop *)
-  let action_tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (a : Ir.action) ->
-      if not (Hashtbl.mem action_tbl a.Ir.id) then
-        Hashtbl.add action_tbl a.Ir.id a)
-    ir.Ir.actions;
   let succ_tbl : (string, (Ir.action * string) list) Hashtbl.t =
     Hashtbl.create 16
   in
   List.iter
     (fun (t : Ir.transition) ->
-      match Hashtbl.find_opt action_tbl t.Ir.act with
+      match Hashtbl.find_opt m.Machine.action t.Ir.act with
       | None -> ()  (* undefined-ref: the structural checker's finding *)
       | Some a ->
           let prev =
@@ -207,15 +199,10 @@ let path_string p = String.concat " -> " p
    the laundering chain as witness. A private value that transits an
    intermediate computation before being emitted — invisible to the
    syntactic input scan — is caught here. *)
-let flow_findings (ir : Ir.t) (fl : flow) =
-  let atbl = Hashtbl.create 32 in
-  List.iter
-    (fun (a : Ir.action) ->
-      if not (Hashtbl.mem atbl a.Ir.id) then Hashtbl.add atbl a.Ir.id a)
-    ir.Ir.actions;
+let flow_findings (m : Machine.t) (fl : flow) =
   List.concat_map
     (fun sm ->
-      match Hashtbl.find_opt atbl sm.sm_action with
+      match Hashtbl.find_opt m.Machine.action sm.sm_action with
       | None -> []
       | Some a -> (
           match a.Ir.cls with
@@ -268,102 +255,12 @@ let flow_findings (ir : Ir.t) (fl : flow) =
 
 (* ---- the two-seat abstract machine --------------------------------------
 
-   [Explore] runs the n-seat product; here we run its abstraction: the
-   deviant seat plus ONE faithful representative (faithful seats are
-   symmetric, so one representative preserves barrier structure, escape
-   possibility, and stall wedges, while depths only shrink — the frontier
-   soundness argument of DESIGN.md §17). Everything else mirrors
-   [Explore.run_scenario] move for move: eligibility, the checkpoint
-   barrier, acted/evidence bits, omission stalls, reentry pruning, and
-   the deadlock case split. *)
-
-type mach = {
-  states : string array;
-  sugg_id : string option array;
-  action_of : Ir.action option array;
-  dst_of : int array;
-  phase_of : int array;
-  nphases : int;
-  phase_names : string array;
-  certifiers : string option array;
-  dev_lbl : string array;
-  cp_lbl : string array;
-}
-
-let build (ir : Ir.t) =
-  let states = Array.of_list ir.Ir.states in
-  let idx = Hashtbl.create 16 in
-  Array.iteri
-    (fun i s -> if not (Hashtbl.mem idx s) then Hashtbl.add idx s i)
-    states;
-  let ns = Array.length states in
-  let sugg_id = Array.make ns None in
-  let action_of = Array.make ns None in
-  let dst_of = Array.init ns (fun i -> i) in
-  (* first-binding tables replace the per-state linear scans of
-     [suggested_action] / [find_action] / [step] *)
-  let sugg_tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (s, aid) ->
-      if not (Hashtbl.mem sugg_tbl s) then Hashtbl.add sugg_tbl s aid)
-    ir.Ir.suggested;
-  let act_tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (a : Ir.action) ->
-      if not (Hashtbl.mem act_tbl a.Ir.id) then Hashtbl.add act_tbl a.Ir.id a)
-    ir.Ir.actions;
-  let step_tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (t : Ir.transition) ->
-      let key = t.Ir.src ^ "\x00" ^ t.Ir.act in
-      if not (Hashtbl.mem step_tbl key) then Hashtbl.add step_tbl key t.Ir.dst)
-    ir.Ir.transitions;
-  Array.iteri
-    (fun i s ->
-      match Hashtbl.find_opt sugg_tbl s with
-      | None -> ()
-      | Some aid ->
-          sugg_id.(i) <- Some aid;
-          action_of.(i) <- Hashtbl.find_opt act_tbl aid;
-          dst_of.(i) <-
-            (match Hashtbl.find_opt step_tbl (s ^ "\x00" ^ aid) with
-            | Some d -> (
-                match Hashtbl.find_opt idx d with Some j -> j | None -> i)
-            | None -> i))
-    states;
-  let phases = Array.of_list ir.Ir.phases in
-  let phase_of = Array.make ns (-1) in
-  Array.iteri
-    (fun pi (p : Ir.phase) ->
-      List.iter
-        (fun s ->
-          match Hashtbl.find_opt idx s with
-          | Some i when phase_of.(i) = -1 -> phase_of.(i) <- pi
-          | _ -> ())
-        p.Ir.members)
-    phases;
-  let phase_names = Array.map (fun (p : Ir.phase) -> p.Ir.pname) phases in
-  {
-    states;
-    sugg_id;
-    action_of;
-    dst_of;
-    phase_of;
-    nphases = Array.length phases;
-    phase_names;
-    certifiers =
-      Array.map
-        (fun (p : Ir.phase) ->
-          match p.Ir.checkpoint with
-          | Some c -> Some (Rule.to_string c.Ir.certifier)
-          | None -> None)
-        phases;
-    dev_lbl =
-      Array.map
-        (function Some aid -> "deviant!" ^ aid | None -> "deviant!")
-        sugg_id;
-    cp_lbl = Array.map (fun p -> "[checkpoint " ^ p ^ "]") phase_names;
-  }
+   [Explore] runs the n-seat product; here we run its abstraction over the
+   same [Machine] table and [Scenario] plan: the deviant seat plus ONE
+   faithful representative (faithful seats are symmetric, so one
+   representative preserves barrier structure, escape possibility, and
+   stall wedges, while depths only shrink — the frontier soundness
+   argument of DESIGN.md §17). *)
 
 (* An abstract state is the tuple (dev, f, ph, acted, evid): the deviant
    seat's chain position (-1 = no deviant in this job), the faithful
@@ -396,27 +293,6 @@ let pack_interned () =
         incr next;
         Hashtbl.add intern s i;
         i
-
-type ajob = {
-  aj_label : string;
-  aj_has_deviant : bool;
-  aj_stall : bool;
-  aj_targets : bool array;
-  aj_covered : bool array;
-  aj_faithful : bool;
-}
-
-type aout = {
-  ao_escape : string option;
-  ao_timeout : int option;
-  ao_lag : int;
-  ao_certifier : string option;
-  ao_cert_phase : int;  (* phase index of the winning lag; -1 = none *)
-  ao_acted : bool;
-  ao_truncated : bool;
-  ao_states : int;
-  ao_findings : Check.finding list;
-}
 
 (* A small open-addressed int set: the visited table is the hottest
    structure in the abstract BFS, and Hashtbl's bucket lists cost an
@@ -476,21 +352,15 @@ type scratch = {
   sc_visited : Intset.t;
   mutable sc_q : int array;
   sc_covered : bool array;
-  sc_min_act : int array;
-  sc_max_cert : int array;
-  sc_cert_rule : string option array;
   sc_no_parent : (int, int * string) Hashtbl.t;
       (* shared read-only stand-in for the parent table on untracked runs *)
 }
 
-let scratch_create ns nphases =
+let scratch_create ns =
   {
     sc_visited = Intset.create ();
     sc_q = Array.make (64 * 8) 0;
     sc_covered = Array.make ns false;
-    sc_min_act = Array.make (max 1 nphases) max_int;
-    sc_max_cert = Array.make (max 1 nphases) (-1);
-    sc_cert_rule = Array.make (max 1 nphases) None;
     sc_no_parent = Hashtbl.create 1;
   }
 
@@ -504,8 +374,9 @@ let scratch_create ns nphases =
    the frontier lives in one flat growable int block (key, depth, and
    the five state fields) instead of a queue of records — a new state
    costs a handful of array writes, a revisit costs one table probe. *)
-let run_ascenario m ~(encode : int -> int -> int -> int -> int -> int) ~bound
-    ~initial ~track ~scratch (job : ajob) : aout =
+let run_ascenario (m : Machine.t)
+    ~(encode : int -> int -> int -> int -> int -> int) ~bound ~initial ~track
+    ~scratch (job : Scenario.job) =
   (* the common packed-int case is inlined at the push site (the indirect
      call through [encode] is measurable there); the constants must mirror
      [pack_int] exactly so the cold paths that still call [encode] agree *)
@@ -514,34 +385,9 @@ let run_ascenario m ~(encode : int -> int -> int -> int -> int -> int) ~bound
   let mnp = m.nphases + 2 in
   let npb = m.nphases in
   let shift = 2 * m.nphases in
-  let min_act = scratch.sc_min_act in
-  let max_cert = scratch.sc_max_cert in
-  let cert_rule = scratch.sc_cert_rule in
-  Array.fill min_act 0 (Array.length min_act) max_int;
-  Array.fill max_cert 0 (Array.length max_cert) (-1);
-  Array.fill cert_rule 0 (Array.length cert_rule) None;
-  let escape = ref None in
-  let timeout = ref None in
-  let acted_ever = ref false in
+  let tally = Scenario.tally m ~run:"abstract run" in
   let truncated = ref false in
   let covered_mark = scratch.sc_covered in
-  let findings = ref [] in
-  (* findings are rare; the dedup table is only materialised on demand *)
-  let seen = ref None in
-  let add_finding severity id location message =
-    let tbl =
-      match !seen with
-      | Some t -> t
-      | None ->
-          let t = Hashtbl.create 8 in
-          seen := Some t;
-          t
-    in
-    if not (Hashtbl.mem tbl (id ^ "\x00" ^ location)) then begin
-      Hashtbl.add tbl (id ^ "\x00" ^ location) ();
-      findings := { Check.id; severity; location; message } :: !findings
-    end
-  in
   let visited = scratch.sc_visited in
   Intset.reset visited;
   let parent =
@@ -585,7 +431,7 @@ let run_ascenario m ~(encode : int -> int -> int -> int -> int -> int) ~bound
     if dev >= 0 then covered_mark.(dev) <- true;
     covered_mark.(f) <- true
   in
-  let dev0 = if job.aj_has_deviant then initial else -1 in
+  let dev0 = if job.has_deviant then initial else -1 in
   let k0 = encode dev0 initial 0 0 0 in
   ignore (Intset.add visited k0);
   mark dev0 initial;
@@ -606,13 +452,7 @@ let run_ascenario m ~(encode : int -> int -> int -> int -> int -> int) ~bound
     in
     if reentry then begin
       incr progress;
-      add_finding Check.Error "phase-reentry" lbl
-        (Printf.sprintf
-           "step %S re-enters phase %S after its checkpoint certified: \
-            post-certification play can rewrite what the bank already \
-            green-lit"
-           lbl
-           m.phase_names.(m.phase_of.(dst)))
+      Scenario.reentry tally m ~lbl ~dst
     end
     else begin
       let k' =
@@ -651,8 +491,8 @@ let run_ascenario m ~(encode : int -> int -> int -> int -> int -> int) ~bound
          match m.sugg_id.(dev) with
          | None -> ()
          | Some _aid ->
-             let is_t = job.aj_targets.(dev) in
-             if job.aj_stall && is_t then ()
+             let is_t = job.targets.(dev) in
+             if job.stall && is_t then ()
              else begin
                let pbit =
                  if ph < m.nphases then ph else max 0 (m.nphases - 1)
@@ -666,14 +506,11 @@ let run_ascenario m ~(encode : int -> int -> int -> int -> int -> int) ~bound
                  if is_t && in_phase then s_acted lor (1 lsl pbit) else s_acted
                in
                let evid =
-                 if is_t && in_phase && job.aj_covered.(dev) then
+                 if is_t && in_phase && job.covered.(dev) then
                    s_evid lor (1 lsl pbit)
                  else s_evid
                in
-               if is_t then begin
-                 acted_ever := true;
-                 if d + 1 < min_act.(pbit) then min_act.(pbit) <- d + 1
-               end;
+               if is_t then Scenario.act tally ~pbit ~depth:(d + 1);
                push m.dst_of.(dev) f ph acted evid m.dev_lbl.(dev)
                  m.dst_of.(dev)
              end);
@@ -688,20 +525,10 @@ let run_ascenario m ~(encode : int -> int -> int -> int -> int -> int) ~bound
           (dev >= 0 && m.phase_of.(dev) = ph) || m.phase_of.(f) = ph
         in
         if not someone_inside then begin
-          let bit = 1 lsl ph in
-          (if s_acted land bit <> 0 then
-             match m.certifiers.(ph) with
-             | Some rule when s_evid land bit <> 0 ->
-                 if d + 1 > max_cert.(ph) then begin
-                   max_cert.(ph) <- d + 1;
-                   cert_rule.(ph) <- Some rule
-                 end
-             | _ ->
-                 if !escape = None then
-                   escape :=
-                     Some
-                       (witness_of k ^ " ; [green-light " ^ m.phase_names.(ph)
-                      ^ "]"));
+          if
+            Scenario.checkpoint tally m ~ph ~acted:s_acted ~evid:s_evid
+              ~depth:(d + 1)
+          then Scenario.escape tally m ~ph (witness_of k);
           (* Bits from phases <= ph are dead once this checkpoint has
              fired (each phase's bit is read exactly once, here), so the
              successor enters the next phase with cleared bitsets —
@@ -710,62 +537,12 @@ let run_ascenario m ~(encode : int -> int -> int -> int -> int -> int) ~bound
         end
       end;
       (* deadlock: the current phase can never reach its certifier *)
-      if !progress = 0 && ph < m.nphases then begin
-        let stalling_deviant =
-          dev >= 0 && job.aj_stall
-          && m.phase_of.(dev) = ph
-          && job.aj_targets.(dev)
-          && m.sugg_id.(dev) <> None
-        in
-        if stalling_deviant then (
-          match !timeout with
-          | Some t when t >= d + 1 -> ()
-          | _ -> timeout := Some (d + 1))
-        else
-          add_finding Check.Error
-            (if job.aj_faithful then "false-accusation"
-             else "certifier-unreachable")
-            m.phase_names.(ph)
-            (if job.aj_faithful then
-               Printf.sprintf
-                 "the all-faithful abstract run deadlocks inside phase %S: \
-                  the bank's progress timeout would punish nodes that \
-                  followed the suggested play to the letter"
-                 m.phase_names.(ph)
-             else
-               Printf.sprintf
-                 "phase %S can deadlock before its certifier runs: a \
-                  deviation inside it is never surfaced at a checkpoint"
-                 m.phase_names.(ph))
-      end
+      if !progress = 0 && ph < m.nphases then
+        Scenario.deadlock tally m job ~ph ~dev ~depth:(d + 1)
     end
   done;
-  let lag = ref (-1) in
-  let certifier = ref None in
-  let cert_phase = ref (-1) in
-  Array.iteri
-    (fun p cert ->
-      if cert >= 0 && min_act.(p) < max_int then begin
-        let l = cert - min_act.(p) in
-        if l > !lag then begin
-          lag := l;
-          certifier := cert_rule.(p);
-          cert_phase := p
-        end
-      end)
-    max_cert;
   scratch.sc_q <- !q;
-  {
-    ao_escape = !escape;
-    ao_timeout = !timeout;
-    ao_lag = !lag;
-    ao_certifier = !certifier;
-    ao_cert_phase = !cert_phase;
-    ao_acted = !acted_ever;
-    ao_truncated = !truncated;
-    ao_states = !count;
-    ao_findings = List.rev !findings;
-  }
+  Scenario.result tally ~truncated:!truncated ~states:!count
 
 (* ---- verdicts and the static frontier ---- *)
 
@@ -791,41 +568,12 @@ type t = {
   elapsed_s : float;
 }
 
-let combine rs =
-  if List.exists (fun r -> r.ao_truncated) rs then Struncated
-  else
-    match List.find_opt (fun r -> r.ao_escape <> None) rs with
-    | Some r -> Sblind { witness = Option.get r.ao_escape }
-    | None -> (
-        match
-          List.find_opt (fun r -> r.ao_lag < 0 && r.ao_timeout = None) rs
-        with
-        | Some r ->
-            Sblind
-              {
-                witness =
-                  (if r.ao_acted then
-                     "the deviation occurs but no certification event ever \
-                      follows it"
-                   else
-                     "the targeted action never executes in the abstract \
-                      product");
-              }
-        | None ->
-            let depth, certifier, phase =
-              List.fold_left
-                (fun (d0, c0, p0) r ->
-                  let d, c, p =
-                    if r.ao_lag >= 0 then
-                      (r.ao_lag, r.ao_certifier, r.ao_cert_phase)
-                    else (Option.get r.ao_timeout, None, -1)
-                  in
-                  if d > d0 then (d, c, p) else (d0, c0, p0))
-                (-1, None, -1) rs
-            in
-            Scertified { depth; certifier; phase })
-
-let dev_compare a b = String.compare (Dev.to_string a) (Dev.to_string b)
+let of_scenario = function
+  | Scenario.Detected { depth; certifier; phase } ->
+      Scertified { depth; certifier; phase }
+  | Scenario.Undetected { witness } -> Sblind { witness }
+  | Scenario.Exempt { reason } -> Sexempt { reason }
+  | Scenario.Truncated -> Struncated
 
 (* The dependence-derived frontier: the earliest checkpoint, at or after
    the deviation's earliest targeted phase, whose certifier reads evidence
@@ -840,21 +588,11 @@ type frontier_tables = {
   ft_abit : (string, int) Hashtbl.t;
   ft_aphase : (string, int) Hashtbl.t;  (* earliest phase, declaration order *)
   ft_emask : int array;
-  ft_phases : Ir.phase array;
   ft_feeds : bool array;  (* phase has a covered honest evidence source *)
 }
 
-let dependence_frontier_tables (ir : Ir.t) (fl : flow) =
-  let ft_phases = Array.of_list ir.Ir.phases in
-  let nph = Array.length ft_phases in
-  let state_phase = Hashtbl.create 32 in
-  Array.iteri
-    (fun i (p : Ir.phase) ->
-      List.iter
-        (fun s ->
-          if not (Hashtbl.mem state_phase s) then Hashtbl.replace state_phase s i)
-        p.Ir.members)
-    ft_phases;
+let dependence_frontier_tables (m : Machine.t) (ir : Ir.t) (fl : flow) =
+  let nph = m.Machine.nphases in
   let small = List.length ir.Ir.actions <= 62 in
   let ft_abit = Hashtbl.create 32 in
   if small then
@@ -871,7 +609,7 @@ let dependence_frontier_tables (ir : Ir.t) (fl : flow) =
   let aphases = Hashtbl.create 32 in
   List.iter
     (fun (t : Ir.transition) ->
-      match Hashtbl.find_opt state_phase t.Ir.src with
+      match Hashtbl.find_opt m.Machine.phase_index t.Ir.src with
       | Some i ->
           let bit = 1 lsl min i 61 in
           let prev =
@@ -898,7 +636,7 @@ let dependence_frontier_tables (ir : Ir.t) (fl : flow) =
           (match first_phase mask with
           | Some i -> Hashtbl.replace ft_aphase a.Ir.id i
           | None -> ());
-          if Explore.covered_action a ~honest:true then begin
+          if Machine.covered_action a ~honest:true then begin
             for i = 0 to nph - 1 do
               if mask land (1 lsl min i 61) <> 0 then ft_feeds.(i) <- true
             done;
@@ -909,9 +647,9 @@ let dependence_frontier_tables (ir : Ir.t) (fl : flow) =
             | _ -> ()
           end))
     ir.Ir.actions;
-  { ft_abit; ft_aphase; ft_emask; ft_phases; ft_feeds }
+  { ft_abit; ft_aphase; ft_emask; ft_feeds }
 
-let dependence_frontier (ft : frontier_tables) targets =
+let dependence_frontier (m : Machine.t) (ft : frontier_tables) targets =
   match targets with
   | [] -> (None, None, None)
   | _ -> (
@@ -933,14 +671,11 @@ let dependence_frontier (ft : frontier_tables) targets =
               0 targets
           in
           let rec scan i =
-            if i >= Array.length ft.ft_phases then (None, None, None)
+            if i >= m.Machine.nphases then (None, None, None)
             else
-              let p = ft.ft_phases.(i) in
-              match p.Ir.checkpoint with
+              match m.Machine.certifiers.(i) with
               | Some c when ft.ft_emask.(i) land tmask <> 0 ->
-                  ( Some (Rule.to_string c.Ir.certifier),
-                    Some p.Ir.pname,
-                    Some (i - p0) )
+                  (Some c, Some m.Machine.phase_names.(i), Some (i - p0))
               | _ -> scan (i + 1)
           in
           scan p0)
@@ -948,20 +683,13 @@ let dependence_frontier (ft : frontier_tables) targets =
 let run ?(bound = 200_000) ?(adversary = Dev.all) ?(obs = Obs.noop) ~graph
     (ir : Ir.t) =
   let t0 = Clock.now_ns () in
-  let fl = Obs.span obs ~cat:"speccheck" "absint.flow" (fun () -> flow_fixpoint ir) in
-  let m = build ir in
-  let ftab = dependence_frontier_tables ir fl in
-  let n = G.n graph in
-  let ns = Array.length m.states in
-  let initial =
-    let rec find i =
-      if i >= ns then None
-      else if m.states.(i) = ir.Ir.initial then Some i
-      else find (i + 1)
-    in
-    find 0
+  let m = Machine.build ir in
+  let fl =
+    Obs.span obs ~cat:"speccheck" "absint.flow" (fun () -> flow_fixpoint m ir)
   in
-  match initial with
+  let ftab = dependence_frontier_tables m ir fl in
+  let ns = Array.length m.states in
+  match m.initial with
   | None ->
       {
         flows = fl.fl_summaries;
@@ -981,198 +709,12 @@ let run ?(bound = 200_000) ?(adversary = Dev.all) ?(obs = Obs.noop) ~graph
         elapsed_s = Clock.s_since t0;
       }
   | Some initial ->
-      let no_targets = Array.make ns false in
-      (* every label's target mask in one sweep over the machine states
-         instead of one state scan per label *)
-      let tmask_tbl : (string, bool array) Hashtbl.t = Hashtbl.create 32 in
-      Array.iteri
-        (fun i ao ->
-          match ao with
-          | None -> ()
-          | Some (a : Ir.action) ->
-              List.iter
-                (fun d ->
-                  let key = Dev.to_string d in
-                  let mask =
-                    match Hashtbl.find_opt tmask_tbl key with
-                    | Some mk -> mk
-                    | None ->
-                        let mk = Array.make ns false in
-                        Hashtbl.add tmask_tbl key mk;
-                        mk
-                  in
-                  mask.(i) <- true)
-                a.Ir.deviations)
-        m.action_of;
-      let target_mask lbl =
-        Option.value ~default:no_targets
-          (Hashtbl.find_opt tmask_tbl (Dev.to_string lbl))
-      in
-      let coverage_mask ~honest =
-        Array.init ns (fun i ->
-            match m.action_of.(i) with
-            | Some a -> Explore.covered_action a ~honest
-            | None -> false)
-      in
-      (* only two coverage masks exist; share them across all jobs *)
-      let cov_honest = coverage_mask ~honest:true in
-      let cov_isolated = coverage_mask ~honest:false in
-      let coverage_mask ~honest = if honest then cov_honest else cov_isolated in
-      let honesties =
-        List.sort_uniq Bool.compare
-          (List.init n (fun i -> G.degree graph i > 0))
-      in
-      let single_seat_jobs lbl ~stall =
-        let targets = target_mask lbl in
-        List.map
-          (fun honest ->
-            {
-              aj_label =
-                Printf.sprintf "%s[%s]" (Dev.to_string lbl)
-                  (if honest then "honest-nbrs" else "isolated");
-              aj_has_deviant = true;
-              aj_stall = stall;
-              aj_targets = targets;
-              aj_covered = coverage_mask ~honest;
-              aj_faithful = false;
-            })
-          honesties
-      in
-      let coalition_shield (a : Ir.action) =
-        a.Ir.cls = Some Action.Computation
-        && a.Ir.mirrored && a.Ir.digested
-        && List.exists
-             (fun d -> d <> Dev.Lying_checker && d <> Dev.Collude_with)
-             a.Ir.deviations
-      in
-      let collude_plan () =
-        if not (List.exists coalition_shield ir.Ir.actions) then
-          `Done
-            (Sblind
-               {
-                 witness =
-                   "no mirrored computation exists for the coalition to \
-                    shield, so the coalition case analysis is vacuous";
-               })
-        else begin
-          let targets =
-            Array.init ns (fun i ->
-                match m.action_of.(i) with
-                | Some a -> coalition_shield a
-                | None -> false)
-          in
-          let pairs =
-            List.concat
-              (List.init n (fun p ->
-                   List.map (fun c -> (p, c)) (G.neighbors graph p)))
-          in
-          let honest_of (p, c) =
-            List.exists (fun nb -> nb <> c) (G.neighbors graph p)
-          in
-          let exposed = List.filter (fun pc -> not (honest_of pc)) pairs in
-          let chonesties =
-            List.sort_uniq Bool.compare (List.map honest_of pairs)
-          in
-          let jobs =
-            List.map
-              (fun honest ->
-                {
-                  aj_label =
-                    (if honest then "collude-with[honest-nbrs]"
-                     else "collude-with[isolated]");
-                  aj_has_deviant = true;
-                  aj_stall = false;
-                  aj_targets = targets;
-                  aj_covered = coverage_mask ~honest;
-                  aj_faithful = false;
-                })
-              chonesties
-          in
-          let post v =
-            match (v, exposed) with
-            | Sblind { witness }, (p, c) :: _ ->
-                Sblind
-                  {
-                    witness =
-                      Printf.sprintf
-                        "%s [principal %d, colluding checker %d covers its \
-                         entire neighborhood]"
-                        witness p c;
-                  }
-            | _ -> v
-          in
-          `Jobs (jobs, post)
-        end
-      in
-      let labels =
-        List.sort_uniq dev_compare
-          (List.filter (fun d -> d <> Dev.Faithful) adversary)
-      in
-      (* per-label targeting actions, one pass over the declared actions
-         instead of one action scan per label (order-insensitive users:
-         the frontier masks and the orphan test) *)
-      let tlist_tbl : (string, Ir.action list) Hashtbl.t = Hashtbl.create 32 in
-      List.iter
-        (fun (a : Ir.action) ->
-          List.iter
-            (fun d ->
-              let k = Dev.to_string d in
-              let prev =
-                Option.value ~default:[] (Hashtbl.find_opt tlist_tbl k)
-              in
-              Hashtbl.replace tlist_tbl k (a :: prev))
-            a.Ir.deviations)
-        ir.Ir.actions;
-      let targets_of lbl =
-        Option.value ~default:[]
-          (Hashtbl.find_opt tlist_tbl (Dev.to_string lbl))
-      in
-      let plan =
-        List.map
-          (fun lbl ->
-            let p =
-              match List.assoc_opt lbl Explore.exemptions with
-              | Some reason -> `Done (Sexempt { reason })
-              | None ->
-                  if lbl = Dev.Collude_with then collude_plan ()
-                  else if targets_of lbl = [] then
-                    `Done
-                      (Sblind
-                         {
-                           witness =
-                             "no catalogue action targets this deviation, so \
-                              the section-4.3 case analysis cannot place it";
-                         })
-                  else
-                    `Jobs
-                      ( single_seat_jobs lbl
-                          ~stall:(lbl = Dev.Silent_in_construction),
-                        fun v -> v )
-            in
-            (lbl, p))
-          labels
-      in
-      let faithful_job =
-        {
-          aj_label = "all-faithful";
-          aj_has_deviant = false;
-          aj_stall = false;
-          aj_targets = no_targets;
-          aj_covered = no_targets;
-          aj_faithful = true;
-        }
-      in
-      let all_jobs =
-        List.concat_map
-          (fun (_, p) -> match p with `Done _ -> [] | `Jobs (js, _) -> js)
-          plan
-        @ [ faithful_job ]
-      in
+      let plan = Scenario.make m ir ~graph ~adversary in
       let encode =
         if fits_int ~ns ~nphases:m.nphases then pack_int ~ns ~nphases:m.nphases
         else pack_interned ()
       in
-      let scratch = scratch_create ns m.nphases in
+      let scratch = scratch_create ns in
       (* Distinct deviation labels frequently target the same action set,
          and the abstract runner's result only depends on the job's
          (targets, coverage, stall, deviant) shape — the label shows up
@@ -1180,24 +722,24 @@ let run ?(bound = 200_000) ?(adversary = Dev.all) ?(obs = Obs.noop) ~graph
          one exploration; results carrying findings or an escape are not
          shared, since their text embeds the label. *)
       let covered_id c =
-        if c == cov_honest then '\001'
-        else if c == cov_isolated then '\002'
+        if c == plan.Scenario.cov_honest then '\001'
+        else if c == plan.Scenario.cov_isolated then '\002'
         else '\000'
       in
-      let job_key job =
+      let job_key (job : Scenario.job) =
         let b = Bytes.create (ns + 3) in
         for i = 0 to ns - 1 do
-          Bytes.set b i (if job.aj_targets.(i) then '\001' else '\000')
+          Bytes.set b i (if job.targets.(i) then '\001' else '\000')
         done;
-        Bytes.set b ns (covered_id job.aj_covered);
-        Bytes.set b (ns + 1) (if job.aj_stall then '\001' else '\000');
-        Bytes.set b (ns + 2) (if job.aj_has_deviant then '\001' else '\000');
+        Bytes.set b ns (covered_id job.covered);
+        Bytes.set b (ns + 1) (if job.stall then '\001' else '\000');
+        Bytes.set b (ns + 2) (if job.has_deviant then '\001' else '\000');
         Bytes.unsafe_to_string b
       in
       let shared = Hashtbl.create 16 in
-      let exec job =
+      let exec (job : Scenario.job) =
         Obs.span obs ~cat:"speccheck"
-          ~args:[ ("scenario", Json.String job.aj_label) ]
+          ~args:[ ("scenario", Json.String job.label) ]
           "absint.frontier"
           (fun () ->
             let key = job_key job in
@@ -1211,14 +753,12 @@ let run ?(bound = 200_000) ?(adversary = Dev.all) ?(obs = Obs.noop) ~graph
                    a witness chain, so only then pay for the tracked
                    re-run *)
                 let o = go ~track:false in
-                let o = if o.ao_escape = None then o else go ~track:true in
-                if
-                  o.ao_escape = None && o.ao_findings = []
-                  && not o.ao_truncated
-                then Hashtbl.add shared key o;
+                let o = if o.escape = None then o else go ~track:true in
+                if o.escape = None && o.findings = [] && not o.truncated then
+                  Hashtbl.add shared key o;
                 o)
       in
-      let outs = List.map exec all_jobs in
+      let outs = List.map exec plan.Scenario.jobs in
       let covered_mark = scratch.sc_covered in
       let findings = ref [] in
       let seen = Hashtbl.create 16 in
@@ -1228,66 +768,48 @@ let run ?(bound = 200_000) ?(adversary = Dev.all) ?(obs = Obs.noop) ~graph
           findings := { Check.id; severity; location; message } :: !findings
         end
       in
-      List.iter
-        (fun (f : Check.finding) ->
-          add_finding f.Check.severity f.Check.id f.Check.location
-            f.Check.message)
-        (flow_findings ir fl);
+      let add (f : Check.finding) =
+        add_finding f.Check.severity f.Check.id f.Check.location f.Check.message
+      in
+      List.iter add (flow_findings m fl);
       (* checkpoint starvation: a certifier with no covered evidence source
          among its own phase's actions can never accumulate anything to
          certify — every deviation inside the phase is structurally blind. *)
       Array.iteri
-        (fun i (p : Ir.phase) ->
-          match p.Ir.checkpoint with
-          | None -> ()
-          | Some c ->
-              if not ftab.ft_feeds.(i) then
-                add_finding Check.Error "checkpoint-starved" p.Ir.pname
-                  (Printf.sprintf
-                     "phase %S ends in certifier %s but no action of the \
-                      phase deposits covered evidence: the checkpoint \
-                      green-lights on an empty ledger, blinding every \
-                      deviation inside the phase"
-                     p.Ir.pname
-                     (Rule.to_string c.Ir.certifier)))
-        ftab.ft_phases;
+        (fun i -> function
+          | Some c when not ftab.ft_feeds.(i) ->
+              let p = m.phase_names.(i) in
+              add_finding Check.Error "checkpoint-starved" p
+                (Printf.sprintf
+                   "phase %S ends in certifier %s but no action of the phase \
+                    deposits covered evidence: the checkpoint green-lights on \
+                    an empty ledger, blinding every deviation inside the phase"
+                   p c)
+          | _ -> ())
+        m.certifiers;
       let states_total = ref 0 in
       List.iter
-        (fun o ->
-          states_total := !states_total + o.ao_states;
-          List.iter
-            (fun (f : Check.finding) ->
-              add_finding f.Check.severity f.Check.id f.Check.location
-                f.Check.message)
-            o.ao_findings)
+        (fun (o : Scenario.result) ->
+          states_total := !states_total + o.states;
+          List.iter add o.findings)
         outs;
-      let outs_arr = Array.of_list outs in
-      let idx = ref 0 in
-      let take count =
-        let l = List.init count (fun j -> outs_arr.(!idx + j)) in
-        idx := !idx + count;
-        l
-      in
       let frontier =
         List.map
-          (fun (lbl, p) ->
-            let v =
-              match p with
-              | `Done v -> v
-              | `Jobs (js, post) -> post (combine (take (List.length js)))
-            in
-            let targets =
-              if lbl = Dev.Collude_with then
-                List.filter coalition_shield ir.Ir.actions
-              else targets_of lbl
-            in
+          (fun ((e : Scenario.entry), v) ->
+            let v = of_scenario v in
             let fr_certifier, fr_phase, fr_distance =
               match v with
               | Sexempt _ -> (None, None, None)
-              | _ -> dependence_frontier ftab targets
+              | _ -> dependence_frontier m ftab e.actions
             in
-            { fr_dev = lbl; fr_verdict = v; fr_certifier; fr_phase; fr_distance })
-          plan
+            {
+              fr_dev = e.dev;
+              fr_verdict = v;
+              fr_certifier;
+              fr_phase;
+              fr_distance;
+            })
+          (Scenario.verdicts plan ~product:"abstract" outs)
       in
       List.iter
         (fun fr ->
@@ -1318,23 +840,14 @@ let run ?(bound = 200_000) ?(adversary = Dev.all) ?(obs = Obs.noop) ~graph
                    (Dev.to_string fr.fr_dev))
           | Scertified _ | Sexempt _ -> ())
         frontier;
-      Array.iteri
-        (fun i occupied ->
-          if not occupied then
-            add_finding Check.Error "unexplored-state" m.states.(i)
-              (Printf.sprintf
-                 "state %S is never occupied by any node in any abstract \
-                  product execution: it cannot participate in the certified \
-                  protocol"
-                 m.states.(i)))
-        covered_mark;
+      List.iter add (Scenario.unexplored m ~product:"abstract" covered_mark);
       let elapsed_s = Clock.s_since t0 in
       if Obs.enabled obs then
         Obs.instant obs ~cat:"speccheck"
           ~args:
             [
               ("states", Json.Int !states_total);
-              ("labels", Json.Int (List.length labels));
+              ("labels", Json.Int (List.length plan.Scenario.entries));
               ("elapsed_s", Json.Float elapsed_s);
             ]
           "absint.done";

@@ -30,11 +30,12 @@
     representative preserves barrier structure, escape possibility and
     stall wedges; detection depths only shrink with fewer seats, which is
     exactly the soundness direction: the static depth is a lower bound on
-    the dynamic one). Eligibility, checkpoint barriers, the §4.3 evidence
-    bits, omission stalls, reentry pruning, exemptions, the orphan-label
-    case and the coalition analysis all mirror [Explore.run] decision for
-    decision, so verdict {e kinds} agree and [differential] can hold the
-    two accountable to each other.
+    the dynamic one). Both searches read the same [Machine] table and run
+    the same [Scenario] plan — exemptions, the orphan-label case, the
+    coalition analysis, the per-job evidence bookkeeping and the fold of
+    job results into verdicts — so only the seat model differs, verdict
+    {e kinds} agree, and [differential] compares two seat models of one
+    plan.
 
     Findings ([Check.finding] ids):
     - [cc-private-leak-flow], [ac-unmirrored-flow], [ac-undigested-flow]

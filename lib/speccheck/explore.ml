@@ -1,4 +1,3 @@
-module Action = Damd_core.Action
 module G = Damd_graph.Graph
 module Obs = Damd_obs.Obs
 module Clock = Damd_obs.Clock
@@ -29,147 +28,33 @@ type outcome = {
   stats : stats;
 }
 
-(* ---- the indexed machine view (same semantics as Compile.machine) ---- *)
-
-type mach = {
-  states : string array;
-  sugg_id : string option array;  (* suggested action id per state *)
-  action_of : Ir.action option array;  (* its declared record, if any *)
-  dst_of : int array;  (* suggested destination; self when undefined *)
-  phase_of : int array;  (* phase index per state, [-1] = none *)
-  nphases : int;
-  phase_names : string array;
-  certifiers : string option array;
-  dev_lbl : string array;  (* "deviant!<aid>" per state, shared *)
-  cp_lbl : string array;  (* "[checkpoint <phase>]" per phase, shared *)
-}
-
-let build (ir : Ir.t) =
-  let states = Array.of_list ir.Ir.states in
-  let idx = Hashtbl.create 16 in
-  Array.iteri
-    (fun i s -> if not (Hashtbl.mem idx s) then Hashtbl.add idx s i)
-    states;
-  let ns = Array.length states in
-  let sugg_id = Array.make ns None in
-  let action_of = Array.make ns None in
-  let dst_of = Array.init ns (fun i -> i) in
-  Array.iteri
-    (fun i s ->
-      match Ir.suggested_action ir s with
-      | None -> ()
-      | Some aid ->
-          sugg_id.(i) <- Some aid;
-          action_of.(i) <- Ir.find_action ir aid;
-          dst_of.(i) <-
-            (match Ir.step ir s aid with
-            | Some d -> (
-                match Hashtbl.find_opt idx d with Some j -> j | None -> i)
-            | None -> i (* the Compile.machine self-loop *)))
-    states;
-  let phases = Array.of_list ir.Ir.phases in
-  let phase_of = Array.make ns (-1) in
-  Array.iteri
-    (fun pi (p : Ir.phase) ->
-      List.iter
-        (fun s ->
-          match Hashtbl.find_opt idx s with
-          | Some i when phase_of.(i) = -1 -> phase_of.(i) <- pi
-          | _ -> ())
-        p.Ir.members)
-    phases;
-  let phase_names = Array.map (fun (p : Ir.phase) -> p.Ir.pname) phases in
-  {
-    states;
-    sugg_id;
-    action_of;
-    dst_of;
-    phase_of;
-    nphases = Array.length phases;
-    phase_names;
-    certifiers =
-      Array.map
-        (fun (p : Ir.phase) ->
-          match p.Ir.checkpoint with
-          | Some c -> Some (Rule.to_string c.Ir.certifier)
-          | None -> None)
-        phases;
-    dev_lbl =
-      Array.map
-        (function Some aid -> "deviant!" ^ aid | None -> "deviant!")
-        sugg_id;
-    cp_lbl = Array.map (fun p -> "[checkpoint " ^ p ^ "]") phase_names;
-  }
-
-(* ---- evidence coverage: can the declared checking story surface a
-   deviant execution of this action? (the abstract §4.3 case split) ---- *)
-
-let covered_action (a : Ir.action) ~honest =
-  match a.Ir.cls with
-  | None -> false
-  | Some Action.Internal -> false
-  | Some Action.Information_revelation -> a.Ir.digested
-  | Some Action.Message_passing -> a.Ir.rules <> [] && honest
-  | Some Action.Computation -> a.Ir.mirrored && a.Ir.digested && honest
-
-(* ---- scenario descriptors and per-scenario results: scenarios are
-   independent, so each runs against private tables and the driver merges
-   the outputs deterministically in scenario order ---- *)
-
-type job = {
-  j_label : string;
-  j_has_deviant : bool;
-  j_stall : bool;
-  j_targets : bool array;
-  j_covered : bool array;
-  j_faithful : bool;
-}
-
-type scen_out = {
-  so_escape : string option;  (* witness trace of an uncaught green-light *)
-  so_timeout : int option;  (* omission stall depth *)
-  so_lag : int;  (* worst act-to-certification distance; -1 = none *)
-  so_certifier : string option;
-  so_acted : bool;
-  so_truncated : bool;
-  so_states : int;
-  so_frontier : int;
-  so_covered : bool array;
-  so_findings : Check.finding list;
-}
+let of_scenario = function
+  | Scenario.Detected { depth; certifier; _ } -> Detected { depth; certifier }
+  | Scenario.Undetected { witness } -> Undetected { witness }
+  | Scenario.Exempt { reason } -> Exempt { reason }
+  | Scenario.Truncated -> Truncated
 
 (* One scenario: BFS the product with [n] seats, one seat optionally
-   running the deviation. [j_targets] marks states whose suggested action
-   the deviation targets; [j_covered] marks states whose deviant execution
-   deposits checkpoint evidence; [j_stall] models omission (the targeted
-   step never completes, blocking the phase barrier). [encode] canonicalizes
-   a product state into the dedup key — an immediate int whenever the
-   packed layout fits one word. [por] enables the invisible-step reduction
-   when its acyclicity guard holds. *)
-let run_scenario (type k) m ~(encode : Sp.state -> k) ~audit ~por ~obs ~bound
-    ~n ~initial (job : job) : scen_out =
+   running the deviation. [job.targets] marks states whose suggested
+   action the deviation targets; [job.covered] marks states whose deviant
+   execution deposits checkpoint evidence; [job.stall] models omission
+   (the targeted step never completes, blocking the phase barrier).
+   [encode] canonicalizes a product state into the dedup key — an
+   immediate int whenever the packed layout fits one word. [por] enables
+   the invisible-step reduction (its acyclicity guard already held).
+   Returns the job's result, its frontier peak and the states its seats
+   occupied. *)
+let run_scenario (type k) (m : Machine.t) ~(encode : Sp.state -> k) ~audit
+    ~por ~obs ~bound ~n ~initial (job : Scenario.job) =
   let ns = Array.length m.states in
   let depth_hist =
     match Obs.metrics obs with
     | None -> None
     | Some reg -> Some (Metrics.histogram reg "explore.depth")
   in
-  let min_act = Array.make (max 1 m.nphases) max_int in
-  let max_cert = Array.make (max 1 m.nphases) (-1) in
-  let cert_rule = Array.make (max 1 m.nphases) None in
-  let escape = ref None in
-  let timeout = ref None in
-  let acted_ever = ref false in
+  let tally = Scenario.tally m ~run:"run" in
   let truncated = ref false in
   let covered_mark = Array.make ns false in
-  let findings = ref [] in
-  let seen = Hashtbl.create 8 in
-  let add_finding severity id location message =
-    if not (Hashtbl.mem seen (id, location)) then begin
-      Hashtbl.add seen (id, location) ();
-      findings := { Check.id; severity; location; message } :: !findings
-    end
-  in
   let visited : (k, int) Hashtbl.t = Hashtbl.create 1024 in
   let parent : (k, k * string) Hashtbl.t = Hashtbl.create 1024 in
   let audit_tbl : (k, string) Hashtbl.t option =
@@ -205,9 +90,9 @@ let run_scenario (type k) m ~(encode : Sp.state -> k) ~audit ~por ~obs ~bound
   let frontier_max = ref 0 in
   let s0 =
     let cnt = Array.make ns 0 in
-    cnt.(initial) <- (if job.j_has_deviant then n - 1 else n);
+    cnt.(initial) <- (if job.has_deviant then n - 1 else n);
     {
-      Sp.dev = (if job.j_has_deviant then initial else -1);
+      Sp.dev = (if job.has_deviant then initial else -1);
       cnt;
       ph = 0;
       acted = 0;
@@ -241,8 +126,8 @@ let run_scenario (type k) m ~(encode : Sp.state -> k) ~audit ~por ~obs ~bound
          | None -> ()
          | Some _aid ->
              let dv = s.Sp.dev in
-             let is_t = job.j_targets.(dv) in
-             if job.j_stall && is_t then
+             let is_t = job.targets.(dv) in
+             if job.stall && is_t then
                (* omission: the targeted step never completes *)
                ()
              else begin
@@ -253,13 +138,10 @@ let run_scenario (type k) m ~(encode : Sp.state -> k) ~audit ~por ~obs ~bound
                  if is_t then s.Sp.acted lor (1 lsl pbit) else s.Sp.acted
                in
                let evid =
-                 if is_t && job.j_covered.(dv) then s.Sp.evid lor (1 lsl pbit)
+                 if is_t && job.covered.(dv) then s.Sp.evid lor (1 lsl pbit)
                  else s.Sp.evid
                in
-               if is_t then begin
-                 acted_ever := true;
-                 if d + 1 < min_act.(pbit) then min_act.(pbit) <- d + 1
-               end;
+               if is_t then Scenario.act tally ~pbit ~depth:(d + 1);
                push
                  { s with Sp.dev = m.dst_of.(dv); acted; evid }
                  m.dev_lbl.(dv) m.dst_of.(dv)
@@ -267,32 +149,26 @@ let run_scenario (type k) m ~(encode : Sp.state -> k) ~audit ~por ~obs ~bound
       (* faithful class moves (symmetry: one per occupied chain state),
          POR-pruned to the lowest invisible class when the guard holds *)
       let pick_invisible =
-        match por with
-        | Some ctx when ctx.Por.active ->
-            let r = ref (-1) in
-            (try
-               for i = 0 to ns - 1 do
-                 if s.Sp.cnt.(i) > 0 && Por.invisible ctx ~ph i then begin
-                   r := i;
-                   raise Exit
-                 end
-               done
-             with Exit -> ());
-            !r
-        | _ -> -1
+        if por then begin
+          let r = ref (-1) in
+          (try
+             for i = 0 to ns - 1 do
+               if s.Sp.cnt.(i) > 0 && Por.invisible m ~ph i then begin
+                 r := i;
+                 raise Exit
+               end
+             done
+           with Exit -> ());
+          !r
+        end
+        else -1
       in
       for i = 0 to ns - 1 do
         if s.Sp.cnt.(i) > 0 && eligible i then
           match m.sugg_id.(i) with
           | None -> ()
           | Some aid ->
-              let inv =
-                pick_invisible >= 0
-                &&
-                match por with
-                | Some ctx -> Por.invisible ctx ~ph i
-                | None -> false
-              in
+              let inv = pick_invisible >= 0 && Por.invisible m ~ph i in
               if (not inv) || i = pick_invisible then begin
                 let dst = m.dst_of.(i) in
                 let cnt = Array.copy s.Sp.cnt in
@@ -313,21 +189,10 @@ let run_scenario (type k) m ~(encode : Sp.state -> k) ~audit ~por ~obs ~bound
           !ins
         in
         if not someone_inside then begin
-          let bit = 1 lsl ph in
-          (if s.Sp.acted land bit <> 0 then
-             match m.certifiers.(ph) with
-             | Some rule when s.Sp.evid land bit <> 0 ->
-                 if d + 1 > max_cert.(ph) then begin
-                   max_cert.(ph) <- d + 1;
-                   cert_rule.(ph) <- Some rule
-                 end
-             | _ ->
-                 (* green light with the deviation unflagged *)
-                 if !escape = None then
-                   escape :=
-                     Some
-                       (witness_of k ^ " ; [green-light " ^ m.phase_names.(ph)
-                      ^ "]"));
+          if
+            Scenario.checkpoint tally m ~ph ~acted:s.Sp.acted ~evid:s.Sp.evid
+              ~depth:(d + 1)
+          then Scenario.escape tally m ~ph (witness_of k);
           push { s with Sp.ph = ph + 1 } m.cp_lbl.(ph) (-1)
         end
       end;
@@ -342,13 +207,7 @@ let run_scenario (type k) m ~(encode : Sp.state -> k) ~audit ~por ~obs ~bound
           in
           if reentry then begin
             incr progress;
-            add_finding Check.Error "phase-reentry" lbl
-              (Printf.sprintf
-                 "step %S re-enters phase %S after its checkpoint certified: \
-                  post-certification play can rewrite what the bank already \
-                  green-lit"
-                 lbl
-                 m.phase_names.(m.phase_of.(dst)))
+            Scenario.reentry tally m ~lbl ~dst
           end
           else begin
             let k' = encode st in
@@ -367,322 +226,98 @@ let run_scenario (type k) m ~(encode : Sp.state -> k) ~audit ~por ~obs ~bound
           end)
         !succs;
       (* deadlock: the current phase can never reach its certifier *)
-      if !progress = 0 && ph < m.nphases then begin
-        let stalling_deviant =
-          s.Sp.dev >= 0 && job.j_stall
-          && m.phase_of.(s.Sp.dev) = ph
-          && job.j_targets.(s.Sp.dev)
-          && m.sugg_id.(s.Sp.dev) <> None
-        in
-        if stalling_deviant then (
-          match !timeout with
-          | Some t when t >= d + 1 -> ()
-          | _ -> timeout := Some (d + 1))
-        else
-          add_finding Check.Error
-            (if job.j_faithful then "false-accusation"
-             else "certifier-unreachable")
-            m.phase_names.(ph)
-            (if job.j_faithful then
-               Printf.sprintf
-                 "the all-faithful run deadlocks inside phase %S: the bank's \
-                  progress timeout would punish nodes that followed the \
-                  suggested play to the letter"
-                 m.phase_names.(ph)
-             else
-               Printf.sprintf
-                 "phase %S can deadlock before its certifier runs: a \
-                  deviation inside it is never surfaced at a checkpoint"
-                 m.phase_names.(ph))
-      end
+      if !progress = 0 && ph < m.nphases then
+        Scenario.deadlock tally m job ~ph ~dev:s.Sp.dev ~depth:(d + 1)
     end
   done;
-  let lag = ref (-1) in
-  let certifier = ref None in
-  Array.iteri
-    (fun p cert ->
-      if cert >= 0 && min_act.(p) < max_int then begin
-        let l = cert - min_act.(p) in
-        if l > !lag then begin
-          lag := l;
-          certifier := cert_rule.(p)
-        end
-      end)
-    max_cert;
+  ( Scenario.result tally ~truncated:!truncated
+      ~states:(Hashtbl.length visited),
+    !frontier_max,
+    covered_mark )
+
+(* The acted/evidence masks of a packed key are 16 bits wide. *)
+let key_phase_limit = 16
+
+let undetected lbl witness =
   {
-    so_escape = !escape;
-    so_timeout = !timeout;
-    so_lag = !lag;
-    so_certifier = !certifier;
-    so_acted = !acted_ever;
-    so_truncated = !truncated;
-    so_states = Hashtbl.length visited;
-    so_frontier = !frontier_max;
-    so_covered = covered_mark;
-    so_findings = List.rev !findings;
+    Check.id = "undetected-deviation";
+    severity = Check.Error;
+    location = Dev.to_string lbl;
+    message =
+      Printf.sprintf "deviation %S can escape its phase checkpoint: %s"
+        (Dev.to_string lbl) witness;
   }
-
-(* ---- exemptions: deviations the checking story does not claim ---- *)
-
-let exemptions =
-  [
-    ( Dev.Misreport_cost,
-      "consistent cost misreport is pure information revelation: neutralized \
-       by VCG strategyproofness (IC), invisible to checkers by design" );
-    ( Dev.Lying_checker,
-      "checker-role deviation only: in isolation the principal's own chain \
-       is honest, so every digest still agrees — consequential only inside a \
-       coalition (see collude-with)" );
-  ]
-
-let dev_compare a b = String.compare (Dev.to_string a) (Dev.to_string b)
 
 let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
     ?(por = true) ?(domains = 0) ?(audit = false) ~graph (ir : Ir.t) =
   let t0 = Clock.now_ns () in
-  let m = build ir in
+  let m = Machine.build ir in
   let n = G.n graph in
   let ns = Array.length m.states in
-  let codec = Sp.make ~ns ~n ~nphases:m.nphases in
-  let por_ctx =
-    if por then
-      Some
-        (Por.make ~phase_of:m.phase_of ~dst_of:m.dst_of
-           ~has_sugg:(Array.map Option.is_some m.sugg_id)
-           ~nphases:m.nphases)
-    else None
-  in
-  let por_active =
-    match por_ctx with Some c -> c.Por.active | None -> false
-  in
-  let initial =
-    let rec find i =
-      if i >= ns then None
-      else if m.states.(i) = ir.Ir.initial then Some i
-      else find (i + 1)
-    in
-    find 0
-  in
-  match initial with
-  | None ->
-      {
-        verdicts = [];
-        findings =
-          [
-            {
-              Check.id = "exploration-truncated";
-              severity = Check.Warning;
-              location = ir.Ir.initial;
-              message =
-                "the initial state is not declared, so the product machine \
-                 has no seed configuration; exploration skipped";
-            };
-          ];
-        covered_states = [];
-        stats =
-          {
-            states_explored = 0;
-            frontier_peak = 0;
-            scenarios = 0;
-            truncated = true;
-            elapsed_s = Clock.s_since t0;
-            por = por_active;
-            domains = 1;
-          };
-      }
-  | Some initial ->
-      let no_targets = Array.make ns false in
-      let target_mask lbl =
-        Array.init ns (fun i ->
-            match m.action_of.(i) with
-            | Some a -> List.mem lbl a.Ir.deviations
-            | None -> false)
-      in
-      let coverage_mask ~honest =
-        Array.init ns (fun i ->
-            match m.action_of.(i) with
-            | Some a -> covered_action a ~honest
-            | None -> false)
-      in
-      (* The abstract model forgets seat identity except through the
-         honesty of the deviant's checker neighborhood, so seats sharing an
-         honesty value share one BFS — the sweep is still exhaustive over
-         seats because every seat maps into one of the explored classes. *)
-      let honesties =
-        List.sort_uniq Bool.compare
-          (List.init n (fun i -> G.degree graph i > 0))
-      in
-      let single_seat_jobs lbl ~stall =
-        let targets = target_mask lbl in
-        List.map
-          (fun honest ->
-            {
-              j_label =
-                Printf.sprintf "%s[%s]" (Dev.to_string lbl)
-                  (if honest then "honest-nbrs" else "isolated");
-              j_has_deviant = true;
-              j_stall = stall;
-              j_targets = targets;
-              j_covered = coverage_mask ~honest;
-              j_faithful = false;
-            })
-          honesties
-      in
-      let combine rs =
-        if List.exists (fun r -> r.so_truncated) rs then Truncated
-        else
-          match List.find_opt (fun r -> r.so_escape <> None) rs with
-          | Some r -> Undetected { witness = Option.get r.so_escape }
-          | None -> (
-              match
-                List.find_opt (fun r -> r.so_lag < 0 && r.so_timeout = None) rs
-              with
-              | Some r ->
-                  Undetected
-                    {
-                      witness =
-                        (if r.so_acted then
-                           "the deviation occurs but no certification event \
-                            ever follows it"
-                         else
-                           "the targeted action never executes in the \
-                            explored product");
-                    }
-              | None ->
-                  let depth, certifier =
-                    List.fold_left
-                      (fun (d0, c0) r ->
-                        let d, c =
-                          if r.so_lag >= 0 then (r.so_lag, r.so_certifier)
-                          else (Option.get r.so_timeout, None)
-                        in
-                        if d > d0 then (d, c) else (d0, c0))
-                      (-1, None) rs
-                  in
-                  Detected { depth; certifier })
-      in
-      let coalition_shield (a : Ir.action) =
-        a.Ir.cls = Some Action.Computation
-        && a.Ir.mirrored && a.Ir.digested
-        && List.exists
-             (fun d -> d <> Dev.Lying_checker && d <> Dev.Collude_with)
-             a.Ir.deviations
-      in
-      (* Collude-with: the principal deviates on a mirrored computation
-         while the colluding checker vouches for it; detection needs some
-         *other* honest checker in the principal's neighborhood, so the
-         honesty class of the pair (p, c) is "p has a neighbor besides c". *)
-      let collude_plan () =
-        if not (List.exists coalition_shield ir.Ir.actions) then
-          `Done
-            (Undetected
-               {
-                 witness =
-                   "no mirrored computation exists for the coalition to \
-                    shield, so the coalition case analysis is vacuous";
-               })
-        else begin
-          let targets =
-            Array.init ns (fun i ->
-                match m.action_of.(i) with
-                | Some a -> coalition_shield a
-                | None -> false)
-          in
-          let pairs =
-            List.concat
-              (List.init n (fun p ->
-                   List.map (fun c -> (p, c)) (G.neighbors graph p)))
-          in
-          let honest_of (p, c) =
-            List.exists (fun nb -> nb <> c) (G.neighbors graph p)
-          in
-          let exposed = List.filter (fun pc -> not (honest_of pc)) pairs in
-          let chonesties =
-            List.sort_uniq Bool.compare (List.map honest_of pairs)
-          in
-          let jobs =
-            List.map
-              (fun honest ->
-                {
-                  j_label =
-                    (if honest then "collude-with[honest-nbrs]"
-                     else "collude-with[isolated]");
-                  j_has_deviant = true;
-                  j_stall = false;
-                  j_targets = targets;
-                  j_covered = coverage_mask ~honest;
-                  j_faithful = false;
-                })
-              chonesties
-          in
-          let post v =
-            match (v, exposed) with
-            | Undetected { witness }, (p, c) :: _ ->
-                Undetected
-                  {
-                    witness =
-                      Printf.sprintf
-                        "%s [principal %d, colluding checker %d covers its \
-                         entire neighborhood]"
-                        witness p c;
-                  }
-            | _ -> v
-          in
-          `Jobs (jobs, post)
-        end
-      in
-      let labels =
-        List.sort_uniq dev_compare
-          (List.filter (fun d -> d <> Dev.Faithful) adversary)
-      in
-      let plan =
-        List.map
-          (fun lbl ->
-            let p =
-              match List.assoc_opt lbl exemptions with
-              | Some reason -> `Done (Exempt { reason })
-              | None ->
-                  if lbl = Dev.Collude_with then collude_plan ()
-                  else if
-                    not
-                      (List.exists
-                         (fun (a : Ir.action) -> List.mem lbl a.Ir.deviations)
-                         ir.Ir.actions)
-                  then
-                    `Done
-                      (Undetected
-                         {
-                           witness =
-                             "no catalogue action targets this deviation, so \
-                              the section-4.3 case analysis cannot place it";
-                         })
-                  else
-                    `Jobs
-                      ( single_seat_jobs lbl
-                          ~stall:(lbl = Dev.Silent_in_construction),
-                        fun v -> v )
-            in
-            (lbl, p))
-          labels
-      in
-      (* the all-faithful product run: no-false-accusation + progress *)
-      let faithful_job =
+  let por = por && Por.active m in
+  let skipped verdicts findings =
+    {
+      verdicts;
+      findings;
+      covered_states = [];
+      stats =
         {
-          j_label = "all-faithful";
-          j_has_deviant = false;
-          j_stall = false;
-          j_targets = no_targets;
-          j_covered = no_targets;
-          j_faithful = true;
-        }
+          states_explored = 0;
+          frontier_peak = 0;
+          scenarios = 0;
+          truncated = true;
+          elapsed_s = Clock.s_since t0;
+          por;
+          domains = 1;
+        };
+    }
+  in
+  match m.initial with
+  | None ->
+      skipped []
+        [
+          {
+            Check.id = "exploration-truncated";
+            severity = Check.Warning;
+            location = ir.Ir.initial;
+            message =
+              "the initial state is not declared, so the product machine has \
+               no seed configuration; exploration skipped";
+          };
+        ]
+  | Some _ when m.nphases > key_phase_limit ->
+      (* Every label that needs a search is cut before it starts. *)
+      let plan = Scenario.make m ir ~graph ~adversary in
+      let cut =
+        Scenario.result (Scenario.tally m ~run:"run") ~truncated:true ~states:0
       in
-      let all_jobs =
-        List.concat_map
-          (fun (_, p) -> match p with `Done _ -> [] | `Jobs (js, _) -> js)
-          plan
-        @ [ faithful_job ]
+      let verdicts =
+        List.map
+          (fun ((e : Scenario.entry), v) -> (e.Scenario.dev, of_scenario v))
+          (Scenario.verdicts plan ~product:"explored"
+             (List.map (fun _ -> cut) plan.Scenario.jobs))
       in
-      let njobs = List.length all_jobs in
+      skipped verdicts
+        ({
+           Check.id = "exploration-truncated";
+           severity = Check.Warning;
+           location = ir.Ir.name;
+           message =
+             Printf.sprintf
+               "the spec has %d phases but packed product-state keys hold at \
+                most %d (one acted and one evidence bit per phase); \
+                exploration skipped, every searched deviation is truncated"
+               m.nphases key_phase_limit;
+         }
+        :: List.filter_map
+             (function
+               | lbl, Undetected { witness } -> Some (undetected lbl witness)
+               | _ -> None)
+             verdicts)
+  | Some initial ->
+      let codec = Sp.make ~ns ~n ~nphases:m.nphases in
+      let plan = Scenario.make m ir ~graph ~adversary in
+      let njobs = List.length plan.Scenario.jobs in
       (* Tracing sinks are not thread-safe, so an enabled obs pins the
          fan-out to one domain; results are merged in job order either
          way, so the outcome is identical. *)
@@ -692,87 +327,63 @@ let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
           let req = if domains <= 0 then Pool.default_domains () else domains in
           max 1 (min req njobs)
       in
-      let exec job =
+      let exec (job : Scenario.job) =
         Obs.span obs ~cat:"speccheck"
-          ~args:[ ("scenario", Json.String job.j_label) ]
+          ~args:[ ("scenario", Json.String job.Scenario.label) ]
           "explore.scenario"
           (fun () ->
             if Sp.fits_int codec then
-              run_scenario m ~encode:(Sp.pack_int codec) ~audit ~por:por_ctx
-                ~obs ~bound ~n ~initial job
+              run_scenario m ~encode:(Sp.pack_int codec) ~audit ~por ~obs
+                ~bound ~n ~initial job
             else
-              run_scenario m ~encode:(Sp.pack_string codec) ~audit
-                ~por:por_ctx ~obs ~bound ~n ~initial job)
+              run_scenario m ~encode:(Sp.pack_string codec) ~audit ~por ~obs
+                ~bound ~n ~initial job)
       in
-      let outs = Pool.map ~domains:dom exec all_jobs in
+      let outs = Pool.map ~domains:dom exec plan.Scenario.jobs in
       (* deterministic merge, in job (= label) order *)
       let covered_mark = Array.make ns false in
       let findings = ref [] in
       let seen = Hashtbl.create 16 in
-      let add_finding severity id location message =
-        if not (Hashtbl.mem seen (id, location)) then begin
-          Hashtbl.add seen (id, location) ();
-          findings := { Check.id; severity; location; message } :: !findings
+      let add (f : Check.finding) =
+        if not (Hashtbl.mem seen (f.Check.id, f.Check.location)) then begin
+          Hashtbl.add seen (f.Check.id, f.Check.location) ();
+          findings := f :: !findings
         end
       in
       let states_total = ref 0 in
       let frontier_max = ref 0 in
       List.iter
-        (fun o ->
-          states_total := !states_total + o.so_states;
-          if o.so_frontier > !frontier_max then frontier_max := o.so_frontier;
-          Array.iteri
-            (fun i b -> if b then covered_mark.(i) <- true)
-            o.so_covered;
-          List.iter
-            (fun (f : Check.finding) ->
-              add_finding f.Check.severity f.Check.id f.Check.location
-                f.Check.message)
-            o.so_findings)
+        (fun ((r : Scenario.result), frontier, covered) ->
+          states_total := !states_total + r.Scenario.states;
+          if frontier > !frontier_max then frontier_max := frontier;
+          Array.iteri (fun i b -> if b then covered_mark.(i) <- true) covered;
+          List.iter add r.Scenario.findings)
         outs;
-      let outs_arr = Array.of_list outs in
-      let idx = ref 0 in
-      let take count =
-        let l = List.init count (fun j -> outs_arr.(!idx + j)) in
-        idx := !idx + count;
-        l
-      in
       let verdicts =
         List.map
-          (fun (lbl, p) ->
-            match p with
-            | `Done v -> (lbl, v)
-            | `Jobs (js, post) ->
-                (lbl, post (combine (take (List.length js)))))
-          plan
+          (fun ((e : Scenario.entry), v) -> (e.Scenario.dev, of_scenario v))
+          (Scenario.verdicts plan ~product:"explored"
+             (List.map (fun (r, _, _) -> r) outs))
       in
       List.iter
         (fun (lbl, v) ->
           match v with
-          | Undetected { witness } ->
-              add_finding Check.Error "undetected-deviation" (Dev.to_string lbl)
-                (Printf.sprintf
-                   "deviation %S can escape its phase checkpoint: %s"
-                   (Dev.to_string lbl) witness)
+          | Undetected { witness } -> add (undetected lbl witness)
           | Truncated ->
-              add_finding Check.Warning "exploration-truncated"
-                (Dev.to_string lbl)
-                (Printf.sprintf
-                   "the %d-state bound ran out while exploring %S: its \
-                    verdict is unknown"
-                   bound (Dev.to_string lbl))
+              add
+                {
+                  Check.id = "exploration-truncated";
+                  severity = Check.Warning;
+                  location = Dev.to_string lbl;
+                  message =
+                    Printf.sprintf
+                      "the %d-state bound ran out while exploring %S: its \
+                       verdict is unknown"
+                      bound (Dev.to_string lbl);
+                }
           | Detected _ | Exempt _ -> ())
         verdicts;
-      Array.iteri
-        (fun i occupied ->
-          if not occupied then
-            add_finding Check.Error "unexplored-state" m.states.(i)
-              (Printf.sprintf
-                 "state %S is never occupied by any node in any explored \
-                  product execution: it cannot participate in the certified \
-                  protocol"
-                 m.states.(i)))
-        covered_mark;
+      List.iter add (Scenario.unexplored m ~product:"explored" covered_mark);
       let covered_states =
         List.filteri (fun i _ -> covered_mark.(i)) (Array.to_list m.states)
       in
@@ -805,7 +416,7 @@ let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
                 (fun (_, v) -> match v with Truncated -> true | _ -> false)
                 verdicts;
             elapsed_s;
-            por = por_active;
+            por;
             domains = dom;
           };
       }

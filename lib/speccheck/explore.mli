@@ -1,9 +1,12 @@
 (** Bounded-exhaustive exploration of the deviation product space.
 
     One scenario = the product of [n] IR node machines (the closures
-    [Compile.machine] builds, re-derived here in indexed form with the same
-    undefined-transition self-loop semantics), with at most one node
-    running a deviation from the [Dev.t] library. The BFS branches on
+    [Compile.machine] builds, read from the shared [Machine] table with
+    the same undefined-transition self-loop semantics), with at most one
+    node running a deviation from the [Dev.t] library. Which scenarios run
+    for each label, and how their results fold into its verdict, is the
+    [Scenario] plan [Absint] runs too; only the seat model (here the
+    n-seat counts vector) and the search belong to this module. The BFS branches on
     *which node steps next* — since each state carries at most one
     suggested action, that single choice enumerates every interleaving of
     equal-timestamp deliveries that [Damd_sim.Engine]'s documented FIFO
@@ -18,11 +21,8 @@
 
     The evidence model is the abstract form of the §4.3 case analysis: a
     deviant step on a targeted action deposits evidence for the current
-    phase iff the action's declared coverage can surface it —
-    message-passing needs an enforcement rule and an honest checker,
-    computation needs [mirrored && digested] and an honest checker,
-    information revelation needs [digested] (the DATA1-style global
-    comparison), unclassified actions are never covered. Omission
+    phase iff the action's declared coverage can surface it
+    ([Machine.covered_action]). Omission
     deviations ([Silent_in_construction]) instead stall the barrier; the
     resulting progress timeout is itself a detection (certifier [None]).
 
@@ -99,19 +99,6 @@ type outcome = {
   stats : stats;
 }
 
-val covered_action : Ir.action -> honest:bool -> bool
-(** The abstract §4.3 coverage case split: can the declared checking
-    story surface a deviant execution of this action, given whether the
-    deviant's checker neighborhood contains an honest node? Exposed for
-    the [Tla] backend, which must emit the same evidence model. *)
-
-val exemptions : (Dev.t * string) list
-(** Deviations the checking story does not claim, with the reason —
-    [Misreport_cost] (neutralized by VCG strategyproofness, not by
-    checkers) and [Lying_checker] (a checker-role no-op in isolation).
-    Exposed so [Absint]'s static frontier exempts exactly the same
-    labels the exploration does. *)
-
 val run :
   ?bound:int ->
   ?adversary:Dev.t list ->
@@ -127,7 +114,10 @@ val run :
     with [Check.check_ir]. Never raises on malformed IRs: undefined
     transitions self-loop (the [Compile.machine] contract), an undeclared
     initial state skips exploration with an [exploration-truncated]
-    warning, and every loop is bounded by dedup plus [bound].
+    warning, and every loop is bounded by dedup plus [bound]. An IR with
+    more than 16 phases (the [Statepack] key limit) is not explored
+    either: every label that needs a search is [Truncated], under one
+    [exploration-truncated] warning naming the limit.
 
     [por] (default true) enables the invisible-step partial-order
     reduction; it self-disables (see [Por]) when the in-phase

@@ -21,26 +21,21 @@
    or live past the last checkpoint are harmless: the moves involved are
    visible (or the phase cursor is exhausted) and thus never pruned. *)
 
-type ctx = {
-  phase_of : int array;  (* phase index per chain state, -1 = none *)
-  dst_of : int array;  (* suggested destination, self when undefined *)
-  has_sugg : bool array;
-  nphases : int;
-  active : bool;  (* the in-phase suggested-play graph is acyclic *)
-}
-
-let in_phase_acyclic ~phase_of ~dst_of ~has_sugg =
-  let ns = Array.length phase_of in
+let active (m : Machine.t) =
   (* 0 = unvisited, 1 = on the walk, 2 = proven cycle-free *)
-  let color = Array.make ns 0 in
+  let color = Array.make (Array.length m.Machine.states) 0 in
   let rec visit i =
     if color.(i) = 1 then false
     else if color.(i) = 2 then true
     else begin
       color.(i) <- 1;
       let ok =
-        let j = dst_of.(i) in
-        if has_sugg.(i) && j <> i && phase_of.(i) >= 0 && phase_of.(j) = phase_of.(i)
+        let j = m.Machine.dst_of.(i) in
+        if
+          m.Machine.sugg_id.(i) <> None
+          && j <> i
+          && m.Machine.phase_of.(i) >= 0
+          && m.Machine.phase_of.(j) = m.Machine.phase_of.(i)
         then visit j
         else true
       in
@@ -49,24 +44,15 @@ let in_phase_acyclic ~phase_of ~dst_of ~has_sugg =
     end
   in
   let ok = ref true in
-  for i = 0 to ns - 1 do
+  for i = 0 to Array.length color - 1 do
     if not (visit i) then ok := false
   done;
   !ok
 
-let make ~phase_of ~dst_of ~has_sugg ~nphases =
-  {
-    phase_of;
-    dst_of;
-    has_sugg;
-    nphases;
-    active = in_phase_acyclic ~phase_of ~dst_of ~has_sugg;
-  }
-
-let invisible ctx ~ph i =
-  ph < ctx.nphases
-  && ctx.has_sugg.(i)
-  && ctx.phase_of.(i) = ph
+let invisible (m : Machine.t) ~ph i =
+  ph < m.Machine.nphases
+  && (match m.Machine.sugg_id.(i) with Some _ -> true | None -> false)
+  && m.Machine.phase_of.(i) = ph
   &&
-  let j = ctx.dst_of.(i) in
-  j <> i && ctx.phase_of.(j) = ph
+  let j = m.Machine.dst_of.(i) in
+  j <> i && m.Machine.phase_of.(j) = ph

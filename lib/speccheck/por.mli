@@ -17,31 +17,18 @@
     Soundness needs one structural guard, checked once per machine:
     draining a phase through a single canonical order must terminate, so
     if the suggested-play graph restricted to any one phase has a cycle
-    the reduction switches itself off ([active] = false) and the BFS
+    the reduction switches itself off ([active] is [false]) and the BFS
     falls back to full interleaving. Cycles that cross phases or occur
     after the last checkpoint are harmless — the steps involved are
     visible, or the phase cursor is exhausted, so they are never pruned.
     The QCheck differential in the test suite checks POR-on ≡ POR-off
     verdicts and findings over randomly mutated IRs. *)
 
-type ctx = {
-  phase_of : int array;  (** phase index per chain state, -1 = none *)
-  dst_of : int array;  (** suggested destination, self when undefined *)
-  has_sugg : bool array;
-  nphases : int;
-  active : bool;  (** the in-phase suggested-play graph is acyclic *)
-}
+val active : Machine.t -> bool
+(** The acyclicity guard: a linear walk with tricolor marking over the
+    ≤ ns in-phase suggested edges. [false] disables the reduction. *)
 
-val make :
-  phase_of:int array ->
-  dst_of:int array ->
-  has_sugg:bool array ->
-  nphases:int ->
-  ctx
-(** Builds the context and runs the acyclicity guard (linear walk with
-    tricolor marking over the ≤ ns in-phase suggested edges). *)
-
-val invisible : ctx -> ph:int -> int -> bool
-(** [invisible ctx ~ph i]: a faithful step out of chain state [i] is
+val invisible : Machine.t -> ph:int -> int -> bool
+(** [invisible m ~ph i]: a faithful step out of chain state [i] is
     invisible at phase cursor [ph]. Implies eligibility ([phase_of i =
     ph] with [ph] still below [nphases]). *)

@@ -44,7 +44,9 @@ let make ~ns ~n ~nphases =
   let bits_ph = bits_for nphases in
   let bits_mask = max 1 nphases in
   let total_bits = (ns * bits_cnt) + bits_dev + bits_ph + (2 * bits_mask) in
-  let cnt_bytes = if n <= 0xff then 1 else 2 in
+  let cnt_bytes =
+    if n <= 0xff then 1 else if n <= 0xffff then 2 else (bits_cnt + 7) / 8
+  in
   let wide_len = (ns * cnt_bytes) + 2 + 1 + 2 + 2 in
   { ns; bits_cnt; bits_dev; bits_ph; bits_mask; total_bits; cnt_bytes; wide_len }
 
@@ -73,7 +75,10 @@ let pack_string c (s : state) =
     put v;
     put (v lsr 8)
   in
-  if c.cnt_bytes = 1 then Array.iter put s.cnt else Array.iter put16 s.cnt;
+  (match c.cnt_bytes with
+  | 1 -> Array.iter put s.cnt
+  | 2 -> Array.iter put16 s.cnt
+  | w -> Array.iter (fun v -> for j = 0 to w - 1 do put (v lsr (8 * j)) done) s.cnt);
   put16 (s.dev + 1);
   put s.ph;
   put16 s.acted;

@@ -13,9 +13,10 @@
    (a green-light with the deviation acted must carry a certifier and
    evidence) and [NoFalseAccusation] (evidence only ever follows acted
    deviations — in particular the all-faithful instance, DevSeat = 0,
-   accumulates none). The evidence model is the same coverage case split
-   [Explore.covered_action] uses, evaluated at emission time into the
-   [CoveredStates] constant. *)
+   accumulates none). States, suggested play and phases come from the
+   [Machine] table [Explore] and [Absint] read, and the evidence model is
+   its coverage case split ([Machine.covered_action]), evaluated at
+   emission time into the [CoveredStates] constant. *)
 
 let sanitize name =
   String.map
@@ -33,70 +34,36 @@ let int_set = function
   | [] -> "{}"
   | xs -> "{" ^ String.concat ", " (List.map string_of_int xs) ^ "}"
 
-(* The same first-phase-wins indexing [Explore.build] uses. *)
-let phase_index (ir : Ir.t) s =
-  let rec go i = function
-    | [] -> None
-    | (p : Ir.phase) :: rest ->
-        if List.mem s p.Ir.members then Some i else go (i + 1) rest
-  in
-  go 0 ir.Ir.phases
-
-let suggested_dst (ir : Ir.t) s =
-  match Ir.suggested_action ir s with
-  | None -> None
-  | Some aid -> (
-      match Ir.step ir s aid with
-      | Some d when List.mem d ir.Ir.states -> Some d
-      | _ -> Some s (* the Compile.machine self-loop *))
+(* The state-level views of the [Machine] table, in declaration order. *)
+let states_where (m : Machine.t) p =
+  List.filteri (fun i _ -> p i) (Array.to_list m.states)
 
 (* States whose suggested action the deviation targets — the state-level
    view of [Explore]'s target mask. *)
 let target_states (ir : Ir.t) dev =
-  List.filter
-    (fun s ->
-      match Ir.suggested_action ir s with
-      | None -> false
-      | Some aid -> (
-          match Ir.find_action ir aid with
-          | Some a -> List.mem dev a.Ir.deviations
-          | None -> false))
-    ir.Ir.states
+  let m = Machine.build ir in
+  states_where m (Array.get (Machine.target_masks m dev))
 
 (* Targeted states whose deviant execution deposits checkpoint evidence,
    under the honest-neighborhood assumption of the instance. *)
 let covered_states (ir : Ir.t) dev ~honest =
-  List.filter
-    (fun s ->
-      match Ir.suggested_action ir s with
-      | None -> false
-      | Some aid -> (
-          match Ir.find_action ir aid with
-          | Some a ->
-              List.mem dev a.Ir.deviations
-              && Explore.covered_action a ~honest
-          | None -> false))
-    ir.Ir.states
+  let m = Machine.build ir in
+  let targets = Machine.target_masks m dev in
+  let covered = Machine.coverage_mask m ~honest in
+  states_where m (fun i -> targets.(i) && covered.(i))
 
 let emit (ir : Ir.t) =
   let b = Buffer.create 4096 in
   let out fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let mname = sanitize ir.Ir.name in
-  let nphases = List.length ir.Ir.phases in
+  let m = Machine.build ir in
+  let nphases = m.nphases in
   let in_phase =
-    (* states per phase index, in declaration order *)
-    List.init nphases (fun pi ->
-        List.filter (fun s -> phase_index ir s = Some pi) ir.Ir.states)
+    List.init nphases (fun pi -> states_where m (fun i -> m.phase_of.(i) = pi))
   in
-  let sugg_states =
-    List.filter (fun s -> Ir.suggested_action ir s <> None) ir.Ir.states
-  in
+  let sugg_states = states_where m (fun i -> m.sugg_id.(i) <> None) in
   let certified =
-    List.concat
-      (List.mapi
-         (fun pi (p : Ir.phase) ->
-           if p.Ir.checkpoint <> None then [ pi ] else [])
-         ir.Ir.phases)
+    List.filter (fun pi -> m.certifiers.(pi) <> None) (List.init nphases Fun.id)
   in
   out "---------------------------- MODULE %s ----------------------------\n"
     mname;
@@ -133,11 +100,8 @@ let emit (ir : Ir.t) =
   out "Dst(s) ==\n";
   let dst_arms =
     List.filter_map
-      (fun s ->
-        match suggested_dst ir s with
-        | Some d when d <> s -> Some (s, d)
-        | _ -> None)
-      ir.Ir.states
+      (fun (s, d) -> if d <> s then Some (s, d) else None)
+      (List.mapi (fun i s -> (s, m.states.(m.dst_of.(i)))) ir.Ir.states)
   in
   List.iteri
     (fun i (s, d) ->

@@ -40,7 +40,7 @@ val cfg :
 (** The paired TLC configuration: instantiates [N]/[DevSeat] and
     evaluates the deviation's target and coverage sets at emission time
     ([honest] is the checker-neighborhood assumption fed to
-    [Explore.covered_action]; [seat] 0 = the all-faithful product). *)
+    [Machine.covered_action]; [seat] 0 = the all-faithful product). *)
 
 val target_states : Ir.t -> Dev.t -> string list
 (** States whose suggested action the deviation targets — the

@@ -17,6 +17,8 @@ module Lint = Damd_speccheck.Lint
 module Taint = Damd_speccheck.Taint
 module Dev = Damd_speccheck.Dev
 module Explore = Damd_speccheck.Explore
+module Machine = Damd_speccheck.Machine
+module Statepack = Damd_speccheck.Statepack
 module Verify = Damd_speccheck.Verify
 module Absint = Damd_speccheck.Absint
 module Analyze = Damd_speccheck.Analyze
@@ -479,6 +481,43 @@ let edited_ir (i, j, k) =
        else ir.Ir.suggested);
   }
 
+(* QCheck: the [Machine] table every checker reads agrees with the
+   closure compiler, state by state: suggested action, destination, and
+   phase index. [edited_ir] prepends shadowing transitions and
+   suggestions, so the first-binding lookups are exercised. The table
+   self-loops where a transition leaves the declared states. *)
+let phase_index (ir : Ir.t) s =
+  match Ir.phase_of_state ir s with
+  | None -> -1
+  | Some p ->
+      let rec go i = function
+        | [] -> -1
+        | q :: rest -> if q == p then i else go (i + 1) rest
+      in
+      go 0 ir.Ir.phases
+
+let prop_machine_equals_compiled =
+  QCheck.Test.make ~name:"machine table = compiled closures" ~count:200
+    QCheck.(triple small_nat small_nat small_nat)
+    (fun triple ->
+      let edited = edited_ir triple in
+      let m = Machine.build edited in
+      let c = Compile.machine edited in
+      List.for_all
+        (fun i ->
+          let s = m.Machine.states.(i) in
+          let dst =
+            match c.Sm.suggested s with
+            | None -> s
+            | Some a ->
+                let d = c.Sm.transition s a in
+                if List.mem d edited.Ir.states then d else s
+          in
+          m.Machine.sugg_id.(i) = c.Sm.suggested s
+          && String.equal m.Machine.states.(m.Machine.dst_of.(i)) dst
+          && m.Machine.phase_of.(i) = phase_index edited s)
+        (List.init (Array.length m.Machine.states) Fun.id))
+
 (* QCheck: exploration is total — randomly edited IRs never raise and
    always terminate within the bound. [audit] keeps the packed-key
    encoding honest on every run: each canonical key is cross-checked
@@ -593,6 +632,84 @@ let test_explore_torus_scale () =
       | Explore.Detected _ | Explore.Exempt _ -> ()
       | _ -> Alcotest.failf "%s not detected at n=16" (Dev.to_string d))
     on.Explore.verdicts
+
+(* --- the packed-key limits ------------------------------------------------ *)
+
+(* The stock spec plus 14 empty phases: 18 phases, past the 16-bit
+   acted/evidence lanes of a packed key. Exploration must not raise:
+   every label that needs a search is [Truncated] under one warning that
+   names the limit, so detection-completeness fails, while the static
+   pass, which keys its own states, still runs. *)
+let ir_18_phases =
+  {
+    ir with
+    Ir.phases =
+      ir.Ir.phases
+      @ List.init 14 (fun i ->
+            {
+              Ir.pname = Printf.sprintf "pad-%d" i;
+              members = [];
+              checkpoint = None;
+            });
+  }
+
+let test_explore_phase_limit () =
+  let o = Explore.run ~graph:(fig1 ()) ir_18_phases in
+  check Alcotest.int "one verdict per label" 20
+    (List.length o.Explore.verdicts);
+  List.iter
+    (fun (d, v) ->
+      match v with
+      | Explore.Truncated -> ()
+      | Explore.Exempt _ when List.mem_assoc d Machine.exemptions -> ()
+      | _ -> Alcotest.failf "%s: expected truncated" (Dev.to_string d))
+    o.Explore.verdicts;
+  check
+    (Alcotest.list Alcotest.string)
+    "one warning" [ "exploration-truncated" ]
+    (finding_ids o.Explore.findings);
+  check Alcotest.bool "the warning names the 16-phase limit" true
+    (List.exists
+       (fun f -> Astring.String.is_infix ~affix:"at most 16" f.Check.message)
+       o.Explore.findings);
+  check Alcotest.bool "stats report truncation" true
+    o.Explore.stats.Explore.truncated;
+  let r =
+    Verify.run ~observed:stock_observations ~graph:(fig1 ()) ~topology:"fig1"
+      ir_18_phases
+  in
+  check Alcotest.bool "verify: detection incomplete" false
+    (Verify.detection_complete r);
+  let a =
+    Analyze.run ~differential:true ~graph:(fig1 ()) ~topology:"fig1"
+      ir_18_phases
+  in
+  check Alcotest.int "static frontier rows" 20
+    (List.length a.Analyze.result.Absint.frontier)
+
+(* Past 65 535 seats a two-byte count lane drops the high bits:
+   (1, 69 999, 0) and (65 537, 4 463, 0) agree in their low 16 bits lane
+   by lane. The wide encoding must still tell them apart, while the
+   one- and two-byte lanes keep their widths. *)
+let test_statepack_wide_counts () =
+  let st cnt = { Statepack.dev = -1; cnt; ph = 0; acted = 0; evid = 0 } in
+  let a = st [| 1; 69_999; 0 |] and b = st [| 65_537; 4_463; 0 |] in
+  let codec = Statepack.make ~ns:3 ~n:70_000 ~nphases:4 in
+  check Alcotest.bool "structurally distinct" false
+    (String.equal (Statepack.structural a) (Statepack.structural b));
+  check Alcotest.bool "packed keys distinct" false
+    (String.equal
+       (Statepack.pack_string codec a)
+       (Statepack.pack_string codec b));
+  List.iter
+    (fun (n, width) ->
+      check Alcotest.int
+        (Printf.sprintf "key length at n = %d" n)
+        ((3 * width) + 7)
+        (String.length
+           (Statepack.pack_string (Statepack.make ~ns:3 ~n ~nphases:4)
+              (st [| n; 0; 0 |]))))
+    [ (255, 1); (65_535, 2); (70_000, 3) ]
 
 (* --- the TLA+ backend --------------------------------------------------- *)
 
@@ -722,7 +839,7 @@ let test_analyze_stock () =
           check Alcotest.bool
             (Dev.to_string f.Absint.fr_dev ^ ": exemption is by design")
             true
-            (List.mem_assoc f.Absint.fr_dev Explore.exemptions)
+            (List.mem_assoc f.Absint.fr_dev Machine.exemptions)
       | Absint.Scertified { depth; _ } ->
           check Alcotest.bool
             (Dev.to_string f.Absint.fr_dev ^ ": positive static depth")
@@ -882,6 +999,9 @@ let suites =
         Alcotest.test_case "early halt" `Quick test_compiled_early_halt;
         Alcotest.test_case "self loop" `Quick test_compiled_self_loop;
         QCheck_alcotest.to_alcotest prop_compiled_equals_hand_written;
+        QCheck_alcotest.to_alcotest
+          ~rand:(Random.State.make [| 0x5eed |])
+          prop_machine_equals_compiled;
       ] );
     ( "speccheck.phases",
       [
@@ -914,6 +1034,10 @@ let suites =
           test_parallel_matches_sequential;
         Alcotest.test_case "4x4 torus at scale (POR on = POR off)" `Slow
           test_explore_torus_scale;
+        Alcotest.test_case "more than 16 phases truncates" `Quick
+          test_explore_phase_limit;
+        Alcotest.test_case "wide seat counts stay injective" `Quick
+          test_statepack_wide_counts;
       ] );
     ( "speccheck.tla",
       [
