@@ -54,6 +54,11 @@ let number of_string what s =
   | Some v -> v
   | None -> input_error "bad %s: %S is not a number" what s
 
+(* An integer option below its smallest meaningful value, e.g. a state
+   bound under 1, would run and report on nothing. *)
+let at_least lo flag v =
+  if v < lo then input_error "bad --%s %d (expected %d or more)" flag v lo
+
 (* [as:N:M] also carries commercial edge annotations; commands that only
    need the graph take [parse_topology], the topo inspector keeps them.
    The generators' preconditions are checked here, before they run. *)
@@ -249,6 +254,7 @@ let spread_dests n k =
   Array.init k (fun i -> i * n / k)
 
 let run_topo topology seed converge dests_k dot_path =
+  at_least 1 "dests" dests_k;
   let t0 = Clock.now_ns () in
   let g, annotations = parse_topology_full topology seed in
   let gen_s = Clock.s_since t0 in
@@ -545,6 +551,8 @@ let run_verify topology seed mutate json_path bound por_s domains key_audit
   let module Verify = Speccheck.Verify in
   let g = parse_topology topology seed in
   check_mutation mutate;
+  at_least 1 "bound" bound;
+  at_least 0 "domains" domains;
   let por =
     match por_s with
     | "on" -> true
@@ -664,9 +672,11 @@ let key_audit_arg =
     value & flag
     & info [ "key-audit" ]
         ~doc:
-          "Cross-check every packed dedup key against the structural \
-           canonical key and abort on a collision (codec regression \
-           tripwire; roughly doubles exploration memory).")
+          "Check every rewritten successor key against a fresh packing of \
+           the successor and against a structural map of the stored \
+           states, and abort on a mismatch (codec regression tripwire). \
+           Keeps a state record beside every stored key: about 4x the \
+           exploration memory and 20x the time.")
 
 (* --- the static analyzer --- *)
 
@@ -678,6 +688,8 @@ let run_analyze topology seed mutate json_path bound differential
   let module Analyze = Speccheck.Analyze in
   let g = parse_topology topology seed in
   check_mutation mutate;
+  at_least 1 "bound" bound;
+  at_least 1 "explore-bound" explore_bound;
   let obs =
     match trace_out with None -> Obs.noop | Some _ -> Obs.memory ()
   in

@@ -717,32 +717,17 @@ let run ?(bound = 200_000) ?(adversary = Dev.all) ?(obs = Obs.noop) ~graph
       let scratch = scratch_create ns in
       (* Distinct deviation labels frequently target the same action set,
          and the abstract runner's result only depends on the job's
-         (targets, coverage, stall, deviant) shape — the label shows up
-         solely in finding/witness text. Identical shapes therefore share
-         one exploration; results carrying findings or an escape are not
-         shared, since their text embeds the label. *)
-      let covered_id c =
-        if c == plan.Scenario.cov_honest then '\001'
-        else if c == plan.Scenario.cov_isolated then '\002'
-        else '\000'
-      in
-      let job_key (job : Scenario.job) =
-        let b = Bytes.create (ns + 3) in
-        for i = 0 to ns - 1 do
-          Bytes.set b i (if job.targets.(i) then '\001' else '\000')
-        done;
-        Bytes.set b ns (covered_id job.covered);
-        Bytes.set b (ns + 1) (if job.stall then '\001' else '\000');
-        Bytes.set b (ns + 2) (if job.has_deviant then '\001' else '\000');
-        Bytes.unsafe_to_string b
-      in
+         [Scenario.shape]. Identical shapes therefore share one
+         exploration, but only a clean result (no escape, no findings,
+         not truncated) is shared: every job whose search reports
+         something runs its own. *)
       let shared = Hashtbl.create 16 in
       let exec (job : Scenario.job) =
         Obs.span obs ~cat:"speccheck"
           ~args:[ ("scenario", Json.String job.label) ]
           "absint.frontier"
           (fun () ->
-            let key = job_key job in
+            let key = Scenario.shape plan job in
             match Hashtbl.find_opt shared key with
             | Some o -> o
             | None ->

@@ -34,60 +34,154 @@ let of_scenario = function
   | Scenario.Exempt { reason } -> Exempt { reason }
   | Scenario.Truncated -> Truncated
 
+(* The state store of one search. Every visited state is kept as its
+   [Statepack] key, [w] words at [keys.(w * i)], in insertion order —
+   BFS order, so the queue is a cursor over the store. Beside the words
+   sit the state's depth, its parent's index ([-1] for the root) and the
+   edge that reached it; [slots] is one open-addressed table of store
+   indices ([-1] = empty, linear probing at ≤ 50% load). Index [count]
+   of [keys] is scratch: a successor's key is assembled there and only
+   committed if the table does not hold it yet. A [Pool] worker keeps
+   one store and resets it between the searches it runs. *)
+type store = {
+  w : int;
+  mutable keys : int array;
+  mutable depth : int array;
+  mutable parent : int array;
+  mutable edge : int array;
+  mutable count : int;
+  mutable slots : int array;
+}
+
+let store_create w =
+  let cap = 1024 in
+  {
+    w;
+    keys = Array.make (cap * w) 0;
+    depth = Array.make cap 0;
+    parent = Array.make cap 0;
+    edge = Array.make cap 0;
+    count = 0;
+    slots = Array.make (2 * cap) (-1);
+  }
+
+let store_reset st =
+  st.count <- 0;
+  Array.fill st.slots 0 (Array.length st.slots) (-1)
+
+let hash keys off w =
+  let h = ref 0 in
+  for j = off to off + w - 1 do
+    let x = (!h lxor keys.(j)) * 0x9E3779B97F4A7C1 in
+    h := x lxor (x lsr 29)
+  done;
+  !h
+
+(* Room for the scratch key at index [count]. *)
+let reserve st =
+  let cap = Array.length st.depth in
+  if st.count >= cap then begin
+    let grow a =
+      let b = Array.make (2 * Array.length a) 0 in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    st.keys <- grow st.keys;
+    st.depth <- grow st.depth;
+    st.parent <- grow st.parent;
+    st.edge <- grow st.edge
+  end
+
+let rehash st =
+  let slots = Array.make (2 * Array.length st.slots) (-1) in
+  let mask = Array.length slots - 1 in
+  for i = 0 to st.count - 1 do
+    let s = ref (hash st.keys (i * st.w) st.w land mask) in
+    while slots.(!s) >= 0 do
+      s := (!s + 1) land mask
+    done;
+    slots.(!s) <- i
+  done;
+  st.slots <- slots
+
+(* Looks up the scratch key: the index of the stored equal key, or [-1]
+   after committing the scratch key as index [count - 1]. *)
+let intern st =
+  let w = st.w and keys = st.keys and slots = st.slots in
+  let off = st.count * w in
+  let mask = Array.length slots - 1 in
+  let s = ref (hash keys off w land mask) in
+  let found = ref (-2) in
+  while !found = -2 do
+    let i = slots.(!s) in
+    if i < 0 then found := -1
+    else begin
+      let j = ref 0 and b = i * w in
+      while !j < w && keys.(b + !j) = keys.(off + !j) do
+        incr j
+      done;
+      if !j = w then found := i else s := (!s + 1) land mask
+    end
+  done;
+  if !found = -1 then begin
+    slots.(!s) <- st.count;
+    st.count <- st.count + 1;
+    if 2 * st.count > Array.length slots then rehash st
+  end;
+  !found
+
 (* One scenario: BFS the product with [n] seats, one seat optionally
    running the deviation. [job.targets] marks states whose suggested
    action the deviation targets; [job.covered] marks states whose deviant
    execution deposits checkpoint evidence; [job.stall] models omission
    (the targeted step never completes, blocking the phase barrier).
-   [encode] canonicalizes a product state into the dedup key — an
-   immediate int whenever the packed layout fits one word. [por] enables
-   the invisible-step reduction (its acyclicity guard already held).
-   Returns the job's result, its frontier peak and the states its seats
-   occupied. *)
-let run_scenario (type k) (m : Machine.t) ~(encode : Sp.state -> k) ~audit
-    ~por ~obs ~bound ~n ~initial (job : Scenario.job) =
-  let ns = Array.length m.states in
+   [codec] lays out the keys; [por] enables the invisible-step reduction
+   (its acyclicity guard already held); [audit] checks every rewritten
+   key against a fresh packing of the successor and against a structural
+   map of the stored states. Returns the job's result, its frontier peak
+   and the states its seats occupied.
+
+   A state is expanded straight from its key: its lanes are decoded once,
+   the deviant's targeted step and the checkpoint are tallied, then each
+   successor key is the parent's words with one or two lanes rewritten.
+   Successors are visited checkpoint first, then faithful classes from
+   the highest index down, then the deviant: that order fixes BFS
+   insertion order, and with it every witness, finding and frontier peak
+   the reports print. *)
+let run_scenario (m : Machine.t) codec ~audit ~por ~obs ~bound ~n ~initial st
+    (job : Scenario.job) =
+  let ns = Array.length m.states and np = m.nphases in
   let depth_hist =
     match Obs.metrics obs with
     | None -> None
     | Some reg -> Some (Metrics.histogram reg "explore.depth")
   in
   let tally = Scenario.tally m ~run:"run" in
-  let truncated = ref false in
   let covered_mark = Array.make ns false in
-  let visited : (k, int) Hashtbl.t = Hashtbl.create 1024 in
-  let parent : (k, k * string) Hashtbl.t = Hashtbl.create 1024 in
-  let audit_tbl : (k, string) Hashtbl.t option =
-    if audit then Some (Hashtbl.create 1024) else None
+  let moves =
+    Array.map (function Some _ -> true | None -> false) m.sugg_id
   in
-  let encode st =
-    let k = encode st in
-    (match audit_tbl with
-    | None -> ()
-    | Some tbl -> (
-        let s = Sp.structural st in
-        match Hashtbl.find_opt tbl k with
-        | None -> Hashtbl.add tbl k s
-        | Some s0 when String.equal s0 s -> ()
-        | Some s0 -> raise (Sp.Collision (s0, s))));
-    k
+  let invisible =
+    Array.init (np * ns) (fun x ->
+        por && Por.invisible m ~ph:(x / ns) (x mod ns))
   in
-  let q : (k * Sp.state) Queue.t = Queue.create () in
-  let witness_of k =
-    let rec climb k acc fuel =
+  store_reset st;
+  let w = st.w in
+  (* edge codes: [i] a faithful step from class [i], [ns + i] the
+     deviant's step from [i], [2 ns + p] phase [p]'s checkpoint *)
+  let label e =
+    if e < ns then Option.value ~default:"" m.sugg_id.(e)
+    else if e < 2 * ns then m.dev_lbl.(e - ns)
+    else m.cp_lbl.(e - (2 * ns))
+  in
+  let witness_of i =
+    let rec climb i acc fuel =
       if fuel = 0 then "…" :: acc
-      else
-        match Hashtbl.find_opt parent k with
-        | None -> acc
-        | Some (pk, lbl) -> climb pk (lbl :: acc) (fuel - 1)
+      else if st.parent.(i) < 0 then acc
+      else climb st.parent.(i) (label st.edge.(i) :: acc) (fuel - 1)
     in
-    String.concat " ; " (climb k [] 14)
+    String.concat " ; " (climb i [] 14)
   in
-  let mark (st : Sp.state) =
-    if st.Sp.dev >= 0 then covered_mark.(st.Sp.dev) <- true;
-    Array.iteri (fun i c -> if c > 0 then covered_mark.(i) <- true) st.Sp.cnt
-  in
-  let frontier_max = ref 0 in
   let s0 =
     let cnt = Array.make ns 0 in
     cnt.(initial) <- (if job.has_deviant then n - 1 else n);
@@ -99,139 +193,191 @@ let run_scenario (type k) (m : Machine.t) ~(encode : Sp.state -> k) ~audit
       evid = 0;
     }
   in
-  let k0 = encode s0 in
-  Hashtbl.replace visited k0 0;
-  mark s0;
-  Queue.add (k0, s0) q;
-  let continue = ref true in
-  while !continue && not (Queue.is_empty q) do
-    if Hashtbl.length visited > bound then begin
-      truncated := true;
-      continue := false
+  reserve st;
+  Sp.pack codec s0 st.keys 0;
+  ignore (intern st);
+  st.depth.(0) <- 0;
+  st.parent.(0) <- -1;
+  st.edge.(0) <- -1;
+  if s0.Sp.dev >= 0 then covered_mark.(s0.Sp.dev) <- true;
+  Array.iteri (fun i c -> if c > 0 then covered_mark.(i) <- true) s0.Sp.cnt;
+  (* the state being expanded: its index, depth and decoded lanes, and
+     the masks its deviant step would leave *)
+  let cur = ref 0 and cur_d = ref 0 in
+  let lanes = Array.make (ns + 4) 0 in
+  let dv_acted = ref 0 and dv_evid = ref 0 in
+  let head = ref 0 and frontier_max = ref 0 and progress = ref 0 in
+  (* The audit's structural side: the true state of every stored index,
+     stepped record by record from [s0], never decoded from a key, and
+     the true successor the scratch key was last checked against. *)
+  let truth = ref (if audit then Array.make 256 s0 else [||]) in
+  let audited = ref s0 and fresh = Array.make w 0 in
+  let collide a b = raise (Sp.Collision (Sp.structural a, Sp.structural b)) in
+  let same a b = String.equal (Sp.structural a) (Sp.structural b) in
+  (* the scratch key must be the fresh packing of the true successor
+     through edge [e] to [dst] *)
+  let audit_scratch e dst =
+    let s = !truth.(!cur) in
+    let t =
+      if e < ns then begin
+        let cnt = Array.copy s.Sp.cnt in
+        cnt.(e) <- cnt.(e) - 1;
+        cnt.(dst) <- cnt.(dst) + 1;
+        { s with Sp.cnt }
+      end
+      else if e < 2 * ns then
+        { s with Sp.dev = dst; acted = !dv_acted; evid = !dv_evid }
+      else { s with Sp.ph = s.Sp.ph + 1 }
+    in
+    Sp.pack codec t fresh 0;
+    for j = 0 to w - 1 do
+      if fresh.(j) <> st.keys.((st.count * w) + j) then
+        collide (Sp.unpack codec st.keys (st.count * w)) t
+    done;
+    audited := t
+  in
+  (* the scratch key holds the successor through edge [e] to [dst] *)
+  let commit e dst =
+    incr progress;
+    if audit then audit_scratch e dst;
+    let found = intern st in
+    if found >= 0 then begin
+      if audit && not (same !truth.(found) !audited) then
+        collide !truth.(found) !audited
     end
     else begin
-      let k, s = Queue.pop q in
-      let d = Hashtbl.find visited k in
+      let i = st.count - 1 and d = !cur_d + 1 in
+      st.depth.(i) <- d;
+      st.parent.(i) <- !cur;
+      st.edge.(i) <- e;
+      if audit then begin
+        if i >= Array.length !truth then
+          truth := Array.append !truth (Array.make (Array.length !truth) s0);
+        !truth.(i) <- !audited
+      end;
+      (match depth_hist with
+      | None -> ()
+      | Some h -> Metrics.observe h (float_of_int d));
+      if dst >= 0 then covered_mark.(dst) <- true;
+      if st.count - !head > !frontier_max then
+        frontier_max := st.count - !head
+    end
+  in
+  (* copy the expanded state's key into the scratch slot *)
+  let scratch () =
+    reserve st;
+    let keys = st.keys and src = !cur * w and dst = st.count * w in
+    for j = 0 to w - 1 do
+      keys.(dst + j) <- keys.(src + j)
+    done;
+    dst
+  in
+  let reentry ph dst =
+    dst >= 0 && m.phase_of.(dst) >= 0 && m.phase_of.(dst) < min ph np
+  in
+  let truncated = ref false in
+  while (not !truncated) && !head < st.count do
+    if st.count > bound then truncated := true
+    else begin
+      let i0 = !head in
+      incr head;
+      cur := i0;
+      let d = st.depth.(i0) in
+      cur_d := d;
+      progress := 0;
       (* Frontier-size counter track, sampled every 256 expansions. *)
-      if Obs.enabled obs && Hashtbl.length visited land 255 = 0 then
-        Obs.sample obs "explore.frontier" (float_of_int (Queue.length q));
-      let ph = s.Sp.ph in
-      let eligible pos = ph >= m.nphases || m.phase_of.(pos) = ph in
-      (* (successor, edge label, destination position or -1) *)
-      let succs = ref [] in
-      let push st lbl dst = succs := (st, lbl, dst) :: !succs in
-      (* deviant move *)
-      (if s.Sp.dev >= 0 && eligible s.Sp.dev then
-         match m.sugg_id.(s.Sp.dev) with
-         | None -> ()
-         | Some _aid ->
-             let dv = s.Sp.dev in
-             let is_t = job.targets.(dv) in
-             if job.stall && is_t then
-               (* omission: the targeted step never completes *)
-               ()
-             else begin
-               let pbit =
-                 if ph < m.nphases then ph else max 0 (m.nphases - 1)
-               in
-               let acted =
-                 if is_t then s.Sp.acted lor (1 lsl pbit) else s.Sp.acted
-               in
-               let evid =
-                 if is_t && job.covered.(dv) then s.Sp.evid lor (1 lsl pbit)
-                 else s.Sp.evid
-               in
-               if is_t then Scenario.act tally ~pbit ~depth:(d + 1);
-               push
-                 { s with Sp.dev = m.dst_of.(dv); acted; evid }
-                 m.dev_lbl.(dv) m.dst_of.(dv)
-             end);
-      (* faithful class moves (symmetry: one per occupied chain state),
-         POR-pruned to the lowest invisible class when the guard holds *)
-      let pick_invisible =
-        if por then begin
-          let r = ref (-1) in
-          (try
-             for i = 0 to ns - 1 do
-               if s.Sp.cnt.(i) > 0 && Por.invisible m ~ph i then begin
-                 r := i;
-                 raise Exit
-               end
-             done
-           with Exit -> ());
-          !r
+      if Obs.enabled obs && st.count land 255 = 0 then
+        Obs.sample obs "explore.frontier" (float_of_int (st.count - !head));
+      Sp.unpack_into codec st.keys (i0 * w) lanes;
+      let dev = lanes.(ns) and ph = lanes.(ns + 1) in
+      let acted = lanes.(ns + 2) and evid = lanes.(ns + 3) in
+      if audit then begin
+        let s = Sp.unpack codec st.keys (i0 * w) in
+        if not (same s !truth.(i0)) then collide s !truth.(i0)
+      end;
+      (* the deviant's step, tallied before any successor is visited *)
+      let dv_dst =
+        if dev >= 0 && (ph >= np || m.phase_of.(dev) = ph) && moves.(dev)
+        then begin
+          let is_t = job.targets.(dev) in
+          if job.stall && is_t then (* omission: the step never completes *)
+            -1
+          else begin
+            let pbit = if ph < np then ph else max 0 (np - 1) in
+            dv_acted := (if is_t then acted lor (1 lsl pbit) else acted);
+            dv_evid :=
+              (if is_t && job.covered.(dev) then evid lor (1 lsl pbit)
+               else evid);
+            if is_t then Scenario.act tally ~pbit ~depth:(d + 1);
+            m.dst_of.(dev)
+          end
         end
         else -1
       in
-      for i = 0 to ns - 1 do
-        if s.Sp.cnt.(i) > 0 && eligible i then
-          match m.sugg_id.(i) with
-          | None -> ()
-          | Some aid ->
-              let inv = pick_invisible >= 0 && Por.invisible m ~ph i in
-              if (not inv) || i = pick_invisible then begin
-                let dst = m.dst_of.(i) in
-                let cnt = Array.copy s.Sp.cnt in
-                cnt.(i) <- cnt.(i) - 1;
-                cnt.(dst) <- cnt.(dst) + 1;
-                push { s with Sp.cnt } aid dst
-              end
-      done;
       (* checkpoint: fires exactly when nobody remains inside the phase *)
-      if ph < m.nphases then begin
-        let someone_inside =
-          (s.Sp.dev >= 0 && m.phase_of.(s.Sp.dev) = ph)
-          ||
-          let ins = ref false in
-          for i = 0 to ns - 1 do
-            if s.Sp.cnt.(i) > 0 && m.phase_of.(i) = ph then ins := true
-          done;
-          !ins
-        in
-        if not someone_inside then begin
-          if
-            Scenario.checkpoint tally m ~ph ~acted:s.Sp.acted ~evid:s.Sp.evid
-              ~depth:(d + 1)
-          then Scenario.escape tally m ~ph (witness_of k);
-          push { s with Sp.ph = ph + 1 } m.cp_lbl.(ph) (-1)
+      let checkpoint =
+        ph < np
+        && (not (dev >= 0 && m.phase_of.(dev) = ph))
+        &&
+        let inside = ref false in
+        for i = 0 to ns - 1 do
+          if lanes.(i) > 0 && m.phase_of.(i) = ph then inside := true
+        done;
+        not !inside
+      in
+      if
+        checkpoint
+        && Scenario.checkpoint tally m ~ph ~acted ~evid ~depth:(d + 1)
+      then Scenario.escape tally m ~ph (witness_of i0);
+      if checkpoint then begin
+        let off = scratch () in
+        Sp.set_phase codec st.keys off (ph + 1);
+        commit ((2 * ns) + ph) (-1)
+      end;
+      (* faithful class moves (symmetry: one per occupied chain state),
+         POR-pruned to the lowest invisible class when the guard holds *)
+      let pick = ref (-1) in
+      if ph < np then
+        for i = ns - 1 downto 0 do
+          if lanes.(i) > 0 && invisible.((ph * ns) + i) then pick := i
+        done;
+      for i = ns - 1 downto 0 do
+        if lanes.(i) > 0 && (ph >= np || m.phase_of.(i) = ph) && moves.(i)
+        then begin
+          let inv = !pick >= 0 && invisible.((ph * ns) + i) in
+          if (not inv) || i = !pick then begin
+            let dst = m.dst_of.(i) in
+            if reentry ph dst then begin
+              incr progress;
+              Scenario.reentry tally m ~lbl:(label i) ~dst
+            end
+            else if dst <> i then begin
+              let off = scratch () in
+              Sp.move codec st.keys off ~src:i ~dst;
+              commit i dst
+            end
+          end
+        end
+      done;
+      if dv_dst >= 0 then begin
+        if reentry ph dv_dst then begin
+          incr progress;
+          Scenario.reentry tally m ~lbl:m.dev_lbl.(dev) ~dst:dv_dst
+        end
+        else if dv_dst <> dev || !dv_acted <> acted || !dv_evid <> evid
+        then begin
+          let off = scratch () in
+          Sp.step_dev codec st.keys off ~dev:dv_dst ~acted:!dv_acted
+            ~evid:!dv_evid;
+          commit (ns + dev) dv_dst
         end
       end;
-      (* enqueue with post-certification reentry pruning *)
-      let progress = ref 0 in
-      List.iter
-        (fun (st, lbl, dst) ->
-          let reentry =
-            dst >= 0
-            && m.phase_of.(dst) >= 0
-            && m.phase_of.(dst) < min ph m.nphases
-          in
-          if reentry then begin
-            incr progress;
-            Scenario.reentry tally m ~lbl ~dst
-          end
-          else begin
-            let k' = encode st in
-            if k' <> k then incr progress;
-            if not (Hashtbl.mem visited k') then begin
-              Hashtbl.replace visited k' (d + 1);
-              Hashtbl.replace parent k' (k, lbl);
-              (match depth_hist with
-              | None -> ()
-              | Some h -> Metrics.observe h (float_of_int (d + 1)));
-              mark st;
-              Queue.add (k', st) q;
-              if Queue.length q > !frontier_max then
-                frontier_max := Queue.length q
-            end
-          end)
-        !succs;
       (* deadlock: the current phase can never reach its certifier *)
-      if !progress = 0 && ph < m.nphases then
-        Scenario.deadlock tally m job ~ph ~dev:s.Sp.dev ~depth:(d + 1)
+      if !progress = 0 && ph < np then
+        Scenario.deadlock tally m job ~ph ~dev ~depth:(d + 1)
     end
   done;
-  ( Scenario.result tally ~truncated:!truncated
-      ~states:(Hashtbl.length visited),
+  ( Scenario.result tally ~truncated:!truncated ~states:st.count,
     !frontier_max,
     covered_mark )
 
@@ -318,6 +464,7 @@ let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
       let codec = Sp.make ~ns ~n ~nphases:m.nphases in
       let plan = Scenario.make m ir ~graph ~adversary in
       let njobs = List.length plan.Scenario.jobs in
+      let shapes, shape_of = Scenario.distinct plan in
       (* Tracing sinks are not thread-safe, so an enabled obs pins the
          fan-out to one domain; results are merged in job order either
          way, so the outcome is identical. *)
@@ -325,21 +472,23 @@ let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
         if Obs.enabled obs then 1
         else
           let req = if domains <= 0 then Pool.default_domains () else domains in
-          max 1 (min req njobs)
+          max 1 (min req (List.length shapes))
       in
-      let exec (job : Scenario.job) =
+      let exec st (job : Scenario.job) =
         Obs.span obs ~cat:"speccheck"
           ~args:[ ("scenario", Json.String job.Scenario.label) ]
           "explore.scenario"
           (fun () ->
-            if Sp.fits_int codec then
-              run_scenario m ~encode:(Sp.pack_int codec) ~audit ~por ~obs
-                ~bound ~n ~initial job
-            else
-              run_scenario m ~encode:(Sp.pack_string codec) ~audit ~por ~obs
-                ~bound ~n ~initial job)
+            run_scenario m codec ~audit ~por ~obs ~bound ~n ~initial st job)
       in
-      let outs = Pool.map ~domains:dom exec plan.Scenario.jobs in
+      (* one search per job shape, handed to every job of that shape *)
+      let searched =
+        Array.of_list
+          (Pool.map ~domains:dom
+             ~init:(fun () -> store_create (Sp.words codec))
+             exec shapes)
+      in
+      let outs = Array.to_list (Array.map (Array.get searched) shape_of) in
       (* deterministic merge, in job (= label) order *)
       let covered_mark = Array.make ns false in
       let findings = ref [] in

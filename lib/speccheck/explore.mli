@@ -42,17 +42,24 @@
     scenario), [exploration-truncated] (warning — the per-scenario state
     bound was exhausted, so verdicts may be incomplete).
 
-    Dedup uses canonical state hashing: faithful nodes are behaviorally
+    Dedup uses canonical states: faithful nodes are behaviorally
     interchangeable (topology enters only through the deviant's coverage
     predicate), so a product state is canonicalized as the *count
     vector* of faithful positions plus the deviant's position, phase
     index, and evidence bits — the standard symmetry reduction — and
-    packed by [Statepack] into an immediate int whenever the layout fits
-    63 bits (DESIGN.md §16). On top of that, [Por] prunes redundant
-    interleavings of phase-internal faithful steps when its acyclicity
-    guard holds, and scenarios fan out across domains via [Pool]; both
-    are exact — verdicts, findings, and detection depths are unchanged
-    (witness *traces* may route differently under POR). *)
+    packed by [Statepack] into lane words: one int whenever the layout
+    fits 63 bits, two for the 4x4..8x8 tori (DESIGN.md §16). A search
+    keeps one flat store: every state's words in insertion order (BFS
+    order, so the queue is a cursor), its depth, parent index and edge
+    beside them, and one open-addressed table of store indices. A
+    successor's key is its parent's words with one or two lanes
+    rewritten, and a witness string is built only when an escape fires,
+    by walking parent indices. Jobs of one [Scenario.shape] share one
+    search. On top of that, [Por] prunes redundant interleavings of
+    phase-internal faithful steps when its acyclicity guard holds, and
+    searches fan out across domains via [Pool]; both are exact —
+    verdicts, findings, and detection depths are unchanged (witness
+    *traces* may route differently under POR). *)
 
 type verdict =
   | Detected of { depth : int; certifier : string option }
@@ -71,9 +78,15 @@ type verdict =
   | Truncated  (** the state bound ran out before a verdict was reached *)
 
 type stats = {
-  states_explored : int;  (** total canonical states across all scenarios *)
+  states_explored : int;
+      (** canonical states summed over the plan's jobs: a search shared
+          by the jobs of one shape counts once per job, so with
+          [elapsed_s] it reads higher than the states actually searched
+          per second *)
   frontier_peak : int;  (** largest BFS frontier observed *)
-  scenarios : int;  (** scenarios run (deviation × seat, plus all-faithful) *)
+  scenarios : int;
+      (** the plan's jobs (deviation × seat class, plus all-faithful),
+          not the distinct searches run for them *)
   truncated : bool;
   elapsed_s : float;
       (** wall-clock exploration time (monotonic clock) — with
@@ -83,7 +96,9 @@ type stats = {
       (** partial-order reduction was requested {e and} its in-phase
           acyclicity guard held, so the reduced successor relation was
           actually used *)
-  domains : int;  (** scenario fan-out width actually used *)
+  domains : int;
+      (** fan-out width actually used: at most the number of distinct
+          job shapes *)
 }
 
 type outcome = {
@@ -122,13 +137,16 @@ val run :
     [por] (default true) enables the invisible-step partial-order
     reduction; it self-disables (see [Por]) when the in-phase
     suggested-play graph is cyclic. [domains] (default 0 = auto) is the
-    scenario fan-out width; 1 forces sequential, and an enabled [obs]
-    also forces sequential because tracing sinks are not thread-safe.
-    The merge is deterministic in scenario order either way. [audit]
-    (default false) cross-checks every packed dedup key against the
-    structural key and raises [Statepack.Collision] on mismatch.
+    fan-out width over the distinct job shapes; 1 forces sequential,
+    and an enabled [obs] also forces sequential because tracing sinks
+    are not thread-safe. The merge is deterministic in job order either
+    way. [audit] (default false) checks every rewritten successor key
+    against a fresh packing of the successor and against a structural
+    map of the stored states, and raises [Statepack.Collision] on
+    either mismatch.
 
-    [obs] (default noop): each scenario BFS runs under a span labelled
-    with the deviation and honesty class, the frontier size is sampled
-    as a counter track, state depths feed an ["explore.depth"] metrics
-    histogram, and an ["explore.done"] instant reports states/sec. *)
+    [obs] (default noop): each search runs under a span labelled with
+    the first job of its shape (deviation and honesty class), the
+    frontier size is sampled as a counter track, state depths feed an
+    ["explore.depth"] metrics histogram (once per search, not per job),
+    and an ["explore.done"] instant reports states/sec. *)

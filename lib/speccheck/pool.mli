@@ -14,10 +14,13 @@ val default_domains : unit -> int
     [min 8 (Domain.recommended_domain_count ())] on OCaml 5, 1 on the
     sequential fallback. *)
 
-val map : domains:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~domains f xs] applies [f] to every element and returns the
-    results in input order. [domains ≤ 1] (or the fallback build) runs
-    sequentially. Workers take jobs round-robin by index and write
-    disjoint result slots; [Domain.join] publishes them. If any worker
-    raises, the first exception (in spawn order) is re-raised after all
-    workers are joined. *)
+val map :
+  domains:int -> init:(unit -> 's) -> ('s -> 'a -> 'b) -> 'a list -> 'b list
+(** [map ~domains ~init f xs] applies [f] to every element and returns
+    the results in input order. [domains ≤ 1] (or the fallback build)
+    runs sequentially. Each worker calls [init] once and passes its
+    result to every job it takes, so jobs can reuse per-worker scratch
+    that no other domain touches. Workers take jobs round-robin by index
+    and write disjoint result slots; [Domain.join] publishes them. If any
+    worker raises, the first exception (in spawn order) is re-raised
+    after all workers are joined. *)

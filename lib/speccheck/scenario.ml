@@ -169,6 +169,43 @@ let make (m : Machine.t) (ir : Ir.t) ~graph ~adversary =
     cov_isolated;
   }
 
+(* ---- one search per job shape ---- *)
+
+(* Everything a search of [job] reads: the label only names it. The
+   coverage mask is always one of the plan's two shared arrays or the
+   all-faithful job's all-false one, so physical identity names it. *)
+let shape plan job =
+  let ns = Array.length job.targets in
+  let flag v = if v then '\001' else '\000' in
+  let b = Bytes.create (ns + 4) in
+  Array.iteri (fun i t -> Bytes.set b i (flag t)) job.targets;
+  Bytes.set b ns
+    (if job.covered == plan.cov_honest then '\001'
+     else if job.covered == plan.cov_isolated then '\002'
+     else '\000');
+  Bytes.set b (ns + 1) (flag job.stall);
+  Bytes.set b (ns + 2) (flag job.has_deviant);
+  Bytes.set b (ns + 3) (flag job.faithful);
+  Bytes.unsafe_to_string b
+
+let distinct plan =
+  let seen = Hashtbl.create 16 in
+  let reps = ref [] in
+  let of_job = Array.make (List.length plan.jobs) 0 in
+  List.iteri
+    (fun j job ->
+      let key = shape plan job in
+      of_job.(j) <-
+        (match Hashtbl.find_opt seen key with
+        | Some r -> r
+        | None ->
+            let r = Hashtbl.length seen in
+            Hashtbl.add seen key r;
+            reps := job :: !reps;
+            r))
+    plan.jobs;
+  (List.rev !reps, of_job)
+
 (* ---- what one job's search records ---- *)
 
 type result = {

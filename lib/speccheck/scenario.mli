@@ -10,8 +10,12 @@
     the evidence model. [Collude_with] runs one job per class of
     (principal, colluding checker) neighbor pairs, the class being "the
     principal has a neighbor besides the checker". One all-faithful job
-    closes the plan. The two searches differ only in their seat model;
-    the plan, the per-job bookkeeping and the fold are this module. *)
+    closes the plan. Many labels target the same states, so jobs that
+    differ only in their label share one [shape]: [Explore] searches each
+    shape once and hands the result to every job of it, and [Absint]
+    shares a shape's result when it is clean. The two searches differ
+    only in their seat model; the plan, the shapes, the per-job
+    bookkeeping and the fold are this module. *)
 
 type job = {
   label : string;  (** e.g. ["drop-routing-copies[honest-nbrs]"] *)
@@ -57,6 +61,18 @@ type plan = {
 
 val make :
   Machine.t -> Ir.t -> graph:Damd_graph.Graph.t -> adversary:Dev.t list -> plan
+
+(** {1 One search per job shape} *)
+
+val shape : plan -> job -> string
+(** The job's shape: its targets, coverage mask, [stall], [has_deviant]
+    and [faithful] — everything either search reads, so jobs of one
+    shape get one result and differ only in [label]. On the stock spec
+    the 19 jobs of a torus plan have 12 shapes. *)
+
+val distinct : plan -> job list * int array
+(** The first job of each shape, in [plan.jobs] order, and for every job
+    of [plan.jobs] the position of its shape in that list. *)
 
 (** {1 What one job's search records} *)
 

@@ -1,15 +1,19 @@
-(* Packed canonical product states for [Explore]'s dedup tables.
+(* Packed canonical product states: the one key format of [Explore]'s
+   state store.
 
    A canonical product state is the deviant's chain position, a per-state
    count of the faithful (indistinguishable) seats, the phase cursor, and
-   the per-phase acted/evidence bitmasks. The BFS dedups millions of these
-   per scenario, so the key must be cheap: when the whole state fits in 63
-   bits it packs into a single immediate int (no allocation, O(1) hash);
-   otherwise it packs into a fixed-width string, one byte-group per field.
-   Both packings are injective by construction — every field gets a lane
-   wide enough for its full range — and [structural] renders the verbose
-   decimal join the first verifier used, kept as the collision-audit
-   oracle and QCheck differential target. *)
+   the per-phase acted/evidence bitmasks. Every field gets a lane wide
+   enough for its full range, and [make] assigns each lane a word and a
+   shift: lanes fill a 63-bit word in order and open the next word when
+   the next lane would cross bit 63, so no lane ever straddles two words.
+   A key is therefore a short run of ints, and a successor's key is its
+   parent's words with one or two lanes rewritten in place ([move],
+   [step_dev], [set_phase]): no state record, counts copy or string is
+   built per successor. [pack_int] and [pack_string] are views of the same
+   words; [structural] renders the verbose decimal join the first verifier
+   used, kept as the collision-audit oracle and QCheck differential
+   target. *)
 
 type state = {
   dev : int;  (* deviant's chain position; -1 = no deviant seated *)
@@ -25,64 +29,136 @@ let bits_for v =
   let rec go b top = if top >= v then b else go (b + 1) ((top * 2) + 1) in
   go 1 1
 
+(* Lane [l] is count [l] for [l < ns], then the deviant (stored as
+   [dev + 1], so "no deviant" packs as 0), the phase cursor, and the
+   acted and evidence masks. *)
 type codec = {
   ns : int;  (* chain states *)
-  bits_cnt : int;  (* per-count lane: counts range over 0..n *)
-  bits_dev : int;  (* deviant lane stores dev+1, range 0..ns *)
-  bits_ph : int;  (* phase cursor, range 0..nphases *)
-  bits_mask : int;  (* acted/evid lanes, nphases bits each *)
-  total_bits : int;
-  cnt_bytes : int;  (* wide encoding: bytes per count *)
-  wide_len : int;  (* wide encoding: total string length *)
+  nwords : int;
+  word : int array;  (* per lane: the word holding it *)
+  shift : int array;  (* per lane: its lowest bit within that word *)
+  mask : int array;  (* per lane: 2^width - 1 *)
 }
+
+let l_dev c = c.ns
+let l_ph c = c.ns + 1
+let l_acted c = c.ns + 2
+let l_evid c = c.ns + 3
 
 let make ~ns ~n ~nphases =
   if nphases > 16 then
-    invalid_arg "Statepack.make: more than 16 phases (mask lanes are 16-bit)";
-  let bits_cnt = bits_for n in
-  let bits_dev = bits_for ns in
-  let bits_ph = bits_for nphases in
-  let bits_mask = max 1 nphases in
-  let total_bits = (ns * bits_cnt) + bits_dev + bits_ph + (2 * bits_mask) in
-  let cnt_bytes =
-    if n <= 0xff then 1 else if n <= 0xffff then 2 else (bits_cnt + 7) / 8
+    invalid_arg "Statepack.make: more than 16 phases (mask lanes hold 16)";
+  let width l =
+    if l < ns then bits_for n
+    else if l = ns then bits_for ns
+    else if l = ns + 1 then bits_for nphases
+    else max 1 nphases
   in
-  let wide_len = (ns * cnt_bytes) + 2 + 1 + 2 + 2 in
-  { ns; bits_cnt; bits_dev; bits_ph; bits_mask; total_bits; cnt_bytes; wide_len }
+  let lanes = ns + 4 in
+  let word = Array.make lanes 0 and shift = Array.make lanes 0 in
+  let w = ref 0 and used = ref 0 in
+  for l = 0 to lanes - 1 do
+    let b = width l in
+    if !used + b > 63 then begin
+      incr w;
+      used := 0
+    end;
+    word.(l) <- !w;
+    shift.(l) <- !used;
+    used := !used + b
+  done;
+  {
+    ns;
+    nwords = !w + 1;
+    word;
+    shift;
+    mask = Array.init lanes (fun l -> (1 lsl width l) - 1);
+  }
 
-(* A native OCaml int carries 63 payload bits; packing exactly 63 spills
-   into the sign bit, which is harmless for a hash/equality key. *)
-let fits_int c = c.total_bits <= 63
+let words c = c.nwords
 
+(* A native OCaml int carries 63 payload bits, so a layout of at most 63
+   bits is exactly a one-word layout; packing exactly 63 spills into the
+   sign bit, which is harmless for a hash/equality key. *)
+let fits_int c = c.nwords = 1
+
+(* ---- reading and rewriting lanes of a key stored at [key.(off..)] ---- *)
+
+let get c key off l = (key.(off + c.word.(l)) lsr c.shift.(l)) land c.mask.(l)
+
+let set c key off l v =
+  let i = off + c.word.(l) in
+  key.(i) <-
+    (key.(i) land lnot (c.mask.(l) lsl c.shift.(l))) lor (v lsl c.shift.(l))
+
+let pack c (s : state) key off =
+  Array.fill key off c.nwords 0;
+  for l = 0 to c.ns + 3 do
+    let v =
+      if l < c.ns then s.cnt.(l)
+      else if l = l_dev c then s.dev + 1
+      else if l = l_ph c then s.ph
+      else if l = l_acted c then s.acted
+      else s.evid
+    in
+    let i = off + c.word.(l) in
+    key.(i) <- key.(i) lor (v lsl c.shift.(l))
+  done
+
+let unpack_into c key off lanes =
+  for l = 0 to c.ns + 3 do
+    lanes.(l) <- get c key off l
+  done;
+  lanes.(l_dev c) <- lanes.(l_dev c) - 1
+
+let unpack c key off =
+  let l = Array.make (c.ns + 4) 0 in
+  unpack_into c key off l;
+  {
+    dev = l.(c.ns);
+    cnt = Array.sub l 0 c.ns;
+    ph = l.(c.ns + 1);
+    acted = l.(c.ns + 2);
+    evid = l.(c.ns + 3);
+  }
+
+(* Counts stay within 0..n, so one seat leaving [src] and one arriving at
+   [dst] are a subtraction and an addition on their words: neither can
+   borrow from or carry into a neighbouring lane. *)
+let move c key off ~src ~dst =
+  let i = off + c.word.(src) and j = off + c.word.(dst) in
+  key.(i) <- key.(i) - (1 lsl c.shift.(src));
+  key.(j) <- key.(j) + (1 lsl c.shift.(dst))
+
+let step_dev c key off ~dev ~acted ~evid =
+  set c key off (l_dev c) (dev + 1);
+  set c key off (l_acted c) acted;
+  set c key off (l_evid c) evid
+
+let set_phase c key off ph = set c key off (l_ph c) ph
+
+(* ---- whole-key views ---- *)
+
+(* Every lane shifted into one int: word 0 exactly when [fits_int]. *)
 let pack_int c (s : state) =
   let k = ref 0 in
   for i = 0 to c.ns - 1 do
-    k := (!k lsl c.bits_cnt) lor s.cnt.(i)
+    k := !k lor (s.cnt.(i) lsl c.shift.(i))
   done;
-  k := (!k lsl c.bits_dev) lor (s.dev + 1);
-  k := (!k lsl c.bits_ph) lor s.ph;
-  k := (!k lsl c.bits_mask) lor s.acted;
-  (!k lsl c.bits_mask) lor s.evid
+  !k
+  lor ((s.dev + 1) lsl c.shift.(l_dev c))
+  lor (s.ph lsl c.shift.(l_ph c))
+  lor (s.acted lsl c.shift.(l_acted c))
+  lor (s.evid lsl c.shift.(l_evid c))
 
 let pack_string c (s : state) =
-  let b = Bytes.create c.wide_len in
-  let pos = ref 0 in
-  let put v =
-    Bytes.unsafe_set b !pos (Char.unsafe_chr (v land 0xff));
-    incr pos
-  in
-  let put16 v =
-    put v;
-    put (v lsr 8)
-  in
-  (match c.cnt_bytes with
-  | 1 -> Array.iter put s.cnt
-  | 2 -> Array.iter put16 s.cnt
-  | w -> Array.iter (fun v -> for j = 0 to w - 1 do put (v lsr (8 * j)) done) s.cnt);
-  put16 (s.dev + 1);
-  put s.ph;
-  put16 s.acted;
-  put16 s.evid;
+  let key = Array.make c.nwords 0 in
+  pack c s key 0;
+  let b = Bytes.create (8 * c.nwords) in
+  for j = 0 to Bytes.length b - 1 do
+    Bytes.unsafe_set b j
+      (Char.unsafe_chr ((key.(j lsr 3) lsr (8 * (j land 7))) land 0xff))
+  done;
   Bytes.unsafe_to_string b
 
 (* The verbose structural key: the audit oracle. Unambiguous because every
@@ -105,5 +181,6 @@ let structural (s : state) =
   Buffer.contents b
 
 (* Raised by the collision audit: two structurally distinct states mapped
-   to the same packed key. Carries both structural renderings. *)
+   to the same packed key, or a rewritten key that differs from a fresh
+   packing. Carries both structural renderings. *)
 exception Collision of string * string

@@ -633,6 +633,55 @@ let test_explore_torus_scale () =
       | _ -> Alcotest.failf "%s not detected at n=16" (Dev.to_string d))
     on.Explore.verdicts
 
+(* Jobs of one shape differ only in their label, so one search serves
+   them all; jobs of different shapes differ in something a search
+   reads. On the stock plan the 19 jobs have 12 shapes. *)
+let test_scenario_shapes () =
+  let module Scenario = Damd_speccheck.Scenario in
+  let m = Machine.build ir in
+  List.iter
+    (fun (name, graph) ->
+      let plan =
+        Scenario.make m ir ~graph ~adversary:Adversary.all_labels
+      in
+      let shapes, of_job = Scenario.distinct plan in
+      check Alcotest.int (name ^ ": jobs") 19 (List.length plan.Scenario.jobs);
+      check Alcotest.int (name ^ ": shapes") 12 (List.length shapes);
+      let same (a : Scenario.job) (b : Scenario.job) =
+        a.Scenario.targets = b.Scenario.targets
+        && a.Scenario.covered == b.Scenario.covered
+        && a.Scenario.stall = b.Scenario.stall
+        && a.Scenario.has_deviant = b.Scenario.has_deviant
+        && a.Scenario.faithful = b.Scenario.faithful
+      in
+      let shapes = Array.of_list shapes in
+      List.iteri
+        (fun j (job : Scenario.job) ->
+          Array.iteri
+            (fun k r ->
+              check Alcotest.bool
+                (Printf.sprintf "%s: shape %d" job.Scenario.label k)
+                (k = of_job.(j)) (same job r))
+            shapes)
+        plan.Scenario.jobs)
+    [ ("fig1", fig1 ()); ("4x4", torus_4x4 ()) ];
+  (* A one-label vocabulary has no two jobs of one shape, so each label's
+     verdict from its own run is the unshared search's; the full run,
+     where labels share searches, must agree witness for witness — on
+     the stock spec and on one with escapes. *)
+  List.iter
+    (fun (ir, graph) ->
+      List.iter
+        (fun (d, v) ->
+          let own = Explore.run ~adversary:[ d ] ~graph ir in
+          check Alcotest.bool (Dev.to_string d ^ ": shared = own search") true
+            (own.Explore.verdicts = [ (d, v) ]))
+        (Explore.run ~graph ir).Explore.verdicts)
+    [
+      (ir, fig1 ());
+      Option.get (Mutate.apply "drop-checkpoint" (ir, fig1 ()));
+    ]
+
 (* --- the packed-key limits ------------------------------------------------ *)
 
 (* The stock spec plus 14 empty phases: 18 phases, past the 16-bit
@@ -687,10 +736,12 @@ let test_explore_phase_limit () =
   check Alcotest.int "static frontier rows" 20
     (List.length a.Analyze.result.Absint.frontier)
 
-(* Past 65 535 seats a two-byte count lane drops the high bits:
+(* Past 65 535 seats a 16-bit count lane drops the high bits:
    (1, 69 999, 0) and (65 537, 4 463, 0) agree in their low 16 bits lane
-   by lane. The wide encoding must still tell them apart, while the
-   one- and two-byte lanes keep their widths. *)
+   by lane. The key must still tell them apart, and the lanes are sized
+   from [bits_for n]: three counts with the 15 bits of dev, phase and
+   masks fit one 63-bit word up to 65 535 seats (16-bit lanes, 63 bits)
+   and take a second word at 70 000 (17-bit lanes, 66 bits). *)
 let test_statepack_wide_counts () =
   let st cnt = { Statepack.dev = -1; cnt; ph = 0; acted = 0; evid = 0 } in
   let a = st [| 1; 69_999; 0 |] and b = st [| 65_537; 4_463; 0 |] in
@@ -702,14 +753,132 @@ let test_statepack_wide_counts () =
        (Statepack.pack_string codec a)
        (Statepack.pack_string codec b));
   List.iter
-    (fun (n, width) ->
+    (fun (n, words) ->
+      let codec = Statepack.make ~ns:3 ~n ~nphases:4 in
+      check Alcotest.int (Printf.sprintf "words at n = %d" n) words
+        (Statepack.words codec);
       check Alcotest.int
         (Printf.sprintf "key length at n = %d" n)
-        ((3 * width) + 7)
-        (String.length
-           (Statepack.pack_string (Statepack.make ~ns:3 ~n ~nphases:4)
-              (st [| n; 0; 0 |]))))
-    [ (255, 1); (65_535, 2); (70_000, 3) ]
+        (8 * words)
+        (String.length (Statepack.pack_string codec (st [| n; 0; 0 |]))))
+    [ (255, 1); (65_535, 1); (70_000, 2) ]
+
+(* The stock chain is 12 states over 4 phases, so its layouts are the
+   ones the tori exercise: 63 bits in one word at n = 9 and 12 (the 3x3
+   and 3x4 tori), two words from n = 16, five at n = 70 000 (four words
+   of three 17-bit counts, then dev, phase and masks). *)
+let stock_codec n =
+  Statepack.make ~ns:(List.length ir.Ir.states) ~n
+    ~nphases:(List.length ir.Ir.phases)
+
+let test_statepack_stock_layouts () =
+  List.iter
+    (fun (n, words) ->
+      let c = stock_codec n in
+      check Alcotest.int (Printf.sprintf "words at n = %d" n) words
+        (Statepack.words c);
+      check Alcotest.bool
+        (Printf.sprintf "fits_int at n = %d" n)
+        (words = 1) (Statepack.fits_int c))
+    [ (6, 1); (9, 1); (12, 1); (16, 2); (25, 2); (64, 2); (70_000, 5) ]
+
+(* QCheck: a successor key is its parent's words with one or two lanes
+   rewritten, and must equal the fresh packing of the successor state.
+   For a random state of a random stock layout, every enabled move is
+   checked — each occupied class stepping to every chain state, the
+   deviant stepping anywhere with fresh masks, the phase cursor
+   advancing — and every key must unpack to its state. *)
+let prop_statepack_rewrite_is_fresh_pack =
+  QCheck.Test.make ~name:"rewritten successor key = fresh packing" ~count:300
+    QCheck.(triple (int_range 0 4) small_nat (int_bound 1_000_000))
+    (fun (layout, extra, seed) ->
+      let n = [| 6; 9; 12; 25; 70_000 |].(layout) + extra in
+      let c = stock_codec n in
+      let ns = List.length ir.Ir.states in
+      let nphases = List.length ir.Ir.phases in
+      let rng = Damd_util.Rng.create seed in
+      let dev = Damd_util.Rng.int rng (ns + 1) - 1 in
+      let cnt = Array.make ns 0 in
+      cnt.(Damd_util.Rng.int rng ns) <- (if dev >= 0 then n - 1 else n);
+      for _ = 1 to 8 do
+        let i = Damd_util.Rng.int rng ns and j = Damd_util.Rng.int rng ns in
+        let k = Damd_util.Rng.int rng (cnt.(i) + 1) in
+        cnt.(i) <- cnt.(i) - k;
+        cnt.(j) <- cnt.(j) + k
+      done;
+      let mask () = Damd_util.Rng.int rng (1 lsl nphases) in
+      let s =
+        {
+          Statepack.dev;
+          cnt;
+          ph = Damd_util.Rng.int rng nphases;
+          acted = mask ();
+          evid = mask ();
+        }
+      in
+      let w = Statepack.words c in
+      let fresh t =
+        let k = Array.make w 0 in
+        Statepack.pack c t k 0;
+        k
+      in
+      let agrees rewrite t =
+        let k = fresh s in
+        rewrite k;
+        k = fresh t && Statepack.unpack c k 0 = t
+      in
+      Statepack.unpack c (fresh s) 0 = s
+      && List.for_all
+           (fun src ->
+             cnt.(src) = 0
+             || List.for_all
+                  (fun dst ->
+                    let cnt' = Array.copy cnt in
+                    cnt'.(src) <- cnt'.(src) - 1;
+                    cnt'.(dst) <- cnt'.(dst) + 1;
+                    agrees
+                      (fun k -> Statepack.move c k 0 ~src ~dst)
+                      { s with Statepack.cnt = cnt' })
+                  (List.init ns Fun.id))
+           (List.init ns Fun.id)
+      && List.for_all
+           (fun d ->
+             let acted = mask () and evid = mask () in
+             agrees
+               (fun k -> Statepack.step_dev c k 0 ~dev:d ~acted ~evid)
+               { s with Statepack.dev = d; acted; evid })
+           (if dev >= 0 then List.init ns Fun.id else [])
+      && agrees
+           (fun k -> Statepack.set_phase c k 0 (s.Statepack.ph + 1))
+           { s with Statepack.ph = s.Statepack.ph + 1 })
+
+(* The audit on the multi-word layouts: every rewritten successor key is
+   checked against a fresh packing of the successor and against the
+   structural map. The 4x4 torus keeps all twelve 5-bit counts in word 0
+   and the deviant, phase and masks in word 1. A 32-node ring has 6-bit
+   counts, ten to a word, so the faithful step from forwarding to
+   settlement in the execution phase (state 9 to 10) moves a seat
+   across words.
+   A 70 000-node ring has 17-bit counts and five words; its phase
+   barrier holds every seat inside the first phase well past the bound,
+   so it audits the widest layout on deviant and faithful steps only. *)
+let test_explore_audit_wide_layouts () =
+  let o = Explore.run ~bound:1_000_000 ~audit:true ~graph:(torus_4x4 ()) ir in
+  check Alcotest.bool "4x4 audited, not truncated" false
+    o.Explore.stats.Explore.truncated;
+  check Alcotest.bool "4x4 verdicts as unaudited" true
+    (o.Explore.verdicts
+    = (Explore.run ~bound:1_000_000 ~graph:(torus_4x4 ()) ir).Explore.verdicts);
+  let ring n = Gen.ring ~n ~costs:(Array.make n 1.) in
+  let o =
+    Explore.run ~audit:true ~adversary:[ Dev.Misroute_packets ]
+      ~graph:(ring 32) ir
+  in
+  check Alcotest.bool "32-ring audited, not truncated" false
+    o.Explore.stats.Explore.truncated;
+  let o = Explore.run ~bound:1500 ~audit:true ~graph:(ring 70_000) ir in
+  check Alcotest.bool "70 000-ring audited up to the bound" true
+    (o.Explore.stats.Explore.states_explored > 1500)
 
 (* --- the TLA+ backend --------------------------------------------------- *)
 
@@ -1036,8 +1205,17 @@ let suites =
           test_explore_torus_scale;
         Alcotest.test_case "more than 16 phases truncates" `Quick
           test_explore_phase_limit;
+        Alcotest.test_case "one search per job shape" `Quick
+          test_scenario_shapes;
         Alcotest.test_case "wide seat counts stay injective" `Quick
           test_statepack_wide_counts;
+        Alcotest.test_case "stock key layouts" `Quick
+          test_statepack_stock_layouts;
+        QCheck_alcotest.to_alcotest
+          ~rand:(Random.State.make [| 0x5eed |])
+          prop_statepack_rewrite_is_fresh_pack;
+        Alcotest.test_case "audit on multi-word keys" `Quick
+          test_explore_audit_wide_layouts;
       ] );
     ( "speccheck.tla",
       [
