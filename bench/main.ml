@@ -208,10 +208,17 @@ let experiment_tests =
              ignore (Runner.run_faithful ~params ~graph:graph8 ~traffic:traffic8 ())));
       Test.make ~name:"e15_warm_start_n16"
         (Staged.stage
-           (let cold = Distributed.run graph16 in
-            let changed = Graph.with_cost graph16 3 9. in
+           (* One warm restart per run: node 3's cost alternates between
+              9 and its original value, so every run reconverges from the
+              previous run's fixpoint after a single cost change. *)
+           (let sp = Sparse.create graph16 in
+            Sparse.run sp;
+            let costs = [| 9.; Graph.cost graph16 3 |] in
+            let turn = ref 0 in
             fun () ->
-              ignore (Distributed.run ~warm_start:cold.Distributed.tables changed)));
+              Sparse.update_cost sp 3 costs.(!turn);
+              turn := 1 - !turn;
+              Sparse.rerun sp));
       Test.make ~name:"e16_faithful_election_n8"
         (Staged.stage
            (let module Election = Damd_faithful.Election in

@@ -908,6 +908,7 @@ let tla_cfg_arg =
 let run_gauntlet campaigns seed weaken_s json_path replay no_shrink faults
     epsilon trace_out =
   let module Campaign = Damd_gauntlet.Campaign in
+  at_least 1 "campaigns" campaigns;
   let weaken =
     match Campaign.weaken_of_string weaken_s with
     | Some w -> w

@@ -96,16 +96,16 @@ let recompute_pricing ~self ~costs ~own_routing ~neighbor_routing ~neighbor_pric
                       if a = dst then 0.
                       else if not (on_path_of nbr_r k dst) then dist_of nbr_r dst
                       else
-                        let nbr_p =
-                          match List.assoc_opt a neighbor_pricing with
-                          | Some p -> p
-                          | None -> empty_pricing ~n
-                        in
-                        match
-                          List.find_opt (fun pe -> pe.transit = k) nbr_p.(dst)
-                        with
-                        | Some pe -> pe.price -. costs.(k) +. dist_of nbr_r dst
+                        (* A neighbor that has not announced pricing yet
+                           offers no avoid-k route through itself. *)
+                        match List.assoc_opt a neighbor_pricing with
                         | None -> infinity
+                        | Some nbr_p -> (
+                            match
+                              List.find_opt (fun pe -> pe.transit = k) nbr_p.(dst)
+                            with
+                            | Some pe -> pe.price -. costs.(k) +. dist_of nbr_r dst
+                            | None -> infinity)
                     in
                     let total = step +. d_mk_a in
                     if Float.is_finite total then Some (a, total) else None

@@ -10,10 +10,12 @@
     ([DATA3*], with identity tags), plus the canonical serializations the
     bank hashes.
 
-    The pricing recurrence is the distributed-FPSS one (see
-    [Damd_fpss.Distributed]); identity tags record which neighbor(s)
-    achieved the minimum — the "source of change" of §4.3, whose
-    inconsistency exposes spoofed pricing updates. *)
+    The recurrences are the distributed-FPSS ones that [Damd_fpss.Sparse]
+    runs as flat fixpoints (DESIGN.md §5); a test-side synchronous sweep
+    over these two handlers is held to the same full-sweep reference as
+    [Sparse]. Identity tags record which neighbor(s) achieved the
+    minimum — the "source of change" of §4.3, whose inconsistency exposes
+    spoofed pricing updates. *)
 
 type entry = Damd_graph.Dijkstra.entry
 

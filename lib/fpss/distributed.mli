@@ -3,10 +3,11 @@
     FPSS distribute the VCG computation over the nodes themselves:
     iterative exchanges with neighbors build [DATA1] (transit costs, a
     flood), then [DATA2] (routing tables, path-vector Bellman–Ford) and
-    [DATA3] (pricing tables). This module is the *obedient* reference
-    implementation of that computation, run in deterministic synchronous
-    rounds; the faithful extension ([Damd_faithful]) re-implements the same
-    update rules as per-node message handlers on the simulator, with
+    [DATA3] (pricing tables). This module is the *obedient* computation
+    over all destinations, run in deterministic synchronous rounds: the
+    flood below, then [Sparse]'s change-driven fixpoints with every node
+    as a destination. The faithful extension ([Damd_faithful]) runs the
+    same update rules as per-node message handlers on the simulator, with
     checkers mirroring them.
 
     The pricing recurrence (derived in DESIGN.md §5): for transit node [k]
@@ -23,7 +24,8 @@
     avoid-[k] shortest distances. Convergence to the *centralized* tables
     is exact on integer-valued costs and within floating-point tolerance
     otherwise (the recurrence re-associates sums); the property tests in
-    [test/test_fpss.ml] check both. *)
+    [test/test_fpss.ml] check both, and hold the tables, rounds and
+    messages to a full-sweep reference oracle kept in [test/]. *)
 
 type result = {
   tables : Tables.t;  (** converged routing + pricing tables *)
@@ -33,28 +35,12 @@ type result = {
   messages : int;  (** change-driven table/flood messages sent in total *)
 }
 
-val run : ?max_rounds:int -> ?warm_start:Tables.t -> Damd_graph.Graph.t -> result
-(** Execute all three construction stages. Raises [Failure] if any stage
-    fails to converge within [max_rounds] (default 10 * n + 20) rounds —
-    which cannot happen on a connected graph.
-
-    [warm_start] seeds the routing and pricing state from previously
-    converged tables instead of from scratch — the incremental-update
-    scenario of experiment E15: after a single cost change, re-convergence
-    from the old tables is much cheaper than a cold start. The fixpoint
-    reached is identical (recompute-from-neighbors semantics make the
-    iteration self-correcting; verified against the centralized mechanism
-    in the tests). *)
+val run : Damd_graph.Graph.t -> result
+(** Execute all three construction stages from a cold start. Raises
+    [Failure] if a fixpoint fails to converge within 10n+20 rounds —
+    which cannot happen on a connected graph. Warm restarts after a cost
+    change are [Sparse.update_cost] + [Sparse.rerun]. *)
 
 val flood_costs : Damd_graph.Graph.t -> int * int
 (** Just the DATA1 flood: (rounds, messages). Every node learns every
     declared transit cost; rounds equal the graph's hop diameter. *)
-
-val run_reference :
-  ?max_rounds:int -> ?warm_start:Tables.t -> Damd_graph.Graph.t -> result
-(** The pre-optimization full-sweep fixpoints: every round recomputes all
-    n^2 table entries and compares whole rows. [run] keeps per-node dirty
-    destination sets and recomputes only entries whose inputs changed; this
-    reference is retained solely as the oracle for the equivalence tests,
-    which assert that [run] produces identical tables, round counts and
-    message counts. Do not use it outside tests. *)

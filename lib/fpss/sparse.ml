@@ -11,7 +11,7 @@ type t = {
   dests : int array;  (* sorted destination nodes; slot s <-> dests.(s) *)
   dest_of : int array;  (* node -> slot, -1 when not a destination *)
   k : int;
-  (* Flat n*k state, indexed i*k + s. The dense engine allocates n^2
+  (* Flat n*k state, indexed i*k + s. Dense tables allocate n^2
      option/record cells per table (~100M at n=10k); here routing is three
      unboxed scalars per (node, destination) pair and the path is implicit
      in the next-hop chain, so memory is O(n*k) + O(route entries). *)
@@ -108,7 +108,7 @@ let path t i ~dest =
   end
 
 (* Is [node] on the announced path from [v0] to [dests.(s)], endpoints
-   included? Mirrors [List.mem node path] on the dense representation. *)
+   included? Mirrors [List.mem node path] on dense tables. *)
 let chain_mem t ~from:v0 ~s ~node =
   let j = t.dests.(s) in
   let n = Graph.n t.g in
@@ -143,7 +143,7 @@ let flood t =
    path) order, on flat state. For candidates [i :: path_a] vs
    [i :: path_a'] from distinct neighbors a <> a', the lex comparison
    reduces to [Int.compare a a'] — so (cost, hops, neighbor id) is
-   *exactly* the dense tie-break, and since [neighbors_arr] is sorted
+   *exactly* the canonical tie-break, and since [neighbors_arr] is sorted
    ascending a strict improvement test keeps the smallest neighbor on
    ties. No explicit loop check is needed from a cold start: a walk that
    revisits a node costs at least as much as its loop-free core and is
@@ -180,11 +180,19 @@ let recompute_routing t i s =
     (Graph.neighbors_arr t.g i);
   (!best_d, !best_h, !best_a)
 
-(* Change-driven Jacobi fixpoint on flat state — the skeleton of
-   [Distributed.fixpoint] with (node, slot) pairs instead of matrix
-   cells: updates are buffered and applied after the round, a node only
-   recomputes the union of its neighbors' dirty slots, and a changed node
-   announces to all neighbors (degree messages). *)
+(* Change-driven Jacobi fixpoint on flat state (DESIGN.md §9). Invariant:
+   a (node, slot) entry computed in round r is a pure function of the
+   neighbors' entries for that slot at round r-1, so it can only differ
+   from its round r-1 value when some neighbor's entry for the slot
+   changed in round r-1. [dirty.(a)] holds exactly the slots whose entry
+   at [a] changed last round, and a node recomputes only the union of its
+   neighbors' dirty slots. Round 1 recomputes everything, which matches a
+   cold full sweep and also repairs the stale state of a warm restart.
+   Updates are buffered and applied after the round, so every
+   recomputation reads round r-1 state — the full sweep's schedule: from a
+   cold start the per-round changed-node sets, and so the round and
+   message counts, are the full sweep's (a changed node announces to all
+   neighbors: degree messages). *)
 let fixpoint ~max_rounds ~stage ~changed ~recompute ~apply t =
   let g = t.g in
   let n = Graph.n g in
@@ -292,10 +300,10 @@ let routing_fixpoint ?max_rounds ?offsets t =
         ]
       "sparse.routing.done"
 
-(* DATA3: the pricing recurrence of [Distributed.pricing_fixpoint] on
-   announced sparse routing state. Runs only after routing converged, so
-   next-hop chains are stable and loop-free and [chain_mem] is an exact
-   stand-in for the dense [on_path]. *)
+(* DATA3: the pricing recurrence (DESIGN.md §5, "Distributed pricing
+   recurrence") on announced sparse routing state. Runs only after routing
+   converged, so next-hop chains are stable and loop-free and [chain_mem]
+   is an exact stand-in for [List.mem k path] on the dense tables. *)
 let recompute_pricing t i s =
   let j = t.dests.(s) in
   if t.next.(idx t i s) < 0 then []
@@ -384,7 +392,10 @@ let run ?max_rounds ?routing_offsets ?pricing_offsets t =
    toward the destination (strictly decreasing hop counts), so stale
    price entries cannot sustain a self-consistent wrong cycle. Hence a
    warm rerun lands on byte-identical state to a cold run — the property
-   the differential tests pin against [Distributed.run ~warm_start]. *)
+   the differential tests pin against the centralized tables and against
+   the full-sweep reference's warm start, which cuts stale loops with a
+   path-vector loop check and so may take a different number of
+   rounds. *)
 
 let update_cost t i c =
   if i < 0 || i >= Graph.n t.g then invalid_arg "Sparse.update_cost: node";

@@ -1,9 +1,11 @@
-(** Flat-array, destination-restricted FPSS state — the n=10k engine.
+(** Flat-array, destination-restricted FPSS state — the one engine for
+    the DATA2/DATA3 fixpoints, from the n=10k scale path down to
+    [Distributed.run], which is this module over every destination.
 
-    [Distributed] keeps per-node dense tables ([Array.init n (fun _ ->
-    Array.make n ...)]): O(n^2) cells per table, ~100M at n=10k, with a
-    boxed entry record and a full path list per cell. This module is the
-    same change-driven Jacobi computation on a flat representation:
+    Dense tables ([Array.init n (fun _ -> Array.make n ...)]) hold O(n^2)
+    cells per table, ~100M at n=10k, with a boxed entry record and a full
+    path list per cell. This module runs the change-driven Jacobi
+    computation on a flat representation instead:
 
     - routing state is three unboxed scalars per (node, destination) —
       announced cost, hop count and next hop — in [n*k] arrays indexed
@@ -11,13 +13,14 @@
       on demand;
     - the destination set may be restricted to [k <= n] nodes, so memory
       and work scale with [E + n*k] instead of [n^2];
-    - tie-breaking is provably identical to the dense engine: for
-      candidates [i :: p] vs [i :: p'] learned from distinct neighbors
-      the canonical (cost, hops, lex path) order reduces to (cost, hops,
-      neighbor id), which is what the flat state stores.
+    - tie-breaking is provably the canonical (cost, hops, lex path) order
+      of [Dijkstra]: for candidates [i :: p] vs [i :: p'] learned from
+      distinct neighbors it reduces to (cost, hops, neighbor id), which
+      is what the flat state stores.
 
-    With the full destination set the converged tables are byte-identical
-    to [Distributed] (see [to_tables] and the equivalence tests).
+    With the full destination set the converged tables, rounds and
+    messages equal those of the full-sweep reference fixpoints kept in
+    the test suite (see [to_tables] and the equivalence tests).
 
     The [?offsets] hooks run the fixpoints over *announced* rows — node
     [i]'s stored entry is its honest recomputation plus [offsets.(i)] —
@@ -69,7 +72,9 @@ val rerun :
     loop-carried candidates from a cost increase inflate by at least the
     minimum positive transit cost per round, so they die within the
     round budget — all transit costs must be strictly positive for
-    this). *)
+    this). Rounds and messages can differ from a warm start with a
+    path-vector loop check, where stale loops are cut instead of
+    inflated; the tables cannot. *)
 
 val flood : t -> unit
 (** Accounting for the DATA1 stage restricted to [k] destination facts:
@@ -90,7 +95,7 @@ val next_hop : t -> int -> dest:int -> int option
 
 val path : t -> int -> dest:int -> int list option
 (** Path reconstructed by walking next-hop chains; at a routing fixpoint
-    this equals the dense engine's lex-optimal path. *)
+    this is the canonical lex-optimal path of [Dijkstra]. *)
 
 val prices : t -> int -> dest:int -> (int * float) list
 (** Announced VCG transit premia for the node's route to [dest], sorted
@@ -127,8 +132,9 @@ val set_obs : t -> Damd_obs.Obs.t -> unit
     instant with rounds and recompute counts. Default: noop. *)
 
 val to_tables : t -> Tables.t
-(** Dense tables for oracle comparison. Requires the full destination
-    set; intended for tests and small n. *)
+(** Dense n x n tables: what [Distributed.run] returns and what the
+    oracle tests compare. Requires the full destination set; O(n^2)
+    memory, so not for the scale path. *)
 
 val state_words : t -> int
 (** Approximate live footprint of the flat state, in words — the scaling

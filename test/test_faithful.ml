@@ -94,6 +94,111 @@ let test_protocol_costs_digest () =
     (Protocol.costs_digest [| 1.; 2. |])
     (Protocol.costs_digest [| 1.; 2. |])
 
+(* --- Protocol handlers vs the full-sweep reference ---
+
+   The per-node handlers run as one synchronous full sweep: each round
+   every node recomputes its row from its neighbors' previous-round rows,
+   and a node whose row changed announces it to every neighbor. That is
+   the reference's schedule, so tables, rounds and messages must all
+   equal [Fpss_reference.run_reference]'s, cold and warm. The reference
+   carries no identity tags, so they are stripped before pricing rows
+   are compared or checked for a change. *)
+
+module Distributed = Damd_fpss.Distributed
+module Reference = Fpss_reference
+
+let strip_tags (row : Protocol.price_entry list) =
+  List.map (fun pe -> (pe.Protocol.transit, pe.Protocol.price)) row
+
+(* Synchronous rounds of [step] over [state] until no row changes, [same]
+   telling unchanged rows apart. Returns the rounds up to the last change
+   and the messages sent. *)
+let sweep g ~step ~same state =
+  let n = Graph.n g in
+  let rounds = ref 0 and messages = ref 0 in
+  let changed = ref (List.init n Fun.id) in
+  while !changed <> [] do
+    incr rounds;
+    if !rounds > (10 * n) + 20 then failwith "protocol sweep did not converge";
+    List.iter (fun i -> messages := !messages + Graph.degree g i) !changed;
+    let next = Array.init n step in
+    changed := List.filter (fun i -> not (same next.(i) state.(i))) (List.init n Fun.id);
+    Array.blit next 0 state 0 n
+  done;
+  (max 0 (!rounds - 1), !messages)
+
+let run_protocol_sweep ?warm_start g =
+  let n = Graph.n g in
+  let costs = Graph.costs g in
+  let from_neighbors rows i = List.map (fun a -> (a, rows.(a))) (Graph.neighbors g i) in
+  let routing =
+    Array.init n (fun i ->
+        let row =
+          match warm_start with
+          | Some t -> Array.copy t.Tables.routing.(i)
+          | None -> Protocol.empty_routing ~n ~self:i
+        in
+        row.(i) <- Some { Dijkstra.cost = 0.; path = [ i ] };
+        row)
+  in
+  let rounds_routing, routing_msgs =
+    sweep g routing ~same:( = ) ~step:(fun i ->
+        Protocol.recompute_routing ~self:i ~n ~costs
+          ~neighbor_tables:(from_neighbors routing i))
+  in
+  let pricing =
+    Array.init n (fun i ->
+        match warm_start with
+        | Some t ->
+            Array.map
+              (List.map (fun (transit, price) -> { Protocol.transit; price; tags = [] }))
+              t.Tables.prices.(i)
+        | None -> Protocol.empty_pricing ~n)
+  in
+  let rounds_pricing, pricing_msgs =
+    sweep g pricing
+      ~same:(fun a b -> Array.map strip_tags a = Array.map strip_tags b)
+      ~step:(fun i ->
+        Protocol.recompute_pricing ~self:i ~costs ~own_routing:routing.(i)
+          ~neighbor_routing:(from_neighbors routing i)
+          ~neighbor_pricing:(from_neighbors pricing i))
+  in
+  let rounds_flood, flood_msgs = Distributed.flood_costs g in
+  {
+    Distributed.tables =
+      { Tables.routing; prices = Array.map (Array.map strip_tags) pricing };
+    rounds_flood;
+    rounds_routing;
+    rounds_pricing;
+    messages = flood_msgs + routing_msgs + pricing_msgs;
+  }
+
+let prop_protocol_sweep_equals_reference =
+  QCheck.Test.make ~name:"protocol sweep = full-sweep reference (cold+warm)"
+    ~count:40
+    QCheck.(quad small_nat (float_bound_inclusive 1.) small_nat (int_bound 9))
+    (fun (seed, p, who, new_cost) ->
+      let g = Reference.random_graph (Rng.create (seed + 2700)) ~seed ~p in
+      let same (a : Distributed.result) (b : Distributed.result) =
+        a.Distributed.tables = b.Distributed.tables
+        && a.Distributed.rounds_flood = b.Distributed.rounds_flood
+        && a.Distributed.rounds_routing = b.Distributed.rounds_routing
+        && a.Distributed.rounds_pricing = b.Distributed.rounds_pricing
+        && a.Distributed.messages = b.Distributed.messages
+      in
+      let cold = Reference.run_reference g in
+      let changed =
+        Graph.with_cost g (who mod Graph.n g) (float_of_int (1 + new_cost))
+      in
+      let warm_start = cold.Distributed.tables in
+      (* Warm starts need strictly positive costs: with a zero-cost
+         node the reference's warm pricing can fail to converge at all. *)
+      same (run_protocol_sweep g) cold
+      && (Array.exists (fun c -> c = 0.) (Graph.costs g)
+         || same
+              (run_protocol_sweep ~warm_start changed)
+              (Reference.run_reference ~warm_start changed)))
+
 (* --- Node unit tests with captured sends --- *)
 
 let line3_sets = [| [ 1 ]; [ 0; 2 ]; [ 1 ] |]
@@ -1402,6 +1507,7 @@ let suites =
         Alcotest.test_case "tags hashed" `Quick test_protocol_pricing_digest_sees_tags;
         Alcotest.test_case "message sizes" `Quick test_protocol_msg_sizes;
         Alcotest.test_case "cost digests" `Quick test_protocol_costs_digest;
+        QCheck_alcotest.to_alcotest prop_protocol_sweep_equals_reference;
       ] );
     ( "faithful.node",
       [

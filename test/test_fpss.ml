@@ -16,6 +16,8 @@ module Tables = Damd_fpss.Tables
 module Traffic = Damd_fpss.Traffic
 module Game = Damd_fpss.Game
 module Distributed = Damd_fpss.Distributed
+module Sparse = Damd_fpss.Sparse
+module Reference = Fpss_reference
 
 let check = Alcotest.check
 let checkf = Alcotest.check (Alcotest.float 1e-9)
@@ -277,20 +279,31 @@ let test_distributed_ring () =
   | Some p -> checkf "ring price" 2. p
   | None -> Alcotest.fail "missing ring price"
 
+(* A warm restart after one cost change, as E15 runs it: converge [g],
+   then [Sparse.update_cost] + [Sparse.rerun] from that state. Returns the
+   reconverged state and the messages the rerun sent. The new cost must be
+   strictly positive, like every cost of [g]. *)
+let warm_restart g node cost =
+  let sp = Sparse.create g in
+  Sparse.run sp;
+  Sparse.update_cost sp node cost;
+  let sent_before = Sparse.messages sp in
+  Sparse.rerun sp;
+  (sp, Sparse.messages sp - sent_before)
+
 let test_warm_start_reconverges_exactly () =
-  (* After a single cost change, warm-starting from the old tables reaches
-     exactly the new centralized fixpoint, in fewer rounds than cold. *)
+  (* After a single cost change, a warm restart from the old fixpoint
+     reaches exactly the new centralized tables. *)
   let rng = Rng.create 309 in
   for _ = 1 to 5 do
     let g = Gen.chordal_ring rng ~n:14 ~chords:4 (Gen.Uniform_int (1, 10)) in
-    let cold = Distributed.run g in
-    let changed = Graph.with_cost g (Rng.int rng 14) (float_of_int (Rng.int_in rng 1 10)) in
-    let warm = Distributed.run ~warm_start:cold.Distributed.tables changed in
-    let reference = Pricing.compute changed in
-    check Alcotest.bool "routing exact" true
-      (Tables.routing_equal warm.Distributed.tables reference);
-    check Alcotest.bool "prices exact" true
-      (Tables.prices_equal warm.Distributed.tables reference)
+    let cost = float_of_int (Rng.int_in rng 1 10) in
+    let node = Rng.int rng 14 in
+    let sp, _ = warm_restart g node cost in
+    let warm = Sparse.to_tables sp in
+    let reference = Pricing.compute (Graph.with_cost g node cost) in
+    check Alcotest.bool "routing exact" true (Tables.routing_equal warm reference);
+    check Alcotest.bool "prices exact" true (Tables.prices_equal warm reference)
   done
 
 let test_warm_start_cheaper_on_average () =
@@ -298,35 +311,41 @@ let test_warm_start_cheaper_on_average () =
   let warm_msgs = ref 0 and cold_msgs = ref 0 in
   for _ = 1 to 8 do
     let g = Gen.chordal_ring rng ~n:16 ~chords:4 (Gen.Uniform_int (1, 10)) in
-    let cold0 = Distributed.run g in
-    let changed = Graph.with_cost g (Rng.int rng 16) (float_of_int (Rng.int_in rng 1 10)) in
-    let warm = Distributed.run ~warm_start:cold0.Distributed.tables changed in
-    let cold = Distributed.run changed in
-    warm_msgs := !warm_msgs + warm.Distributed.messages;
+    let cost = float_of_int (Rng.int_in rng 1 10) in
+    let node = Rng.int rng 16 in
+    let sp, rerun_msgs = warm_restart g node cost in
+    let cold = Distributed.run (Sparse.graph sp) in
+    (* Both sides pay the DATA1 flood that announces the new cost. *)
+    warm_msgs := !warm_msgs + snd (Distributed.flood_costs g) + rerun_msgs;
     cold_msgs := !cold_msgs + cold.Distributed.messages
   done;
   check Alcotest.bool "incremental cheaper" true (!warm_msgs < !cold_msgs)
 
 let test_warm_start_identity_when_unchanged () =
   let g, _ = Lazy.force fig1 in
-  let cold = Distributed.run g in
-  let warm = Distributed.run ~warm_start:cold.Distributed.tables g in
+  let sp = Sparse.create g in
+  Sparse.run sp;
+  let cold = Sparse.to_tables sp in
+  Sparse.rerun sp;
+  let warm = Sparse.to_tables sp in
   check Alcotest.bool "tables unchanged" true
-    (Tables.routing_equal warm.Distributed.tables cold.Distributed.tables
-    && Tables.prices_equal warm.Distributed.tables cold.Distributed.tables);
+    (Tables.routing_equal warm cold && Tables.prices_equal warm cold);
   (* Convergence is immediate: the first round discovers no change. *)
-  check Alcotest.int "routing converged instantly" 0 warm.Distributed.rounds_routing
+  check Alcotest.int "routing converged instantly" 0 (Sparse.rounds_routing sp)
 
-(* --- Change-driven fixpoints vs the full-sweep reference ---
+(* --- The engine vs the full-sweep reference ---
 
-   [Distributed.run] recomputes only entries whose neighbor inputs changed;
-   [Distributed.run_reference] is the retained full sweep. The two must be
-   indistinguishable: byte-identical tables (structural equality over every
-   cost, path and price entry) and identical round and message counts. *)
+   [Distributed.run] is [Sparse]'s change-driven fixpoints over every
+   destination: a node recomputes only the entries whose neighbor inputs
+   changed. [Reference.run_reference] is the full sweep, kept in the test
+   suite as its oracle. From a cold start the two must be
+   indistinguishable: byte-identical tables (structural equality over
+   every cost, path and price entry) and identical round and message
+   counts. *)
 
 let check_equiv_with_reference name g =
   let d = Distributed.run g in
-  let r = Distributed.run_reference g in
+  let r = Reference.run_reference g in
   check Alcotest.bool (name ^ ": routing tables byte-identical") true
     (d.Distributed.tables.Tables.routing = r.Distributed.tables.Tables.routing);
   check Alcotest.bool (name ^ ": pricing tables byte-identical") true
@@ -356,54 +375,48 @@ let test_change_driven_equals_reference () =
       (Gen.chordal_ring rng ~n:16 ~chords:4 (Gen.Uniform_int (1, 10)))
   done;
   check_equiv_with_reference "er32"
-    (Gen.erdos_renyi (Rng.create 314) ~n:32 ~p:0.15 (Gen.Uniform_int (0, 10)))
+    (Gen.erdos_renyi (Rng.create 314) ~n:32 ~p:0.15 (Gen.Uniform_int (0, 10)));
+  check_equiv_with_reference "as24"
+    (fst (Gen.as_like (Rng.create 316) ~n:24 ~m:2 (Gen.Uniform_int (1, 10))))
 
 let test_change_driven_equals_reference_warm () =
-  (* The ~warm_start path after a cost change: same tables, same rounds,
-     same messages as the reference warm start. *)
+  (* A warm restart after a cost change lands byte for byte on the tables
+     of the reference's warm start from the old tables. Rounds and
+     messages are not compared: [Sparse.rerun] has no path-vector loop
+     check, so stale loop-carried candidates can take a different number
+     of rounds to die than under the reference's loop check. *)
   let rng = Rng.create 315 in
   for _ = 1 to 4 do
     let g = Gen.chordal_ring rng ~n:16 ~chords:4 (Gen.Uniform_int (1, 10)) in
-    let cold = Distributed.run g in
-    let cold_ref = Distributed.run_reference g in
-    let changed =
-      Graph.with_cost g (Rng.int rng 16) (float_of_int (Rng.int_in rng 1 10))
-    in
-    let warm = Distributed.run ~warm_start:cold.Distributed.tables changed in
+    let cold_ref = Reference.run_reference g in
+    let cost = float_of_int (Rng.int_in rng 1 10) in
+    let node = Rng.int rng 16 in
+    let changed = Graph.with_cost g node cost in
+    let sp, _ = warm_restart g node cost in
+    let warm = Sparse.to_tables sp in
     let warm_ref =
-      Distributed.run_reference ~warm_start:cold_ref.Distributed.tables changed
+      Reference.run_reference ~warm_start:cold_ref.Distributed.tables changed
     in
     check Alcotest.bool "warm routing byte-identical" true
-      (warm.Distributed.tables.Tables.routing
-      = warm_ref.Distributed.tables.Tables.routing);
+      (warm.Tables.routing = warm_ref.Distributed.tables.Tables.routing);
     check Alcotest.bool "warm prices byte-identical" true
-      (warm.Distributed.tables.Tables.prices
-      = warm_ref.Distributed.tables.Tables.prices);
-    check Alcotest.int "warm routing rounds" warm_ref.Distributed.rounds_routing
-      warm.Distributed.rounds_routing;
-    check Alcotest.int "warm pricing rounds" warm_ref.Distributed.rounds_pricing
-      warm.Distributed.rounds_pricing;
-    check Alcotest.int "warm messages" warm_ref.Distributed.messages
-      warm.Distributed.messages;
+      (warm.Tables.prices = warm_ref.Distributed.tables.Tables.prices);
     let reference = Pricing.compute changed in
     check Alcotest.bool "warm = centralized" true
-      (Tables.routing_equal warm.Distributed.tables reference
-      && Tables.prices_equal warm.Distributed.tables reference)
+      (Tables.routing_equal warm reference && Tables.prices_equal warm reference)
   done
 
 let prop_change_driven_equals_reference =
   QCheck.Test.make ~name:"change-driven = full-sweep reference (tables+counts)"
-    ~count:20
+    ~count:40
     QCheck.(pair small_nat (float_bound_inclusive 1.))
     (fun (seed, p) ->
-      let rng = Rng.create (seed + 700) in
-      let n = 6 + (seed mod 10) in
-      let p = 0.2 +. (p *. 0.4) in
-      let g = Gen.erdos_renyi rng ~n ~p (Gen.Uniform_int (0, 10)) in
+      let g = Reference.random_graph (Rng.create (seed + 700)) ~seed ~p in
       let d = Distributed.run g in
-      let r = Distributed.run_reference g in
+      let r = Reference.run_reference g in
       d.Distributed.tables.Tables.routing = r.Distributed.tables.Tables.routing
       && d.Distributed.tables.Tables.prices = r.Distributed.tables.Tables.prices
+      && d.Distributed.rounds_flood = r.Distributed.rounds_flood
       && d.Distributed.rounds_routing = r.Distributed.rounds_routing
       && d.Distributed.rounds_pricing = r.Distributed.rounds_pricing
       && d.Distributed.messages = r.Distributed.messages)
@@ -428,12 +441,11 @@ let prop_warm_start_exact =
       let rng = Rng.create (seed + 600) in
       let n = 8 + (seed mod 6) in
       let g = Gen.chordal_ring rng ~n ~chords:(n / 4) (Gen.Uniform_int (1, 10)) in
-      let before = Distributed.run g in
-      let changed = Graph.with_cost g (who mod n) (float_of_int (max 1 new_cost)) in
-      let warm = Distributed.run ~warm_start:before.Distributed.tables changed in
-      let reference = Pricing.compute changed in
-      Tables.routing_equal warm.Distributed.tables reference
-      && Tables.prices_equal warm.Distributed.tables reference)
+      let node = who mod n and cost = float_of_int (max 1 new_cost) in
+      let sp, _ = warm_restart g node cost in
+      let warm = Sparse.to_tables sp in
+      let reference = Pricing.compute (Graph.with_cost g node cost) in
+      Tables.routing_equal warm reference && Tables.prices_equal warm reference)
 
 let prop_vcg_game_no_profitable_lie =
   QCheck.Test.make ~name:"FPSS/VCG: random misreport never gains" ~count:25
@@ -451,12 +463,10 @@ let prop_vcg_game_no_profitable_lie =
       reports.(agent) <- float_of_int lie;
       Mechanism.utility m agent true_costs.(agent) reports <= truthful +. 1e-9)
 
-(* --- Sparse flat-array engine vs the dense oracle --- *)
-
-module Sparse = Damd_fpss.Sparse
+(* --- Sparse flat-array engine vs the full-sweep reference --- *)
 
 let check_sparse_matches_dense name g =
-  let d = Distributed.run g in
+  let d = Reference.run_reference g in
   let sp = Sparse.create g in
   Sparse.run sp;
   let t = Sparse.to_tables sp in
@@ -485,10 +495,10 @@ let test_sparse_full_dests_matches_dense () =
 let test_sparse_restricted_dests_slice_dense () =
   (* The per-destination systems are independent, so restricting the
      destination set must reproduce exactly those columns of the dense
-     fixpoint. *)
+     reference tables. *)
   let rng = Rng.create 323 in
   let g = Gen.chordal_ring rng ~n:20 ~chords:6 (Gen.Uniform_int (1, 10)) in
-  let d = Distributed.run g in
+  let d = Reference.run_reference g in
   let dests = [| 0; 3; 7; 19 |] in
   let sp = Sparse.create ~dests g in
   Sparse.run sp;
@@ -526,7 +536,7 @@ let prop_sparse_equals_dense =
       let n = 6 + (seed mod 10) in
       let p = 0.2 +. (p *. 0.4) in
       let g = Gen.erdos_renyi rng ~n ~p (Gen.Uniform_int (0, 10)) in
-      let d = Distributed.run g in
+      let d = Reference.run_reference g in
       let sp = Sparse.create g in
       Sparse.run sp;
       let t = Sparse.to_tables sp in
@@ -536,11 +546,12 @@ let prop_sparse_equals_dense =
 let prop_sparse_warm_equals_dense_warm =
   (* Warm-start differential: after a single cost change,
      [Sparse.update_cost] + [rerun] from the stale announced state must
-     land on exactly the tables the dense engine reaches from
-     [~warm_start] on the same change — on AS-like power-law topologies,
-     where the hub/leaf asymmetry makes stale-loop inflation (the
-     count-to-infinity walk of a cost increase) most likely. Strictly
-     positive costs, as the warm contract requires. *)
+     land on exactly the tables the dense reference reaches from
+     [~warm_start] on the same change, and on the centralized tables — on
+     AS-like power-law topologies, where the hub/leaf asymmetry makes
+     stale-loop inflation (the count-to-infinity walk of a cost increase)
+     most likely. Strictly positive costs, as the warm contract
+     requires. *)
   QCheck.Test.make ~name:"sparse warm restart = dense warm start (as_like)"
     ~count:50
     QCheck.(triple small_nat small_nat (int_bound 9))
@@ -548,20 +559,20 @@ let prop_sparse_warm_equals_dense_warm =
       let rng = Rng.create (seed + 2200) in
       let n = 12 + (seed mod 12) in
       let g, _ = Gen.as_like rng ~n ~m:2 (Gen.Uniform_int (1, 10)) in
-      let sp = Sparse.create g in
-      Sparse.run sp;
-      let cold = Distributed.run g in
       let i = node_pick mod n in
       let c = float_of_int (1 + new_cost) in
-      let changed = Graph.with_cost g i c in
-      let warm_dense =
-        Distributed.run ~warm_start:cold.Distributed.tables changed
-      in
-      Sparse.update_cost sp i c;
-      Sparse.rerun sp;
+      let sp, _ = warm_restart g i c in
       let t = Sparse.to_tables sp in
-      t.Tables.routing = warm_dense.Distributed.tables.Tables.routing
-      && t.Tables.prices = warm_dense.Distributed.tables.Tables.prices)
+      let changed = Graph.with_cost g i c in
+      let cold = Reference.run_reference g in
+      let warm_ref =
+        Reference.run_reference ~warm_start:cold.Distributed.tables changed
+      in
+      let centralized = Pricing.compute changed in
+      t.Tables.routing = warm_ref.Distributed.tables.Tables.routing
+      && t.Tables.prices = warm_ref.Distributed.tables.Tables.prices
+      && Tables.routing_equal t centralized
+      && Tables.prices_equal t centralized)
 
 let test_sparse_deviation_checkpoints () =
   (* Honest fixpoints have zero residual at every node; a node distorting
