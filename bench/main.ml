@@ -52,14 +52,6 @@ let payload_64k = String.make 65536 'x'
 let graph64_as = fst (Gen.as_like (Rng.create 7) ~n:64 ~m:2 (Gen.Uniform_int (1, 10)))
 let dests64 = Array.init 8 (fun i -> i * 64 / 8)
 
-(* The smallest explore-sweep topology (same fixture as --explore's
-   explore_torus_n12 row), used by the analyze/explore subsumption pair:
-   the static pass reads the IR, not the graph, so its cost is flat while
-   the product exploration grows with the topology. *)
-let torus12 =
-  Gen.torus ~rows:3 ~cols:4
-    ~costs:(Gen.draw_costs (Rng.create 42) (Gen.Uniform_int (1, 10)) 12)
-
 (* Nodes with converged state for the bank-checkpoint benchmark: drive the
    construction synchronously once and keep the node array. *)
 let converged_nodes =
@@ -231,64 +223,6 @@ let experiment_tests =
         (Staged.stage (fun () -> ignore (Campaign.grade gauntlet_descr16)));
       Test.make ~name:"gauntlet_campaigns_n16_faults"
         (Staged.stage (fun () -> ignore (Campaign.grade gauntlet_descr16_faults)));
-      Test.make ~name:"lint_stock_spec"
-        (Staged.stage
-           (let module Lint = Damd_speccheck.Lint in
-            let labels = Adversary.all_labels in
-            fun () ->
-              ignore
-                (Lint.run ~adversary:labels ~graph:fig1 ~topology:"fig1"
-                   Damd_speccheck.Fpss_spec.ir)));
-      Test.make ~name:"verify_fig1"
-        (Staged.stage
-           (* the full flow verifier: lint + taint diff + ~16k-state
-              product exploration over the whole adversary vocabulary (the
-              harness observations are a fixture — the differential runs
-              themselves are part of the measured cost) *)
-           (let module Verify = Damd_speccheck.Verify in
-            let labels = Adversary.all_labels in
-            fun () ->
-              let observed = Damd_faithful.Flow.observations () in
-              ignore
-                (Verify.run ~adversary:labels ~observed ~graph:fig1
-                   ~topology:"fig1" Damd_speccheck.Fpss_spec.ir)));
-      Test.make ~name:"analyze_fig1"
-        (Staged.stage
-           (* the static pass alone (no differential): taint fixpoint +
-              two-seat abstract frontier over the whole adversary
-              vocabulary — ~60-70x cheaper than verify_fig1's product
-              exploration on fig1 (the smallest instance; the E25 >=100x
-              subsumption claim is carried by the torus_n12 pair below,
-              where the exploration is big enough to dominate). *)
-           (let module Analyze = Damd_speccheck.Analyze in
-            let labels = Adversary.all_labels in
-            fun () ->
-              ignore
-                (Analyze.run ~adversary:labels ~graph:fig1 ~topology:"fig1"
-                   Damd_speccheck.Fpss_spec.ir)));
-      Test.make ~name:"explore_torus_n12"
-        (Staged.stage
-           (* the dynamic side of the E25 subsumption pair: the same
-              Explore.run configuration `analyze --differential` invokes
-              (default bound/POR), on the smallest explore-sweep torus *)
-           (let module Explore = Damd_speccheck.Explore in
-            let labels = Adversary.all_labels in
-            fun () ->
-              ignore (Explore.run ~adversary:labels ~graph:torus12
-                        Damd_speccheck.Fpss_spec.ir)));
-      Test.make ~name:"analyze_torus_n12"
-        (Staged.stage
-           (* the static side of the pair: same IR, same adversary
-              vocabulary, same topology. The abstract frontier never
-              walks the graph, so this stays within noise of
-              analyze_fig1 while explore_torus_n12 is >=100x larger —
-              the measured form of the E25 claim. *)
-           (let module Analyze = Damd_speccheck.Analyze in
-            let labels = Adversary.all_labels in
-            fun () ->
-              ignore
-                (Analyze.run ~adversary:labels ~graph:torus12
-                   ~topology:"torus:3:4" Damd_speccheck.Fpss_spec.ir)));
     ]
 
 let micro_tests =
@@ -355,7 +289,7 @@ let run_and_report ~quota ~limit tests =
 (* The BENCH_*.json trajectory format (DESIGN.md §9): one object per
    benchmark with the raw OLS nanosecond estimate, so successive PRs can be
    diffed mechanically. *)
-let json_of_rows ~quota ~limit ?scaling ?explore rows =
+let json_of_rows ~quota ~limit ?scaling rows =
   let module Json = Damd_util.Json in
   Json.Obj
     ([
@@ -374,8 +308,7 @@ let json_of_rows ~quota ~limit ?scaling ?explore rows =
                   ])
               rows) );
      ]
-    @ (match scaling with None -> [] | Some s -> [ ("scaling", s) ])
-    @ match explore with None -> [] | Some e -> [ ("explore", e) ])
+    @ match scaling with None -> [] | Some s -> [ ("scaling", s) ])
 
 (* --- the n=10k scaling sweep (--scale) ---
 
@@ -496,96 +429,14 @@ let run_scaling_sweep () =
              rows) );
     ]
 
-(* --- the model-checking throughput table (--explore) ---
-
-   One-shot timed runs, not Bechamel: the POR-off 5x5 torus explores ~2M
-   canonical states in seconds and cannot be OLS-sampled inside a sane
-   quota, and the figure of merit is states/second at scale, not
-   nanosecond precision. Each topology runs the full §4.3 catalogue
-   twice — reduction off (pinning the raw product size) and on (the
-   production default) — off the same [Explore.stats] the obs
-   `explore.done` instant reports, so the trajectory rows and the trace
-   exports cannot disagree. *)
-
-type explore_row = {
-  ex_name : string;
-  ex_por : bool;
-  ex_states : int;
-  ex_elapsed_s : float;
-}
-
-let run_explore_sweep () =
-  let module Json = Damd_util.Json in
-  let module Explore = Damd_speccheck.Explore in
-  let ir = Damd_speccheck.Fpss_spec.ir in
-  let torus rows cols seed =
-    Gen.torus ~rows ~cols
-      ~costs:(Gen.draw_costs (Rng.create seed) (Gen.Uniform_int (1, 10)) (rows * cols))
-  in
-  let topologies =
-    [
-      ("explore_fig1", fig1);
-      ("explore_torus_n12", torus 3 4 42);
-      ("explore_torus_n25", torus 5 5 42);
-    ]
-  in
-  let rows =
-    List.concat_map
-      (fun (name, graph) ->
-        List.map
-          (fun por ->
-            let o = Explore.run ~bound:2_000_000 ~por ~graph ir in
-            if o.Explore.stats.Explore.truncated then
-              failwith (Printf.sprintf "explore sweep: %s truncated" name);
-            {
-              ex_name = name;
-              ex_por = por;
-              ex_states = o.Explore.stats.Explore.states_explored;
-              ex_elapsed_s = o.Explore.stats.Explore.elapsed_s;
-            })
-          [ false; true ])
-      topologies
-  in
-  let t =
-    Damd_util.Table.create [ "exploration"; "por"; "states"; "time"; "states/sec" ]
-  in
-  let per_sec r =
-    if r.ex_elapsed_s > 0. then float_of_int r.ex_states /. r.ex_elapsed_s else 0.
-  in
-  List.iter
-    (fun r ->
-      Damd_util.Table.add_row t
-        [
-          r.ex_name;
-          (if r.ex_por then "on" else "off");
-          string_of_int r.ex_states;
-          Printf.sprintf "%.3f s" r.ex_elapsed_s;
-          Printf.sprintf "%.0f" (per_sec r);
-        ])
-    rows;
-  Damd_util.Table.print t;
-  Json.List
-    (List.map
-       (fun r ->
-         Json.Obj
-           [
-             ("name", Json.String r.ex_name);
-             ("por", Json.Bool r.ex_por);
-             ("states", Json.Int r.ex_states);
-             ("elapsed_s", Json.Float r.ex_elapsed_s);
-             ("states_per_sec", Json.Float (per_sec r));
-           ])
-       rows)
-
 let usage =
-  "usage: main.exe [--json FILE] [--quota SECONDS] [--limit N] [--scale] [--explore]"
+  "usage: main.exe [--json FILE] [--quota SECONDS] [--limit N] [--scale]"
 
 let () =
   let json_path = ref None in
   let quota = ref 0.5 in
   let limit = ref 300 in
   let scale = ref false in
-  let explore = ref false in
   let spec =
     [
       ("--json", Arg.String (fun f -> json_path := Some f),
@@ -596,8 +447,6 @@ let () =
        "N  max samples per benchmark (default 300)");
       ("--scale", Arg.Set scale,
        "  also run the faithful scaling sweep (as:N:2 up to n=10000)");
-      ("--explore", Arg.Set explore,
-       "  also run the model-checking throughput table (POR on/off)");
     ]
   in
   Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
@@ -615,18 +464,8 @@ let () =
     end
     else None
   in
-  let explore_rows =
-    if !explore then begin
-      print_newline ();
-      print_endline
-        "== model checking at scale (full catalogue, one-shot wall time) ==";
-      Some (run_explore_sweep ())
-    end
-    else None
-  in
   match !json_path with
   | None -> ()
   | Some path ->
       Damd_util.Json.to_file path
-        (json_of_rows ~quota:!quota ~limit:!limit ?scaling ?explore:explore_rows
-           (rows @ micro_rows))
+        (json_of_rows ~quota:!quota ~limit:!limit ?scaling (rows @ micro_rows))

@@ -253,297 +253,6 @@ let flow_findings (m : Machine.t) (fl : flow) =
           | _ -> []))
     fl.fl_summaries
 
-(* ---- the two-seat abstract machine --------------------------------------
-
-   [Explore] runs the n-seat product; here we run its abstraction over the
-   same [Machine] table and [Scenario] plan: the deviant seat plus ONE
-   faithful representative (faithful seats are symmetric, so one
-   representative preserves barrier structure, escape possibility, and
-   stall wedges, while depths only shrink — the frontier soundness
-   argument of DESIGN.md §17). *)
-
-(* An abstract state is the tuple (dev, f, ph, acted, evid): the deviant
-   seat's chain position (-1 = no deviant in this job), the faithful
-   representative's position, the phase cursor, and the §4.3 acted/evid
-   bitsets. It is packed into an immediate int when the layout fits one
-   word (it always does for catalogue-sized IRs); otherwise the rendered
-   key is interned. *)
-let fits_int ~ns ~nphases =
-  let shift = 2 * nphases in
-  shift < 60
-  &&
-  let span = (ns + 2) * (ns + 2) * (nphases + 2) in
-  span > 0 && span <= max_int asr shift
-
-let pack_int ~ns ~nphases dev f ph acted evid =
-  let pos = (((dev + 1) * (ns + 2)) + f + 1) * (nphases + 2) in
-  ((pos + ph) lsl (2 * nphases)) lor (acted lsl nphases) lor evid
-
-(* fallback for IRs past the int-packing envelope: render the state and
-   intern the string to a dense int key, so the runner stays int-keyed *)
-let pack_interned () =
-  let intern = Hashtbl.create 64 in
-  let next = ref 0 in
-  fun dev f ph acted evid ->
-    let s = Printf.sprintf "%d/%d/%d/%d/%d" dev f ph acted evid in
-    match Hashtbl.find_opt intern s with
-    | Some i -> i
-    | None ->
-        let i = !next in
-        incr next;
-        Hashtbl.add intern s i;
-        i
-
-(* A small open-addressed int set: the visited table is the hottest
-   structure in the abstract BFS, and Hashtbl's bucket lists cost an
-   allocation per insert. Keys are the packed states, always >= 0, so
-   -1 marks an empty slot. Linear probing at <= 50% load. *)
-module Intset = struct
-  type t = { mutable slots : int array; mutable used : int }
-
-  let create () = { slots = Array.make 128 (-1); used = 0 }
-
-  (* make the set empty again without losing the allocation; a set that
-     ballooned in one job is shrunk back so later resets stay cheap *)
-  let reset t =
-    if Array.length t.slots > 4096 then t.slots <- Array.make 128 (-1)
-    else Array.fill t.slots 0 (Array.length t.slots) (-1);
-    t.used <- 0
-
-  let mix k =
-    let h = k * 0x9E3779B97F4A7C1 in
-    h lxor (h lsr 29)
-
-  let slot_of slots k =
-    let mask = Array.length slots - 1 in
-    let i = ref (mix k land mask) in
-    while
-      let s = slots.(!i) in
-      s <> -1 && s <> k
-    do
-      i := (!i + 1) land mask
-    done;
-    !i
-
-  let grow t =
-    let old = t.slots in
-    t.slots <- Array.make (2 * Array.length old) (-1);
-    Array.iter
-      (fun k -> if k >= 0 then t.slots.(slot_of t.slots k) <- k)
-      old
-
-  (* membership test and insert in one probe; true when k was absent *)
-  let add t k =
-    let i = slot_of t.slots k in
-    if t.slots.(i) = k then false
-    else begin
-      t.slots.(i) <- k;
-      t.used <- t.used + 1;
-      if 2 * t.used >= Array.length t.slots then grow t;
-      true
-    end
-end
-
-(* Per-run scratch shared across jobs: the visited set and the frontier
-   block survive from scenario to scenario (a reset instead of a fresh
-   allocation each), and the coverage marks accumulate monotonically
-   across every job of the run. *)
-type scratch = {
-  sc_visited : Intset.t;
-  mutable sc_q : int array;
-  sc_covered : bool array;
-  sc_no_parent : (int, int * string) Hashtbl.t;
-      (* shared read-only stand-in for the parent table on untracked runs *)
-}
-
-let scratch_create ns =
-  {
-    sc_visited = Intset.create ();
-    sc_q = Array.make (64 * 8) 0;
-    sc_covered = Array.make ns false;
-    sc_no_parent = Hashtbl.create 1;
-  }
-
-(* [track] keeps the parent table needed to print an escape witness.
-   The fast path skips it (one table write per state saved); [run] only
-   re-runs with tracking when an escape actually fired, which is rare —
-   never on a frontier-sound spec.
-
-   The BFS is deliberately allocation-free in the hot loop: keys are
-   native ints ([pack_int], or interned strings on oversized IRs), and
-   the frontier lives in one flat growable int block (key, depth, and
-   the five state fields) instead of a queue of records — a new state
-   costs a handful of array writes, a revisit costs one table probe. *)
-let run_ascenario (m : Machine.t)
-    ~(encode : int -> int -> int -> int -> int -> int) ~bound ~initial ~track
-    ~scratch (job : Scenario.job) =
-  (* the common packed-int case is inlined at the push site (the indirect
-     call through [encode] is measurable there); the constants must mirror
-     [pack_int] exactly so the cold paths that still call [encode] agree *)
-  let use_pack = fits_int ~ns:(Array.length m.states) ~nphases:m.nphases in
-  let mns = Array.length m.states + 2 in
-  let mnp = m.nphases + 2 in
-  let npb = m.nphases in
-  let shift = 2 * m.nphases in
-  let tally = Scenario.tally m ~run:"abstract run" in
-  let truncated = ref false in
-  let covered_mark = scratch.sc_covered in
-  let visited = scratch.sc_visited in
-  Intset.reset visited;
-  let parent =
-    if track then Hashtbl.create 64 else scratch.sc_no_parent
-  in
-  (* the BFS frontier, one flat stride-8 block per slot: key, depth and
-     the five state fields (slot 7 is padding to keep the stride a power
-     of two). One array means one allocation and one bounds base; the
-     block survives in the scratch from job to job. *)
-  let q = ref scratch.sc_q in
-  let cap = ref (Array.length !q / 8) in
-  let count = ref 0 in
-  let head = ref 0 in
-  let enqueue k d dev f ph acted evid =
-    if !count = !cap then begin
-      let nc = 2 * !cap in
-      let b = Array.make (nc * 8) 0 in
-      Array.blit !q 0 b 0 (!cap * 8);
-      q := b;
-      cap := nc
-    end;
-    let a = !q in
-    let b = !count * 8 in
-    a.(b) <- k; a.(b + 1) <- d; a.(b + 2) <- dev; a.(b + 3) <- f;
-    a.(b + 4) <- ph; a.(b + 5) <- acted; a.(b + 6) <- evid;
-    incr count
-  in
-  let witness_of k =
-    if not track then "(witness elided on the fast pass)"
-    else
-      let rec climb k acc fuel =
-        if fuel = 0 then "…" :: acc
-        else
-          match Hashtbl.find_opt parent k with
-          | None -> acc
-          | Some (pk, lbl) -> climb pk (lbl :: acc) (fuel - 1)
-      in
-      String.concat " ; " (climb k [] 14)
-  in
-  let mark dev f =
-    if dev >= 0 then covered_mark.(dev) <- true;
-    covered_mark.(f) <- true
-  in
-  let dev0 = if job.has_deviant then initial else -1 in
-  let k0 = encode dev0 initial 0 0 0 in
-  ignore (Intset.add visited k0);
-  mark dev0 initial;
-  enqueue k0 0 dev0 initial 0 0 0;
-  (* the pop cursor lives in refs shared with [push], so the closure is
-     allocated once per job instead of once per popped state *)
-  let cur_k = ref 0 in
-  let cur_d = ref 0 in
-  let cur_ph = ref 0 in
-  let progress = ref 0 in
-  (* successors are delivered inline: dedup, reentry pruning and
-     progress counting happen at the push site *)
-  let push ndev nf nph nacted nevid lbl dst =
-    let reentry =
-      dst >= 0
-      && m.phase_of.(dst) >= 0
-      && m.phase_of.(dst) < min !cur_ph m.nphases
-    in
-    if reentry then begin
-      incr progress;
-      Scenario.reentry tally m ~lbl ~dst
-    end
-    else begin
-      let k' =
-        if use_pack then
-          ((((ndev + 1) * mns) + nf + 1) * mnp + nph) lsl shift
-          lor (nacted lsl npb) lor nevid
-        else encode ndev nf nph nacted nevid
-      in
-      if k' <> !cur_k then incr progress;
-      if Intset.add visited k' then begin
-        if track then Hashtbl.replace parent k' (!cur_k, lbl);
-        mark ndev nf;
-        enqueue k' (!cur_d + 1) ndev nf nph nacted nevid
-      end
-    end
-  in
-  let continue = ref true in
-  while !continue && !head < !count do
-    if !count > bound then begin
-      truncated := true;
-      continue := false
-    end
-    else begin
-      let a = !q in
-      let b = !head * 8 in
-      incr head;
-      let k = a.(b) and d = a.(b + 1) in
-      let dev = a.(b + 2) and f = a.(b + 3) and ph = a.(b + 4) in
-      let s_acted = a.(b + 5) and s_evid = a.(b + 6) in
-      cur_k := k;
-      cur_d := d;
-      cur_ph := ph;
-      progress := 0;
-      (* deviant move *)
-      (if dev >= 0 && (ph >= m.nphases || m.phase_of.(dev) = ph) then
-         match m.sugg_id.(dev) with
-         | None -> ()
-         | Some _aid ->
-             let is_t = job.targets.(dev) in
-             if job.stall && is_t then ()
-             else begin
-               let pbit =
-                 if ph < m.nphases then ph else max 0 (m.nphases - 1)
-               in
-               (* Evidence bits are only ever read by the *current* phase's
-                  checkpoint, so bits set in the coda (no checkpoint left)
-                  would inflate state identity without changing any future
-                  read.  Dropping them merges histories exactly. *)
-               let in_phase = ph < m.nphases in
-               let acted =
-                 if is_t && in_phase then s_acted lor (1 lsl pbit) else s_acted
-               in
-               let evid =
-                 if is_t && in_phase && job.covered.(dev) then
-                   s_evid lor (1 lsl pbit)
-                 else s_evid
-               in
-               if is_t then Scenario.act tally ~pbit ~depth:(d + 1);
-               push m.dst_of.(dev) f ph acted evid m.dev_lbl.(dev)
-                 m.dst_of.(dev)
-             end);
-      (* the faithful representative's move *)
-      (if ph >= m.nphases || m.phase_of.(f) = ph then
-         match m.sugg_id.(f) with
-         | None -> ()
-         | Some aid -> push dev m.dst_of.(f) ph s_acted s_evid aid m.dst_of.(f));
-      (* checkpoint: fires exactly when nobody remains inside the phase *)
-      if ph < m.nphases then begin
-        let someone_inside =
-          (dev >= 0 && m.phase_of.(dev) = ph) || m.phase_of.(f) = ph
-        in
-        if not someone_inside then begin
-          if
-            Scenario.checkpoint tally m ~ph ~acted:s_acted ~evid:s_evid
-              ~depth:(d + 1)
-          then Scenario.escape tally m ~ph (witness_of k);
-          (* Bits from phases <= ph are dead once this checkpoint has
-             fired (each phase's bit is read exactly once, here), so the
-             successor enters the next phase with cleared bitsets —
-             merging all same-position histories into one state. *)
-          push dev f (ph + 1) 0 0 m.cp_lbl.(ph) (-1)
-        end
-      end;
-      (* deadlock: the current phase can never reach its certifier *)
-      if !progress = 0 && ph < m.nphases then
-        Scenario.deadlock tally m job ~ph ~dev ~depth:(d + 1)
-    end
-  done;
-  scratch.sc_q <- !q;
-  Scenario.result tally ~truncated:!truncated ~states:!count
-
 (* ---- verdicts and the static frontier ---- *)
 
 type sverdict =
@@ -688,7 +397,6 @@ let run ?(bound = 200_000) ?(adversary = Dev.all) ?(obs = Obs.noop) ~graph
     Obs.span obs ~cat:"speccheck" "absint.flow" (fun () -> flow_fixpoint m ir)
   in
   let ftab = dependence_frontier_tables m ir fl in
-  let ns = Array.length m.states in
   match m.initial with
   | None ->
       {
@@ -708,43 +416,16 @@ let run ?(bound = 200_000) ?(adversary = Dev.all) ?(obs = Obs.noop) ~graph
         states_explored = 0;
         elapsed_s = Clock.s_since t0;
       }
-  | Some initial ->
+  | Some _ ->
       let plan = Scenario.make m ir ~graph ~adversary in
-      let encode =
-        if fits_int ~ns ~nphases:m.nphases then pack_int ~ns ~nphases:m.nphases
-        else pack_interned ()
+      (* the plan's product at two seats: the deviant and one faithful
+         representative *)
+      let s =
+        Obs.span obs ~cat:"speccheck" "absint.frontier" (fun () ->
+            Explore.search ~bound ~obs ~por:false ~domains:1
+              ~run:"abstract run" m plan ~seats:2)
       in
-      let scratch = scratch_create ns in
-      (* Distinct deviation labels frequently target the same action set,
-         and the abstract runner's result only depends on the job's
-         [Scenario.shape]. Identical shapes therefore share one
-         exploration, but only a clean result (no escape, no findings,
-         not truncated) is shared: every job whose search reports
-         something runs its own. *)
-      let shared = Hashtbl.create 16 in
-      let exec (job : Scenario.job) =
-        Obs.span obs ~cat:"speccheck"
-          ~args:[ ("scenario", Json.String job.label) ]
-          "absint.frontier"
-          (fun () ->
-            let key = Scenario.shape plan job in
-            match Hashtbl.find_opt shared key with
-            | Some o -> o
-            | None ->
-                let go ~track =
-                  run_ascenario m ~encode ~bound ~initial ~track ~scratch job
-                in
-                (* fast pass without parent tracking; only an escape needs
-                   a witness chain, so only then pay for the tracked
-                   re-run *)
-                let o = go ~track:false in
-                let o = if o.escape = None then o else go ~track:true in
-                if o.escape = None && o.findings = [] && not o.truncated then
-                  Hashtbl.add shared key o;
-                o)
-      in
-      let outs = List.map exec plan.Scenario.jobs in
-      let covered_mark = scratch.sc_covered in
+      let keyless = m.nphases > Statepack.max_phases in
       let findings = ref [] in
       let seen = Hashtbl.create 16 in
       let add_finding severity id location message =
@@ -777,7 +458,7 @@ let run ?(bound = 200_000) ?(adversary = Dev.all) ?(obs = Obs.noop) ~graph
         (fun (o : Scenario.result) ->
           states_total := !states_total + o.states;
           List.iter add o.findings)
-        outs;
+        s.Explore.results;
       let frontier =
         List.map
           (fun ((e : Scenario.entry), v) ->
@@ -794,7 +475,7 @@ let run ?(bound = 200_000) ?(adversary = Dev.all) ?(obs = Obs.noop) ~graph
               fr_phase;
               fr_distance;
             })
-          (Scenario.verdicts plan ~product:"abstract" outs)
+          (Scenario.verdicts plan ~product:"abstract" s.Explore.results)
       in
       List.iter
         (fun fr ->
@@ -815,7 +496,7 @@ let run ?(bound = 200_000) ?(adversary = Dev.all) ?(obs = Obs.noop) ~graph
                    | _ ->
                        " (and no certifier's evidence transitively depends \
                         on any output it perturbs)"))
-          | Struncated ->
+          | Struncated when not keyless ->
               add_finding Check.Warning "analysis-truncated"
                 (Dev.to_string fr.fr_dev)
                 (Printf.sprintf
@@ -823,9 +504,16 @@ let run ?(bound = 200_000) ?(adversary = Dev.all) ?(obs = Obs.noop) ~graph
                     static verdict is unknown"
                    bound
                    (Dev.to_string fr.fr_dev))
-          | Scertified _ | Sexempt _ -> ())
+          | Scertified _ | Sexempt _ | Struncated -> ())
         frontier;
-      List.iter add (Scenario.unexplored m ~product:"abstract" covered_mark);
+      if keyless then
+        add_finding Check.Warning "analysis-truncated" ir.Ir.name
+          (Printf.sprintf
+             "the spec has %d phases but packed product-state keys hold at \
+              most %d; frontier search skipped, every searched deviation is \
+              truncated"
+             m.nphases Statepack.max_phases)
+      else List.iter add (Scenario.unexplored m ~product:"abstract" s.covered);
       let elapsed_s = Clock.s_since t0 in
       if Obs.enabled obs then
         Obs.instant obs ~cat:"speccheck"

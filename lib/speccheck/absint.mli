@@ -24,18 +24,17 @@
     dependence masks, giving "certifier evidence transitively depends on an
     output the deviation perturbs" for frontier reporting.
 
-    {b 2. Abstract frontier run.} [Explore] runs the n-seat product;
-    here we run its two-seat abstraction — the deviant plus {e one}
-    faithful representative (faithful seats are symmetric, so one
-    representative preserves barrier structure, escape possibility and
-    stall wedges; detection depths only shrink with fewer seats, which is
-    exactly the soundness direction: the static depth is a lower bound on
-    the dynamic one). Both searches read the same [Machine] table and run
-    the same [Scenario] plan — exemptions, the orphan-label case, the
-    coalition analysis, the per-job evidence bookkeeping and the fold of
-    job results into verdicts — so only the seat model differs, verdict
-    {e kinds} agree, and [differential] compares two seat models of one
-    plan.
+    {b 2. Abstract frontier run.} [Explore.search] at two seats: the
+    deviant plus {e one} faithful representative (faithful seats are
+    symmetric, so one representative preserves barrier structure, escape
+    possibility and stall wedges; detection depths only shrink with fewer
+    seats, which is exactly the soundness direction: the static depth is
+    a lower bound on the dynamic one). It is the search [Explore.run]
+    makes of the same [Scenario] plan — exemptions, the orphan-label
+    case, the coalition analysis, the per-job evidence bookkeeping and
+    the fold of job results into verdicts — with the seat count as the
+    only difference (and POR off, on one domain), so verdict {e kinds}
+    agree and [differential] compares two seat counts of one search.
 
     Findings ([Check.finding] ids):
     - [cc-private-leak-flow], [ac-unmirrored-flow], [ac-undigested-flow]
@@ -48,7 +47,7 @@
       empty ledger;
     - [certifier-unreachable] / [false-accusation] / [phase-reentry] /
       [unexplored-state] (errors) — the reachability/liveness facts the
-      exploration also reports, derived here without the n-seat search;
+      exploration also reports, derived here from the two-seat search;
     - [analysis-skipped] / [analysis-truncated] (warnings). *)
 
 type summary = {
@@ -87,7 +86,10 @@ type t = {
   flows : summary list;  (** reachable actions, IR declaration order *)
   frontier : frontier list;  (** one entry per non-[Faithful] label *)
   findings : Check.finding list;
-  states_explored : int;  (** total abstract states across all scenarios *)
+  states_explored : int;
+      (** abstract states summed over the plan's jobs, as in
+          [Explore.stats]: a search shared by the jobs of one shape
+          counts once per job *)
   elapsed_s : float;
 }
 
@@ -102,9 +104,11 @@ val run :
     beyond any catalogue-sized IR, a pure safety net. [adversary]
     (default [Dev.all]) as with [Explore.run]. Never raises on malformed
     IRs (same contracts as [Explore.run]: self-loops, missing initial
-    skips with a warning, dedup bounds every loop). [obs]: the fixpoint
-    and each abstract scenario run under ["absint.flow"] /
-    ["absint.frontier"] spans and an ["absint.done"] instant reports
+    skips with a warning, more than [Statepack.max_phases] phases cuts
+    every search under one [analysis-truncated] warning, dedup bounds
+    every loop). [obs]: the fixpoint runs under an ["absint.flow"] span,
+    the two-seat search under one ["absint.frontier"] span holding
+    [Explore]'s per-search spans, and an ["absint.done"] instant reports
     totals. *)
 
 val differential : t -> Explore.outcome -> Check.finding list

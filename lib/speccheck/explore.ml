@@ -54,7 +54,7 @@ type store = {
 }
 
 let store_create w =
-  let cap = 1024 in
+  let cap = 64 in
   {
     w;
     keys = Array.make (cap * w) 0;
@@ -130,41 +130,62 @@ let intern st =
   end;
   !found
 
+(* What every search of one [search] call reads besides the job, built
+   once per call and never written afterwards, so the workers of one call
+   share it. [members.(ph)] lists the states a seat may step from while
+   the phase cursor is [ph], highest index first: the phase's own states,
+   and every state once the cursor passed the last phase. [moves] marks
+   the states with a suggested step, [invisible] POR's prunable steps per
+   (phase, state), all false when the reduction is off. *)
+type tables = {
+  members : int array array;
+  moves : bool array;
+  invisible : bool array;
+}
+
+let tables (m : Machine.t) ~por =
+  let ns = Array.length m.states and np = m.nphases in
+  let desc = List.init ns (fun i -> ns - 1 - i) in
+  {
+    members =
+      Array.init (np + 1) (fun ph ->
+          Array.of_list
+            (List.filter (fun i -> ph = np || m.phase_of.(i) = ph) desc));
+    moves = Array.map Option.is_some m.sugg_id;
+    invisible =
+      Array.init (np * ns) (fun x ->
+          por && Por.invisible m ~ph:(x / ns) (x mod ns));
+  }
+
 (* One scenario: BFS the product with [n] seats, one seat optionally
    running the deviation. [job.targets] marks states whose suggested
    action the deviation targets; [job.covered] marks states whose deviant
    execution deposits checkpoint evidence; [job.stall] models omission
    (the targeted step never completes, blocking the phase barrier).
-   [codec] lays out the keys; [por] enables the invisible-step reduction
-   (its acyclicity guard already held); [audit] checks every rewritten
-   key against a fresh packing of the successor and against a structural
-   map of the stored states. Returns the job's result, its frontier peak
-   and the states its seats occupied.
+   [codec] lays out the keys; [tb] holds the call's tables; [audit] checks
+   every rewritten key against a fresh packing of the successor and
+   against a structural map of the stored states. Returns the job's
+   result, its frontier peak and the states its seats occupied.
 
-   A state is expanded straight from its key: its lanes are decoded once,
+   A state is expanded straight from its key: its header and the counts
+   of the open phase's states are decoded once (no other count is read),
    the deviant's targeted step and the checkpoint are tallied, then each
    successor key is the parent's words with one or two lanes rewritten.
    Successors are visited checkpoint first, then faithful classes from
    the highest index down, then the deviant: that order fixes BFS
    insertion order, and with it every witness, finding and frontier peak
    the reports print. *)
-let run_scenario (m : Machine.t) codec ~audit ~por ~obs ~bound ~n ~initial st
-    (job : Scenario.job) =
+let run_scenario (m : Machine.t) tb codec ~audit ~obs ~bound ~n ~initial ~run
+    st (job : Scenario.job) =
   let ns = Array.length m.states and np = m.nphases in
   let depth_hist =
     match Obs.metrics obs with
     | None -> None
     | Some reg -> Some (Metrics.histogram reg "explore.depth")
   in
-  let tally = Scenario.tally m ~run:"run" in
+  let tally = Scenario.tally m ~run in
   let covered_mark = Array.make ns false in
-  let moves =
-    Array.map (function Some _ -> true | None -> false) m.sugg_id
-  in
-  let invisible =
-    Array.init (np * ns) (fun x ->
-        por && Por.invisible m ~ph:(x / ns) (x mod ns))
-  in
+  let moves = tb.moves and invisible = tb.invisible in
   store_reset st;
   let w = st.w in
   (* edge codes: [i] a faithful step from class [i], [ns + i] the
@@ -201,10 +222,11 @@ let run_scenario (m : Machine.t) codec ~audit ~por ~obs ~bound ~n ~initial st
   st.edge.(0) <- -1;
   if s0.Sp.dev >= 0 then covered_mark.(s0.Sp.dev) <- true;
   Array.iteri (fun i c -> if c > 0 then covered_mark.(i) <- true) s0.Sp.cnt;
-  (* the state being expanded: its index, depth and decoded lanes, and
-     the masks its deviant step would leave *)
+  (* the state being expanded: its index, depth, decoded header and the
+     counts of the open phase's states, and the masks its deviant step
+     would leave *)
   let cur = ref 0 and cur_d = ref 0 in
-  let lanes = Array.make (ns + 4) 0 in
+  let hd = Array.make 4 0 and cnt = Array.make ns 0 in
   let dv_acted = ref 0 and dv_evid = ref 0 in
   let head = ref 0 and frontier_max = ref 0 and progress = ref 0 in
   (* The audit's structural side: the true state of every stored index,
@@ -288,9 +310,13 @@ let run_scenario (m : Machine.t) codec ~audit ~por ~obs ~bound ~n ~initial st
       (* Frontier-size counter track, sampled every 256 expansions. *)
       if Obs.enabled obs && st.count land 255 = 0 then
         Obs.sample obs "explore.frontier" (float_of_int (st.count - !head));
-      Sp.unpack_into codec st.keys (i0 * w) lanes;
-      let dev = lanes.(ns) and ph = lanes.(ns + 1) in
-      let acted = lanes.(ns + 2) and evid = lanes.(ns + 3) in
+      Sp.unpack_header codec st.keys (i0 * w) hd;
+      let dev = hd.(0) and ph = hd.(1) and acted = hd.(2) and evid = hd.(3) in
+      let members = tb.members.(ph) in
+      for k = 0 to Array.length members - 1 do
+        let i = members.(k) in
+        cnt.(i) <- Sp.count codec st.keys (i0 * w) i
+      done;
       if audit then begin
         let s = Sp.unpack codec st.keys (i0 * w) in
         if not (same s !truth.(i0)) then collide s !truth.(i0)
@@ -320,8 +346,8 @@ let run_scenario (m : Machine.t) codec ~audit ~por ~obs ~bound ~n ~initial st
         && (not (dev >= 0 && m.phase_of.(dev) = ph))
         &&
         let inside = ref false in
-        for i = 0 to ns - 1 do
-          if lanes.(i) > 0 && m.phase_of.(i) = ph then inside := true
+        for k = 0 to Array.length members - 1 do
+          if cnt.(members.(k)) > 0 then inside := true
         done;
         not !inside
       in
@@ -338,12 +364,13 @@ let run_scenario (m : Machine.t) codec ~audit ~por ~obs ~bound ~n ~initial st
          POR-pruned to the lowest invisible class when the guard holds *)
       let pick = ref (-1) in
       if ph < np then
-        for i = ns - 1 downto 0 do
-          if lanes.(i) > 0 && invisible.((ph * ns) + i) then pick := i
+        for k = 0 to Array.length members - 1 do
+          let i = members.(k) in
+          if cnt.(i) > 0 && invisible.((ph * ns) + i) then pick := i
         done;
-      for i = ns - 1 downto 0 do
-        if lanes.(i) > 0 && (ph >= np || m.phase_of.(i) = ph) && moves.(i)
-        then begin
+      for k = 0 to Array.length members - 1 do
+        let i = members.(k) in
+        if cnt.(i) > 0 && moves.(i) then begin
           let inv = !pick >= 0 && invisible.((ph * ns) + i) in
           if (not inv) || i = !pick then begin
             let dst = m.dst_of.(i) in
@@ -381,8 +408,75 @@ let run_scenario (m : Machine.t) codec ~audit ~por ~obs ~bound ~n ~initial st
     !frontier_max,
     covered_mark )
 
-(* The acted/evidence masks of a packed key are 16 bits wide. *)
-let key_phase_limit = 16
+type search = {
+  results : Scenario.result list;
+  covered : bool array;
+  frontier_peak : int;
+  domains : int;
+}
+
+let search ?(bound = 50_000) ?(obs = Obs.noop) ?(por = true) ?(domains = 0)
+    ?(audit = false) ?(run = "run") (m : Machine.t) (plan : Scenario.plan)
+    ~seats =
+  let ns = Array.length m.states in
+  match m.initial with
+  | Some initial when m.nphases <= Sp.max_phases ->
+      let codec = Sp.make ~ns ~n:seats ~nphases:m.nphases in
+      let tb = tables m ~por:(por && Por.active m) in
+      let shapes, shape_of = Scenario.distinct plan in
+      (* Tracing sinks are not thread-safe, so an enabled obs pins the
+         fan-out to one domain; results are merged in job order either
+         way, so the outcome is identical. *)
+      let dom =
+        if Obs.enabled obs then 1
+        else
+          let req = if domains <= 0 then Pool.default_domains () else domains in
+          max 1 (min req (List.length shapes))
+      in
+      let exec st (job : Scenario.job) =
+        Obs.span obs ~cat:"speccheck"
+          ~args:[ ("scenario", Json.String job.Scenario.label) ]
+          "explore.scenario"
+          (fun () ->
+            run_scenario m tb codec ~audit ~obs ~bound ~n:seats ~initial ~run
+              st job)
+      in
+      (* one search per job shape, handed to every job of that shape *)
+      let searched =
+        Array.of_list
+          (Pool.map ~domains:dom
+             ~init:(fun () -> store_create (Sp.words codec))
+             exec shapes)
+      in
+      let covered = Array.make ns false and peak = ref 0 in
+      Array.iter
+        (fun (_, frontier, c) ->
+          peak := max !peak frontier;
+          Array.iteri (fun i b -> if b then covered.(i) <- true) c)
+        searched;
+      {
+        results =
+          Array.to_list
+            (Array.map
+               (fun k ->
+                 let r, _, _ = searched.(k) in
+                 r)
+               shape_of);
+        covered;
+        frontier_peak = !peak;
+        domains = dom;
+      }
+  | _ ->
+      (* no seed configuration, or more phases than a key holds *)
+      let cut =
+        Scenario.result (Scenario.tally m ~run) ~truncated:true ~states:0
+      in
+      {
+        results = List.map (fun _ -> cut) plan.Scenario.jobs;
+        covered = Array.make ns false;
+        frontier_peak = 0;
+        domains = 1;
+      }
 
 let undetected lbl witness =
   {
@@ -398,8 +492,6 @@ let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
     ?(por = true) ?(domains = 0) ?(audit = false) ~graph (ir : Ir.t) =
   let t0 = Clock.now_ns () in
   let m = Machine.build ir in
-  let n = G.n graph in
-  let ns = Array.length m.states in
   let por = por && Por.active m in
   let skipped verdicts findings =
     {
@@ -431,141 +523,105 @@ let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
                no seed configuration; exploration skipped";
           };
         ]
-  | Some _ when m.nphases > key_phase_limit ->
-      (* Every label that needs a search is cut before it starts. *)
-      let plan = Scenario.make m ir ~graph ~adversary in
-      let cut =
-        Scenario.result (Scenario.tally m ~run:"run") ~truncated:true ~states:0
-      in
-      let verdicts =
-        List.map
-          (fun ((e : Scenario.entry), v) -> (e.Scenario.dev, of_scenario v))
-          (Scenario.verdicts plan ~product:"explored"
-             (List.map (fun _ -> cut) plan.Scenario.jobs))
-      in
-      skipped verdicts
-        ({
-           Check.id = "exploration-truncated";
-           severity = Check.Warning;
-           location = ir.Ir.name;
-           message =
-             Printf.sprintf
-               "the spec has %d phases but packed product-state keys hold at \
-                most %d (one acted and one evidence bit per phase); \
-                exploration skipped, every searched deviation is truncated"
-               m.nphases key_phase_limit;
-         }
-        :: List.filter_map
-             (function
-               | lbl, Undetected { witness } -> Some (undetected lbl witness)
-               | _ -> None)
-             verdicts)
-  | Some initial ->
-      let codec = Sp.make ~ns ~n ~nphases:m.nphases in
+  | Some _ ->
       let plan = Scenario.make m ir ~graph ~adversary in
       let njobs = List.length plan.Scenario.jobs in
-      let shapes, shape_of = Scenario.distinct plan in
-      (* Tracing sinks are not thread-safe, so an enabled obs pins the
-         fan-out to one domain; results are merged in job order either
-         way, so the outcome is identical. *)
-      let dom =
-        if Obs.enabled obs then 1
-        else
-          let req = if domains <= 0 then Pool.default_domains () else domains in
-          max 1 (min req (List.length shapes))
+      let s =
+        search ~bound ~obs ~por ~domains ~audit m plan ~seats:(G.n graph)
       in
-      let exec st (job : Scenario.job) =
-        Obs.span obs ~cat:"speccheck"
-          ~args:[ ("scenario", Json.String job.Scenario.label) ]
-          "explore.scenario"
-          (fun () ->
-            run_scenario m codec ~audit ~por ~obs ~bound ~n ~initial st job)
-      in
-      (* one search per job shape, handed to every job of that shape *)
-      let searched =
-        Array.of_list
-          (Pool.map ~domains:dom
-             ~init:(fun () -> store_create (Sp.words codec))
-             exec shapes)
-      in
-      let outs = Array.to_list (Array.map (Array.get searched) shape_of) in
-      (* deterministic merge, in job (= label) order *)
-      let covered_mark = Array.make ns false in
-      let findings = ref [] in
-      let seen = Hashtbl.create 16 in
-      let add (f : Check.finding) =
-        if not (Hashtbl.mem seen (f.Check.id, f.Check.location)) then begin
-          Hashtbl.add seen (f.Check.id, f.Check.location) ();
-          findings := f :: !findings
-        end
-      in
-      let states_total = ref 0 in
-      let frontier_max = ref 0 in
-      List.iter
-        (fun ((r : Scenario.result), frontier, covered) ->
-          states_total := !states_total + r.Scenario.states;
-          if frontier > !frontier_max then frontier_max := frontier;
-          Array.iteri (fun i b -> if b then covered_mark.(i) <- true) covered;
-          List.iter add r.Scenario.findings)
-        outs;
       let verdicts =
         List.map
           (fun ((e : Scenario.entry), v) -> (e.Scenario.dev, of_scenario v))
-          (Scenario.verdicts plan ~product:"explored"
-             (List.map (fun (r, _, _) -> r) outs))
+          (Scenario.verdicts plan ~product:"explored" s.results)
       in
-      List.iter
-        (fun (lbl, v) ->
-          match v with
-          | Undetected { witness } -> add (undetected lbl witness)
-          | Truncated ->
-              add
-                {
-                  Check.id = "exploration-truncated";
-                  severity = Check.Warning;
-                  location = Dev.to_string lbl;
-                  message =
-                    Printf.sprintf
-                      "the %d-state bound ran out while exploring %S: its \
-                       verdict is unknown"
-                      bound (Dev.to_string lbl);
-                }
-          | Detected _ | Exempt _ -> ())
-        verdicts;
-      List.iter add (Scenario.unexplored m ~product:"explored" covered_mark);
-      let covered_states =
-        List.filteri (fun i _ -> covered_mark.(i)) (Array.to_list m.states)
-      in
-      let elapsed_s = Clock.s_since t0 in
-      if Obs.enabled obs then
-        Obs.instant obs ~cat:"speccheck"
-          ~args:
-            [
-              ("states", Json.Int !states_total);
-              ("scenarios", Json.Int njobs);
-              ("frontier_peak", Json.Int !frontier_max);
-              ( "states_per_sec",
-                Json.Float
-                  (if elapsed_s > 0. then
-                     float_of_int !states_total /. elapsed_s
-                   else 0.) );
-            ]
-          "explore.done";
-      {
-        verdicts;
-        findings = List.rev !findings;
-        covered_states;
-        stats =
-          {
-            states_explored = !states_total;
-            frontier_peak = !frontier_max;
-            scenarios = njobs;
-            truncated =
-              List.exists
-                (fun (_, v) -> match v with Truncated -> true | _ -> false)
-                verdicts;
-            elapsed_s;
-            por;
-            domains = dom;
-          };
-      }
+      if m.nphases > Sp.max_phases then
+        (* Every label that needs a search was cut before it started. *)
+        skipped verdicts
+          ({
+             Check.id = "exploration-truncated";
+             severity = Check.Warning;
+             location = ir.Ir.name;
+             message =
+               Printf.sprintf
+                 "the spec has %d phases but packed product-state keys hold \
+                  at most %d (one acted and one evidence bit per phase); \
+                  exploration skipped, every searched deviation is truncated"
+                 m.nphases Sp.max_phases;
+           }
+          :: List.filter_map
+               (function
+                 | lbl, Undetected { witness } -> Some (undetected lbl witness)
+                 | _ -> None)
+               verdicts)
+      else begin
+        (* deterministic merge, in job (= label) order *)
+        let findings = ref [] in
+        let seen = Hashtbl.create 16 in
+        let add (f : Check.finding) =
+          if not (Hashtbl.mem seen (f.Check.id, f.Check.location)) then begin
+            Hashtbl.add seen (f.Check.id, f.Check.location) ();
+            findings := f :: !findings
+          end
+        in
+        let states_total = ref 0 in
+        List.iter
+          (fun (r : Scenario.result) ->
+            states_total := !states_total + r.Scenario.states;
+            List.iter add r.Scenario.findings)
+          s.results;
+        List.iter
+          (fun (lbl, v) ->
+            match v with
+            | Undetected { witness } -> add (undetected lbl witness)
+            | Truncated ->
+                add
+                  {
+                    Check.id = "exploration-truncated";
+                    severity = Check.Warning;
+                    location = Dev.to_string lbl;
+                    message =
+                      Printf.sprintf
+                        "the %d-state bound ran out while exploring %S: its \
+                         verdict is unknown"
+                        bound (Dev.to_string lbl);
+                  }
+            | Detected _ | Exempt _ -> ())
+          verdicts;
+        List.iter add (Scenario.unexplored m ~product:"explored" s.covered);
+        let covered_states =
+          List.filteri (fun i _ -> s.covered.(i)) (Array.to_list m.states)
+        in
+        let elapsed_s = Clock.s_since t0 in
+        if Obs.enabled obs then
+          Obs.instant obs ~cat:"speccheck"
+            ~args:
+              [
+                ("states", Json.Int !states_total);
+                ("scenarios", Json.Int njobs);
+                ("frontier_peak", Json.Int s.frontier_peak);
+                ( "states_per_sec",
+                  Json.Float
+                    (if elapsed_s > 0. then
+                       float_of_int !states_total /. elapsed_s
+                     else 0.) );
+              ]
+            "explore.done";
+        {
+          verdicts;
+          findings = List.rev !findings;
+          covered_states;
+          stats =
+            {
+              states_explored = !states_total;
+              frontier_peak = s.frontier_peak;
+              scenarios = njobs;
+              truncated =
+                List.exists
+                  (fun (_, v) -> match v with Truncated -> true | _ -> false)
+                  verdicts;
+              elapsed_s;
+              por;
+              domains = s.domains;
+            };
+        }
+      end

@@ -1,12 +1,13 @@
 (** Bounded-exhaustive exploration of the deviation product space.
 
-    One scenario = the product of [n] IR node machines (the closures
-    [Compile.machine] builds, read from the shared [Machine] table with
-    the same undefined-transition self-loop semantics), with at most one
-    node running a deviation from the [Dev.t] library. Which scenarios run
-    for each label, and how their results fold into its verdict, is the
-    [Scenario] plan [Absint] runs too; only the seat model (here the
-    n-seat counts vector) and the search belong to this module. The BFS branches on
+    One scenario = the product of [n] IR node machines, read from the
+    shared [Machine] table (an undefined transition self-loops), with at
+    most one node running a deviation from the [Dev.t] library. Which
+    scenarios run for each label, and how their results fold into its
+    verdict, is the [Scenario] plan; the search is this module's, and its
+    seat count is an input: [run] searches with the topology's [n]
+    seats, and [Absint]'s static frontier is the same [search] at two
+    (the deviant and one faithful representative). The BFS branches on
     *which node steps next* — since each state carries at most one
     suggested action, that single choice enumerates every interleaving of
     equal-timestamp deliveries that [Damd_sim.Engine]'s documented FIFO
@@ -114,6 +115,36 @@ type outcome = {
   stats : stats;
 }
 
+type search = {
+  results : Scenario.result list;  (** one per plan job, in plan order *)
+  covered : bool array;
+      (** per chain state: some seat occupied it in some search *)
+  frontier_peak : int;  (** largest BFS frontier of any search *)
+  domains : int;  (** fan-out width actually used *)
+}
+
+val search :
+  ?bound:int ->
+  ?obs:Damd_obs.Obs.t ->
+  ?por:bool ->
+  ?domains:int ->
+  ?audit:bool ->
+  ?run:string ->
+  Machine.t ->
+  Scenario.plan ->
+  seats:int ->
+  search
+(** The product search of a plan with [seats] seats: one BFS per
+    [Scenario.shape], its result handed to every job of that shape.
+    [bound], [obs], [por], [domains] and [audit] are as for [run] below;
+    the optional [run] (default ["run"]) names the all-faithful search in
+    its [false-accusation] message. [run] searches with the graph's [n]
+    seats; [Absint] searches with two (the deviant and one faithful
+    representative), POR off, on one domain. When the machine has no
+    initial state or more than [Statepack.max_phases] phases nothing is
+    searched: every job's result is truncated at 0 states and no state
+    is covered. *)
+
 val run :
   ?bound:int ->
   ?adversary:Dev.t list ->
@@ -127,12 +158,12 @@ val run :
 (** [bound] (default 50_000) caps canonical states *per scenario*;
     [adversary] (default [Dev.all]) is the label vocabulary to sweep, as
     with [Check.check_ir]. Never raises on malformed IRs: undefined
-    transitions self-loop (the [Compile.machine] contract), an undeclared
-    initial state skips exploration with an [exploration-truncated]
-    warning, and every loop is bounded by dedup plus [bound]. An IR with
-    more than 16 phases (the [Statepack] key limit) is not explored
-    either: every label that needs a search is [Truncated], under one
-    [exploration-truncated] warning naming the limit.
+    transitions self-loop, an undeclared initial state skips exploration
+    with an [exploration-truncated] warning, and every loop is bounded by
+    dedup plus [bound]. An IR with more than [Statepack.max_phases] (62)
+    phases is not explored either: every label that needs a search is
+    [Truncated], under one [exploration-truncated] warning naming the
+    limit.
 
     [por] (default true) enables the invisible-step partial-order
     reduction; it self-disables (see [Por]) when the in-phase

@@ -6,11 +6,11 @@
     This IR is the declarative counterpart: finite state set, typed actions
     carrying their §3.4 class and declared input dependencies, an explicit
     transition table, the suggested-play map, and the phase decomposition
-    with checkpoint markers (§3.8–3.9). [Compile.machine] turns an IR into
-    the closure form (so the IR is the single source of truth and drift is
-    impossible), and [Check] evaluates Prop. 2's structural preconditions —
-    strong-CC / strong-AC candidacy, phase discipline — without a single
-    simulation step. *)
+    with checkpoint markers (§3.8–3.9). [Machine] indexes an IR once for
+    every checker (an undefined transition self-loops), so the IR is the
+    single source of truth, and [Check] evaluates Prop. 2's structural
+    preconditions — strong-CC / strong-AC candidacy, phase discipline —
+    without a single simulation step. *)
 
 type input =
   | Private_info

@@ -65,7 +65,7 @@ let build (ir : Ir.t) =
           | Some aid -> (
               match Hashtbl.find_opt step (s ^ "\x00" ^ aid) with
               | Some d -> Option.value ~default:i (Hashtbl.find_opt index d)
-              | None -> i (* the Compile.machine self-loop *)))
+              | None -> i (* an undefined transition self-loops *)))
         states;
     phase_of =
       Array.map

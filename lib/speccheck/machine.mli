@@ -1,12 +1,12 @@
 (** The spec IR indexed once for the checkers, plus the §4.3 evidence
     model they all share.
 
-    [Explore] (n seats), [Absint] (two seats), [Tla] (TLC emission) and
-    [Por] (the reduction guard) all read one table: the suggested play
-    of every chain state with the [Compile.machine] semantics —
-    undefined transitions self-loop — and the phase each state belongs
-    to. Lookups take the first binding of every key, as the
-    [Ir.suggested_action] / [Ir.find_action] / [Ir.step] /
+    [Explore] (its search at n seats, and at two for [Absint]), [Tla]
+    (TLC emission) and [Por] (the reduction guard) all read one table:
+    the suggested play of every chain state — an undefined transition,
+    or one that leaves the declared states, self-loops — and the phase
+    each state belongs to. Lookups take the first binding of every key,
+    as the [Ir.suggested_action] / [Ir.find_action] / [Ir.step] /
     [Ir.phase_of_state] scans do, so shadowed duplicates never win; the
     build is O(|IR|) through hash tables. *)
 

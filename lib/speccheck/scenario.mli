@@ -1,7 +1,7 @@
-(** The §4.3 scenario plan shared by [Explore] (n seats) and [Absint]
-    (two seats): which searches run for each deviation label, what one
-    search records, and how a label's search results fold back into its
-    verdict.
+(** The §4.3 scenario plan that [Explore.search] runs, at n seats for
+    [Explore.run] and at two for [Absint]: which searches run for each
+    deviation label, what one search records, and how a label's search
+    results fold back into its verdict.
 
     A label is settled without search when the checking story exempts it
     ([Machine.exemptions]), or when no catalogue action targets it (an
@@ -11,11 +11,10 @@
     (principal, colluding checker) neighbor pairs, the class being "the
     principal has a neighbor besides the checker". One all-faithful job
     closes the plan. Many labels target the same states, so jobs that
-    differ only in their label share one [shape]: [Explore] searches each
-    shape once and hands the result to every job of it, and [Absint]
-    shares a shape's result when it is clean. The two searches differ
-    only in their seat model; the plan, the shapes, the per-job
-    bookkeeping and the fold are this module. *)
+    differ only in their label share one [shape]: the search runs each
+    shape once and hands the result to every job of it. The seat count
+    is the search's input; the plan, the shapes, the per-job bookkeeping
+    and the fold are this module. *)
 
 type job = {
   label : string;  (** e.g. ["drop-routing-copies[honest-nbrs]"] *)
@@ -66,7 +65,7 @@ val make :
 
 val shape : plan -> job -> string
 (** The job's shape: its targets, coverage mask, [stall], [has_deviant]
-    and [faithful] — everything either search reads, so jobs of one
+    and [faithful] — everything the search reads, so jobs of one
     shape get one result and differ only in [label]. On the stock spec
     the 19 jobs of a torus plan have 12 shapes. *)
 

@@ -45,9 +45,13 @@ let l_ph c = c.ns + 1
 let l_acted c = c.ns + 2
 let l_evid c = c.ns + 3
 
+(* A mask lane is [nphases] bits of one word, and every phase bit must
+   stay a positive int. *)
+let max_phases = 62
+
 let make ~ns ~n ~nphases =
-  if nphases > 16 then
-    invalid_arg "Statepack.make: more than 16 phases (mask lanes hold 16)";
+  if nphases > max_phases then
+    invalid_arg "Statepack.make: more than 62 phases (mask lanes hold 62)";
   let width l =
     if l < ns then bits_for n
     else if l = ns then bits_for ns
@@ -105,21 +109,21 @@ let pack c (s : state) key off =
     key.(i) <- key.(i) lor (v lsl c.shift.(l))
   done
 
-let unpack_into c key off lanes =
-  for l = 0 to c.ns + 3 do
-    lanes.(l) <- get c key off l
-  done;
-  lanes.(l_dev c) <- lanes.(l_dev c) - 1
+let count c key off i = get c key off i
+
+let unpack_header c key off h =
+  h.(0) <- get c key off (l_dev c) - 1;
+  h.(1) <- get c key off (l_ph c);
+  h.(2) <- get c key off (l_acted c);
+  h.(3) <- get c key off (l_evid c)
 
 let unpack c key off =
-  let l = Array.make (c.ns + 4) 0 in
-  unpack_into c key off l;
   {
-    dev = l.(c.ns);
-    cnt = Array.sub l 0 c.ns;
-    ph = l.(c.ns + 1);
-    acted = l.(c.ns + 2);
-    evid = l.(c.ns + 3);
+    dev = get c key off (l_dev c) - 1;
+    cnt = Array.init c.ns (count c key off);
+    ph = get c key off (l_ph c);
+    acted = get c key off (l_acted c);
+    evid = get c key off (l_evid c);
   }
 
 (* Counts stay within 0..n, so one seat leaving [src] and one arriving at

@@ -31,11 +31,14 @@ type state = {
 
 type codec
 
+val max_phases : int
+(** 62: the most phases a key holds. Each acted/evid lane is [nphases]
+    bits of one word, and every phase bit stays a positive int. *)
+
 val make : ns:int -> n:int -> nphases:int -> codec
 (** Lays out the lanes for states with [ns]-length [cnt] vectors, counts
     in [0..n], and phase cursor in [0..nphases]. Raises
-    [Invalid_argument] when [nphases > 16] (the acted/evid lanes, like
-    the bitmasks [Explore] keeps, hold at most 16 phases). *)
+    [Invalid_argument] when [nphases > max_phases]. *)
 
 val words : codec -> int
 (** Ints per key. *)
@@ -51,10 +54,14 @@ val fits_int : codec -> bool
 val pack : codec -> state -> int array -> int -> unit
 (** [pack c s key off] writes the fresh packing of [s] at [off]. *)
 
-val unpack_into : codec -> int array -> int -> int array -> unit
-(** [unpack_into c key off lanes] decodes the key at [off] into [lanes]
-    (length ≥ [ns + 4]): the counts at [0..ns-1], then [dev], [ph],
-    [acted] and [evid]. *)
+val unpack_header : codec -> int array -> int -> int array -> unit
+(** [unpack_header c key off h] decodes the key at [off]'s [dev], [ph],
+    [acted] and [evid] into [h.(0)] .. [h.(3)]. *)
+
+val count : codec -> int array -> int -> int -> int
+(** [count c key off i] decodes one count: the faithful seats at chain
+    state [i]. A search reads only the counts of the open phase's
+    states. *)
 
 val unpack : codec -> int array -> int -> state
 (** The decoded key as a record; [unpack c key off] after

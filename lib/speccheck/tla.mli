@@ -9,7 +9,7 @@
 
     - chain states → the [States] string set and per-seat [pos] variable;
     - the suggested play → [Faithful(i)]/[Deviant] next-state actions
-      (undefined transitions self-loop, the [Compile.machine] contract);
+      (an undefined transition self-loops, as in [Machine]);
     - phases → the [ph] cursor and the [Checkpoint] action, which fires
       exactly when no seat's state belongs to the open phase;
     - the §4.3 claims → the [DetectionComplete] and [NoFalseAccusation]

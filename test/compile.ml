@@ -1,5 +1,6 @@
 module Sm = Damd_core.State_machine
 module Action = Damd_core.Action
+module Ir = Damd_speccheck.Ir
 
 let machine (ir : Ir.t) : (string, string) Sm.t =
   {

@@ -1,4 +1,5 @@
-(** Compiler from the spec IR to the executable closure form.
+(** Compiler from the spec IR to the executable closure form, the
+    reference the tests step and hold [Machine]'s table to.
 
     [machine ir] is the [Damd_core.State_machine.t] whose behaviour is
     exactly the IR's tables: states and actions are their IR names, the
@@ -16,8 +17,9 @@
     strategies may, and the self-loop makes the deviation visible to
     [State_machine.deviation_point] instead of raising. *)
 
-val machine : Ir.t -> (string, string) Damd_core.State_machine.t
+val machine :
+  Damd_speccheck.Ir.t -> (string, string) Damd_core.State_machine.t
 
-val suggested_path : Ir.t -> max_steps:int -> string list
+val suggested_path : Damd_speccheck.Ir.t -> max_steps:int -> string list
 (** The action sequence of suggested play from the initial state — the
     spec's one honest trace, handy for tests and reports. *)

@@ -10,7 +10,6 @@ module Phase = Damd_core.Phase
 module Gen = Damd_graph.Gen
 module Ir = Damd_speccheck.Ir
 module Fpss_spec = Damd_speccheck.Fpss_spec
-module Compile = Damd_speccheck.Compile
 module Check = Damd_speccheck.Check
 module Mutate = Damd_speccheck.Mutate
 module Lint = Damd_speccheck.Lint
@@ -684,17 +683,15 @@ let test_scenario_shapes () =
 
 (* --- the packed-key limits ------------------------------------------------ *)
 
-(* The stock spec plus 14 empty phases: 18 phases, past the 16-bit
-   acted/evidence lanes of a packed key. Exploration must not raise:
-   every label that needs a search is [Truncated] under one warning that
-   names the limit, so detection-completeness fails, while the static
-   pass, which keys its own states, still runs. *)
-let ir_18_phases =
+(* The stock spec padded with empty phases to [n] phases. *)
+let ir_padded n =
   {
     ir with
     Ir.phases =
       ir.Ir.phases
-      @ List.init 14 (fun i ->
+      @ List.init
+          (n - List.length ir.Ir.phases)
+          (fun i ->
             {
               Ir.pname = Printf.sprintf "pad-%d" i;
               members = [];
@@ -702,8 +699,14 @@ let ir_18_phases =
             });
   }
 
+(* 63 phases, past the 62-bit acted/evidence lanes of a packed key.
+   Exploration must not raise: every label that needs a search is
+   [Truncated] under one warning that names the limit, so
+   detection-completeness fails, and the static pass, which searches on
+   the same keys, still reports a frontier row per label. *)
 let test_explore_phase_limit () =
-  let o = Explore.run ~graph:(fig1 ()) ir_18_phases in
+  let ir_63_phases = ir_padded 63 in
+  let o = Explore.run ~graph:(fig1 ()) ir_63_phases in
   check Alcotest.int "one verdict per label" 20
     (List.length o.Explore.verdicts);
   List.iter
@@ -717,24 +720,47 @@ let test_explore_phase_limit () =
     (Alcotest.list Alcotest.string)
     "one warning" [ "exploration-truncated" ]
     (finding_ids o.Explore.findings);
-  check Alcotest.bool "the warning names the 16-phase limit" true
+  check Alcotest.bool "the warning names the 62-phase limit" true
     (List.exists
-       (fun f -> Astring.String.is_infix ~affix:"at most 16" f.Check.message)
+       (fun f -> Astring.String.is_infix ~affix:"at most 62" f.Check.message)
        o.Explore.findings);
   check Alcotest.bool "stats report truncation" true
     o.Explore.stats.Explore.truncated;
   let r =
     Verify.run ~observed:stock_observations ~graph:(fig1 ()) ~topology:"fig1"
-      ir_18_phases
+      ir_63_phases
   in
   check Alcotest.bool "verify: detection incomplete" false
     (Verify.detection_complete r);
   let a =
     Analyze.run ~differential:true ~graph:(fig1 ()) ~topology:"fig1"
-      ir_18_phases
+      ir_63_phases
   in
   check Alcotest.int "static frontier rows" 20
     (List.length a.Analyze.result.Absint.frontier)
+
+(* 18 phases fit a key: the stock spec padded with 14 empty phases
+   explores to the stock verdicts, and its two-seat frontier is the stock
+   frontier, sound against the n-seat search. *)
+let test_explore_18_phases () =
+  let ir_18_phases = ir_padded 18 in
+  let o = Explore.run ~graph:(fig1 ()) ir_18_phases in
+  check Alcotest.bool "explore: the stock verdicts, none truncated" true
+    (o.Explore.verdicts = (Lazy.force stock_outcome).Explore.verdicts);
+  let a =
+    Analyze.run ~differential:true ~graph:(fig1 ()) ~topology:"fig1"
+      ir_18_phases
+  in
+  check Alcotest.bool "analyze: no truncated row" false
+    (List.exists
+       (fun fr -> fr.Absint.fr_verdict = Absint.Struncated)
+       a.Analyze.result.Absint.frontier);
+  check Alcotest.bool "analyze: the stock frontier" true
+    (a.Analyze.result.Absint.frontier
+    = (Analyze.run ~graph:(fig1 ()) ~topology:"fig1" ir).Analyze.result
+        .Absint.frontier);
+  check Alcotest.(option bool) "analyze --differential sound" (Some true)
+    (Analyze.frontier_sound a)
 
 (* Past 65 535 seats a 16-bit count lane drops the high bits:
    (1, 69 999, 0) and (65 537, 4 463, 0) agree in their low 16 bits lane
@@ -999,24 +1025,47 @@ let test_analyze_stock () =
     (List.length r.Analyze.result.Absint.frontier);
   check Alcotest.bool "abstract states were explored" true
     (r.Analyze.result.Absint.states_explored > 0);
-  (* the paper's by-design exemptions survive the abstraction, and every
-     other label gets a positive certified depth *)
-  List.iter
-    (fun (f : Absint.frontier) ->
+  (* E25's frontier, label by label: the paper's by-design exemptions
+     survive the abstraction, and every other label is certified at the
+     two-seat depth of its certifier (3/4 DATA1 and EXEC, 5/6 BANK1, 7/8
+     BANK2, 10 for the progress timeout) in that certifier's phase *)
+  let row (f : Absint.frontier) =
+    ( Dev.to_string f.Absint.fr_dev,
       match f.Absint.fr_verdict with
-      | Absint.Sexempt _ ->
-          check Alcotest.bool
-            (Dev.to_string f.Absint.fr_dev ^ ": exemption is by design")
-            true
-            (List.mem_assoc f.Absint.fr_dev Machine.exemptions)
-      | Absint.Scertified { depth; _ } ->
-          check Alcotest.bool
-            (Dev.to_string f.Absint.fr_dev ^ ": positive static depth")
-            true (depth > 0)
-      | Absint.Sblind _ | Absint.Struncated ->
-          Alcotest.failf "%s not statically certified"
-            (Dev.to_string f.Absint.fr_dev))
-    r.Analyze.result.Absint.frontier;
+      | Absint.Scertified { depth; certifier; phase } ->
+          Printf.sprintf "certified %d %s %d" depth
+            (Option.value ~default:"timeout" certifier)
+            phase
+      | Absint.Sexempt _ -> "exempt"
+      | Absint.Sblind _ -> "blind"
+      | Absint.Struncated -> "truncated" )
+  in
+  check
+    Alcotest.(list (pair string string))
+    "the fig1 frontier"
+    [
+      ("byzantine-arbitrary", "certified 8 BANK2 2");
+      ("collude-with", "certified 7 BANK2 2");
+      ("combined-pricing-attack", "certified 8 BANK2 2");
+      ("combined-routing-attack", "certified 6 BANK1 1");
+      ("corrupt-cost-forward", "certified 3 DATA1 0");
+      ("corrupt-pricing-copies", "certified 8 BANK2 2");
+      ("corrupt-routing-copies", "certified 6 BANK1 1");
+      ("drop-pricing-copies", "certified 8 BANK2 2");
+      ("drop-routing-copies", "certified 6 BANK1 1");
+      ("inconsistent-cost", "certified 4 DATA1 0");
+      ("lying-checker", "exempt");
+      ("misattribute-payments", "certified 3 EXEC 3");
+      ("miscompute-pricing", "certified 7 BANK2 2");
+      ("miscompute-routing", "certified 5 BANK1 1");
+      ("misreport-cost", "exempt");
+      ("misroute-packets", "certified 4 EXEC 3");
+      ("silent-in-construction", "certified 10 timeout -1");
+      ("spoof-pricing-update", "certified 8 BANK2 2");
+      ("spoof-routing-update", "certified 6 BANK1 1");
+      ("underreport-payments", "certified 3 EXEC 3");
+    ]
+    (List.map row r.Analyze.result.Absint.frontier);
   (* flow layer: the only private output on the stock spec is the
      post-settlement payment report — everything pre-settlement is public *)
   List.iter
@@ -1148,6 +1197,62 @@ let prop_absint_frontier_sound =
               (String.concat "; "
                  (List.map (fun f -> f.Check.message) gaps)))
 
+(* QCheck: the product search against its plain reference
+   (test/product_reference.ml: one Hashtbl-and-Queue BFS per job over
+   structural keys). On edited IRs, most with one seeded mutation on top
+   so that escapes (and with them witness text) occur, at two seats (the
+   static frontier's search) and at three, POR off, every plan job's
+   result — witness text, states, lag, certifier, phase, timeout,
+   findings, truncation — and the covered states must be the
+   reference's exactly. *)
+let show_result (r : Damd_speccheck.Scenario.result) =
+  let module Scenario = Damd_speccheck.Scenario in
+  Printf.sprintf
+    "escape %s, timeout %s, lag %d, certifier %s, phase %d, states %d, \
+     truncated %b, findings [%s]"
+    (Option.value ~default:"-" r.Scenario.escape)
+    (Option.fold ~none:"-" ~some:string_of_int r.Scenario.timeout)
+    r.Scenario.lag
+    (Option.value ~default:"-" r.Scenario.certifier)
+    r.Scenario.cert_phase r.Scenario.states r.Scenario.truncated
+    (String.concat "; " (finding_ids r.Scenario.findings))
+
+let prop_search_equals_reference =
+  let module Scenario = Damd_speccheck.Scenario in
+  QCheck.Test.make
+    ~name:"product search = structural BFS reference (2 and 3 seats)"
+    ~count:200
+    QCheck.(
+      pair
+        (triple small_nat small_nat small_nat)
+        (int_bound (List.length Mutate.names)))
+    (fun (triple, k) ->
+      let edited, graph =
+        let e = edited_ir triple in
+        match List.nth_opt Mutate.names k with
+        | Some name -> Option.get (Mutate.apply name (e, fig1 ()))
+        | None -> (e, fig1 ())
+      in
+      let m = Machine.build edited in
+      let plan = Scenario.make m edited ~graph ~adversary:Dev.all in
+      List.for_all
+        (fun seats ->
+          let s =
+            Explore.search ~bound:1500 ~por:false ~domains:1 m plan ~seats
+          in
+          let results, covered =
+            Product_reference.search ~bound:1500 m plan ~seats
+          in
+          List.iter2
+            (fun (job : Scenario.job) (a, b) ->
+              if a <> b then
+                QCheck.Test.fail_reportf "%d seats, job %s:\n%s\nvs\n%s" seats
+                  job.Scenario.label (show_result a) (show_result b))
+            plan.Scenario.jobs
+            (List.combine s.Explore.results results);
+          s.Explore.covered = covered)
+        [ 2; 3 ])
+
 let suites =
   [
     ( "speccheck.check",
@@ -1203,7 +1308,7 @@ let suites =
           test_parallel_matches_sequential;
         Alcotest.test_case "4x4 torus at scale (POR on = POR off)" `Slow
           test_explore_torus_scale;
-        Alcotest.test_case "more than 16 phases truncates" `Quick
+        Alcotest.test_case "more than 62 phases truncates" `Quick
           test_explore_phase_limit;
         Alcotest.test_case "one search per job shape" `Quick
           test_scenario_shapes;
@@ -1216,6 +1321,7 @@ let suites =
           prop_statepack_rewrite_is_fresh_pack;
         Alcotest.test_case "audit on multi-word keys" `Quick
           test_explore_audit_wide_layouts;
+        Alcotest.test_case "18 phases explore" `Quick test_explore_18_phases;
       ] );
     ( "speccheck.tla",
       [
@@ -1243,5 +1349,6 @@ let suites =
         Alcotest.test_case "analyze table consistent" `Quick
           test_analyze_table_consistent;
         QCheck_alcotest.to_alcotest prop_absint_frontier_sound;
+        QCheck_alcotest.to_alcotest prop_search_equals_reference;
       ] );
   ]
