@@ -59,6 +59,22 @@ let number of_string what s =
 let at_least lo flag v =
   if v < lo then input_error "bad --%s %d (expected %d or more)" flag v lo
 
+(* Every float the CLI takes is finite (a nan cost never lets the tables
+   settle), probabilities lie in [0, 1], and declared costs and rates are
+   not negative. [what] names the flag or spec the value came from. *)
+let finite what v =
+  if Float.is_finite v then v
+  else input_error "bad %s: %g (expected a finite number)" what v
+
+let non_negative what v =
+  if finite what v >= 0. then v else input_error "bad %s: %g (expected 0 or more)" what v
+
+let probability what v =
+  if finite what v >= 0. && v <= 1. then v
+  else input_error "bad %s: %g (expected a probability in [0, 1])" what v
+
+let float_param what s = finite what (number float_of_string_opt what s)
+
 (* [as:N:M] also carries commercial edge annotations; commands that only
    need the graph take [parse_topology], the topo inspector keeps them.
    The generators' preconditions are checked here, before they run. *)
@@ -97,7 +113,7 @@ let parse_topology_full spec seed =
       let n = int n in
       need (n >= 3) "N >= 3";
       ( Gen.erdos_renyi rng ~n
-          ~p:(number float_of_string_opt what p)
+          ~p:(probability what (number float_of_string_opt what p))
           (Gen.Uniform_int (1, 10)),
         None )
   | [ "ba"; n; m ] ->
@@ -136,15 +152,14 @@ let parse_deviation spec =
   | node :: kind :: rest -> (
       let node = int node in
       let param default =
-        match rest with
-        | [ p ] -> number float_of_string_opt what p
-        | _ -> default
+        match rest with [ p ] -> float_param what p | _ -> default
       in
+      let cost default = non_negative what (param default) in
       let iparam () = match rest with [ p ] -> int p | _ -> fail () in
       let deviation =
         match kind with
-        | "misreport" -> Adversary.Misreport_cost (param 5.)
-        | "inconsistent" -> Adversary.Inconsistent_cost (1., param 8.)
+        | "misreport" -> Adversary.Misreport_cost (cost 5.)
+        | "inconsistent" -> Adversary.Inconsistent_cost (1., cost 8.)
         | "corrupt-cost" -> Adversary.Corrupt_cost_forward (param 3.)
         | "drop-routing" -> Adversary.Drop_routing_copies
         | "drop-pricing" -> Adversary.Drop_pricing_copies
@@ -166,6 +181,9 @@ let parse_deviation spec =
 
 let run_routing topology seed deviants no_checking no_copies deferred latency loss
     hotspots rate verbose =
+  let rate = non_negative "--rate" rate in
+  let loss = Option.map (probability "--loss") loss in
+  at_least 0 "hotspots" hotspots;
   let g = parse_topology topology seed in
   let n = Graph.n g in
   let traffic =
@@ -178,6 +196,10 @@ let run_routing topology seed deviants no_checking no_copies deferred latency lo
       let who, d = parse_deviation spec in
       if who < 0 || who >= n then
         input_error "deviant node %d out of range" who;
+      (match d with
+      | Adversary.Collude_with p when p < 0 || p >= n ->
+          input_error "bad --deviant %S: principal %d is not a node" spec p
+      | _ -> ());
       deviations.(who) <- d)
     deviants;
   let params =
@@ -394,15 +416,13 @@ let parse_election_deviation spec =
   | node :: kind :: rest -> (
       let node = number int_of_string_opt what node in
       let param default =
-        match rest with
-        | [ p ] -> number float_of_string_opt what p
-        | _ -> default
+        match rest with [ p ] -> float_param what p | _ -> default
       in
       let deviation =
         match kind with
         | "underbid" -> Election.Underbid_power
         | "overbid" -> Election.Overbid_power (param 3.)
-        | "misreport-cost" -> Election.Misreport_cost (param 0.)
+        | "misreport-cost" -> Election.Misreport_cost (non_negative what (param 0.))
         | "inconsistent" -> Election.Inconsistent_bid (param 3.)
         | "corrupt-forward" -> Election.Corrupt_bid_forward (param 2.)
         | "miscompute-winner" -> Election.Miscompute_winner
@@ -415,6 +435,7 @@ let parse_election_deviation spec =
 let run_election topology seed deviants no_checking benefit =
   let module Election = Damd_faithful.Election in
   let module Leader = Damd_mech.Leader_election in
+  let benefit = finite "--benefit" benefit in
   let g = parse_topology topology seed in
   let n = Graph.n g in
   let profile = Leader.sample_profile ~n (Rng.create (seed + 10)) in
@@ -820,6 +841,9 @@ let run_tla deviation nodes seat stall isolated out cfg_out =
   let module Speccheck = Damd_speccheck in
   let module Tla = Speccheck.Tla in
   let module Dev = Speccheck.Dev in
+  at_least 1 "nodes" nodes;
+  if seat < 0 || seat > nodes then
+    input_error "bad --seat %d (expected 0 to --nodes %d)" seat nodes;
   let ir = Damd_speccheck.Fpss_spec.ir in
   let dev =
     match
@@ -909,6 +933,7 @@ let run_gauntlet campaigns seed weaken_s json_path replay no_shrink faults
     epsilon trace_out =
   let module Campaign = Damd_gauntlet.Campaign in
   at_least 1 "campaigns" campaigns;
+  let epsilon = Option.map (finite "--epsilon") epsilon in
   let weaken =
     match Campaign.weaken_of_string weaken_s with
     | Some w -> w

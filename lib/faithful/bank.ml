@@ -28,12 +28,15 @@ let checkpoint_costs nodes =
       };
     ]
 
-let checkpoint_for ~rule ~self_digest ~mirror_digest ~announced_digest nodes =
+(* Stock evidence mode: every checker's mirror digest and the digest of
+   the announcement it holds must equal the principal's self digest. *)
+let checkpoint_stock st nodes =
+  let rule = st.Node.bank_rule in
   let detections = ref [] in
   Array.iter
     (fun (node : Node.t) ->
       let p = node.Node.id in
-      let expected = self_digest node in
+      let expected = Node.self_digest st node in
       let problems = ref [] in
       List.iter
         (fun c ->
@@ -46,10 +49,10 @@ let checkpoint_for ~rule ~self_digest ~mirror_digest ~announced_digest nodes =
                paper's "without collusion" boundary (experiment E14). *)
             ()
           else begin
-            let mirror = mirror_digest checker ~principal:p in
+            let mirror = Node.mirror_digest st checker ~principal:p in
             if not (String.equal mirror expected) then
               problems := Printf.sprintf "checker %d mirror disagrees" c :: !problems;
-            match announced_digest checker ~principal:p with
+            match Node.announced_digest_of st checker ~principal:p with
             | None -> problems := Printf.sprintf "no announcement seen by %d" c :: !problems
             | Some announced ->
                 if not (String.equal announced expected) then
@@ -86,16 +89,16 @@ let checkpoint_for ~rule ~self_digest ~mirror_digest ~announced_digest nodes =
    (collective punishment) instead of an individual accusation. That is
    the graceful-degradation contract: faults and fault-shaped deviations
    cost progress, never honest reputations. *)
-let checkpoint_for_ft ~rule ~self_digest ~claimed_announced ~inputs_digest
-    ~mirror_inputs_digest ~mirror_digest ~announced_digest nodes =
+let checkpoint_ft st nodes =
+  let rule = st.Node.bank_rule in
   let detections = ref [] in
   let omissions = ref [] in
   Array.iter
     (fun (node : Node.t) ->
       let p = node.Node.id in
-      let expected = self_digest node in
-      let claimed = claimed_announced node in
-      let own_inputs = inputs_digest node in
+      let expected = Node.self_digest st node in
+      let claimed = Node.claimed_announced_digest st node in
+      let own_inputs = st.Node.inputs_digest node in
       let contradictions = ref [] in
       let omitted = ref [] in
       List.iter
@@ -103,9 +106,11 @@ let checkpoint_for_ft ~rule ~self_digest ~claimed_announced ~inputs_digest
           let checker = nodes.(c) in
           if Node.colludes_with checker ~principal:p then ()
           else begin
-            let mirror = mirror_digest checker ~principal:p in
+            let mirror = Node.mirror_digest st checker ~principal:p in
             if not (String.equal mirror expected) then begin
-              if String.equal (mirror_inputs_digest checker ~principal:p) own_inputs
+              if
+                String.equal (st.Node.mirror_inputs_digest checker ~principal:p)
+                  own_inputs
               then
                 contradictions :=
                   Printf.sprintf "checker %d mirror disagrees on matching inputs" c
@@ -115,11 +120,11 @@ let checkpoint_for_ft ~rule ~self_digest ~claimed_announced ~inputs_digest
                   Printf.sprintf "checker %d mirror ran on different inputs" c
                   :: !omitted
             end;
-            match announced_digest checker ~principal:p with
+            match Node.announced_digest_of st checker ~principal:p with
             | None -> omitted := Printf.sprintf "no announcement seen by %d" c :: !omitted
             | Some announced ->
                 if String.equal announced expected then ()
-                else if String.equal announced claimed then
+                else if Option.equal String.equal (Some announced) claimed then
                   contradictions :=
                     Printf.sprintf
                       "announcement to %d contradicts certified internal state" c
@@ -155,40 +160,11 @@ let checkpoint_for_ft ~rule ~self_digest ~claimed_announced ~inputs_digest
     ]
   else detections
 
-let checkpoint_routing ?(fault_tolerant = false) nodes =
-  if fault_tolerant then
-    checkpoint_for_ft ~rule:"BANK1" ~self_digest:Node.self_routing_digest
-      ~claimed_announced:Node.claimed_announced_routing_digest
-      ~inputs_digest:Node.routing_inputs_digest
-      ~mirror_inputs_digest:Node.mirror_routing_inputs_digest
-      ~mirror_digest:(fun c ~principal ->
-        Protocol.routing_digest (Node.mirror_routing c ~principal))
-      ~announced_digest:Node.announced_routing_digest_of nodes
-  else
-    checkpoint_for ~rule:"BANK1" ~self_digest:Node.self_routing_digest
-      ~mirror_digest:(fun c ~principal ->
-        Protocol.routing_digest (Node.mirror_routing c ~principal))
-      ~announced_digest:Node.announced_routing_digest_of nodes
+let checkpoint ~fault_tolerant st nodes =
+  if fault_tolerant then checkpoint_ft st nodes else checkpoint_stock st nodes
 
-let checkpoint_pricing ?(fault_tolerant = false) nodes =
-  if fault_tolerant then
-    checkpoint_for_ft ~rule:"BANK2" ~self_digest:Node.self_pricing_digest
-      ~claimed_announced:Node.claimed_announced_pricing_digest
-        (* a pricing mirror consumes both phases' inputs, so the omission
-           test compares the concatenation *)
-      ~inputs_digest:(fun node ->
-        Node.routing_inputs_digest node ^ Node.pricing_inputs_digest node)
-      ~mirror_inputs_digest:(fun c ~principal ->
-        Node.mirror_routing_inputs_digest c ~principal
-        ^ Node.mirror_pricing_inputs_digest c ~principal)
-      ~mirror_digest:(fun c ~principal ->
-        Protocol.pricing_digest (Node.mirror_pricing c ~principal))
-      ~announced_digest:Node.announced_pricing_digest_of nodes
-  else
-    checkpoint_for ~rule:"BANK2" ~self_digest:Node.self_pricing_digest
-      ~mirror_digest:(fun c ~principal ->
-        Protocol.pricing_digest (Node.mirror_pricing c ~principal))
-      ~announced_digest:Node.announced_pricing_digest_of nodes
+let checkpoint_routing nodes = checkpoint ~fault_tolerant:false Node.routing_stage nodes
+let checkpoint_pricing nodes = checkpoint ~fault_tolerant:false Node.pricing_stage nodes
 
 let collect_flags nodes =
   Array.to_list nodes

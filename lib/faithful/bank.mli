@@ -10,7 +10,9 @@
     (resp. [DATA3*]) digest plus, from each of its checkers, the digest of
     the mirror recomputation and the digest of the principal's last
     announcement — and demands they all agree ([BANK1]/[BANK2]). Any
-    disagreement restarts the phase.
+    disagreement restarts the phase. Both tables go through one
+    [checkpoint] body per evidence mode, parameterized by the table's
+    [Node.stage].
 
     Execution: every source's signed [DATA4] payment report is compared
     against the certified pricing tables; packet traces are compared
@@ -31,29 +33,35 @@ val checkpoint_costs : Node.t array -> detection list
 (** Phase-1 certificate: every node's DATA1 digest must be identical
     (consistent information revelation, Remark 4). *)
 
-val checkpoint_routing : ?fault_tolerant:bool -> Node.t array -> detection list
-(** [BANK1]. Empty list = green light.
+val checkpoint : fault_tolerant:bool -> 'tbl Node.stage -> Node.t array -> detection list
+(** The stage's table checkpoint, [BANK1] for routing and [BANK2] for
+    pricing. Empty list = green light.
 
-    With [fault_tolerant] (default [false] — stock behavior unchanged),
-    the evidence model assumes injected link faults are possible and
-    accuses only on *contradictions between signed statements*: an
-    announcement the principal stands behind that differs from its
-    certified state, or a mirror that disagrees although checker and
-    principal consumed input sets with equal digests. Bare mismatches
-    explainable by a lost or stale message are reported as a single
-    [culprit = None] omission detection — the checkpoint still fails
-    (restart), but no one is blamed. This is the blame-correctness
-    contract the fault gauntlet asserts: an injected fault must never
-    cost an honest node its reputation, at the price of demoting some
-    fault-shaped deviations (copy-dropping, spoofing) from individual
-    accusation to collective stuck-phase punishment. See DESIGN.md §14. *)
+    With [fault_tolerant] ([false] is the stock behavior), the evidence
+    model assumes injected link faults are possible and accuses only on
+    *contradictions between signed statements*: an announcement the
+    principal stands behind that differs from its certified state, or a
+    mirror that disagrees although checker and principal consumed input
+    sets with equal digests (for pricing, both tables' inputs, since a
+    pricing mirror consumes routing state too).
+    Bare mismatches explainable by a lost or stale message are reported
+    as a single [culprit = None] omission detection — the checkpoint
+    still fails (restart), but no one is blamed. This is the
+    blame-correctness contract the fault gauntlet asserts: an injected
+    fault must never cost an honest node its reputation, at the price of
+    demoting some fault-shaped deviations (copy-dropping, spoofing) from
+    individual accusation to collective stuck-phase punishment. See
+    DESIGN.md §14. *)
 
-val checkpoint_pricing : ?fault_tolerant:bool -> Node.t array -> detection list
-(** [BANK2]; the fault-tolerant omission test covers both phases'
-    inputs, since a pricing mirror consumes routing state too. *)
+val checkpoint_routing : Node.t array -> detection list
+(** [checkpoint ~fault_tolerant:false Node.routing_stage] ([BANK1]). *)
+
+val checkpoint_pricing : Node.t array -> detection list
+(** [checkpoint ~fault_tolerant:false Node.pricing_stage] ([BANK2]). *)
 
 val collect_flags : Node.t array -> detection list
-(** Checker-raised flags (malformed copies, CHECK2 tag rejections). *)
+(** Checker-raised flags (malformed or misattributed copies, bad update
+    provenance). *)
 
 val checkpoint_bytes : Node.t array -> int
 (** Bytes moved over the signed bank channel for one full set of

@@ -108,13 +108,16 @@ let routing_update deviation world =
   let log, send = capture () in
   Node.on_routing_msg node send ~sender:1
     (Protocol.Update (Protocol.Routing_update { origin = 1; table }));
-  (!log, Protocol.routing_digest node.Node.routing)
+  (!log, Node.self_digest Node.routing_stage node)
 
-let forward_routing_copies deviation world =
-  render_sends (copies (fst (routing_update deviation world)))
+(* The two projections of one intake run (routing or pricing): the copies
+   relayed to the checkers, and the re-announcement plus the table
+   digest. *)
+let forward_copies intake deviation world =
+  render_sends (copies (fst (intake deviation world)))
 
-let recompute_routing deviation world =
-  let log, digest = routing_update deviation world in
+let recompute intake deviation world =
+  let log, digest = intake deviation world in
   render_sends (updates log) ^ " !" ^ digest
 
 (* Checker intake at node 3 for principal 1: two claimed inputs (via its
@@ -145,7 +148,7 @@ let mirror_routing deviation world =
          inner = Protocol.Routing_update { origin = 3; table = rt3 };
        });
   ignore !log;
-  Protocol.routing_digest (Node.mirror_routing node ~principal:1)
+  Node.mirror_digest Node.routing_stage node ~principal:1
 
 (* Phase-2b intake at node 3: routing context is already accumulated
    protocol state; neighbor 1 announces a pricing table. Two neighbor
@@ -165,10 +168,8 @@ let pricing_update deviation world =
       [ (5, 0., [ 1; 5 ]); (0, 7.25, [ 1; 5; 0 ]); (2, 3., [ 1; 5; 2 ]) ]
   in
   let rt4 = rt ~self:4 [ (0, 1., [ 4; 0 ]) ] in
-  node.Node.nbr_routing <- [ (1, rt1); (4, rt4) ];
-  node.Node.routing <-
-    Protocol.recompute_routing ~self:3 ~n:6 ~costs:node.Node.costs
-      ~neighbor_tables:node.Node.nbr_routing;
+  node.Node.routing_slot.Node.heard <- [ (1, rt1); (4, rt4) ];
+  node.Node.routing <- Node.routing_stage.Node.recompute node;
   let d = match world with Received -> 1.5 | _ -> 0. in
   let table =
     pt
@@ -181,14 +182,7 @@ let pricing_update deviation world =
   let log, send = capture () in
   Node.on_pricing_msg node send ~sender:1
     (Protocol.Update (Protocol.Pricing_update { origin = 1; table }));
-  (!log, Protocol.pricing_digest node.Node.pricing)
-
-let forward_pricing_copies deviation world =
-  render_sends (copies (fst (pricing_update deviation world)))
-
-let recompute_pricing deviation world =
-  let log, digest = pricing_update deviation world in
-  render_sends (updates log) ^ " !" ^ digest
+  (!log, Node.self_digest Node.pricing_stage node)
 
 let mirror_pricing deviation world =
   let node = mk ~deviation ~world () in
@@ -222,7 +216,7 @@ let mirror_pricing deviation world =
          inner = Protocol.Pricing_update { origin = 5; table = pt5 };
        });
   ignore !log;
-  Protocol.pricing_digest (Node.mirror_pricing node ~principal:1)
+  Node.mirror_digest Node.pricing_stage node ~principal:1
 
 let report_digests deviation world =
   let node = mk ~deviation ~world () in
@@ -230,21 +224,16 @@ let report_digests deviation world =
   (match world with State -> costs.(1) <- costs.(1) +. 3.25 | _ -> ());
   node.Node.costs <- costs;
   let rt1 = rt ~self:1 [ (5, 0., [ 1; 5 ]); (0, 7.25, [ 1; 5; 0 ]) ] in
-  node.Node.nbr_routing <- [ (1, rt1) ];
-  node.Node.routing <-
-    Protocol.recompute_routing ~self:3 ~n:6 ~costs:node.Node.costs
-      ~neighbor_tables:node.Node.nbr_routing;
-  node.Node.nbr_pricing <-
+  node.Node.routing_slot.Node.heard <- [ (1, rt1) ];
+  node.Node.routing <- Node.routing_stage.Node.recompute node;
+  node.Node.pricing_slot.Node.heard <-
     [ (1, pt [ (0, [ (1, 4.5, [ 5 ]); (5, 9.5, [ 5 ]) ]) ]) ];
-  node.Node.pricing <-
-    Protocol.recompute_pricing ~self:3 ~costs:node.Node.costs
-      ~own_routing:node.Node.routing ~neighbor_routing:node.Node.nbr_routing
-      ~neighbor_pricing:node.Node.nbr_pricing;
+  node.Node.pricing <- Node.pricing_stage.Node.recompute node;
   String.concat "/"
     [
       Node.costs_digest node;
-      Node.self_routing_digest node;
-      Node.self_pricing_digest node;
+      Node.self_digest Node.routing_stage node;
+      Node.self_digest Node.pricing_stage node;
     ]
 
 let forward_packets deviation world =
@@ -280,11 +269,11 @@ let harnesses =
   [
     ("declare-cost", declare_cost);
     ("flood-costs", flood_costs);
-    ("forward-routing-copies", forward_routing_copies);
-    ("recompute-routing", recompute_routing);
+    ("forward-routing-copies", forward_copies routing_update);
+    ("recompute-routing", recompute routing_update);
     ("mirror-routing", mirror_routing);
-    ("forward-pricing-copies", forward_pricing_copies);
-    ("recompute-pricing", recompute_pricing);
+    ("forward-pricing-copies", forward_copies pricing_update);
+    ("recompute-pricing", recompute pricing_update);
     ("mirror-pricing", mirror_pricing);
     ("report-digests", report_digests);
     ("forward-packets", forward_packets);

@@ -2,6 +2,17 @@ module Dijkstra = Damd_graph.Dijkstra
 
 type send = dst:int -> Protocol.msg -> unit
 
+(* One computed table's principal and checker state: the latest table
+   each neighbour announced, what this node last announced ([None] from a
+   [start] until the first announcement goes out, which forces it), and
+   the checker mirrors' claimed inputs, indexed by principal, keyed by
+   via. *)
+type 'tbl slot = {
+  mutable heard : (int * 'tbl) list;
+  mutable announced : 'tbl option;
+  mirrors : (int * 'tbl) list array;
+}
+
 type t = {
   id : int;
   n : int;
@@ -15,17 +26,37 @@ type t = {
   copies : bool;
   learned_costs : float option array;
   mutable costs : float array;
-  mutable nbr_routing : (int * Protocol.routing_table) list;
-  mutable nbr_pricing : (int * Protocol.pricing_table) list;
   mutable routing : Protocol.routing_table;
   mutable pricing : Protocol.pricing_table;
-  mutable announced_routing : Protocol.routing_table;
-  mutable announced_pricing : Protocol.pricing_table;
-  mirror_routing_in : (int, (int * Protocol.routing_table) list ref) Hashtbl.t;
-  mirror_pricing_in : (int, (int * Protocol.pricing_table) list ref) Hashtbl.t;
+  routing_slot : Protocol.routing_table slot;
+  pricing_slot : Protocol.pricing_table slot;
   mutable check_flags : (string * string) list;
   mutable carried : (int * int * float * int) list;
   mutable deliveries : (int * float * int list) list;
+}
+
+type distortion = Honest | Distort of float | Withhold
+
+type 'tbl stage = {
+  table : string;
+  princ_rule : string;
+  bank_rule : string;
+  wrap : origin:int -> 'tbl -> Protocol.update;
+  unwrap : Protocol.update -> (int * 'tbl) option;
+  digest : 'tbl -> string;
+  equal : 'tbl -> 'tbl -> bool;
+  distort : float -> 'tbl -> 'tbl;
+  announce_view : t -> distortion;
+  copy_view : t -> distortion;
+  spoof : t -> float option;
+  slot : t -> 'tbl slot;
+  get : t -> 'tbl;
+  set : t -> 'tbl -> unit;
+  empty : t -> 'tbl;
+  recompute : t -> 'tbl;
+  mirror : t -> principal:int -> 'tbl;
+  inputs_digest : t -> string;
+  mirror_inputs_digest : t -> principal:int -> string;
 }
 
 let set_assoc key value l = (key, value) :: List.remove_assoc key l
@@ -43,6 +74,9 @@ let mem_sorted (a : int array) v =
   done;
   !found
 
+(* A created or reset slot counts as having announced the trivial table. *)
+let new_slot ~n trivial = { heard = []; announced = Some trivial; mirrors = Array.make n [] }
+
 let create ?(copies = true) ~id ~n ~neighbor_sets ~true_cost ~deviation () =
   let neighbors = List.sort Int.compare neighbor_sets.(id) in
   (* A wrapper reaching a node directly means "the deviation is active":
@@ -54,62 +88,39 @@ let create ?(copies = true) ~id ~n ~neighbor_sets ~true_cost ~deviation () =
     | Adversary.Byzantine_arbitrary seed -> Some (Adversary.plan_of_seed seed)
     | _ -> None
   in
-  let node =
-    {
-      id;
-      n;
-      neighbors;
-      neighbors_arr = Array.of_list neighbors;
-      neighbor_sets;
-      neighbor_arrs =
-        Array.map (fun l -> Array.of_list (List.sort Int.compare l)) neighbor_sets;
-      deviation;
-      byz;
-      true_cost;
-      copies;
-      learned_costs = Array.make n None;
-      costs = Array.make n 0.;
-      nbr_routing = [];
-      nbr_pricing = [];
-      routing = Protocol.empty_routing ~n ~self:id;
-      pricing = Protocol.empty_pricing ~n;
-      announced_routing = Protocol.empty_routing ~n ~self:id;
-      announced_pricing = Protocol.empty_pricing ~n;
-      mirror_routing_in = Hashtbl.create 8;
-      mirror_pricing_in = Hashtbl.create 8;
-      check_flags = [];
-      carried = [];
-      deliveries = [];
-    }
-  in
-  List.iter
-    (fun p ->
-      Hashtbl.replace node.mirror_routing_in p (ref []);
-      Hashtbl.replace node.mirror_pricing_in p (ref []))
-    node.neighbors;
-  node
+  {
+    id;
+    n;
+    neighbors;
+    neighbors_arr = Array.of_list neighbors;
+    neighbor_sets;
+    neighbor_arrs =
+      Array.map (fun l -> Array.of_list (List.sort Int.compare l)) neighbor_sets;
+    deviation;
+    byz;
+    true_cost;
+    copies;
+    learned_costs = Array.make n None;
+    costs = Array.make n 0.;
+    routing = Protocol.empty_routing ~n ~self:id;
+    pricing = Protocol.empty_pricing ~n;
+    routing_slot = new_slot ~n (Protocol.empty_routing ~n ~self:id);
+    pricing_slot = new_slot ~n (Protocol.empty_pricing ~n);
+    check_flags = [];
+    carried = [];
+    deliveries = [];
+  }
 
 let reset_costs node =
   Array.fill node.learned_costs 0 node.n None;
   node.costs <- Array.make node.n 0.
 
-let reset_pricing_phase node =
-  node.nbr_pricing <- [];
-  node.pricing <- Protocol.empty_pricing ~n:node.n;
-  node.announced_pricing <- Protocol.empty_pricing ~n:node.n;
-  List.iter
-    (fun p -> Hashtbl.replace node.mirror_pricing_in p (ref []))
-    node.neighbors
-
-let reset_routing_phase node =
-  reset_pricing_phase node;
-  node.nbr_routing <- [];
-  node.routing <- Protocol.empty_routing ~n:node.n ~self:node.id;
-  node.announced_routing <- Protocol.empty_routing ~n:node.n ~self:node.id;
-  List.iter
-    (fun p -> Hashtbl.replace node.mirror_routing_in p (ref []))
-    node.neighbors;
-  node.check_flags <- []
+let reset_stage st node =
+  let slot = st.slot node in
+  slot.heard <- [];
+  st.set node (st.empty node);
+  slot.announced <- Some (st.empty node);
+  Array.fill slot.mirrors 0 node.n []
 
 let reset_execution node =
   node.carried <- [];
@@ -137,6 +148,12 @@ let announce_cost node (send : send) =
       send ~dst:nbr (Protocol.Update (Protocol.Cost_announce { origin = node.id; cost })))
     node.neighbors_arr
 
+let forwarded_cost node cost =
+  match (node.deviation, node.byz) with
+  | Adversary.Corrupt_cost_forward delta, _ -> cost +. delta
+  | _, Some { Adversary.byz_cost_forward = Some delta; _ } -> cost +. delta
+  | _ -> cost
+
 let on_cost_msg node (send : send) ~sender update =
   match update with
   | Protocol.Cost_announce { origin; cost } -> (
@@ -144,18 +161,11 @@ let on_cost_msg node (send : send) ~sender update =
       | Some _ -> () (* first-received wins; duplicates are not re-flooded *)
       | None ->
           node.learned_costs.(origin) <- Some cost;
-          let forwarded_cost =
-            match (node.deviation, node.byz) with
-            | Adversary.Corrupt_cost_forward delta, _ -> cost +. delta
-            | _, Some { Adversary.byz_cost_forward = Some delta; _ } -> cost +. delta
-            | _ -> cost
-          in
+          let cost = forwarded_cost node cost in
           Array.iter
             (fun nbr ->
               if nbr <> sender then
-                send ~dst:nbr
-                  (Protocol.Update
-                     (Protocol.Cost_announce { origin; cost = forwarded_cost })))
+                send ~dst:nbr (Protocol.Update (Protocol.Cost_announce { origin; cost })))
             node.neighbors_arr)
   | _ -> flag node "PHASE1" "non-cost update during phase 1"
 
@@ -166,82 +176,53 @@ let finalize_costs node =
   end
   else false
 
-(* --- Announcement distortion (the computation deviations) --- *)
+(* --- Phase 2: the two computed tables, one stage each ---
 
-let distort_routing_table delta (table : Protocol.routing_table) =
-  Array.map
-    (Option.map (fun (e : Dijkstra.entry) ->
-         match e.Dijkstra.path with
-         | [ _ ] -> e (* the self entry stays honest: cost 0 is structural *)
-         | _ -> { e with Dijkstra.cost = Float.max 0. (e.Dijkstra.cost +. delta) }))
-    table
+   Every obligation below is written once over a ['tbl stage]: update
+   intake and recompute ([PRINC1]/[PRINC2]), copy forwarding to the
+   checkers, announce-on-change, checker intake ([CHECK1]/[CHECK2]), the
+   crash-handoff resend and the digests the bank collects. The stage
+   values at the end of this section hold what routing ([DATA2]) and
+   pricing ([DATA3*]) differ in. *)
 
-let distort_pricing_table delta (table : Protocol.pricing_table) =
-  Array.map
-    (List.map (fun (pe : Protocol.price_entry) ->
-         { pe with Protocol.price = Float.max 0. (pe.Protocol.price +. delta) }))
-    table
+let view st dev table =
+  match dev with
+  | Honest -> Some table
+  | Distort delta -> Some (st.distort delta table)
+  | Withhold -> None
 
-let announced_routing_view node =
-  match (node.deviation, node.byz) with
-  | Adversary.Miscompute_routing delta, _ ->
-      Some (distort_routing_table delta node.routing)
-  | Adversary.Combined_routing_attack delta, _ ->
-      Some (distort_routing_table (-.delta) node.routing)
-  | Adversary.Silent_in_construction, _ -> None
-  | _, Some { Adversary.byz_routing_announce = Some delta; _ } ->
-      Some (distort_routing_table delta node.routing)
-  | _ -> Some node.routing
+let update st node table = Protocol.Update (st.wrap ~origin:node.id table)
 
-let announced_pricing_view node =
-  match (node.deviation, node.byz) with
-  | Adversary.Miscompute_pricing delta, _ ->
-      Some (distort_pricing_table delta node.pricing)
-  | Adversary.Combined_pricing_attack delta, _ ->
-      Some (distort_pricing_table delta node.pricing)
-  | Adversary.Silent_in_construction, _ -> None
-  | _, Some { Adversary.byz_pricing_announce = Some delta; _ } ->
-      Some (distort_pricing_table delta node.pricing)
-  | _ -> Some node.pricing
+let copy st node ~via table =
+  Protocol.Copy { principal = node.id; via; inner = st.wrap ~origin:via table }
 
-(* Record into our checker mirror of [p] what we just announced to [p]. *)
-let record_own_routing_to node p table =
-  let inputs = Hashtbl.find node.mirror_routing_in p in
-  inputs := set_assoc node.id table !inputs
+(* Record into our checker mirror of [p] what we announce to [p]: a
+   checker knows its own announcements first-hand. *)
+let record_own st node p table =
+  let slot = st.slot node in
+  slot.mirrors.(p) <- set_assoc node.id table slot.mirrors.(p)
 
-let record_own_pricing_to node p table =
-  let inputs = Hashtbl.find node.mirror_pricing_in p in
-  inputs := set_assoc node.id table !inputs
-
-let announce_routing node (send : send) =
-  match announced_routing_view node with
+let announce st node (send : send) =
+  let dev =
+    match node.deviation with
+    | Adversary.Silent_in_construction -> Withhold
+    | _ -> st.announce_view node
+  in
+  match view st dev (st.get node) with
   | None -> ()
   | Some table ->
-      if not (Protocol.routing_equal table node.announced_routing) then begin
-        node.announced_routing <- table;
+      let slot = st.slot node in
+      let changed =
+        match slot.announced with None -> true | Some last -> not (st.equal table last)
+      in
+      if changed then begin
+        slot.announced <- Some table;
         Array.iter
           (fun nbr ->
-            record_own_routing_to node nbr table;
-            send ~dst:nbr
-              (Protocol.Update (Protocol.Routing_update { origin = node.id; table })))
+            record_own st node nbr table;
+            send ~dst:nbr (update st node table))
           node.neighbors_arr
       end
-
-let announce_pricing node (send : send) =
-  match announced_pricing_view node with
-  | None -> ()
-  | Some table ->
-      if not (Protocol.pricing_equal table node.announced_pricing) then begin
-        node.announced_pricing <- table;
-        Array.iter
-          (fun nbr ->
-            record_own_pricing_to node nbr table;
-            send ~dst:nbr
-              (Protocol.Update (Protocol.Pricing_update { origin = node.id; table })))
-          node.neighbors_arr
-      end
-
-(* --- Checker-side intake of copies --- *)
 
 let checker_accepts node ~principal ~via ~origin =
   if not (mem_sorted node.neighbors_arr principal) then begin
@@ -260,8 +241,6 @@ let checker_accepts node ~principal ~via ~origin =
   end
   else true
 
-(* --- Phase 2a: routing --- *)
-
 let spoof_target node ~sender =
   (* A fabricated provenance: the neighbor after [sender] in id order. *)
   let rec next = function
@@ -271,168 +250,232 @@ let spoof_target node ~sender =
   in
   next node.neighbors
 
-(* What this node relays to checkers about a received routing table —
-   [None] for a copy-dropper; shared by the live forwarding path and the
-   post-crash handoff resend so both apply the same deviation. *)
-let routing_copy_view node table =
-  match (node.deviation, node.byz) with
-  | Adversary.Drop_routing_copies, _ -> None
-  | ( (Adversary.Corrupt_routing_copies delta | Adversary.Combined_routing_attack delta),
-      _ ) ->
-      Some (distort_routing_table delta table)
-  | _, Some { Adversary.byz_routing_copies = Some `Drop; _ } -> None
-  | _, Some { Adversary.byz_routing_copies = Some (`Corrupt delta); _ } ->
-      Some (distort_routing_table delta table)
-  | _ -> Some table
-
-let forward_routing_copies node (send : send) ~sender table =
-  if not node.copies then ()
-  else begin
-  let copy_to_checkers table =
-    Array.iter
-      (fun c ->
-        if c <> sender then
-          send ~dst:c
-            (Protocol.Copy
-               {
-                 principal = node.id;
-                 via = sender;
-                 inner = Protocol.Routing_update { origin = sender; table };
-               }))
-      node.neighbors_arr
-  in
-  (match routing_copy_view node table with
-  | None -> ()
-  | Some table -> copy_to_checkers table);
-  match node.deviation with
-  | Adversary.Spoof_routing_update delta | Adversary.Combined_routing_attack delta ->
-      let via = spoof_target node ~sender in
-      let fabricated = distort_routing_table delta table in
-      List.iter
-        (fun c ->
-          if c <> via then
-            send ~dst:c
-              (Protocol.Copy
-                 {
-                   principal = node.id;
-                   via;
-                   inner = Protocol.Routing_update { origin = via; table = fabricated };
-                 }))
-        node.neighbors
-  | _ -> ()
+(* Relay a received table to the checkers, through the copy deviation
+   view the crash-handoff resend applies too, then add any spoofed copy. *)
+let forward_copies st node (send : send) ~sender table =
+  if node.copies then begin
+    (match view st (st.copy_view node) table with
+    | None -> ()
+    | Some table ->
+        Array.iter
+          (fun c -> if c <> sender then send ~dst:c (copy st node ~via:sender table))
+          node.neighbors_arr);
+    match st.spoof node with
+    | None -> ()
+    | Some delta ->
+        let via = spoof_target node ~sender in
+        let fabricated = st.distort delta table in
+        Array.iter
+          (fun c -> if c <> via then send ~dst:c (copy st node ~via fabricated))
+          node.neighbors_arr
   end
 
-let start_routing node (send : send) =
-  node.routing <- Protocol.empty_routing ~n:node.n ~self:node.id;
-  (* Force the initial announcement by marking nothing-as-announced: the
-     sentinel differs from any real table through the comparison below. *)
-  node.announced_routing <- Array.make node.n None;
-  announce_routing node send
+let start st node (send : send) =
+  st.set node (st.recompute node);
+  (st.slot node).announced <- None;
+  announce st node send
 
-let recompute_routing node =
-  Protocol.recompute_routing ~self:node.id ~n:node.n ~costs:node.costs
-    ~neighbor_tables:node.nbr_routing
-
-let on_routing_msg node (send : send) ~sender msg =
-  match msg with
-  | Protocol.Update (Protocol.Routing_update { origin; table }) ->
-      if (not (mem_sorted node.neighbors_arr sender)) || origin <> sender then
-        flag node "PRINC1" "routing update with inconsistent provenance"
-      else begin
-        node.nbr_routing <- set_assoc sender table node.nbr_routing;
-        forward_routing_copies node send ~sender table;
-        node.routing <- recompute_routing node;
-        announce_routing node send
-      end
-  | Protocol.Copy { principal; via; inner = Protocol.Routing_update { origin; table } }
-    ->
-      if sender <> principal then
-        flag node "CHECK" "copy not sent by its claimed principal"
-      else if checker_accepts node ~principal ~via ~origin then begin
-        let inputs = Hashtbl.find node.mirror_routing_in principal in
-        inputs := set_assoc via table !inputs
-      end
-  | _ -> flag node "PRINC1" "unexpected message in routing phase"
-
-(* --- Phase 2b: pricing --- *)
-
-let pricing_copy_view node table =
-  match (node.deviation, node.byz) with
-  | Adversary.Drop_pricing_copies, _ -> None
-  | ( (Adversary.Corrupt_pricing_copies delta | Adversary.Combined_pricing_attack delta),
-      _ ) ->
-      Some (distort_pricing_table delta table)
-  | _, Some { Adversary.byz_pricing_copies = Some `Drop; _ } -> None
-  | _, Some { Adversary.byz_pricing_copies = Some (`Corrupt delta); _ } ->
-      Some (distort_pricing_table delta table)
-  | _ -> Some table
-
-let forward_pricing_copies node (send : send) ~sender table =
-  if not node.copies then ()
-  else begin
-  let copy_to_checkers table =
-    Array.iter
-      (fun c ->
-        if c <> sender then
-          send ~dst:c
-            (Protocol.Copy
-               {
-                 principal = node.id;
-                 via = sender;
-                 inner = Protocol.Pricing_update { origin = sender; table };
-               }))
-      node.neighbors_arr
+let on_msg st node (send : send) ~sender msg =
+  let unexpected () =
+    flag node st.princ_rule ("unexpected message in " ^ st.table ^ " phase")
   in
-  (match pricing_copy_view node table with
-  | None -> ()
-  | Some table -> copy_to_checkers table);
-  match node.deviation with
-  | Adversary.Spoof_pricing_update delta | Adversary.Combined_pricing_attack delta ->
-      let via = spoof_target node ~sender in
-      let fabricated = distort_pricing_table delta table in
-      List.iter
-        (fun c ->
-          if c <> via then
-            send ~dst:c
-              (Protocol.Copy
-                 {
-                   principal = node.id;
-                   via;
-                   inner = Protocol.Pricing_update { origin = via; table = fabricated };
-                 }))
-        node.neighbors
-  | _ -> ()
-  end
-
-let recompute_pricing node =
-  Protocol.recompute_pricing ~self:node.id ~costs:node.costs ~own_routing:node.routing
-    ~neighbor_routing:node.nbr_routing ~neighbor_pricing:node.nbr_pricing
-
-let start_pricing node (send : send) =
-  node.pricing <- recompute_pricing node;
-  node.announced_pricing <- Array.make node.n [ { Protocol.transit = -1; price = 0.; tags = [] } ];
-  announce_pricing node send
-
-let on_pricing_msg node (send : send) ~sender msg =
   match msg with
-  | Protocol.Update (Protocol.Pricing_update { origin; table }) ->
-      if (not (mem_sorted node.neighbors_arr sender)) || origin <> sender then
-        flag node "PRINC2" "pricing update with inconsistent provenance"
-      else begin
-        node.nbr_pricing <- set_assoc sender table node.nbr_pricing;
-        forward_pricing_copies node send ~sender table;
-        node.pricing <- recompute_pricing node;
-        announce_pricing node send
-      end
-  | Protocol.Copy { principal; via; inner = Protocol.Pricing_update { origin; table } }
-    ->
-      if sender <> principal then
-        flag node "CHECK" "copy not sent by its claimed principal"
-      else if checker_accepts node ~principal ~via ~origin then begin
-        let inputs = Hashtbl.find node.mirror_pricing_in principal in
-        inputs := set_assoc via table !inputs
-      end
-  | _ -> flag node "PRINC2" "unexpected message in pricing phase"
+  | Protocol.Update u -> (
+      match st.unwrap u with
+      | None -> unexpected ()
+      | Some (origin, table) ->
+          if (not (mem_sorted node.neighbors_arr sender)) || origin <> sender then
+            flag node st.princ_rule
+              (st.table ^ " update with inconsistent provenance")
+          else begin
+            let slot = st.slot node in
+            slot.heard <- set_assoc sender table slot.heard;
+            forward_copies st node send ~sender table;
+            st.set node (st.recompute node);
+            announce st node send
+          end)
+  | Protocol.Copy { principal; via; inner } -> (
+      match st.unwrap inner with
+      | None -> unexpected ()
+      | Some (origin, table) ->
+          if sender <> principal then
+            flag node "CHECK" "copy not sent by its claimed principal"
+          else if checker_accepts node ~principal ~via ~origin then begin
+            let slot = st.slot node in
+            slot.mirrors.(principal) <- set_assoc via table slot.mirrors.(principal)
+          end)
+  | Protocol.Packet _ -> unexpected ()
+
+(* Crash-recovery handoff: re-deliver the last announcement (if any) and
+   the checker copies [to_] missed, through the live path's deviation
+   views, so a deviant cannot be forced honest by crashing a neighbour. *)
+let resend_to st node (send : send) ~to_ =
+  let slot = st.slot node in
+  Option.iter
+    (fun table ->
+      record_own st node to_ table;
+      send ~dst:to_ (update st node table))
+    slot.announced;
+  if node.copies then
+    List.iter
+      (fun (s, table) ->
+        if s <> to_ then
+          match view st (st.copy_view node) table with
+          | None -> ()
+          | Some table -> send ~dst:to_ (copy st node ~via:s table))
+      slot.heard
+
+let self_digest st node = st.digest (st.get node)
+
+let mirror_digest st node ~principal = st.digest (st.mirror node ~principal)
+
+let announced_digest_of st node ~principal =
+  Option.map st.digest (List.assoc_opt principal (st.slot node).heard)
+
+let claimed_announced_digest st node = Option.map st.digest (st.slot node).announced
+
+let byz_copies = function `Drop -> Withhold | `Corrupt delta -> Distort delta
+
+let routing_stage =
+  {
+    table = "routing";
+    princ_rule = "PRINC1";
+    bank_rule = "BANK1";
+    wrap = (fun ~origin table -> Protocol.Routing_update { origin; table });
+    unwrap =
+      (function
+      | Protocol.Routing_update { origin; table } -> Some (origin, table) | _ -> None);
+    digest = Protocol.routing_digest;
+    equal = Protocol.routing_equal;
+    distort =
+      (fun delta ->
+        Array.map
+          (Option.map (fun (e : Dijkstra.entry) ->
+               match e.Dijkstra.path with
+               | [ _ ] -> e (* the self entry stays honest: cost 0 is structural *)
+               | _ -> { e with Dijkstra.cost = Float.max 0. (e.Dijkstra.cost +. delta) })));
+    announce_view =
+      (fun node ->
+        match (node.deviation, node.byz) with
+        | Adversary.Miscompute_routing delta, _ -> Distort delta
+        | Adversary.Combined_routing_attack delta, _ -> Distort (-.delta)
+        | _, Some { Adversary.byz_routing_announce = Some delta; _ } -> Distort delta
+        | _ -> Honest);
+    copy_view =
+      (fun node ->
+        match (node.deviation, node.byz) with
+        | Adversary.Drop_routing_copies, _ -> Withhold
+        | ( ( Adversary.Corrupt_routing_copies delta
+            | Adversary.Combined_routing_attack delta ),
+            _ ) ->
+            Distort delta
+        | _, Some { Adversary.byz_routing_copies = Some c; _ } -> byz_copies c
+        | _ -> Honest);
+    spoof =
+      (fun node ->
+        match node.deviation with
+        | Adversary.Spoof_routing_update delta | Adversary.Combined_routing_attack delta
+          ->
+            Some delta
+        | _ -> None);
+    slot = (fun node -> node.routing_slot);
+    get = (fun node -> node.routing);
+    set = (fun node table -> node.routing <- table);
+    empty = (fun node -> Protocol.empty_routing ~n:node.n ~self:node.id);
+    recompute =
+      (fun node ->
+        Protocol.recompute_routing ~self:node.id ~n:node.n ~costs:node.costs
+          ~neighbor_tables:node.routing_slot.heard);
+    mirror =
+      (fun node ~principal ->
+        Protocol.recompute_routing ~self:principal ~n:node.n ~costs:node.costs
+          ~neighbor_tables:node.routing_slot.mirrors.(principal));
+    inputs_digest = (fun node -> Protocol.routing_inputs_digest node.routing_slot.heard);
+    mirror_inputs_digest =
+      (fun node ~principal ->
+        Protocol.routing_inputs_digest node.routing_slot.mirrors.(principal));
+  }
+
+(* A pricing table is computed from the routing tables as well, so its
+   recompute, mirror and fault-tolerant input digests read both slots. *)
+let pricing_stage =
+  {
+    table = "pricing";
+    princ_rule = "PRINC2";
+    bank_rule = "BANK2";
+    wrap = (fun ~origin table -> Protocol.Pricing_update { origin; table });
+    unwrap =
+      (function
+      | Protocol.Pricing_update { origin; table } -> Some (origin, table) | _ -> None);
+    digest = Protocol.pricing_digest;
+    equal = Protocol.pricing_equal;
+    distort =
+      (fun delta ->
+        Array.map
+          (List.map (fun (pe : Protocol.price_entry) ->
+               { pe with Protocol.price = Float.max 0. (pe.Protocol.price +. delta) })));
+    announce_view =
+      (fun node ->
+        match (node.deviation, node.byz) with
+        | ( ( Adversary.Miscompute_pricing delta
+            | Adversary.Combined_pricing_attack delta ),
+            _ ) ->
+            Distort delta
+        | _, Some { Adversary.byz_pricing_announce = Some delta; _ } -> Distort delta
+        | _ -> Honest);
+    copy_view =
+      (fun node ->
+        match (node.deviation, node.byz) with
+        | Adversary.Drop_pricing_copies, _ -> Withhold
+        | ( ( Adversary.Corrupt_pricing_copies delta
+            | Adversary.Combined_pricing_attack delta ),
+            _ ) ->
+            Distort delta
+        | _, Some { Adversary.byz_pricing_copies = Some c; _ } -> byz_copies c
+        | _ -> Honest);
+    spoof =
+      (fun node ->
+        match node.deviation with
+        | Adversary.Spoof_pricing_update delta | Adversary.Combined_pricing_attack delta
+          ->
+            Some delta
+        | _ -> None);
+    slot = (fun node -> node.pricing_slot);
+    get = (fun node -> node.pricing);
+    set = (fun node table -> node.pricing <- table);
+    empty = (fun node -> Protocol.empty_pricing ~n:node.n);
+    recompute =
+      (fun node ->
+        Protocol.recompute_pricing ~self:node.id ~costs:node.costs
+          ~own_routing:node.routing ~neighbor_routing:node.routing_slot.heard
+          ~neighbor_pricing:node.pricing_slot.heard);
+    mirror =
+      (fun node ~principal ->
+        Protocol.recompute_pricing ~self:principal ~costs:node.costs
+          ~own_routing:(routing_stage.mirror node ~principal)
+          ~neighbor_routing:node.routing_slot.mirrors.(principal)
+          ~neighbor_pricing:node.pricing_slot.mirrors.(principal));
+    inputs_digest =
+      (fun node ->
+        routing_stage.inputs_digest node
+        ^ Protocol.pricing_inputs_digest node.pricing_slot.heard);
+    mirror_inputs_digest =
+      (fun node ~principal ->
+        routing_stage.mirror_inputs_digest node ~principal
+        ^ Protocol.pricing_inputs_digest node.pricing_slot.mirrors.(principal));
+  }
+
+let reset_pricing_phase node = reset_stage pricing_stage node
+
+let reset_routing_phase node =
+  reset_stage pricing_stage node;
+  reset_stage routing_stage node;
+  node.check_flags <- []
+
+let start_routing node send = start routing_stage node send
+let on_routing_msg node send ~sender msg = on_msg routing_stage node send ~sender msg
+let start_pricing node send = start pricing_stage node send
+let on_pricing_msg node send ~sender msg = on_msg pricing_stage node send ~sender msg
 
 (* --- Execution --- *)
 
@@ -511,24 +554,7 @@ let payment_report node traffic =
       [ (k0, total) ]
   | _ -> entries
 
-(* --- Crash-recovery handoff ---
-
-   After a fail-stop window, everything the crashed node missed was lost
-   at delivery time. The handoff re-delivers current state over the same
-   send path (so physical-link enforcement and deviations still apply):
-   cost facts, the last announcement, and the checker copies the peer
-   relayed while the link was dark. It repairs the *current attempt*
-   where possible; anything it cannot repair surfaces as an omission at
-   the next checkpoint and is handled by restart. *)
-
-let has_announced_routing node = Option.is_some node.announced_routing.(node.id)
-
-let has_announced_pricing node =
-  node.n = 0
-  || not
-       (List.exists
-          (fun (pe : Protocol.price_entry) -> pe.Protocol.transit = -1)
-          node.announced_pricing.(0))
+(* --- Crash-recovery handoff of DATA1 --- *)
 
 let resend_costs_to node (send : send) ~to_ =
   Array.iteri
@@ -543,109 +569,18 @@ let resend_costs_to node (send : send) ~to_ =
     (fun origin c ->
       match c with
       | Some cost when origin <> node.id ->
-          let forwarded_cost =
-            match (node.deviation, node.byz) with
-            | Adversary.Corrupt_cost_forward delta, _ -> cost +. delta
-            | _, Some { Adversary.byz_cost_forward = Some delta; _ } -> cost +. delta
-            | _ -> cost
-          in
           send ~dst:to_
-            (Protocol.Update (Protocol.Cost_announce { origin; cost = forwarded_cost }))
+            (Protocol.Update
+               (Protocol.Cost_announce { origin; cost = forwarded_cost node cost }))
       | _ -> ())
     node.learned_costs
 
-let resend_routing_to node (send : send) ~to_ =
-  if has_announced_routing node then begin
-    record_own_routing_to node to_ node.announced_routing;
-    send ~dst:to_
-      (Protocol.Update
-         (Protocol.Routing_update { origin = node.id; table = node.announced_routing }))
-  end;
-  if node.copies then
-    List.iter
-      (fun (s, table) ->
-        if s <> to_ then
-          match routing_copy_view node table with
-          | None -> ()
-          | Some table ->
-              send ~dst:to_
-                (Protocol.Copy
-                   {
-                     principal = node.id;
-                     via = s;
-                     inner = Protocol.Routing_update { origin = s; table };
-                   }))
-      node.nbr_routing
-
-let resend_pricing_to node (send : send) ~to_ =
-  if has_announced_pricing node then begin
-    record_own_pricing_to node to_ node.announced_pricing;
-    send ~dst:to_
-      (Protocol.Update
-         (Protocol.Pricing_update { origin = node.id; table = node.announced_pricing }))
-  end;
-  if node.copies then
-    List.iter
-      (fun (s, table) ->
-        if s <> to_ then
-          match pricing_copy_view node table with
-          | None -> ()
-          | Some table ->
-              send ~dst:to_
-                (Protocol.Copy
-                   {
-                     principal = node.id;
-                     via = s;
-                     inner = Protocol.Pricing_update { origin = s; table };
-                   }))
-      node.nbr_pricing
-
 (* --- Bank queries --- *)
 
-let self_routing_digest node = Protocol.routing_digest node.routing
-
-let self_pricing_digest node = Protocol.pricing_digest node.pricing
-
 let costs_digest node = Protocol.costs_digest node.costs
-
-let announced_routing_digest_of node ~principal =
-  Option.map Protocol.routing_digest (List.assoc_opt principal node.nbr_routing)
-
-let announced_pricing_digest_of node ~principal =
-  Option.map Protocol.pricing_digest (List.assoc_opt principal node.nbr_pricing)
-
-let mirror_routing node ~principal =
-  let inputs = Hashtbl.find node.mirror_routing_in principal in
-  Protocol.recompute_routing ~self:principal ~n:node.n ~costs:node.costs
-    ~neighbor_tables:!inputs
-
-let mirror_pricing node ~principal =
-  let own_routing = mirror_routing node ~principal in
-  let routing_inputs = Hashtbl.find node.mirror_routing_in principal in
-  let pricing_inputs = Hashtbl.find node.mirror_pricing_in principal in
-  Protocol.recompute_pricing ~self:principal ~costs:node.costs ~own_routing
-    ~neighbor_routing:!routing_inputs ~neighbor_pricing:!pricing_inputs
 
 let colludes_with node ~principal =
   match node.deviation with
   | Adversary.Lying_checker -> true
   | Adversary.Collude_with p -> p = principal
   | _ -> false
-
-(* --- Fault-tolerant bank queries (input-set digests) --- *)
-
-let claimed_announced_routing_digest node =
-  Protocol.routing_digest node.announced_routing
-
-let claimed_announced_pricing_digest node =
-  Protocol.pricing_digest node.announced_pricing
-
-let routing_inputs_digest node = Protocol.routing_inputs_digest node.nbr_routing
-
-let pricing_inputs_digest node = Protocol.pricing_inputs_digest node.nbr_pricing
-
-let mirror_routing_inputs_digest node ~principal =
-  Protocol.routing_inputs_digest !(Hashtbl.find node.mirror_routing_in principal)
-
-let mirror_pricing_inputs_digest node ~principal =
-  Protocol.pricing_inputs_digest !(Hashtbl.find node.mirror_pricing_in principal)

@@ -8,14 +8,39 @@
     replaces parts of it, implementing the paper's model of a rational
     node that ships its own code.
 
+    One stage for both tables: the faithful extension puts the same three
+    obligations on the routing table ([DATA2]) and the pricing table
+    ([DATA3*]) — [PRINC1]/[PRINC2] (relay every received update to the
+    checkers, then recompute and announce on change), [CHECK1]/[CHECK2]
+    (mirror the principal from those copies) and [BANK1]/[BANK2] (the
+    digests the bank compares). Each obligation is written once, over a
+    ['tbl stage] ([routing_stage], [pricing_stage]) that holds what the two
+    tables differ in, and each table's state lives in one ['tbl slot].
+
     Checker mirrors: for each neighbor [p], the node records the latest
     update [p] claims to have received from each of [p]'s neighbors
     (copies relayed by [p], plus the node's own announcements to [p],
-    which it knows first-hand). [mirror_routing]/[mirror_pricing] then
-    recompute what [p]'s tables *must* be — [CHECK1]/[CHECK2]'s "heavy
-    lifting" that the bank's hash comparison settles. *)
+    which it knows first-hand). A stage's [mirror] then recomputes what
+    [p]'s table *must* be — the checkers' "heavy lifting" that the bank's
+    hash comparison settles. Copy intake applies one filter to both
+    tables: the copy must come from [p] itself, its inner origin must
+    equal its [via] tag, and [via] must be a checker of [p] (a neighbor of
+    [p]); a rejected copy raises a [CHECK]/[CHECK2] flag whichever table
+    it carries. *)
 
 type send = dst:int -> Protocol.msg -> unit
+
+type 'tbl slot = {
+  mutable heard : (int * 'tbl) list;
+      (** principal side: the latest table each neighbor announced *)
+  mutable announced : 'tbl option;
+      (** the node's last announcement. A created or reset node counts as
+          having announced the trivial table; [start] clears it to [None],
+          so the first announcement is forced. *)
+  mirrors : (int * 'tbl) list array;
+      (** checker side: the claimed inputs of each principal (indexed by
+          its id), keyed by via *)
+}
 
 type t = {
   id : int;
@@ -38,16 +63,11 @@ type t = {
   (* DATA1 *)
   learned_costs : float option array;
   mutable costs : float array;  (** fixed at the end of phase 1 *)
-  (* principal state *)
-  mutable nbr_routing : (int * Protocol.routing_table) list;
-  mutable nbr_pricing : (int * Protocol.pricing_table) list;
+  (* the computed tables and their slots *)
   mutable routing : Protocol.routing_table;
   mutable pricing : Protocol.pricing_table;
-  mutable announced_routing : Protocol.routing_table;
-  mutable announced_pricing : Protocol.pricing_table;
-  (* checker state: principal -> claimed inputs, keyed by via *)
-  mirror_routing_in : (int, (int * Protocol.routing_table) list ref) Hashtbl.t;
-  mirror_pricing_in : (int, (int * Protocol.pricing_table) list ref) Hashtbl.t;
+  routing_slot : Protocol.routing_table slot;
+  pricing_slot : Protocol.pricing_table slot;
   mutable check_flags : (string * string) list;  (** (rule, detail), newest first *)
   (* execution state *)
   mutable carried : (int * int * float * int) list;
@@ -55,6 +75,47 @@ type t = {
   mutable deliveries : (int * float * int list) list;
       (** (src, rate, trace) for packets terminating here *)
 }
+
+(** What a deviation does to a table the node sends: pass it on,
+    shift its costs or prices by a delta, or send nothing. *)
+type distortion = Honest | Distort of float | Withhold
+
+(** Everything the routing and pricing stages differ in. *)
+type 'tbl stage = {
+  table : string;  (** ["routing"] | ["pricing"], as flag details word it *)
+  princ_rule : string;  (** ["PRINC1"] | ["PRINC2"]: the intake flags' rule *)
+  bank_rule : string;  (** ["BANK1"] | ["BANK2"]: the checkpoint's rule *)
+  wrap : origin:int -> 'tbl -> Protocol.update;
+  unwrap : Protocol.update -> (int * 'tbl) option;
+      (** [Some (origin, table)] for this stage's update constructor *)
+  digest : 'tbl -> string;
+  equal : 'tbl -> 'tbl -> bool;
+  distort : float -> 'tbl -> 'tbl;
+  announce_view : t -> distortion;
+      (** the deviation applied to the node's own announcements
+          (silence is handled by the shared code) *)
+  copy_view : t -> distortion;
+      (** the deviation applied to copies relayed to checkers, live and
+          in the crash handoff *)
+  spoof : t -> float option;
+      (** the delta of a fabricated extra copy per received update *)
+  slot : t -> 'tbl slot;
+  get : t -> 'tbl;
+  set : t -> 'tbl -> unit;
+  empty : t -> 'tbl;  (** the trivial table of a reset *)
+  recompute : t -> 'tbl;
+      (** the principal's computation from its heard tables *)
+  mirror : t -> principal:int -> 'tbl;
+      (** the checker's recomputation of [principal]'s table from its
+          claimed inputs (pricing also mirrors the principal's routing) *)
+  inputs_digest : t -> string;
+      (** digest of the node's consumed inputs (pricing: both tables') *)
+  mirror_inputs_digest : t -> principal:int -> string;
+      (** digest of the inputs a checker's mirror of [principal] consumed *)
+}
+
+val routing_stage : Protocol.routing_table stage
+val pricing_stage : Protocol.pricing_table stage
 
 val create :
   ?copies:bool ->
@@ -71,11 +132,11 @@ val reset_costs : t -> unit
 (** Wipe DATA1 (a phase-1 restart). *)
 
 val reset_routing_phase : t -> unit
-(** Wipe phase-2 state (both sub-phases) — a bank-ordered restart of the
-    routing stage. *)
+(** Wipe phase-2 state (both tables) and the checker flags — a
+    bank-ordered restart of the routing stage. *)
 
 val reset_pricing_phase : t -> unit
-(** Wipe only the pricing sub-phase state (a [BANK2]-ordered restart keeps
+(** Wipe only the pricing table's state (a [BANK2]-ordered restart keeps
     the certified routing tables). *)
 
 val reset_execution : t -> unit
@@ -93,21 +154,22 @@ val on_cost_msg : t -> send -> sender:int -> Protocol.update -> unit
 val finalize_costs : t -> bool
 (** Freeze DATA1; [false] if some cost is still unknown. *)
 
-(** {2 Phase 2a — routing tables} *)
+(** {2 Phase 2 — routing, then pricing tables} *)
 
-val start_routing : t -> send -> unit
-(** Announce the initial (self-only) routing table. *)
+val start : 'tbl stage -> t -> send -> unit
+(** Recompute the table from what the node has heard (nothing, after a
+    reset) and announce it, forced. *)
 
-val on_routing_msg : t -> send -> sender:int -> Protocol.msg -> unit
+val on_msg : 'tbl stage -> t -> send -> sender:int -> Protocol.msg -> unit
 (** Handles both direct updates (store, forward copies to checkers,
     recompute, announce on change) and copies (update the relevant
-    mirror). *)
+    mirror). Anything else raises a [princ_rule] flag. *)
 
-(** {2 Phase 2b — pricing tables} *)
-
+val start_routing : t -> send -> unit
+val on_routing_msg : t -> send -> sender:int -> Protocol.msg -> unit
 val start_pricing : t -> send -> unit
-
 val on_pricing_msg : t -> send -> sender:int -> Protocol.msg -> unit
+(** [start] and [on_msg] at [routing_stage] and [pricing_stage]. *)
 
 (** {2 Execution} *)
 
@@ -121,59 +183,30 @@ val payment_report : t -> Damd_fpss.Traffic.t -> (int * float) list
 
 (** {2 What the bank collects} *)
 
-val self_routing_digest : t -> string
-val self_pricing_digest : t -> string
 val costs_digest : t -> string
 
-val announced_routing_digest_of : t -> principal:int -> string option
-(** Digest of the last routing table [principal] announced to this node. *)
+val self_digest : 'tbl stage -> t -> string
+(** Digest of the node's own table. *)
 
-val announced_pricing_digest_of : t -> principal:int -> string option
+val mirror_digest : 'tbl stage -> t -> principal:int -> string
+(** Digest of this checker's [mirror] of [principal]'s table. *)
 
-val mirror_routing : t -> principal:int -> Protocol.routing_table
-(** [CHECK1]: recompute the principal's routing table from its claimed
-    inputs. *)
+val announced_digest_of : 'tbl stage -> t -> principal:int -> string option
+(** Digest of the last table [principal] announced to this node. *)
 
-val mirror_pricing : t -> principal:int -> Protocol.pricing_table
-(** [CHECK2]: recompute the principal's pricing table (uses the phase-2a
-    mirror for the principal's own routing table). *)
+val claimed_announced_digest : 'tbl stage -> t -> string option
+(** Digest of what the node itself records as its last announcement —
+    its signed answer to "what did you announce?" ([None] when it has
+    announced nothing since [start]). For a computation deviant this is
+    the distorted table (the node cannot un-announce), for an honest
+    node it equals the self digest. The fault-tolerant bank compares it
+    with what the checkers hold; see [Bank.checkpoint]. *)
 
 val colludes_with : t -> principal:int -> bool
 (** True when this node's checker-role reports about [principal] are
     coordinated lies ([Lying_checker] covers every principal;
     [Collude_with p] covers [p] alone). The bank models the coordination
     by letting such a checker echo the principal's self-report. *)
-
-(** {2 Fault-tolerant bank queries}
-
-    Under injected faults a checkpoint mismatch no longer implies a lie:
-    a lost copy, a stale announcement or a crash window produces the same
-    digest disagreement an adversary would. These input-set digests let
-    the bank split mismatches into *contradictions* (checker and
-    principal consumed the same inputs yet disagree — someone deviated)
-    and *omissions* (they consumed different inputs — a message was lost;
-    restart, accuse no one). See [Bank.checkpoint_routing]'s
-    [fault_tolerant] mode and DESIGN.md §14. *)
-
-val claimed_announced_routing_digest : t -> string
-(** Digest of what the node itself records as its last routing
-    announcement — its signed answer to "what did you announce?". For a
-    computation deviant this is the distorted table (the node cannot
-    un-announce), for an honest node it equals the self digest. *)
-
-val claimed_announced_pricing_digest : t -> string
-
-val routing_inputs_digest : t -> string
-(** Digest over the node's consumed neighbor announcements (principal
-    side of the omission test). *)
-
-val pricing_inputs_digest : t -> string
-
-val mirror_routing_inputs_digest : t -> principal:int -> string
-(** Digest over the copies this checker consumed for [principal]'s
-    mirror (checker side of the omission test). *)
-
-val mirror_pricing_inputs_digest : t -> principal:int -> string
 
 (** {2 Crash-recovery handoff} *)
 
@@ -182,9 +215,7 @@ val resend_costs_to : t -> send -> to_:int -> unit
     the node's usual declaration/forwarding deviations. Receivers keep
     first-received facts, so re-sends are idempotent. *)
 
-val resend_routing_to : t -> send -> to_:int -> unit
-(** Re-deliver the last routing announcement (if any) plus the checker
-    copies the recovered neighbor missed, through the same deviation
-    filters as the live path ([routing_copy_view]). *)
-
-val resend_pricing_to : t -> send -> to_:int -> unit
+val resend_to : 'tbl stage -> t -> send -> to_:int -> unit
+(** Re-deliver the last announcement (if any) plus the checker copies the
+    recovered neighbor missed, through the same deviation views as the
+    live path ([copy_view]). *)

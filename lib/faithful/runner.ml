@@ -222,25 +222,18 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
      announcements it failed to emit. Re-sends go through the same
      deviation filters as the live path, so a deviant neighbor cannot be
      forced honest by crashing someone next to it. *)
-  let handoff phase i =
+  let handoff (resend : Node.t -> Node.send -> to_:int -> unit) i =
     List.iter
       (fun c ->
-        if not (Engine.is_down engine c) then
-          match phase with
-          | `Costs ->
-              Node.resend_costs_to nodes.(c) sends.(c) ~to_:i;
-              Node.resend_costs_to nodes.(i) sends.(i) ~to_:c
-          | `Routing ->
-              Node.resend_routing_to nodes.(c) sends.(c) ~to_:i;
-              Node.resend_routing_to nodes.(i) sends.(i) ~to_:c
-          | `Pricing ->
-              Node.resend_pricing_to nodes.(c) sends.(c) ~to_:i;
-              Node.resend_pricing_to nodes.(i) sends.(i) ~to_:c)
+        if not (Engine.is_down engine c) then begin
+          resend nodes.(c) sends.(c) ~to_:i;
+          resend nodes.(i) sends.(i) ~to_:c
+        end)
       neighbor_sets.(i)
   in
-  let arm_faults phase =
+  let arm_faults phase resend =
     Option.iter
-      (fun ctl -> Damd_sim.Fault.arm ~on_recover:(handoff phase) engine ctl ~phase)
+      (fun ctl -> Damd_sim.Fault.arm ~on_recover:(handoff resend) engine ctl ~phase)
       fault_control
   in
   let dispatch : dispatch ref = ref (fun _ ~sender:_ _ -> ()) in
@@ -305,10 +298,23 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
         "checkpoint";
     result
   in
-  let quiesce name =
+  (* Run the engine to quiescence; a livelock is noted, not fatal. *)
+  let drain name =
     match Engine.run ~max_events:params.max_events engine with
-    | Engine.Quiescent -> Ok ()
-    | Engine.Event_limit -> Error (name ^ ": event limit reached (livelock)")
+    | Engine.Quiescent -> ()
+    | Engine.Event_limit ->
+        note
+          [
+            {
+              Bank.rule = "LIVELOCK";
+              culprit = None;
+              detail = name ^ ": event limit reached (livelock)";
+            };
+          ]
+  in
+  let verdict ds =
+    note ds;
+    match ds with [] -> Ok () | d :: _ -> Error d.Bank.detail
   in
   (* --- the three certified construction phases --- *)
   let phase1 =
@@ -322,81 +328,50 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
               match msg with
               | Protocol.Update u -> Node.on_cost_msg nodes.(i) sends.(i) ~sender u
               | _ -> ());
-          arm_faults `Costs;
+          arm_faults `Costs Node.resend_costs_to;
           Array.iteri (fun i node -> Node.announce_cost node sends.(i)) nodes;
-          match quiesce "phase1" with Ok () -> () | Error e -> note [ { Bank.rule = "LIVELOCK"; culprit = None; detail = e } ]);
+          drain "phase1");
       certify =
         (fun () ->
           checkpoint "construction-1 (costs)"
             (let complete = Array.for_all Node.finalize_costs nodes in
              if not complete then Error "some node is missing transit costs"
              else if params.deferred_certification then Ok ()
-             else begin
-               let ds =
-                 if params.checking && params.checks.costs_check then
-                   Bank.checkpoint_costs nodes
-                 else []
-               in
-               note ds;
-               match ds with
-               | [] -> Ok ()
-               | d :: _ -> Error d.Bank.detail
-             end));
+             else
+               verdict
+                 (if params.checking && params.checks.costs_check then
+                    Bank.checkpoint_costs nodes
+                  else [])));
+    }
+  in
+  let table_checkpoint st ~check =
+    if check then Bank.checkpoint ~fault_tolerant:ft st nodes else []
+  in
+  (* Construction 2a and 2b: one table each, the same obligations. *)
+  let phase2 st ~name ~drain_name ~anchor ~reset ~check =
+    {
+      Phase.name;
+      run =
+        phase_span name (fun () ->
+          Array.iter reset nodes;
+          dispatch := (fun i ~sender msg -> Node.on_msg st nodes.(i) sends.(i) ~sender msg);
+          arm_faults anchor (Node.resend_to st);
+          Array.iteri (fun i node -> Node.start st node sends.(i)) nodes;
+          drain drain_name);
+      certify =
+        (fun () ->
+          checkpoint name
+            (if (not params.checking) || params.deferred_certification then Ok ()
+             else verdict (table_checkpoint st ~check)));
     }
   in
   let phase2a =
-    {
-      Phase.name = "construction-2a (routing)";
-      run =
-        phase_span "construction-2a (routing)" (fun () ->
-          Array.iter Node.reset_routing_phase nodes;
-          dispatch := (fun i ~sender msg -> Node.on_routing_msg nodes.(i) sends.(i) ~sender msg);
-          arm_faults `Routing;
-          Array.iteri (fun i node -> Node.start_routing node sends.(i)) nodes;
-          match quiesce "phase2a" with Ok () -> () | Error e -> note [ { Bank.rule = "LIVELOCK"; culprit = None; detail = e } ]);
-      certify =
-        (fun () ->
-          checkpoint "construction-2a (routing)"
-            (if
-               (not params.checking)
-               || (not params.checks.routing_check)
-               || params.deferred_certification
-             then Ok ()
-             else begin
-               let ds = Bank.checkpoint_routing ~fault_tolerant:ft nodes in
-               note ds;
-               match ds with
-               | [] -> Ok ()
-               | d :: _ -> Error d.Bank.detail
-             end));
-    }
+    phase2 Node.routing_stage ~name:"construction-2a (routing)" ~drain_name:"phase2a"
+      ~anchor:`Routing ~reset:Node.reset_routing_phase ~check:params.checks.routing_check
   in
   let phase2b =
-    {
-      Phase.name = "construction-2b (pricing)";
-      run =
-        phase_span "construction-2b (pricing)" (fun () ->
-          Array.iter Node.reset_pricing_phase nodes;
-          dispatch := (fun i ~sender msg -> Node.on_pricing_msg nodes.(i) sends.(i) ~sender msg);
-          arm_faults `Pricing;
-          Array.iteri (fun i node -> Node.start_pricing node sends.(i)) nodes;
-          match quiesce "phase2b" with Ok () -> () | Error e -> note [ { Bank.rule = "LIVELOCK"; culprit = None; detail = e } ]);
-      certify =
-        (fun () ->
-          checkpoint "construction-2b (pricing)"
-            (if
-               (not params.checking)
-               || (not params.checks.pricing_check)
-               || params.deferred_certification
-             then Ok ()
-             else begin
-               let ds = Bank.checkpoint_pricing ~fault_tolerant:ft nodes in
-               note ds;
-               match ds with
-               | [] -> Ok ()
-               | d :: _ -> Error d.Bank.detail
-             end));
-    }
+    phase2 Node.pricing_stage ~name:"construction-2b (pricing)" ~drain_name:"phase2b"
+      ~anchor:`Pricing ~reset:Node.reset_pricing_phase ~check:params.checks.pricing_check
   in
   Engine.reset_stats engine;
   let construction =
@@ -410,55 +385,41 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
   (match Obs.metrics obs with
   | Some reg -> Engine.obs_metrics ~prefix:"engine.construction" engine reg
   | None -> ());
+  let stuck phase progress =
+    {
+      completed = false;
+      stuck_phase = Some phase;
+      restarts = Phase.total_restarts progress;
+      detections = !detections;
+      utilities = Array.make n (-.params.progress_penalty);
+      construction_messages;
+      construction_bytes;
+      execution_messages = 0;
+      bank_bytes;
+      tables = None;
+      sim_time = Engine.now engine;
+    }
+  in
   match construction with
   | Phase.Stuck { phase; progress; _ } ->
       if Obs.enabled obs then
         Obs.instant obs ~cat:"phase"
           ~args:[ ("phase", Json.String phase) ]
           "construction.stuck";
-      {
-        completed = false;
-        stuck_phase = Some phase;
-        restarts = Phase.total_restarts progress;
-        detections = !detections;
-        utilities = Array.make n (-.params.progress_penalty);
-        construction_messages;
-        construction_bytes;
-        execution_messages = 0;
-        bank_bytes;
-        tables = None;
-        sim_time = Engine.now engine;
-      }
+      stuck phase progress
   | Phase.Completed progress
     when params.deferred_certification && params.checking
          && (let ds =
                (if params.checks.costs_check then Bank.checkpoint_costs nodes else [])
-               @ (if params.checks.routing_check then
-                    Bank.checkpoint_routing ~fault_tolerant:ft nodes
-                  else [])
-               @
-               if params.checks.pricing_check then
-                 Bank.checkpoint_pricing ~fault_tolerant:ft nodes
-               else []
+               @ table_checkpoint Node.routing_stage ~check:params.checks.routing_check
+               @ table_checkpoint Node.pricing_stage ~check:params.checks.pricing_check
              in
              note ds;
              ds <> []) ->
       (* The ablation of experiment E8: with certification deferred to a
          single final check, a deviation is only caught after the whole
          construction has been paid for. *)
-      {
-        completed = false;
-        stuck_phase = Some "deferred-certification";
-        restarts = Phase.total_restarts progress;
-        detections = !detections;
-        utilities = Array.make n (-.params.progress_penalty);
-        construction_messages;
-        construction_bytes;
-        execution_messages = 0;
-        bank_bytes;
-        tables = None;
-        sim_time = Engine.now engine;
-      }
+      stuck "deferred-certification" progress
   | Phase.Completed progress ->
       (* --- execution phase --- *)
       (* Injection ends with construction: execution-phase loss is the
@@ -476,10 +437,7 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
             (fun (src, dst, rate) ->
               Node.originate_traffic nodes.(src) sends.(src) ~dst ~rate)
             (Traffic.demand_pairs traffic);
-          match quiesce "execution" with
-          | Ok () -> ()
-          | Error e ->
-              note [ { Bank.rule = "LIVELOCK"; culprit = None; detail = e } ]);
+          drain "execution");
       let execution_messages = Engine.messages_sent engine in
       (match Obs.metrics obs with
       | Some reg -> Engine.obs_metrics ~prefix:"engine.execution" engine reg

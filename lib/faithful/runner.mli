@@ -88,7 +88,7 @@ type params = {
           with protocol-level table handoff. Active during construction
           only ([Fault.deactivate] at execution start). When set, the
           bank's routing/pricing checkpoints run in fault-tolerant
-          evidence mode ([Bank.checkpoint_routing ~fault_tolerant:true]):
+          evidence mode ([Bank.checkpoint ~fault_tolerant:true]):
           blame only on signed-statement contradictions, restarts without
           blame on omission-shaped mismatches. [None] (the default) is
           bit-for-bit the stock runner. *)

@@ -286,6 +286,83 @@ let test_epsilon_agents_activate_on_weakened_bank () =
   check Alcotest.bool "some wrapper activated" true
     (List.exists snd gr.Campaign.epsilon_active)
 
+(* Cross-commit replay golden: the digest of every graded campaign's JSON
+   for the first 8 campaigns of master seed 42, in four modes. The replay
+   tests above compare two grades made by one build; this list pins the
+   bytes across builds. A deliberate change to grading or to the protocol
+   replaces the list (the failure prints the actual one) and names the
+   moved campaigns in the change log. *)
+let golden_modes =
+  [
+    ("stock", Campaign.No_weaken, Campaign.stock);
+    ("faults", Campaign.No_weaken, mixed);
+    ("weaken-settlement", Campaign.Weaken_settlement, Campaign.stock);
+    ("weaken-pricing", Campaign.Weaken_pricing, Campaign.stock);
+  ]
+
+let replay_golden =
+  [
+    ("stock", 0, "d21512f9b7f10e16dfb22670a243a9f7");
+    ("stock", 1, "d315997f2044a008d22fbb36fe0f2438");
+    ("stock", 2, "694e5d2fa8c00f15c5dddb073262f7ac");
+    ("stock", 3, "8ed3528b82c159be82741fa90bc53d92");
+    ("stock", 4, "019b422d2655fbac6d8ba89ef05fab09");
+    ("stock", 5, "3af2579d8f2779be82d8f730d6af2f13");
+    ("stock", 6, "b7743d6fe9be1973ad2850b128b249e2");
+    ("stock", 7, "5f179d79cf22dbe0c3e52a5faef1f3c9");
+    ("faults", 0, "f3ee06806008585cfd47a1852899e8f7");
+    ("faults", 1, "3b1136c133af1eda443d171547f43768");
+    ("faults", 2, "2a97df8ff544fc87a7871d1081663990");
+    ("faults", 3, "1a72d2aa31da52108a4492df18aefa09");
+    ("faults", 4, "201ce0f66645c0ffa94ae4254dc3ef2a");
+    ("faults", 5, "be7dda8d176aecff007c5c9512fc907d");
+    ("faults", 6, "341a7d20763101c81c8555e177d739ff");
+    ("faults", 7, "1abf996506f4a57ea495051808628b08");
+    ("weaken-settlement", 0, "d21512f9b7f10e16dfb22670a243a9f7");
+    ("weaken-settlement", 1, "d315997f2044a008d22fbb36fe0f2438");
+    ("weaken-settlement", 2, "694e5d2fa8c00f15c5dddb073262f7ac");
+    ("weaken-settlement", 3, "8ed3528b82c159be82741fa90bc53d92");
+    ("weaken-settlement", 4, "019b422d2655fbac6d8ba89ef05fab09");
+    ("weaken-settlement", 5, "3e231f519607385d2c9dd62962a43f65");
+    ("weaken-settlement", 6, "b7743d6fe9be1973ad2850b128b249e2");
+    ("weaken-settlement", 7, "5f179d79cf22dbe0c3e52a5faef1f3c9");
+    ("weaken-pricing", 0, "d21512f9b7f10e16dfb22670a243a9f7");
+    ("weaken-pricing", 1, "d315997f2044a008d22fbb36fe0f2438");
+    ("weaken-pricing", 2, "694e5d2fa8c00f15c5dddb073262f7ac");
+    ("weaken-pricing", 3, "8ed3528b82c159be82741fa90bc53d92");
+    ("weaken-pricing", 4, "019b422d2655fbac6d8ba89ef05fab09");
+    ("weaken-pricing", 5, "3af2579d8f2779be82d8f730d6af2f13");
+    ("weaken-pricing", 6, "19d5548ad6339f4ea9bcabe68d5636c1");
+    ("weaken-pricing", 7, "5f179d79cf22dbe0c3e52a5faef1f3c9");
+  ]
+
+let test_replay_golden () =
+  let actual =
+    List.concat_map
+      (fun (mode, weaken, mix) ->
+        List.init 8 (fun i ->
+            let d = Campaign.of_seed ~mix (Campaign.campaign_seed ~master:42 i) in
+            let g = Campaign.grade ~weaken d in
+            ( mode,
+              i,
+              Digest.to_hex
+                (Digest.string (Json.to_string (Campaign.json_of_graded g))) )))
+      golden_modes
+  in
+  if actual <> replay_golden then begin
+    let golden = Array.of_list replay_golden in
+    List.iteri
+      (fun k (mode, i, hex) ->
+        if k >= Array.length golden || golden.(k) <> (mode, i, hex) then
+          Printf.printf "replay golden mismatch: mode %s, campaign %d\n" mode i)
+      actual;
+    print_endline "actual list:";
+    List.iter
+      (fun (mode, i, hex) -> Printf.printf "    (%S, %d, %S);\n" mode i hex)
+      actual;
+    Alcotest.fail "replay golden digests moved"
+  end
+
 let suites =
   [
     ( "gauntlet.campaign",
@@ -303,6 +380,8 @@ let suites =
         Alcotest.test_case "weaken_of_string round-trip" `Quick
           test_weaken_of_string_roundtrip;
         Alcotest.test_case "campaign seeds distinct" `Quick test_campaign_seeds_distinct;
+        Alcotest.test_case "replay golden: 8 campaigns x 4 modes" `Quick
+          test_replay_golden;
       ] );
     ( "gauntlet.mixed",
       [
