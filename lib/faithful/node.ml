@@ -54,12 +54,26 @@ type 'tbl stage = {
   set : t -> 'tbl -> unit;
   empty : t -> 'tbl;
   recompute : t -> 'tbl;
+  refresh : t -> old:'tbl -> 'tbl -> 'tbl;
   mirror : t -> principal:int -> 'tbl;
   inputs_digest : t -> string;
   mirror_inputs_digest : t -> principal:int -> string;
 }
 
 let set_assoc key value l = (key, value) :: List.remove_assoc key l
+
+(* Row-granular intake. A row of either table reads only that row of the
+   neighbours' tables (plus the fixed costs, and for pricing the node's
+   own routing), so when a neighbour's [table] replaces its [old] one,
+   only the rows where the two differ can change: [row] recomputes those
+   and the rest are kept. [current] may be shared by reference with the
+   neighbours' slots through an announcement, so the result is a copy. *)
+let refresh_rows ~row_equal ~row current ~old table =
+  let next = Array.copy current in
+  for dst = 0 to Array.length next - 1 do
+    if not (row_equal table.(dst) old.(dst)) then next.(dst) <- row dst
+  done;
+  next
 
 (* Membership in a sorted int array — the O(log deg) fast path for the
    provenance checks that run on every message. *)
@@ -289,9 +303,13 @@ let on_msg st node (send : send) ~sender msg =
               (st.table ^ " update with inconsistent provenance")
           else begin
             let slot = st.slot node in
+            let old = List.assoc_opt sender slot.heard in
             slot.heard <- set_assoc sender table slot.heard;
             forward_copies st node send ~sender table;
-            st.set node (st.recompute node);
+            st.set node
+              (match old with
+              | None -> st.recompute node
+              | Some old -> st.refresh node ~old table);
             announce st node send
           end)
   | Protocol.Copy { principal; via; inner } -> (
@@ -386,6 +404,13 @@ let routing_stage =
       (fun node ->
         Protocol.recompute_routing ~self:node.id ~n:node.n ~costs:node.costs
           ~neighbor_tables:node.routing_slot.heard);
+    refresh =
+      (fun node ->
+        refresh_rows ~row_equal:Protocol.routing_row_equal
+          ~row:
+            (Protocol.routing_row ~self:node.id ~costs:node.costs
+               ~neighbor_tables:node.routing_slot.heard)
+          node.routing);
     mirror =
       (fun node ~principal ->
         Protocol.recompute_routing ~self:principal ~n:node.n ~costs:node.costs
@@ -449,6 +474,14 @@ let pricing_stage =
         Protocol.recompute_pricing ~self:node.id ~costs:node.costs
           ~own_routing:node.routing ~neighbor_routing:node.routing_slot.heard
           ~neighbor_pricing:node.pricing_slot.heard);
+    refresh =
+      (fun node ->
+        refresh_rows ~row_equal:Protocol.pricing_row_equal
+          ~row:
+            (Protocol.pricing_row ~self:node.id ~costs:node.costs
+               ~own_routing:node.routing ~neighbor_routing:node.routing_slot.heard
+               ~neighbor_pricing:node.pricing_slot.heard)
+          node.pricing);
     mirror =
       (fun node ~principal ->
         Protocol.recompute_pricing ~self:principal ~costs:node.costs

@@ -104,7 +104,14 @@ type 'tbl stage = {
   set : t -> 'tbl -> unit;
   empty : t -> 'tbl;  (** the trivial table of a reset *)
   recompute : t -> 'tbl;
-      (** the principal's computation from its heard tables *)
+      (** the principal's computation from its heard tables, every row:
+          what [start] runs *)
+  refresh : t -> old:'tbl -> 'tbl -> 'tbl;
+      (** [refresh node ~old table]: the node's table after a neighbour's
+          [table] replaced its [old] one in the heard tables, recomputing
+          only the rows where the two differ, on a copy. Equal to
+          [recompute] (under [equal]) whenever the node's table was equal
+          to [recompute] before the replacement. *)
   mirror : t -> principal:int -> 'tbl;
       (** the checker's recomputation of [principal]'s table from its
           claimed inputs (pricing also mirrors the principal's routing) *)
@@ -163,7 +170,10 @@ val start : 'tbl stage -> t -> send -> unit
 val on_msg : 'tbl stage -> t -> send -> sender:int -> Protocol.msg -> unit
 (** Handles both direct updates (store, forward copies to checkers,
     recompute, announce on change) and copies (update the relevant
-    mirror). Anything else raises a [princ_rule] flag. *)
+    mirror). Anything else raises a [princ_rule] flag. An update from a
+    neighbour heard before recomputes only the rows its new table changed
+    ([refresh]); a neighbour's first table recomputes every row. Either
+    way the node's table equals [recompute] of everything it has heard. *)
 
 val start_routing : t -> send -> unit
 val on_routing_msg : t -> send -> sender:int -> Protocol.msg -> unit

@@ -54,6 +54,19 @@ val empty_routing : n:int -> self:int -> routing_table
 
 val empty_pricing : n:int -> pricing_table
 
+val routing_row :
+  self:int ->
+  costs:float array ->
+  neighbor_tables:(int * routing_table) list ->
+  int ->
+  entry option
+(** [routing_row ~self ~costs ~neighbor_tables dst]: row [dst] of
+    [recompute_routing] — the cheapest loop-free neighbor entry for [dst]
+    extended by one hop ([Dijkstra.compare_entry] breaks ties), or the
+    self entry at [dst = self]. It reads only row [dst] of each neighbor
+    table, plus [costs]; that is what lets a node recompute just the rows
+    a neighbor's new table changed ([Node.stage]'s [refresh]). *)
+
 val recompute_routing :
   self:int ->
   n:int ->
@@ -61,7 +74,22 @@ val recompute_routing :
   neighbor_tables:(int * routing_table) list ->
   routing_table
 (** The [PRINC1] computation: canonical-order path-vector relaxation over
-    the latest neighbor tables (loop-avoiding). Deterministic. *)
+    the latest neighbor tables (loop-avoiding), [routing_row] at every
+    destination. Deterministic. *)
+
+val pricing_row :
+  self:int ->
+  costs:float array ->
+  own_routing:routing_table ->
+  neighbor_routing:(int * routing_table) list ->
+  neighbor_pricing:(int * pricing_table) list ->
+  int ->
+  price_entry list
+(** [pricing_row ... dst]: row [dst] of [recompute_pricing] — one entry
+    per transit node of [own_routing]'s path to [dst], with its identity
+    tags. It reads only row [dst] of [own_routing] and of each neighbor's
+    routing and pricing table, plus [costs], and which neighbors have
+    announced pricing at all. *)
 
 val recompute_pricing :
   self:int ->
@@ -70,7 +98,8 @@ val recompute_pricing :
   neighbor_routing:(int * routing_table) list ->
   neighbor_pricing:(int * pricing_table) list ->
   pricing_table
-(** The [PRINC2] computation, including identity tags. *)
+(** The [PRINC2] computation, including identity tags: [pricing_row] at
+    every destination of [own_routing]. *)
 
 val routing_digest : routing_table -> string
 (** Hex SHA-256 of the canonical serialization — what [BANK1] compares. *)
@@ -91,4 +120,19 @@ val routing_inputs_digest : (int * routing_table) list -> string
 val pricing_inputs_digest : (int * pricing_table) list -> string
 
 val routing_equal : routing_table -> routing_table -> bool
+(** [routing_equal a b] holds exactly when [routing_digest] hashes the
+    same bytes for both: the same length, and row by row both empty or
+    both holding equal paths (element by element) and costs that [%h]
+    prints alike — equal bits, or both NaN with the same sign. So [0.]
+    and [-0.] differ. Compares structurally, without serializing; the
+    node's announce-on-change test. *)
+
 val pricing_equal : pricing_table -> pricing_table -> bool
+(** As [routing_equal], for [pricing_digest]: row by row the same entries
+    in order, with equal transits and tags and [%h]-alike prices. *)
+
+val routing_row_equal : entry option -> entry option -> bool
+(** [routing_equal] on one row. *)
+
+val pricing_row_equal : price_entry list -> price_entry list -> bool
+(** [pricing_equal] on one row. *)

@@ -102,6 +102,48 @@ let prop_sha_streaming_split =
       Sha256.feed ctx (String.sub s i (String.length s - i));
       Sha256.finalize ctx = Sha256.digest s)
 
+(* The native-int implementation against the Int32 one it replaced
+   ([Sha256_reference], test-only): every entry point gives the same
+   bytes. Lengths run to 300 and half the cases sit within two bytes of a
+   padding edge (55/56 where the length field spills into a new block,
+   63/64/65 at the block boundary, and the same a block later); the same
+   string is also fed in random chunks and split into a [digest_list]. *)
+let gen_sha_case =
+  let open QCheck.Gen in
+  let edge =
+    let* base = oneofl [ 55; 56; 63; 64; 65; 119; 120; 127; 128; 129 ] in
+    map (fun d -> max 0 (base + d)) (int_range (-2) 2)
+  in
+  let* len = oneof [ int_bound 300; edge ] in
+  let* s = string_size ~gen:char (return len) in
+  let* cuts = list_size (int_bound 6) (int_bound len) in
+  return (s, List.sort_uniq Int.compare cuts)
+
+let split_at s cuts =
+  let bounds = (0 :: cuts) @ [ String.length s ] in
+  let rec go = function
+    | a :: (b :: _ as rest) -> String.sub s a (b - a) :: go rest
+    | _ -> []
+  in
+  go bounds
+
+let prop_sha_matches_reference =
+  QCheck.Test.make ~name:"native-int SHA-256 = Int32 reference" ~count:500
+    (QCheck.make
+       ~print:(fun (s, cuts) ->
+         Printf.sprintf "%d bytes %S, cuts %s" (String.length s) s
+           (String.concat "," (List.map string_of_int cuts)))
+       gen_sha_case)
+    (fun (s, cuts) ->
+      let parts = split_at s cuts in
+      let ctx = Sha256.init () in
+      List.iter (Sha256.feed ctx) parts;
+      let raw = Sha256_reference.digest s in
+      String.equal (Sha256.digest_hex s) (Sha256_reference.digest_hex s)
+      && String.equal (Sha256.finalize ctx) raw
+      && String.equal (Sha256.digest_list parts) (Sha256_reference.digest_list parts)
+      && String.equal (Sha256.hex s) (Sha256_reference.hex s))
+
 (* --- HMAC RFC 4231 vectors --- *)
 
 let test_hmac_rfc4231_case1 () =
@@ -212,6 +254,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_sha_length;
         QCheck_alcotest.to_alcotest prop_sha_avalanche;
         QCheck_alcotest.to_alcotest prop_sha_streaming_split;
+        QCheck_alcotest.to_alcotest prop_sha_matches_reference;
       ] );
     ( "crypto.hmac",
       [

@@ -94,6 +94,127 @@ let test_protocol_costs_digest () =
     (Protocol.costs_digest [| 1.; 2. |])
     (Protocol.costs_digest [| 1.; 2. |])
 
+(* --- Structural equality = digest equality ---
+
+   [routing_equal]/[pricing_equal] compare tables structurally; they must
+   hold exactly when the digests' serializations are equal. The floats
+   come from a pool where bitwise and [%h] equality part ways: signed
+   zeros, NaNs of both signs and two payloads, infinity, a subnormal.
+   Each case is a random table and either a copy of it with one cost,
+   price, path element, transit, tag or the table length changed, or a
+   second random table. *)
+
+let float_pool =
+  [| 0.; -0.; nan; -.nan; Int64.float_of_bits 0x7ff0000000000001L; infinity;
+     4.9e-324; 1.; 2.5; 7. |]
+
+let gen_float = QCheck.Gen.map (Array.get float_pool) (QCheck.Gen.int_bound 9)
+let gen_ints = QCheck.Gen.(list_size (int_bound 3) (int_bound 4))
+
+let gen_routing_row =
+  QCheck.Gen.(
+    opt (map2 (fun cost path -> { Dijkstra.cost; path }) gen_float gen_ints))
+
+let gen_price_entry =
+  QCheck.Gen.(
+    map3
+      (fun transit price tags -> { Protocol.transit; price; tags })
+      (int_bound 4) gen_float gen_ints)
+
+let gen_pricing_row = QCheck.Gen.(list_size (int_bound 3) gen_price_entry)
+
+(* A random table and a partner: a copy, a copy with one row passed
+   through [mutate_row] (one field redrawn, possibly to an equal value),
+   a copy one row longer or shorter, or an unrelated table. *)
+let gen_table_pair gen_row mutate_row =
+  let open QCheck.Gen in
+  let* a = array_size (1 -- 4) gen_row in
+  let n = Array.length a in
+  let* edit = int_bound 3 and* j = int_bound (n - 1) in
+  match edit with
+  | 0 -> return (a, Array.copy a)
+  | 1 ->
+      let* r = mutate_row a.(j) in
+      let b = Array.copy a in
+      b.(j) <- r;
+      return (a, b)
+  | 2 ->
+      let* extra = gen_row in
+      return (a, if j mod 2 = 0 then Array.append a [| extra |] else Array.sub a 0 (n - 1))
+  | _ ->
+      let* b = array_size (return n) gen_row in
+      return (a, b)
+
+let set_nth l j x = List.mapi (fun i y -> if i = j then x else y) l
+
+let mutate_ints l =
+  let open QCheck.Gen in
+  match l with
+  | [] -> map (fun v -> [ v ]) (int_bound 4)
+  | _ ->
+      let* j = int_bound (List.length l - 1) and* v = int_bound 4 in
+      return (set_nth l j v)
+
+let mutate_routing_row (row : Dijkstra.entry option) =
+  let open QCheck.Gen in
+  match row with
+  | None -> gen_routing_row
+  | Some e ->
+      let* which = bool in
+      if which then map (fun cost -> Some { e with Dijkstra.cost }) gen_float
+      else map (fun path -> Some { e with Dijkstra.path }) (mutate_ints e.Dijkstra.path)
+
+let mutate_pricing_row (row : Protocol.price_entry list) =
+  let open QCheck.Gen in
+  match row with
+  | [] -> map (fun pe -> [ pe ]) gen_price_entry
+  | _ ->
+      let* j = int_bound (List.length row - 1) and* field = int_bound 2 in
+      let pe = List.nth row j in
+      let* pe =
+        match field with
+        | 0 -> map (fun price -> { pe with Protocol.price }) gen_float
+        | 1 -> map (fun transit -> { pe with Protocol.transit }) (int_bound 4)
+        | _ -> map (fun tags -> { pe with Protocol.tags }) (mutate_ints pe.Protocol.tags)
+      in
+      return (set_nth row j pe)
+
+let print_floats_ints f ints =
+  Printf.sprintf "%h/%s" f (String.concat "," (List.map string_of_int ints))
+
+let print_routing (t : Protocol.routing_table) =
+  Array.to_list t
+  |> List.map (function
+       | None -> "-"
+       | Some e -> print_floats_ints e.Dijkstra.cost e.Dijkstra.path)
+  |> String.concat "; "
+
+let print_pricing (t : Protocol.pricing_table) =
+  Array.to_list t
+  |> List.map (fun row ->
+         List.map
+           (fun pe ->
+             string_of_int pe.Protocol.transit ^ "="
+             ^ print_floats_ints pe.Protocol.price pe.Protocol.tags)
+           row
+         |> String.concat " ")
+  |> String.concat "; "
+
+let prop_equal_is_digest_equal name gen print equal digest =
+  QCheck.Test.make ~name ~count:500
+    (QCheck.make ~print:QCheck.Print.(pair print print) gen)
+    (fun (a, b) -> Bool.equal (equal a b) (String.equal (digest a) (digest b)))
+
+let prop_routing_equal_is_digest_equal =
+  prop_equal_is_digest_equal "routing_equal = digest equality"
+    (gen_table_pair gen_routing_row mutate_routing_row)
+    print_routing Protocol.routing_equal Protocol.routing_digest
+
+let prop_pricing_equal_is_digest_equal =
+  prop_equal_is_digest_equal "pricing_equal = digest equality"
+    (gen_table_pair gen_pricing_row mutate_pricing_row)
+    print_pricing Protocol.pricing_equal Protocol.pricing_digest
+
 (* --- Protocol handlers vs the full-sweep reference ---
 
    The per-node handlers run as one synchronous full sweep: each round
@@ -326,6 +447,79 @@ let test_node_checker_rejects_bad_via () =
        });
   check Alcotest.bool "flagged" true
     (List.exists (fun (rule, _) -> rule = "CHECK2") node.Node.check_flags)
+
+(* --- Row-granular intake = full recompute ---
+
+   An update from a neighbour heard before recomputes only the rows its
+   new table changed. One node on a random graph takes a random script of
+   routing, then pricing, updates, and after every one its table must
+   equal the full recompute of everything it has heard. The updates are
+   its neighbours' tables from the rounds of a synchronous sweep (nearby
+   rounds differ in a few rows, distant ones in many), some passed
+   through the stage's [distort]; senders repeat and arrive for the first
+   time in any order. *)
+
+(* The per-node tables of [rounds] synchronous rounds of [step] after
+   [init], [init] first. *)
+let sweep_rounds ~rounds init step =
+  let states = Array.make (rounds + 1) init in
+  for r = 1 to rounds do
+    states.(r) <- Array.init (Array.length init) (step states.(r - 1))
+  done;
+  states
+
+let drive_intake st node nbrs rounds script =
+  let _, send = capture () in
+  List.for_all
+    (fun (who, round, delta) ->
+      let sender = nbrs.(who mod Array.length nbrs) in
+      let table = rounds.(round mod Array.length rounds).(sender) in
+      let table =
+        match delta with None -> table | Some d -> st.Node.distort (float_of_int d) table
+      in
+      Node.on_msg st node send ~sender (Protocol.Update (st.Node.wrap ~origin:sender table));
+      st.Node.equal (st.Node.get node) (st.Node.recompute node))
+    script
+
+let intake_script =
+  QCheck.(list_of_size Gen.(1 -- 15) (triple small_nat small_nat (option (int_range (-2) 2))))
+
+let prop_node_intake_equals_recompute =
+  QCheck.Test.make ~name:"row-granular intake = full recompute" ~count:100
+    QCheck.(quad small_nat (float_bound_inclusive 1.) small_nat (pair intake_script intake_script))
+    (fun (seed, p, who, (routing_script, pricing_script)) ->
+      let g = Fpss_reference.random_graph (Rng.create (seed + 2800)) ~seed ~p in
+      let n = Graph.n g in
+      let id = who mod n in
+      let nbrs = Array.of_list (Graph.neighbors g id) in
+      let costs = Graph.costs g in
+      let from_nbrs tables i = List.map (fun a -> (a, tables.(a))) (Graph.neighbors g i) in
+      let rounds = n + 2 in
+      let routing =
+        sweep_rounds ~rounds
+          (Array.init n (fun i -> Protocol.empty_routing ~n ~self:i))
+          (fun prev i ->
+            Protocol.recompute_routing ~self:i ~n ~costs ~neighbor_tables:(from_nbrs prev i))
+      in
+      let final = routing.(rounds) in
+      let pricing =
+        sweep_rounds ~rounds (Array.make n (Protocol.empty_pricing ~n)) (fun prev i ->
+            Protocol.recompute_pricing ~self:i ~costs ~own_routing:final.(i)
+              ~neighbor_routing:(from_nbrs final i) ~neighbor_pricing:(from_nbrs prev i))
+      in
+      let node =
+        Node.create ~id ~n ~neighbor_sets:(Array.init n (Graph.neighbors g))
+          ~true_cost:costs.(id) ~deviation:Adversary.Faithful ()
+      in
+      node.Node.costs <- costs;
+      let _, send = capture () in
+      Array.length nbrs = 0
+      || begin
+           Node.start_routing node send;
+           let routing_ok = drive_intake Node.routing_stage node nbrs routing routing_script in
+           Node.start_pricing node send;
+           routing_ok && drive_intake Node.pricing_stage node nbrs pricing pricing_script
+         end)
 
 let test_node_payment_report () =
   let node = Node.create ~id:0 ~n:3 ~neighbor_sets:line3_sets ~true_cost:1. ~deviation:Adversary.Faithful () in
@@ -1508,6 +1702,8 @@ let suites =
         Alcotest.test_case "message sizes" `Quick test_protocol_msg_sizes;
         Alcotest.test_case "cost digests" `Quick test_protocol_costs_digest;
         QCheck_alcotest.to_alcotest prop_protocol_sweep_equals_reference;
+        QCheck_alcotest.to_alcotest prop_routing_equal_is_digest_equal;
+        QCheck_alcotest.to_alcotest prop_pricing_equal_is_digest_equal;
       ] );
     ( "faithful.node",
       [
@@ -1521,6 +1717,7 @@ let suites =
         Alcotest.test_case "checker rejects bad via" `Quick test_node_checker_rejects_bad_via;
         Alcotest.test_case "payment report" `Quick test_node_payment_report;
         Alcotest.test_case "underreport" `Quick test_node_payment_report_underreports;
+        QCheck_alcotest.to_alcotest prop_node_intake_equals_recompute;
       ] );
     ( "faithful.bank",
       [
