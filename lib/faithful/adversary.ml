@@ -25,56 +25,138 @@ type t =
   | Byzantine_arbitrary of int
   | Epsilon_rational of float * t
 
-type byz_plan = {
-  byz_cost_pair : (float * float) option;
-  byz_cost_forward : float option;
-  byz_routing_copies : [ `Drop | `Corrupt of float ] option;
-  byz_routing_announce : float option;
-  byz_pricing_copies : [ `Drop | `Corrupt of float ] option;
-  byz_pricing_announce : float option;
-  byz_misroute : bool;
-  byz_underreport : float option;
+type declare = True_cost | Declare of float | Split of float * float
+
+type distortion = Honest | Distort of float | Withhold
+
+type table_plan = { announce : distortion; copies : distortion; spoof : float option }
+
+type shield = Nobody | Everyone | Principal of int
+
+type plan = {
+  declare : declare;
+  forward : float option;
+  routing : table_plan;
+  pricing : table_plan;
+  misroute : bool;
+  underreport : float option;
+  misattribute : bool;
+  shield : shield;
 }
+
+let honest_table = { announce = Honest; copies = Honest; spoof = None }
+
+let faithful =
+  {
+    declare = True_cost;
+    forward = None;
+    routing = honest_table;
+    pricing = honest_table;
+    misroute = false;
+    underreport = None;
+    misattribute = false;
+    shield = Nobody;
+  }
+
+let tampers_with (t : table_plan) =
+  t.announce <> Honest || t.copies <> Honest || Option.is_some t.spoof
+
+(* Some table the node sends differs from the suggested one: evidence the
+   bank sees only through the node's checkers (BANK1/BANK2). *)
+let tampers p = tampers_with p.routing || tampers_with p.pricing
+
+let execution p = p.misroute || Option.is_some p.underreport || p.misattribute
+
+(* DATA1 components: the bank's global digest comparison sees an
+   inconsistent declaration or a corrupted forward. A consistent [Declare]
+   is not one: it is a legal revelation action, neutralized by
+   strategyproofness rather than by checking. *)
+let corrupts_costs p =
+  (match p.declare with Split _ -> true | True_cost | Declare _ -> false)
+  || Option.is_some p.forward
+
+(* Components that reach the bank over evidence no checker mediates. *)
+let unmediated p = corrupts_costs p || execution p
+
+let active p = tampers p || unmediated p
 
 (* The plan is a *fixed* function of the seed, sampled once: a Byzantine
    node that re-randomized per message would never converge its own
    announcement loop (every recomputation would differ), turning every
    campaign into a livelock instead of an interesting adversary. Fixing
    the behaviors at creation keeps the node deterministic — arbitrary in
-   choice, not in time. *)
+   choice, not in time. The draws run in a fixed order, the under-report
+   first and the cost pair last; seeded replay depends on it. A drawn
+   pair stays a [Split] even when its two costs are equal. *)
 let plan_of_seed seed =
   let rng = Rng.create (0x42595A + seed) in
   let maybe p f = if Rng.bernoulli rng p then Some (f ()) else None in
-  let copies p =
-    maybe p (fun () ->
-        if Rng.bool rng then `Drop else `Corrupt (float_of_int (Rng.int_in rng 1 4)))
+  let draw lo hi () = float_of_int (Rng.int_in rng lo hi) in
+  let distortion f = Option.value (maybe 0.4 f) ~default:Honest in
+  let announce lo hi = distortion (fun () -> Distort (draw lo hi ())) in
+  let copies () =
+    distortion (fun () -> if Rng.bool rng then Withhold else Distort (draw 1 4 ()))
+  in
+  let underreport = maybe 0.3 (fun () -> 0.25 *. draw 0 3 ()) in
+  let misroute = Rng.bernoulli rng 0.3 in
+  let pricing_announce = announce 1 3 in
+  let pricing_copies = copies () in
+  let routing_announce = announce (-3) 3 in
+  let routing_copies = copies () in
+  let forward = maybe 0.3 (draw 1 4) in
+  let cost_pair =
+    maybe 0.3 (fun () ->
+        let a = draw 1 9 () in
+        let b = draw 1 9 () in
+        (a, b))
   in
   let plan =
     {
-      byz_cost_pair =
-        maybe 0.3 (fun () ->
-            let a = float_of_int (Rng.int_in rng 1 9) in
-            let b = float_of_int (Rng.int_in rng 1 9) in
-            (a, b));
-      byz_cost_forward = maybe 0.3 (fun () -> float_of_int (Rng.int_in rng 1 4));
-      byz_routing_copies = copies 0.4;
-      byz_routing_announce = maybe 0.4 (fun () -> float_of_int (Rng.int_in rng (-3) 3));
-      byz_pricing_copies = copies 0.4;
-      byz_pricing_announce = maybe 0.4 (fun () -> float_of_int (Rng.int_in rng 1 3));
-      byz_misroute = Rng.bernoulli rng 0.3;
-      byz_underreport = maybe 0.3 (fun () -> 0.25 *. float_of_int (Rng.int_in rng 0 3));
+      faithful with
+      declare = (match cost_pair with Some (a, b) -> Split (a, b) | None -> True_cost);
+      forward;
+      routing = { honest_table with announce = routing_announce; copies = routing_copies };
+      pricing = { honest_table with announce = pricing_announce; copies = pricing_copies };
+      misroute;
+      underreport;
     }
   in
-  if
-    plan.byz_cost_pair = None && plan.byz_cost_forward = None
-    && plan.byz_routing_copies = None
-    && plan.byz_routing_announce = None
-    && plan.byz_pricing_copies = None
-    && plan.byz_pricing_announce = None
-    && (not plan.byz_misroute)
-    && plan.byz_underreport = None
-  then { plan with byz_routing_announce = Some (-2.) }
-  else plan
+  if active plan then plan
+  else { plan with routing = { plan.routing with announce = Distort (-2.) } }
+
+let routing table_plan = { faithful with routing = table_plan }
+let pricing table_plan = { faithful with pricing = table_plan }
+
+let rec plan = function
+  | Faithful -> faithful
+  | Misreport_cost c -> { faithful with declare = Declare c }
+  | Inconsistent_cost (a, b) -> { faithful with declare = Split (a, b) }
+  | Corrupt_cost_forward delta -> { faithful with forward = Some delta }
+  | Drop_routing_copies -> routing { honest_table with copies = Withhold }
+  | Drop_pricing_copies -> pricing { honest_table with copies = Withhold }
+  | Corrupt_routing_copies delta -> routing { honest_table with copies = Distort delta }
+  | Corrupt_pricing_copies delta -> pricing { honest_table with copies = Distort delta }
+  | Spoof_routing_update delta -> routing { honest_table with spoof = Some delta }
+  | Spoof_pricing_update delta -> pricing { honest_table with spoof = Some delta }
+  | Miscompute_routing delta -> routing { honest_table with announce = Distort delta }
+  | Miscompute_pricing delta -> pricing { honest_table with announce = Distort delta }
+  | Underreport_payments f -> { faithful with underreport = Some f }
+  | Misroute_packets -> { faithful with misroute = true }
+  | Misattribute_payments -> { faithful with misattribute = true }
+  | Silent_in_construction ->
+      let silent = { honest_table with announce = Withhold } in
+      { faithful with routing = silent; pricing = silent }
+  | Combined_routing_attack delta ->
+      routing { announce = Distort (-.delta); copies = Distort delta; spoof = Some delta }
+  | Combined_pricing_attack delta ->
+      pricing { announce = Distort delta; copies = Distort delta; spoof = Some delta }
+  | Lying_checker -> { faithful with shield = Everyone }
+  | Collude_with p -> { faithful with shield = Principal p }
+  | Byzantine_arbitrary seed -> plan_of_seed seed
+  | Epsilon_rational (_, inner) -> plan inner
+
+let shields p ~principal =
+  match p.shield with Nobody -> false | Everyone -> true | Principal q -> q = principal
 
 let rec name = function
   | Faithful -> "faithful"
@@ -148,33 +230,6 @@ let rec classify = function
   | Byzantine_arbitrary _ -> [ Action.Message_passing; Action.Computation ]
   | Epsilon_rational (_, inner) -> classify inner
 
-let rec is_construction = function
-  | Inconsistent_cost _ | Corrupt_cost_forward _ | Drop_routing_copies
-  | Drop_pricing_copies | Corrupt_routing_copies _ | Corrupt_pricing_copies _
-  | Spoof_routing_update _ | Spoof_pricing_update _ | Miscompute_routing _
-  | Miscompute_pricing _ | Silent_in_construction | Lying_checker | Collude_with _
-  | Combined_routing_attack _ | Combined_pricing_attack _ ->
-      true
-  | Byzantine_arbitrary seed ->
-      let p = plan_of_seed seed in
-      p.byz_cost_pair <> None || p.byz_cost_forward <> None
-      || p.byz_routing_copies <> None
-      || p.byz_routing_announce <> None
-      || p.byz_pricing_copies <> None
-      || p.byz_pricing_announce <> None
-  | Epsilon_rational (_, inner) -> is_construction inner
-  | Faithful | Misreport_cost _ | Underreport_payments _ | Misroute_packets
-  | Misattribute_payments ->
-      false
-
-let rec is_execution = function
-  | Underreport_payments _ | Misroute_packets | Misattribute_payments -> true
-  | Byzantine_arbitrary seed ->
-      let p = plan_of_seed seed in
-      p.byz_misroute || p.byz_underreport <> None
-  | Epsilon_rational (_, inner) -> is_execution inner
-  | _ -> false
-
 let library =
   [
     Misreport_cost 5.;
@@ -202,64 +257,34 @@ let all_labels =
   List.sort_uniq compare (* poly-ok: constant Dev.t constructors *)
     (List.map label (Faithful :: Collude_with 0 :: Byzantine_arbitrary 0 :: library))
 
-let rec detectable = function
-  | Faithful | Misreport_cost _ -> false
-  (* a lying checker alone changes nothing the bank compares unless some
-     principal actually deviates; colluders are only caught when the
-     coalition does not cover a full neighborhood — [detectable_in] is the
-     topology-aware refinement *)
-  | Lying_checker -> false
-  | Collude_with _ -> false
-  | Byzantine_arbitrary _ -> true (* every plan has at least one active component *)
-  | Epsilon_rational (_, inner) -> detectable inner
-  | _ -> true
+let is_construction t =
+  let p = plan t in
+  tampers p || corrupts_costs p || p.shield <> Nobody
 
-let rec colluding t ~principal =
-  match t with
-  | Lying_checker -> true
-  | Collude_with p -> p = principal
-  | Epsilon_rational (_, inner) -> colluding inner ~principal
-  | _ -> false
+let is_execution t = execution (plan t)
+let detectable t = active (plan t)
+let colluding t ~principal = shields (plan t) ~principal
 
-(* Deviations caught only through the principal's own checkers (the
-   BANK1/BANK2 mirror + announcement comparison of §4.2) — exactly the
-   ones a neighborhood coalition can shield. DATA1 (global digest
-   comparison), phase-1 finalization failures (silence) and execution
-   clearing happen at the bank over evidence checkers do not mediate, so
-   no coalition shields them. *)
-let rec checker_caught = function
-  | Drop_routing_copies | Drop_pricing_copies | Corrupt_routing_copies _
-  | Corrupt_pricing_copies _ | Spoof_routing_update _ | Spoof_pricing_update _
-  | Miscompute_routing _ | Miscompute_pricing _ | Combined_routing_attack _
-  | Combined_pricing_attack _ ->
-      true
-  | Byzantine_arbitrary seed ->
-      (* shieldable by a neighborhood coalition only when every active
-         component of the plan is checker-mediated: any DATA1-visible or
-         execution-phase component reaches the bank unmediated *)
-      let p = plan_of_seed seed in
-      p.byz_cost_pair = None && p.byz_cost_forward = None && (not p.byz_misroute)
-      && p.byz_underreport = None
-  | Epsilon_rational (_, inner) -> checker_caught inner
-  | _ -> false
+(* Shieldable by a neighbourhood coalition: every active component tampers
+   with a table, which the bank sees only through the node's own checkers
+   (the BANK1/BANK2 mirror and announcement comparison of §4.2). Withheld
+   announcements count: silence too reaches the bank as checker evidence. *)
+let caught_by_checkers p = tampers p && not (unmediated p)
+let checker_caught t = caught_by_checkers (plan t)
 
 let detectable_in ~neighbors ~profile i =
-  let caught_principal p =
-    let d = profile.(p) in
-    detectable d
-    && ((not (checker_caught d))
-       || List.exists
-            (fun c -> not (colluding profile.(c) ~principal:p))
-            (neighbors p))
+  let plan_at v = plan profile.(v) in
+  let caught p =
+    let d = plan_at p in
+    active d
+    && ((not (caught_by_checkers d))
+       || List.exists (fun c -> not (shields (plan_at c) ~principal:p)) (neighbors p))
   in
-  match profile.(i) with
-  | Collude_with p when p >= 0 && p < Array.length profile ->
+  match (plan_at i).shield with
+  | Principal p when p >= 0 && p < Array.length profile ->
       (* A colluder is exposed exactly when the coalition fails: the
          principal it shields is still caught by some honest checker. *)
-      caught_principal p
-  | _ -> caught_principal i
+      caught p
+  | Nobody | Everyone | Principal _ -> caught i
 
 let epsilon = function Epsilon_rational (eps, inner) -> Some (eps, inner) | _ -> None
-
-let resolve_epsilon ~active t =
-  match t with Epsilon_rational (_, inner) -> if active then inner else Faithful | t -> t

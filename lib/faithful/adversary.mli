@@ -1,9 +1,15 @@
 (** The rational-manipulation library — §4.3's manipulation catalogue made
     executable.
 
-    Each constructor is a complete deviating node implementation for the
-    extended-FPSS protocol (a "rational node" that replaced the suggested
-    code with its own). The catalogue covers:
+    A rational node replaces parts of the suggested strategy
+    s^m = (r^m, p^m, c^m): its information-revelation, message-passing and
+    computational actions (§3.4). Each deviation is therefore one point in
+    a space of replacements, a [plan]: what the node declares in DATA1,
+    how it alters cost facts it forwards, what it does to each computed
+    table it sends (its own announcements, the copies it relays to
+    checkers, fabricated copies), how it misbehaves in execution, and whom
+    it shields as a checker. The named constructors of [t] are the
+    catalogue's representative points, covering:
 
     - the paper's manipulations 1–4 (drop / change / spoof forwarded
       routing and pricing updates; miscompute either table),
@@ -12,11 +18,15 @@
       the phase-1 certificate),
     - execution-phase deviations (payment under-reporting, packet
       misrouting),
-    - omission (silence), which the catch-and-punish machinery also flags.
+    - omission (silence), which the catch-and-punish machinery also flags,
+    - checker-role deviations (lying checkers, collusion), and
+    - fail-arbitrary nodes, whose plan [plan_of_seed] samples.
 
-    [classify] maps each deviation to the external-action classes it
-    touches, which is what routes it into the strong-CC / strong-AC /
-    IC sweeps of [Damd_core.Equilibrium]. *)
+    [plan] decodes a deviation once; [Node] plays the plan and the scope
+    predicates below ([is_construction], [detectable], [checker_caught],
+    ...) are functions of it. [classify] maps each deviation to the
+    external-action classes it touches, which is what routes it into the
+    strong-CC / strong-AC / IC sweeps of [Damd_core.Equilibrium]. *)
 
 type t =
   | Faithful
@@ -93,34 +103,71 @@ type t =
           plays the inner deviation only if its unilateral gain exceeds
           the threshold, else stays [Faithful]. The activation decision is
           resolved by the gauntlet's grader from measured Definition-8
-          deltas ([resolve_epsilon]); the label, classes and
-          detectability all defer to the inner deviation *)
+          deltas; the label, classes, plan and detectability all defer to
+          the inner deviation *)
 
-type byz_plan = {
-  byz_cost_pair : (float * float) option;
-      (** declare these two costs to even/odd neighbors *)
-  byz_cost_forward : float option;  (** delta added to forwarded cost facts *)
-  byz_routing_copies : [ `Drop | `Corrupt of float ] option;
-  byz_routing_announce : float option;  (** own routing-announcement delta *)
-  byz_pricing_copies : [ `Drop | `Corrupt of float ] option;
-  byz_pricing_announce : float option;  (** own pricing-announcement delta *)
-  byz_misroute : bool;
-  byz_underreport : float option;  (** reported fraction of true DATA4 total *)
+(** {2 The plan: a deviation decoded into the actions it replaces} *)
+
+(** The DATA1 declaration. *)
+type declare =
+  | True_cost
+  | Declare of float  (** one false cost, told to every neighbour *)
+  | Split of float * float
+      (** the first cost to even-indexed neighbours, the second to odd *)
+
+(** What a deviation does to a table the node sends: pass it on, shift its
+    costs or prices by a delta, or send nothing. *)
+type distortion = Honest | Distort of float | Withhold
+
+(** One computed table's message-passing replacements. *)
+type table_plan = {
+  announce : distortion;  (** the node's own announcements *)
+  copies : distortion;
+      (** copies relayed to checkers, live and in the crash handoff *)
+  spoof : float option;
+      (** the delta of a fabricated extra copy per received update *)
 }
 
-val plan_of_seed : int -> byz_plan
-(** The fixed behavior plan of [Byzantine_arbitrary seed]: each component
-    independently active with moderate probability, at least one always
-    active. Pure in the seed. *)
+(** Whom the node shields as a checker: it echoes a shielded principal's
+    self-report to the bank instead of its own evidence. *)
+type shield = Nobody | Everyone | Principal of int
+
+type plan = {
+  declare : declare;
+  forward : float option;  (** delta added to every cost fact forwarded *)
+  routing : table_plan;  (** [DATA2] *)
+  pricing : table_plan;  (** [DATA3*] *)
+  misroute : bool;
+      (** forward execution packets to the lowest-numbered neighbour
+          instead of the certified next hop *)
+  underreport : float option;  (** reported fraction of the true DATA4 totals *)
+  misattribute : bool;
+      (** report the correct DATA4 total, all of it owed to the
+          lowest-numbered transit *)
+  shield : shield;
+}
+
+val plan : t -> plan
+(** The deviation's plan. An [Epsilon_rational] wrapper is taken as
+    active: it plays its inner deviation (the gauntlet grader resolves
+    activation before building nodes). [Faithful] has every component
+    honest. *)
+
+val plan_of_seed : int -> plan
+(** The fixed plan of [Byzantine_arbitrary seed]: the DATA1 cost pair,
+    forward delta, each table's announce and copies distortions,
+    misrouting and the under-report, each independently active with
+    moderate probability and at least one always active. A drawn cost
+    pair is a [Split], even when its two costs are equal. Pure in the
+    seed. *)
+
+val shields : plan -> principal:int -> bool
+(** Whether a checker playing this plan echoes [principal]'s
+    self-report: [Lying_checker] shields everyone, [Collude_with p] only
+    [p]. *)
 
 val epsilon : t -> (float * t) option
 (** [Some (threshold, inner)] for [Epsilon_rational], else [None]. *)
-
-val resolve_epsilon : active:bool -> t -> t
-(** Resolve the wrapper to a concrete behavior: the inner deviation when
-    [active], [Faithful] otherwise; non-wrapped deviations pass through.
-    The gauntlet grader decides [active] by measuring the inner
-    deviation's unilateral gain against the threshold. *)
 
 val name : t -> string
 
@@ -139,40 +186,52 @@ val all_labels : Damd_speccheck.Dev.t list
 val classify : t -> Damd_core.Action.t list
 (** External action classes the deviation touches ([Faithful] -> []). *)
 
-val is_construction : t -> bool
-(** Deviates during the construction phases (detected by bank
-    checkpoints, i.e. punished by restart). *)
-
-val is_execution : t -> bool
-(** Deviates during the execution phase (punished by monetary penalty). *)
-
 val library : t list
 (** The standard sweep: every deviation with representative parameters.
     Excludes [Faithful]. *)
 
+(** {2 Scope predicates, each a function of the [plan]} *)
+
+val is_construction : t -> bool
+(** Deviates during the construction phases (detected by bank
+    checkpoints, i.e. punished by restart): some table component, an
+    inconsistent declaration, a forward delta or a shield. *)
+
+val is_execution : t -> bool
+(** Deviates during the execution phase (punished by monetary penalty):
+    misrouting, under-reporting or misattribution. *)
+
 val detectable : t -> bool
 (** Whether the extended specification is expected to catch it *in
-    isolation* (a single deviant among faithful nodes).
+    isolation* (a single deviant among faithful nodes): some component
+    other than a consistent declaration and a shield is active.
     [Misreport_cost] is *not* detectable — it is a consistent revelation
     action, neutralized by strategyproofness rather than by checking.
     [Collude_with] is conservatively [false] here because detectability of
     a coalition depends on the topology; see [detectable_in]. *)
 
+val checker_caught : t -> bool
+(** Whether only the node's own checkers can catch it, so a coalition of
+    its neighbours can shield it: every active component tampers with a
+    table the node sends (its announcements, silence included, its relayed
+    copies, spoofed copies — the BANK1/BANK2 evidence of §4.2). *)
+
 val colluding : t -> principal:int -> bool
-(** Whether this deviation suppresses checker evidence about [principal]:
-    [Lying_checker] colludes with everyone, [Collude_with p] with [p]. *)
+(** [shields (plan t) ~principal]: whether this deviation suppresses
+    checker evidence about [principal]. *)
 
 val detectable_in : neighbors:(int -> int list) -> profile:t array -> int -> bool
 (** Topology-aware refinement of [detectable] for full deviation profiles.
     [detectable_in ~neighbors ~profile i] predicts whether node [i]'s
     deviation in [profile] is caught by the bank:
 
-    - checker-mediated deviations (BANK1/BANK2: miscompute, corrupt/drop
-      copies, spoof, combined attacks) are caught iff at least one
-      neighbor of the principal is not [colluding] with it — a coalition
-      escapes only by covering the full neighborhood (experiment E14);
+    - [checker_caught] deviations (miscompute, corrupt/drop copies, spoof,
+      combined attacks, silence) are caught iff at least one neighbor of
+      the principal does not shield it — a coalition escapes only by
+      covering the full neighborhood (experiment E14);
     - globally-compared deviations (DATA1 inconsistency, corrupt cost
-      forwarding, silence, execution-phase fraud) cannot be shielded by
-      any coalition;
-    - a [Collude_with p] node is judged through its principal: the
-      coalition member is exposed exactly when [p] is still caught. *)
+      forwarding, execution-phase fraud) cannot be shielded by any
+      coalition;
+    - a node shielding one principal [p] ([Collude_with p]) is judged
+      through [p]: the coalition member is exposed exactly when [p] is
+      still caught. *)

@@ -41,7 +41,7 @@ let checkpoint_stock st nodes =
       List.iter
         (fun c ->
           let checker = nodes.(c) in
-          if Node.colludes_with checker ~principal:p then
+          if Adversary.shields checker.Node.plan ~principal:p then
             (* A coordinated lie: the checker echoes the principal's
                self-report for both of its digests, so it contributes no
                evidence. Honest checkers (if any remain) still catch the
@@ -104,7 +104,7 @@ let checkpoint_ft st nodes =
       List.iter
         (fun c ->
           let checker = nodes.(c) in
-          if Node.colludes_with checker ~principal:p then ()
+          if Adversary.shields checker.Node.plan ~principal:p then ()
           else begin
             let mirror = Node.mirror_digest st checker ~principal:p in
             if not (String.equal mirror expected) then begin

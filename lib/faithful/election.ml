@@ -63,27 +63,6 @@ type node_state = {
   bids : Leader.theta option array;
 }
 
-(* second-score outcome from a full bid table — the same rule as the
-   centralized mechanism, recomputed redundantly by every node *)
-let outcome_of_bids ~benefit (bids : Leader.theta array) =
-  let n = Array.length bids in
-  let score (t : Leader.theta) = (benefit *. t.Leader.power) -. t.Leader.cost in
-  let winner = ref 0 in
-  for i = 1 to n - 1 do
-    if score bids.(i) > score bids.(!winner) then winner := i
-  done;
-  let runner_up = ref 0. and found = ref false in
-  for i = 0 to n - 1 do
-    if i <> !winner then begin
-      let s = score bids.(i) in
-      if (not !found) || s > !runner_up then begin
-        runner_up := s;
-        found := true
-      end
-    end
-  done;
-  (!winner, if !found then !runner_up else 0.)
-
 let outcome_digest (winner, runner_up) =
   Sha256.digest_hex (Printf.sprintf "winner=%d;runner=%h" winner runner_up)
 
@@ -190,7 +169,11 @@ let run ?(params = default_params) ~graph ~profile ~deviations () =
           Array.iteri
             (fun i s ->
               let bids = Array.map Option.get s.bids in
-              let honest = outcome_of_bids ~benefit:params.benefit bids in
+              let honest =
+                (* the centralized rule, recomputed redundantly by every node *)
+                let o = Leader.second_score_outcome ~benefit:params.benefit bids in
+                (o.Leader.leader, o.Leader.runner_up_score)
+              in
               let claimed =
                 match s.deviation with
                 (* name itself winner at a zero runner-up price: maximally

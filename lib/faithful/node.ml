@@ -20,8 +20,7 @@ type t = {
   neighbors_arr : int array;
   neighbor_sets : int list array;
   neighbor_arrs : int array array;
-  deviation : Adversary.t;
-  byz : Adversary.byz_plan option;
+  plan : Adversary.plan;
   true_cost : float;
   copies : bool;
   learned_costs : float option array;
@@ -35,8 +34,6 @@ type t = {
   mutable deliveries : (int * float * int list) list;
 }
 
-type distortion = Honest | Distort of float | Withhold
-
 type 'tbl stage = {
   table : string;
   princ_rule : string;
@@ -46,9 +43,7 @@ type 'tbl stage = {
   digest : 'tbl -> string;
   equal : 'tbl -> 'tbl -> bool;
   distort : float -> 'tbl -> 'tbl;
-  announce_view : t -> distortion;
-  copy_view : t -> distortion;
-  spoof : t -> float option;
+  table_plan : Adversary.plan -> Adversary.table_plan;
   slot : t -> 'tbl slot;
   get : t -> 'tbl;
   set : t -> 'tbl -> unit;
@@ -93,15 +88,6 @@ let new_slot ~n trivial = { heard = []; announced = Some trivial; mirrors = Arra
 
 let create ?(copies = true) ~id ~n ~neighbor_sets ~true_cost ~deviation () =
   let neighbors = List.sort Int.compare neighbor_sets.(id) in
-  (* A wrapper reaching a node directly means "the deviation is active":
-     the gauntlet grader resolves ε-activation *before* constructing
-     nodes, so an unresolved wrapper here plays its inner behavior. *)
-  let deviation = Adversary.resolve_epsilon ~active:true deviation in
-  let byz =
-    match deviation with
-    | Adversary.Byzantine_arbitrary seed -> Some (Adversary.plan_of_seed seed)
-    | _ -> None
-  in
   {
     id;
     n;
@@ -110,8 +96,7 @@ let create ?(copies = true) ~id ~n ~neighbor_sets ~true_cost ~deviation () =
     neighbor_sets;
     neighbor_arrs =
       Array.map (fun l -> Array.of_list (List.sort Int.compare l)) neighbor_sets;
-    deviation;
-    byz;
+    plan = Adversary.plan deviation;
     true_cost;
     copies;
     learned_costs = Array.make n None;
@@ -145,12 +130,10 @@ let flag node rule detail = node.check_flags <- (rule, detail) :: node.check_fla
 (* --- Phase 1: cost flood --- *)
 
 let declared_cost_for node ~neighbor_index =
-  match (node.deviation, node.byz) with
-  | Adversary.Misreport_cost c, _ -> c
-  | Adversary.Inconsistent_cost (a, b), _ -> if neighbor_index mod 2 = 0 then a else b
-  | _, Some { Adversary.byz_cost_pair = Some (a, b); _ } ->
-      if neighbor_index mod 2 = 0 then a else b
-  | _ -> node.true_cost
+  match node.plan.Adversary.declare with
+  | Adversary.True_cost -> node.true_cost
+  | Adversary.Declare c -> c
+  | Adversary.Split (a, b) -> if neighbor_index mod 2 = 0 then a else b
 
 let announce_cost node (send : send) =
   (* The node's own view of its declaration is the value it would tell its
@@ -163,10 +146,7 @@ let announce_cost node (send : send) =
     node.neighbors_arr
 
 let forwarded_cost node cost =
-  match (node.deviation, node.byz) with
-  | Adversary.Corrupt_cost_forward delta, _ -> cost +. delta
-  | _, Some { Adversary.byz_cost_forward = Some delta; _ } -> cost +. delta
-  | _ -> cost
+  match node.plan.Adversary.forward with Some delta -> cost +. delta | None -> cost
 
 let on_cost_msg node (send : send) ~sender update =
   match update with
@@ -199,7 +179,7 @@ let finalize_costs node =
    values at the end of this section hold what routing ([DATA2]) and
    pricing ([DATA3*]) differ in. *)
 
-let view st dev table =
+let view st (dev : Adversary.distortion) table =
   match dev with
   | Honest -> Some table
   | Distort delta -> Some (st.distort delta table)
@@ -217,12 +197,7 @@ let record_own st node p table =
   slot.mirrors.(p) <- set_assoc node.id table slot.mirrors.(p)
 
 let announce st node (send : send) =
-  let dev =
-    match node.deviation with
-    | Adversary.Silent_in_construction -> Withhold
-    | _ -> st.announce_view node
-  in
-  match view st dev (st.get node) with
+  match view st (st.table_plan node.plan).announce (st.get node) with
   | None -> ()
   | Some table ->
       let slot = st.slot node in
@@ -268,13 +243,14 @@ let spoof_target node ~sender =
    view the crash-handoff resend applies too, then add any spoofed copy. *)
 let forward_copies st node (send : send) ~sender table =
   if node.copies then begin
-    (match view st (st.copy_view node) table with
+    let plan = st.table_plan node.plan in
+    (match view st plan.copies table with
     | None -> ()
     | Some table ->
         Array.iter
           (fun c -> if c <> sender then send ~dst:c (copy st node ~via:sender table))
           node.neighbors_arr);
-    match st.spoof node with
+    match plan.spoof with
     | None -> ()
     | Some delta ->
         let via = spoof_target node ~sender in
@@ -338,7 +314,7 @@ let resend_to st node (send : send) ~to_ =
     List.iter
       (fun (s, table) ->
         if s <> to_ then
-          match view st (st.copy_view node) table with
+          match view st (st.table_plan node.plan).copies table with
           | None -> ()
           | Some table -> send ~dst:to_ (copy st node ~via:s table))
       slot.heard
@@ -351,8 +327,6 @@ let announced_digest_of st node ~principal =
   Option.map st.digest (List.assoc_opt principal (st.slot node).heard)
 
 let claimed_announced_digest st node = Option.map st.digest (st.slot node).announced
-
-let byz_copies = function `Drop -> Withhold | `Corrupt delta -> Distort delta
 
 let routing_stage =
   {
@@ -372,30 +346,7 @@ let routing_stage =
                match e.Dijkstra.path with
                | [ _ ] -> e (* the self entry stays honest: cost 0 is structural *)
                | _ -> { e with Dijkstra.cost = Float.max 0. (e.Dijkstra.cost +. delta) })));
-    announce_view =
-      (fun node ->
-        match (node.deviation, node.byz) with
-        | Adversary.Miscompute_routing delta, _ -> Distort delta
-        | Adversary.Combined_routing_attack delta, _ -> Distort (-.delta)
-        | _, Some { Adversary.byz_routing_announce = Some delta; _ } -> Distort delta
-        | _ -> Honest);
-    copy_view =
-      (fun node ->
-        match (node.deviation, node.byz) with
-        | Adversary.Drop_routing_copies, _ -> Withhold
-        | ( ( Adversary.Corrupt_routing_copies delta
-            | Adversary.Combined_routing_attack delta ),
-            _ ) ->
-            Distort delta
-        | _, Some { Adversary.byz_routing_copies = Some c; _ } -> byz_copies c
-        | _ -> Honest);
-    spoof =
-      (fun node ->
-        match node.deviation with
-        | Adversary.Spoof_routing_update delta | Adversary.Combined_routing_attack delta
-          ->
-            Some delta
-        | _ -> None);
+    table_plan = (fun plan -> plan.Adversary.routing);
     slot = (fun node -> node.routing_slot);
     get = (fun node -> node.routing);
     set = (fun node table -> node.routing <- table);
@@ -439,32 +390,7 @@ let pricing_stage =
         Array.map
           (List.map (fun (pe : Protocol.price_entry) ->
                { pe with Protocol.price = Float.max 0. (pe.Protocol.price +. delta) })));
-    announce_view =
-      (fun node ->
-        match (node.deviation, node.byz) with
-        | ( ( Adversary.Miscompute_pricing delta
-            | Adversary.Combined_pricing_attack delta ),
-            _ ) ->
-            Distort delta
-        | _, Some { Adversary.byz_pricing_announce = Some delta; _ } -> Distort delta
-        | _ -> Honest);
-    copy_view =
-      (fun node ->
-        match (node.deviation, node.byz) with
-        | Adversary.Drop_pricing_copies, _ -> Withhold
-        | ( ( Adversary.Corrupt_pricing_copies delta
-            | Adversary.Combined_pricing_attack delta ),
-            _ ) ->
-            Distort delta
-        | _, Some { Adversary.byz_pricing_copies = Some c; _ } -> byz_copies c
-        | _ -> Honest);
-    spoof =
-      (fun node ->
-        match node.deviation with
-        | Adversary.Spoof_pricing_update delta | Adversary.Combined_pricing_attack delta
-          ->
-            Some delta
-        | _ -> None);
+    table_plan = (fun plan -> plan.Adversary.pricing);
     slot = (fun node -> node.pricing_slot);
     get = (fun node -> node.pricing);
     set = (fun node table -> node.pricing <- table);
@@ -518,13 +444,7 @@ let next_hop node ~dst =
   | _ -> None
 
 let forwarding_choice node ~dst ~exclude =
-  let misroutes =
-    match (node.deviation, node.byz) with
-    | Adversary.Misroute_packets, _ -> true
-    | _, Some { Adversary.byz_misroute = true; _ } -> true
-    | _ -> false
-  in
-  if misroutes then
+  if node.plan.Adversary.misroute then
     (* Send everything to the lowest-numbered neighbor (other than the
        node the packet just came from, to avoid a trivial bounce). *)
     match List.filter (fun v -> Some v <> exclude) node.neighbors with
@@ -568,20 +488,15 @@ let payment_report node traffic =
             Hashtbl.replace totals pe.Protocol.transit (prev +. (pe.Protocol.price *. rate)))
           entries)
     node.pricing;
-  let scale =
-    match (node.deviation, node.byz) with
-    | Adversary.Underreport_payments f, _ -> f
-    | _, Some { Adversary.byz_underreport = Some f; _ } -> f
-    | _ -> 1.
-  in
+  let scale = Option.value node.plan.Adversary.underreport ~default:1. in
   let entries =
     Hashtbl.fold (fun k v acc -> (k, v *. scale) :: acc) totals []
     |> List.sort (fun (a, x) (b, y) ->
            let c = Int.compare a b in
            if c <> 0 then c else Float.compare x y)
   in
-  match (node.deviation, entries) with
-  | Adversary.Misattribute_payments, (k0, _) :: _ ->
+  match entries with
+  | (k0, _) :: _ when node.plan.Adversary.misattribute ->
       (* correct total, all credited to the first transit *)
       let total = List.fold_left (fun acc (_, v) -> acc +. v) 0. entries in
       [ (k0, total) ]
@@ -611,9 +526,3 @@ let resend_costs_to node (send : send) ~to_ =
 (* --- Bank queries --- *)
 
 let costs_digest node = Protocol.costs_digest node.costs
-
-let colludes_with node ~principal =
-  match node.deviation with
-  | Adversary.Lying_checker -> true
-  | Adversary.Collude_with p -> p = principal
-  | _ -> false

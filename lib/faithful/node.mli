@@ -1,12 +1,17 @@
 (** A protocol node: principal role, checker role for every neighbor, and
-    the deviation hook.
+    the deviation's plan.
 
     The node is pure protocol state plus handlers parameterized by a
     [send] callback, so the same implementation runs on the simulator (via
-    [Runner]) and in direct unit tests. A node's behaviour is the
-    *suggested specification* when [deviation = Faithful]; any other value
-    replaces parts of it, implementing the paper's model of a rational
-    node that ships its own code.
+    [Runner]) and in direct unit tests. [create] decodes the node's
+    deviation once into an [Adversary.plan], and each handler reads the
+    one component it may replace: the DATA1 declaration and forward delta,
+    the stage's [table_plan] (announce, copies, spoof), misrouting, the
+    DATA4 report, and, for the bank, whom the node shields as a checker.
+    Under [Faithful]'s plan every component is honest and the node runs
+    the *suggested specification*; any other plan replaces parts of it,
+    implementing the paper's model of a rational node that ships its own
+    code.
 
     One stage for both tables: the faithful extension puts the same three
     obligations on the routing table ([DATA2]) and the pricing table
@@ -50,12 +55,11 @@ type t = {
   neighbor_sets : int list array;  (** everyone's neighbor lists (checker common knowledge) *)
   neighbor_arrs : int array array;
       (** [neighbor_sets] as sorted arrays, for O(log deg) provenance checks *)
-  deviation : Adversary.t;
-      (** resolved at creation: an [Epsilon_rational] wrapper handed in
-          directly is taken as *active* (the gauntlet grader resolves
-          activation before building nodes) *)
-  byz : Adversary.byz_plan option;
-      (** the fixed plan when [deviation] is [Byzantine_arbitrary] *)
+  plan : Adversary.plan;
+      (** [Adversary.plan] of the deviation given to [create] (an
+          [Epsilon_rational] wrapper handed in directly is taken as
+          *active*: the gauntlet grader resolves activation before
+          building nodes) *)
   true_cost : float;
   copies : bool;
       (** forward checker copies ([PRINC1]/[PRINC2] message-passing);
@@ -76,10 +80,6 @@ type t = {
       (** (src, rate, trace) for packets terminating here *)
 }
 
-(** What a deviation does to a table the node sends: pass it on,
-    shift its costs or prices by a delta, or send nothing. *)
-type distortion = Honest | Distort of float | Withhold
-
 (** Everything the routing and pricing stages differ in. *)
 type 'tbl stage = {
   table : string;  (** ["routing"] | ["pricing"], as flag details word it *)
@@ -91,14 +91,10 @@ type 'tbl stage = {
   digest : 'tbl -> string;
   equal : 'tbl -> 'tbl -> bool;
   distort : float -> 'tbl -> 'tbl;
-  announce_view : t -> distortion;
-      (** the deviation applied to the node's own announcements
-          (silence is handled by the shared code) *)
-  copy_view : t -> distortion;
-      (** the deviation applied to copies relayed to checkers, live and
-          in the crash handoff *)
-  spoof : t -> float option;
-      (** the delta of a fabricated extra copy per received update *)
+  table_plan : Adversary.plan -> Adversary.table_plan;
+      (** this table's part of the plan: the distortion of the node's own
+          announcements and of the copies it relays to checkers (live and
+          in the crash handoff), and the delta of a spoofed copy *)
   slot : t -> 'tbl slot;
   get : t -> 'tbl;
   set : t -> 'tbl -> unit;
@@ -212,12 +208,6 @@ val claimed_announced_digest : 'tbl stage -> t -> string option
     node it equals the self digest. The fault-tolerant bank compares it
     with what the checkers hold; see [Bank.checkpoint]. *)
 
-val colludes_with : t -> principal:int -> bool
-(** True when this node's checker-role reports about [principal] are
-    coordinated lies ([Lying_checker] covers every principal;
-    [Collude_with p] covers [p] alone). The bank models the coordination
-    by letting such a checker echo the principal's self-report. *)
-
 (** {2 Crash-recovery handoff} *)
 
 val resend_costs_to : t -> send -> to_:int -> unit
@@ -228,4 +218,4 @@ val resend_costs_to : t -> send -> to_:int -> unit
 val resend_to : 'tbl stage -> t -> send -> to_:int -> unit
 (** Re-deliver the last announcement (if any) plus the checker copies the
     recovered neighbor missed, through the same deviation views as the
-    live path ([copy_view]). *)
+    live path (the [table_plan]'s [copies]). *)

@@ -21,26 +21,29 @@ let naive ~n =
     valuation = (fun i theta o -> if o.leader = i then -.theta.cost else 0.);
   }
 
+let second_score_outcome ~benefit (reports : theta array) =
+  let n = Array.length reports in
+  let best = ref 0 in
+  for i = 1 to n - 1 do
+    if score ~benefit reports.(i) > score ~benefit reports.(!best) then best := i
+  done;
+  let runner_up = ref 0. and found = ref false in
+  for i = 0 to n - 1 do
+    if i <> !best then begin
+      let s = score ~benefit reports.(i) in
+      if (not !found) || s > !runner_up then begin
+        runner_up := s;
+        found := true
+      end
+    end
+  done;
+  { leader = !best; runner_up_score = (if !found then !runner_up else 0.) }
+
 let second_score ~n ~benefit =
   let run (reports : theta array) =
     if Array.length reports <> n then
       invalid_arg "Leader_election.second_score: arity";
-    let best = ref 0 in
-    for i = 1 to n - 1 do
-      if score ~benefit reports.(i) > score ~benefit reports.(!best) then best := i
-    done;
-    let runner_up = ref 0. and found = ref false in
-    for i = 0 to n - 1 do
-      if i <> !best then begin
-        let s = score ~benefit reports.(i) in
-        if (not !found) || s > !runner_up then begin
-          runner_up := s;
-          found := true
-        end
-      end
-    done;
-    ({ leader = !best; runner_up_score = (if !found then !runner_up else 0.) },
-     Array.make n 0.)
+    (second_score_outcome ~benefit reports, Array.make n 0.)
   in
   {
     Mechanism.n;

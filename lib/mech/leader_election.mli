@@ -36,6 +36,12 @@ val second_score : n:int -> benefit:float -> (theta, outcome) Mechanism.t
 val score : benefit:float -> theta -> float
 (** [benefit * power - cost]. *)
 
+val second_score_outcome : benefit:float -> theta array -> outcome
+(** The second-score rule over a full report profile: the highest [score]
+    wins (lowest index on ties), and [runner_up_score] is the best score
+    among the others. [second_score]'s outcome, and what every node of
+    [Damd_faithful.Election] recomputes from the certified bids. *)
+
 val most_powerful : theta array -> int
 (** Index of the truly most powerful node (lowest index on ties) — the
     designer's intended outcome. *)

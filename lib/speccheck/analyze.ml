@@ -11,19 +11,7 @@ type report = {
 
 let run ?adversary ?mutation ?bound ?(differential = false) ?explore_bound
     ?obs ~graph ~topology ir =
-  let ir, graph =
-    match mutation with
-    | None -> (ir, graph)
-    | Some name -> (
-        match Mutate.apply name (ir, graph) with
-        | Some pair -> pair
-        | None ->
-            raise
-              (Invalid_argument
-                 (Printf.sprintf "unknown mutation %S (expected one of %s)"
-                    name
-                    (String.concat " | " Mutate.names))))
-  in
+  let ir, graph = Mutate.apply_opt mutation (ir, graph) in
   let result = Absint.run ?bound ?adversary ?obs ~graph ir in
   let explore, diff_findings =
     if differential then

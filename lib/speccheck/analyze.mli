@@ -31,12 +31,12 @@ val run :
   topology:string ->
   Ir.t ->
   report
-(** Raises [Invalid_argument] on an unknown mutation name (same contract
-    as [Lint.run] / [Verify.run], over the full [Mutate.names] corpus).
-    [bound] is [Absint.run]'s abstract-state cap; [differential] (default
-    false — the static pass alone is the bench-measured fast path) also
-    runs [Explore.run] (capped by [explore_bound]) and appends the
-    cross-check findings. [obs] is threaded to both engines. *)
+(** Applies [mutation] through [Mutate.apply_opt], which raises
+    [Invalid_argument] on an unknown mutation name. [bound] is
+    [Absint.run]'s abstract-state cap; [differential] (default false — the
+    static pass alone is the bench-measured fast path) also runs
+    [Explore.run] (capped by [explore_bound]) and appends the cross-check
+    findings. [obs] is threaded to both engines. *)
 
 val blind_spots : report -> int
 (** Number of frontier entries with an [Sblind] verdict. *)

@@ -8,18 +8,7 @@ type report = {
 }
 
 let run ?adversary ?mutation ~graph ~topology ir =
-  let ir, graph =
-    match mutation with
-    | None -> (ir, graph)
-    | Some name -> (
-        match Mutate.apply name (ir, graph) with
-        | Some pair -> pair
-        | None ->
-            raise
-              (Invalid_argument
-                 (Printf.sprintf "unknown mutation %S (expected one of %s)" name
-                    (String.concat " | " Mutate.names))))
-  in
+  let ir, graph = Mutate.apply_opt mutation (ir, graph) in
   let findings = Check.check_ir ?adversary ir @ Check.check_topology graph in
   { spec = ir.Ir.name; topology; mutation; findings }
 

@@ -21,7 +21,8 @@ val run :
   topology:string ->
   Ir.t ->
   report
-(** Raises [Invalid_argument] on an unknown mutation name. *)
+(** Applies [mutation] through [Mutate.apply_opt], which raises
+    [Invalid_argument] on an unknown mutation name. *)
 
 val error_count : report -> int
 

@@ -174,3 +174,14 @@ let apply name ((ir : Ir.t), g) =
           },
           g )
   | _ -> None
+
+let apply_opt mutation pair =
+  match mutation with
+  | None -> pair
+  | Some name -> (
+      match apply name pair with
+      | Some pair -> pair
+      | None ->
+          invalid_arg
+            (Printf.sprintf "unknown mutation %S (expected one of %s)" name
+               (String.concat " | " names)))

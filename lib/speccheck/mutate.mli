@@ -50,3 +50,10 @@ val apply :
     unknown name. The mutations address stock-spec action ids and phase
     names; applying them to a foreign IR yields the IR unchanged (and a
     lint run that stays clean — the runtest gate would catch that). *)
+
+val apply_opt :
+  string option -> Ir.t * Damd_graph.Graph.t -> Ir.t * Damd_graph.Graph.t
+(** The [?mutation] switch of [Lint.run], [Verify.run] and [Analyze.run]:
+    [None] returns the pair unchanged, [Some name] applies that mutation.
+    Raises [Invalid_argument "unknown mutation NAME (expected one of
+    ...)"], listing [names], on an unknown name. *)

@@ -17,18 +17,7 @@ let sort_inputs inputs =
 
 let run ?adversary ?mutation ?bound ?obs ?por ?domains ?audit ~observed ~graph
     ~topology ir =
-  let ir, graph =
-    match mutation with
-    | None -> (ir, graph)
-    | Some name -> (
-        match Mutate.apply name (ir, graph) with
-        | Some pair -> pair
-        | None ->
-            raise
-              (Invalid_argument
-                 (Printf.sprintf "unknown mutation %S (expected one of %s)" name
-                    (String.concat " | " Mutate.names))))
-  in
+  let ir, graph = Mutate.apply_opt mutation (ir, graph) in
   let static = Check.check_ir ?adversary ir @ Check.check_topology graph in
   let flow_findings = Taint.check ir ~observed in
   let explored = Explore.run ?bound ?adversary ?obs ?por ?domains ?audit ~graph ir in

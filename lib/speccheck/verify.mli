@@ -44,12 +44,12 @@ val run :
   topology:string ->
   Ir.t ->
   report
-(** Raises [Invalid_argument] on an unknown mutation name (same contract
-    as [Lint.run]). [bound] is [Explore.run]'s per-scenario state cap;
-    [obs] is threaded to [Explore.run] (scenario spans, frontier track,
-    depth histogram — what [damd_cli verify --trace-out] exports);
-    [por], [domains], and [audit] are [Explore.run]'s reduction,
-    fan-out, and key-audit switches. *)
+(** Applies [mutation] through [Mutate.apply_opt], which raises
+    [Invalid_argument] on an unknown mutation name. [bound] is
+    [Explore.run]'s per-scenario state cap; [obs] is threaded to
+    [Explore.run] (scenario spans, frontier track, depth histogram — what
+    [damd_cli verify --trace-out] exports); [por], [domains], and [audit]
+    are [Explore.run]'s reduction, fan-out, and key-audit switches. *)
 
 val detection_complete : report -> bool
 (** No [Undetected] and no [Truncated] verdict: every non-exempt deviation

@@ -882,6 +882,33 @@ let test_detectable_in_covering_coalition () =
   check Alcotest.bool "DATA1-caught deviation immune to coalition" true
     (Adversary.detectable_in ~neighbors ~profile c)
 
+let test_detectable_in_shielded_silence () =
+  (* Silence reaches the bank only as checker evidence (no announcement
+     seen, mirrors that disagree), so lying checkers covering the silent
+     node's neighbourhood shield it: the run certifies wrong tables with
+     no detection, and [detectable_in] must predict that escape. *)
+  let costs = Gen.draw_costs (Rng.create 3) (Gen.Uniform_int (1, 8)) 9 in
+  let g = Gen.grid ~rows:3 ~cols:3 ~costs in
+  let profile = Array.make 9 Adversary.Faithful in
+  profile.(0) <- Adversary.Silent_in_construction;
+  profile.(1) <- Adversary.Lying_checker;
+  profile.(3) <- Adversary.Lying_checker;
+  check (Alcotest.list Alcotest.int) "the corner's neighbourhood" [ 1; 3 ]
+    (List.sort Int.compare (Graph.neighbors g 0));
+  check Alcotest.bool "shielded silence escapes" false
+    (Adversary.detectable_in ~neighbors:(Graph.neighbors g) ~profile 0);
+  let r =
+    Runner.run ~graph:g ~traffic:(Traffic.uniform ~n:9 ~rate:1.) ~deviations:profile ()
+  in
+  check Alcotest.bool "certified" true r.Runner.completed;
+  check Alcotest.int "no detection" 0 (List.length r.Runner.detections);
+  match r.Runner.tables with
+  | None -> Alcotest.fail "no tables"
+  | Some t ->
+      let c = Pricing.compute g in
+      check Alcotest.bool "certified tables are wrong" false
+        (Tables.routing_equal t c && Tables.prices_equal t c)
+
 let test_channel_loss_false_positives () =
   (* Heavy omission faults against all-faithful nodes: the §5 caveat —
      the machinery falsely detects and the mechanism stalls. *)
@@ -1476,6 +1503,65 @@ let test_adversary_phases_partition () =
         || d = Adversary.Misreport_cost 5.))
     Adversary.library
 
+(* The plan-based scope predicates against the constructor-by-constructor
+   oracle in adversary_reference.ml, on every named deviation, a sampled
+   Byzantine plan and a plan whose one component is a (1, 1) cost pair,
+   each bare and under an ε wrapper; then [detectable_in] on a coalition
+   profile drawn like the gauntlet's sampler over a random biconnected
+   graph. *)
+let one_pair_byzantine_seed = 1367447748165548000 (* the gauntlet's integrity finding *)
+
+let same_predicates d =
+  let module R = Adversary_reference in
+  Bool.equal (Adversary.is_construction d) (R.is_construction d)
+  && Bool.equal (Adversary.is_execution d) (R.is_execution d)
+  && Bool.equal (Adversary.detectable d) (R.detectable d)
+  && Bool.equal (Adversary.checker_caught d) (R.checker_caught d)
+  && List.for_all
+       (fun p -> Bool.equal (Adversary.colluding d ~principal:p) (R.colluding d ~principal:p))
+       [ 0; 1; 2 ]
+
+let prop_scope_predicates_equal_reference =
+  QCheck.Test.make ~name:"scope predicates = constructor-by-constructor reference"
+    ~count:200
+    QCheck.(triple int small_nat (float_bound_inclusive 1.))
+    (fun (byz_seed, seed, p) ->
+      let named =
+        Adversary.Faithful :: Adversary.Collude_with 0 :: Adversary.Collude_with 2
+        :: Adversary.Byzantine_arbitrary one_pair_byzantine_seed
+        :: Adversary.Byzantine_arbitrary byz_seed :: Adversary.library
+      in
+      let wrapped = List.map (fun d -> Adversary.Epsilon_rational (0.5, d)) named in
+      let rng = Rng.create (seed + 3100) in
+      let g = Fpss_reference.random_graph rng ~seed ~p in
+      let n = Graph.n g in
+      let profile = Array.make n Adversary.Faithful in
+      List.iter
+        (fun v ->
+          profile.(v) <-
+            Rng.choose rng
+              (Adversary.Byzantine_arbitrary (Int64.to_int (Rng.bits64 rng))
+              :: Adversary.Collude_with (Rng.int rng n) :: Adversary.library))
+        (Rng.subset rng (Rng.int_in rng 0 2) n);
+      let principal = Rng.int rng n in
+      profile.(principal) <-
+        Rng.choose rng (Adversary.Byzantine_arbitrary byz_seed :: Adversary.library);
+      let nbrs = Array.of_list (Graph.neighbors g principal) in
+      Rng.shuffle rng nbrs;
+      for j = 0 to Rng.int_in rng 0 (Array.length nbrs) - 1 do
+        profile.(nbrs.(j)) <-
+          (if Rng.bool rng then Adversary.Lying_checker
+           else Adversary.Collude_with principal)
+      done;
+      let neighbors = Graph.neighbors g in
+      List.for_all same_predicates (named @ wrapped)
+      && List.for_all
+           (fun i ->
+             Bool.equal
+               (Adversary.detectable_in ~neighbors ~profile i)
+               (Adversary_reference.detectable_in ~neighbors ~profile i))
+           (List.init n Fun.id))
+
 (* --- Scale: faithful checking over sparse state --- *)
 
 module Scale = Damd_faithful.Scale
@@ -1690,6 +1776,87 @@ let test_byzantine_deviant_caught () =
     [ 1; 2; 3; 17; 101 ];
   check Alcotest.bool "most byz plans are caught" true (!caught >= 3)
 
+(* Cross-commit golden for Byzantine plans: one digest per seed of a fig1
+   run with node 2 playing [Byzantine_arbitrary seed], covering the
+   verdict, restarts, stuck phase, every detection and the utilities in
+   hex. A plan component the node stops playing moves some digest. A
+   deliberate change replaces the list (the failure prints the actual
+   one) and names the moved seeds in the change log. *)
+let byzantine_golden =
+  [
+    (0, "b9dc8d0ccbd75578cc02c4bdaac8e2ab");
+    (1, "58cbced65c1341315036405f3529fe2b");
+    (2, "b9dc8d0ccbd75578cc02c4bdaac8e2ab");
+    (3, "a7811c518a68d42e03801e33081de26c");
+    (4, "b3b543bd66d0ae8bf84d69de710c08ee");
+    (5, "8b3b8db0af0f1f410a42587ba823d252");
+    (6, "8b3b8db0af0f1f410a42587ba823d252");
+    (7, "a7811c518a68d42e03801e33081de26c");
+    (8, "8b3b8db0af0f1f410a42587ba823d252");
+    (9, "8b3b8db0af0f1f410a42587ba823d252");
+    (10, "1156e8e7852bf9547e9b0722041a77b2");
+    (11, "596e92d68c669e63234a2ef5f478d6cd");
+    (12, "041337327bc9ac314e3156e3b3da46f1");
+    (13, "4a4f3cabcd3260010d0909d678d3afb8");
+    (14, "8b3b8db0af0f1f410a42587ba823d252");
+    (15, "b9dc8d0ccbd75578cc02c4bdaac8e2ab");
+    (16, "8b3b8db0af0f1f410a42587ba823d252");
+    (17, "b9dc8d0ccbd75578cc02c4bdaac8e2ab");
+    (18, "8b3b8db0af0f1f410a42587ba823d252");
+    (19, "a3278209f5b0126aff613af3e2c85d2e");
+    (20, "2b78138e7f93fd5d1b3e5ce7ca77621c");
+    (21, "b9dc8d0ccbd75578cc02c4bdaac8e2ab");
+    (22, "8b3b8db0af0f1f410a42587ba823d252");
+    (23, "f37e63b480454755dab9222b5fae3e71");
+    (24, "f37e63b480454755dab9222b5fae3e71");
+    (25, "8b3b8db0af0f1f410a42587ba823d252");
+    (26, "8b3b8db0af0f1f410a42587ba823d252");
+    (27, "04fb40b300b6f474915be21f0de4a465");
+    (28, "8b3b8db0af0f1f410a42587ba823d252");
+    (29, "a7811c518a68d42e03801e33081de26c");
+    (30, "4a4f3cabcd3260010d0909d678d3afb8");
+    (31, "1156e8e7852bf9547e9b0722041a77b2");
+    (32, "04fb40b300b6f474915be21f0de4a465");
+    (33, "b9dc8d0ccbd75578cc02c4bdaac8e2ab");
+    (34, "4a4f3cabcd3260010d0909d678d3afb8");
+    (35, "b9dc8d0ccbd75578cc02c4bdaac8e2ab");
+    (36, "1156e8e7852bf9547e9b0722041a77b2");
+    (37, "b9dc8d0ccbd75578cc02c4bdaac8e2ab");
+    (38, "8b3b8db0af0f1f410a42587ba823d252");
+    (39, "f37e63b480454755dab9222b5fae3e71");
+  ]
+
+let byzantine_run_digest seed =
+  let g, _ = Lazy.force fig1 in
+  let deviations = Array.make 6 Adversary.Faithful in
+  deviations.(2) <- Adversary.Byzantine_arbitrary seed;
+  let r = Runner.run ~graph:g ~traffic:fig1_traffic ~deviations () in
+  let b = Buffer.create 256 in
+  Printf.bprintf b "completed=%b;restarts=%d;stuck=%s;" r.Runner.completed
+    r.Runner.restarts
+    (Option.value ~default:"-" r.Runner.stuck_phase);
+  List.iter
+    (fun (d : Bank.detection) ->
+      Printf.bprintf b "detection=%s/%s/%s;" d.Bank.rule
+        (match d.Bank.culprit with Some c -> string_of_int c | None -> "-")
+        d.Bank.detail)
+    r.Runner.detections;
+  Array.iter (fun u -> Printf.bprintf b "utility=%h;" u) r.Runner.utilities;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_byzantine_golden () =
+  let actual = List.init 40 (fun s -> (s, byzantine_run_digest s)) in
+  if actual <> byzantine_golden then begin
+    List.iter
+      (fun (s, hex) ->
+        if List.assoc_opt s byzantine_golden <> Some hex then
+          Printf.printf "byzantine golden mismatch: seed %d\n" s)
+      actual;
+    print_endline "actual list:";
+    List.iter (fun (s, hex) -> Printf.printf "    (%d, %S);\n" s hex) actual;
+    Alcotest.fail "byzantine golden digests moved"
+  end
+
 let suites =
   [
     ( "faithful.protocol",
@@ -1774,6 +1941,8 @@ let suites =
           test_detectable_in_partial_coalition;
         Alcotest.test_case "detectable_in: covering coalition" `Quick
           test_detectable_in_covering_coalition;
+        Alcotest.test_case "detectable_in: shielded silence" `Quick
+          test_detectable_in_shielded_silence;
         Alcotest.test_case "channel loss: false positives" `Quick
           test_channel_loss_false_positives;
         Alcotest.test_case "zero loss clean" `Quick test_zero_channel_loss_is_clean;
@@ -1865,6 +2034,7 @@ let suites =
         Alcotest.test_case "names unique" `Quick test_adversary_names_unique;
         Alcotest.test_case "classes nonempty" `Quick test_adversary_classes_nonempty;
         Alcotest.test_case "phase partition" `Quick test_adversary_phases_partition;
+        QCheck_alcotest.to_alcotest prop_scope_predicates_equal_reference;
       ] );
     ( "faithful.scale",
       [
@@ -1890,5 +2060,7 @@ let suites =
           test_plan_of_seed_deterministic;
         Alcotest.test_case "byzantine deviant caught" `Quick
           test_byzantine_deviant_caught;
+        Alcotest.test_case "byzantine golden: 40 plans on fig1" `Quick
+          test_byzantine_golden;
       ] );
   ]

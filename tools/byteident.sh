@@ -20,7 +20,8 @@
 #     every "elapsed_s" and "states_per_sec" key removed (the stdout
 #     prints a rate);
 #   - the gauntlet.campaign tests (whose "replay golden" case pins 32
-#     campaign digests), exit code only.
+#     campaign digests) and the faithful.fault tests (whose "byzantine
+#     golden" case pins 40 Byzantine-plan run digests), exit codes only.
 # Then `diff -r` on the two directories. Exit 0 when they are identical,
 # 1 on any difference, 2 on a usage or build error. About two minutes per
 # tree.
@@ -108,6 +109,8 @@ drive() {
   strip_rates verify_torus.json
   (cd "$tree" && ./_build/default/test/test_main.exe test gauntlet.campaign >/dev/null 2>&1)
   echo "$?" >tests_gauntlet_campaign.exit
+  (cd "$tree" && ./_build/default/test/test_main.exe test faithful.fault >/dev/null 2>&1)
+  echo "$?" >tests_faithful_fault.exit
 }
 
 (drive "$work/base" "$work/out/base")
