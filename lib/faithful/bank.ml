@@ -28,15 +28,39 @@ let checkpoint_costs nodes =
       };
     ]
 
+(* The digests of one checkpoint call, each distinct table hashed once.
+   A lookup tries physical identity, then the stage's [equal], which
+   holds exactly when the two serializations are the same bytes, so a
+   reused digest is the digest of the table asked about. A checker's
+   heard copy is the very table its principal announced, and an honest
+   mirror, recomputed by the checker, equals the principal's table. *)
+let digest_memo st =
+  let seen = ref [] in
+  fun table ->
+    match List.find_opt (fun (t, _) -> t == table) !seen with
+    | Some (_, d) -> d
+    | None -> (
+        match List.find_opt (fun (t, _) -> st.Node.equal t table) !seen with
+        | Some (_, d) -> d
+        | None ->
+            let d = st.Node.digest table in
+            seen := (table, d) :: !seen;
+            d)
+
+(* The table [checker] last heard [principal] announce. *)
+let heard_from st checker ~principal =
+  List.assoc_opt principal (st.Node.slot checker).Node.heard
+
 (* Stock evidence mode: every checker's mirror digest and the digest of
    the announcement it holds must equal the principal's self digest. *)
 let checkpoint_stock st nodes =
   let rule = st.Node.bank_rule in
+  let digest = digest_memo st in
   let detections = ref [] in
   Array.iter
     (fun (node : Node.t) ->
       let p = node.Node.id in
-      let expected = Node.self_digest st node in
+      let expected = digest (st.Node.get node) in
       let problems = ref [] in
       List.iter
         (fun c ->
@@ -49,13 +73,13 @@ let checkpoint_stock st nodes =
                paper's "without collusion" boundary (experiment E14). *)
             ()
           else begin
-            let mirror = Node.mirror_digest st checker ~principal:p in
+            let mirror = digest (st.Node.mirror checker ~principal:p) in
             if not (String.equal mirror expected) then
               problems := Printf.sprintf "checker %d mirror disagrees" c :: !problems;
-            match Node.announced_digest_of st checker ~principal:p with
+            match heard_from st checker ~principal:p with
             | None -> problems := Printf.sprintf "no announcement seen by %d" c :: !problems
             | Some announced ->
-                if not (String.equal announced expected) then
+                if not (String.equal (digest announced) expected) then
                   problems :=
                     Printf.sprintf "announcement to %d disagrees with internal state" c
                     :: !problems
@@ -91,14 +115,16 @@ let checkpoint_stock st nodes =
    cost progress, never honest reputations. *)
 let checkpoint_ft st nodes =
   let rule = st.Node.bank_rule in
+  let digest = digest_memo st in
   let detections = ref [] in
   let omissions = ref [] in
   Array.iter
     (fun (node : Node.t) ->
       let p = node.Node.id in
-      let expected = Node.self_digest st node in
-      let claimed = Node.claimed_announced_digest st node in
-      let own_inputs = st.Node.inputs_digest node in
+      let expected = digest (st.Node.get node) in
+      let claimed = Option.map digest (st.Node.slot node).Node.announced in
+      (* Read only when some mirror disagrees. *)
+      let own_inputs = lazy (st.Node.inputs_digest node) in
       let contradictions = ref [] in
       let omitted = ref [] in
       List.iter
@@ -106,11 +132,11 @@ let checkpoint_ft st nodes =
           let checker = nodes.(c) in
           if Adversary.shields checker.Node.plan ~principal:p then ()
           else begin
-            let mirror = Node.mirror_digest st checker ~principal:p in
+            let mirror = digest (st.Node.mirror checker ~principal:p) in
             if not (String.equal mirror expected) then begin
               if
                 String.equal (st.Node.mirror_inputs_digest checker ~principal:p)
-                  own_inputs
+                  (Lazy.force own_inputs)
               then
                 contradictions :=
                   Printf.sprintf "checker %d mirror disagrees on matching inputs" c
@@ -120,9 +146,10 @@ let checkpoint_ft st nodes =
                   Printf.sprintf "checker %d mirror ran on different inputs" c
                   :: !omitted
             end;
-            match Node.announced_digest_of st checker ~principal:p with
+            match heard_from st checker ~principal:p with
             | None -> omitted := Printf.sprintf "no announcement seen by %d" c :: !omitted
             | Some announced ->
+                let announced = digest announced in
                 if String.equal announced expected then ()
                 else if Option.equal String.equal (Some announced) claimed then
                   contradictions :=

@@ -51,7 +51,17 @@ val checkpoint : fault_tolerant:bool -> 'tbl Node.stage -> Node.t array -> detec
     fault must never cost an honest node its reputation, at the price of
     demoting some fault-shaped deviations (copy-dropping, spoofing) from
     individual accusation to collective stuck-phase punishment. See
-    DESIGN.md §14. *)
+    DESIGN.md §14.
+
+    The bank still compares one digest per statement — the principal's
+    table, its claimed announcement, and per checker the heard copy and
+    the mirror, which is recomputed every time — but within one call each
+    distinct table is hashed once: digests go through a memo looked up by
+    physical identity, then by the stage's [equal], which holds exactly
+    when two tables serialize to the same bytes. In the fault-tolerant
+    mode the principal's own inputs digest is computed only when some
+    mirror disagrees. The one-digest-per-query bodies are the test oracle
+    [test/bank_reference.ml]. *)
 
 val checkpoint_routing : Node.t array -> detection list
 (** [checkpoint ~fault_tolerant:false Node.routing_stage] ([BANK1]). *)

@@ -323,11 +323,6 @@ let self_digest st node = st.digest (st.get node)
 
 let mirror_digest st node ~principal = st.digest (st.mirror node ~principal)
 
-let announced_digest_of st node ~principal =
-  Option.map st.digest (List.assoc_opt principal (st.slot node).heard)
-
-let claimed_announced_digest st node = Option.map st.digest (st.slot node).announced
-
 let routing_stage =
   {
     table = "routing";

@@ -37,11 +37,17 @@ type send = dst:int -> Protocol.msg -> unit
 
 type 'tbl slot = {
   mutable heard : (int * 'tbl) list;
-      (** principal side: the latest table each neighbor announced *)
+      (** principal side: the latest table each neighbor announced, the
+          very value it sent. As a checker's record of its principal's
+          announcement, the bank reads it at a checkpoint. *)
   mutable announced : 'tbl option;
       (** the node's last announcement. A created or reset node counts as
           having announced the trivial table; [start] clears it to [None],
-          so the first announcement is forced. *)
+          so the first announcement is forced. Also the node's signed
+          answer to "what did you announce?", which the fault-tolerant
+          bank compares with what the checkers hold: for a computation
+          deviant the distorted table (the node cannot un-announce), for
+          an honest node a table equal to its own. *)
   mirrors : (int * 'tbl) list array;
       (** checker side: the claimed inputs of each principal (indexed by
           its id), keyed by via *)
@@ -187,7 +193,12 @@ val payment_report : t -> Damd_fpss.Traffic.t -> (int * float) list
 (** The signed DATA4 report: per-transit totals owed according to the
     node's own pricing table (deviation: scaled down). *)
 
-(** {2 What the bank collects} *)
+(** {2 What the bank collects}
+
+    The table checkpoints read the tables themselves — the node's own,
+    its slot's [announced], each checker's [heard] copy and [mirror] — and
+    hash each distinct one once ([Bank.checkpoint]). The two digests
+    below hash one table per call. *)
 
 val costs_digest : t -> string
 
@@ -196,17 +207,6 @@ val self_digest : 'tbl stage -> t -> string
 
 val mirror_digest : 'tbl stage -> t -> principal:int -> string
 (** Digest of this checker's [mirror] of [principal]'s table. *)
-
-val announced_digest_of : 'tbl stage -> t -> principal:int -> string option
-(** Digest of the last table [principal] announced to this node. *)
-
-val claimed_announced_digest : 'tbl stage -> t -> string option
-(** Digest of what the node itself records as its last announcement —
-    its signed answer to "what did you announce?" ([None] when it has
-    announced nothing since [start]). For a computation deviant this is
-    the distorted table (the node cannot un-announce), for an honest
-    node it equals the self digest. The fault-tolerant bank compares it
-    with what the checkers hold; see [Bank.checkpoint]. *)
 
 (** {2 Crash-recovery handoff} *)
 

@@ -19,27 +19,53 @@ type msg =
   | Copy of { principal : int; via : int; inner : update }
   | Packet of { src : int; dst : int; rate : float; trace : int list }
 
+let routing_size (table : routing_table) =
+  Array.fold_left
+    (fun acc e ->
+      match e with
+      | None -> acc + 1
+      | Some e -> acc + 9 + (4 * List.length e.Dijkstra.path))
+    4 table
+
+let pricing_size (table : pricing_table) =
+  Array.fold_left
+    (fun acc entries ->
+      List.fold_left (fun acc pe -> acc + 12 + (4 * List.length pe.tags)) (acc + 1) entries)
+    4 table
+
 let update_size = function
   | Cost_announce _ -> 12 (* origin + cost *)
-  | Routing_update { table; _ } ->
-      Array.fold_left
-        (fun acc e ->
-          match e with
-          | None -> acc + 1
-          | Some e -> acc + 9 + (4 * List.length e.Dijkstra.path))
-        4 table
-  | Pricing_update { table; _ } ->
-      Array.fold_left
-        (fun acc entries ->
-          List.fold_left
-            (fun acc pe -> acc + 12 + (4 * List.length pe.tags))
-            (acc + 1) entries)
-        4 table
+  | Routing_update { table; _ } -> routing_size table
+  | Pricing_update { table; _ } -> pricing_size table
 
-let msg_size = function
+let size_with update_size = function
   | Update u -> 1 + update_size u
   | Copy { inner; _ } -> 9 + update_size inner
   | Packet { trace; _ } -> 20 + (4 * List.length trace)
+
+let msg_size = size_with update_size
+
+(* One announcement goes to every neighbour and one relayed table to
+   every other checker, so consecutive sends of a kind mostly carry the
+   same table: remember the last table of each kind, by identity, with
+   its size. *)
+let sizer () =
+  let routing = ref ([||] : routing_table) and routing_bytes = ref (routing_size [||]) in
+  let pricing = ref ([||] : pricing_table) and pricing_bytes = ref (pricing_size [||]) in
+  size_with (function
+    | Cost_announce _ as u -> update_size u
+    | Routing_update { table; _ } ->
+        if table != !routing then begin
+          routing := table;
+          routing_bytes := routing_size table
+        end;
+        !routing_bytes
+    | Pricing_update { table; _ } ->
+        if table != !pricing then begin
+          pricing := table;
+          pricing_bytes := pricing_size table
+        end;
+        !pricing_bytes)
 
 let self_entry self = Some { Dijkstra.cost = 0.; path = [ self ] }
 
@@ -128,41 +154,106 @@ let recompute_pricing ~self ~costs ~own_routing ~neighbor_routing ~neighbor_pric
   Array.init (Array.length own_routing)
     (pricing_row ~self ~costs ~own_routing ~neighbor_routing ~neighbor_pricing)
 
-let serialize_routing (t : routing_table) =
-  let buf = Buffer.create 256 in
-  Array.iteri
-    (fun j e ->
-      Buffer.add_string buf (string_of_int j);
-      (match e with
-      | None -> Buffer.add_string buf ":-"
-      | Some e ->
-          Buffer.add_string buf (Printf.sprintf ":%h:" e.Dijkstra.cost);
-          List.iter
-            (fun v -> Buffer.add_string buf (string_of_int v ^ ","))
-            e.Dijkstra.path);
-      Buffer.add_char buf ';')
-    t;
-  Buffer.contents buf
+(* --- The digest serializations ---
 
-let serialize_pricing (t : pricing_table) =
-  let buf = Buffer.create 256 in
-  Array.iteri
-    (fun j entries ->
-      Buffer.add_string buf (string_of_int j);
-      Buffer.add_char buf ':';
-      List.iter
-        (fun pe ->
-          Buffer.add_string buf (Printf.sprintf "%d=%h[" pe.transit pe.price);
-          List.iter (fun tag -> Buffer.add_string buf (string_of_int tag ^ ",")) pe.tags;
-          Buffer.add_char buf ']')
-        entries;
-      Buffer.add_char buf ';')
-    t;
-  Buffer.contents buf
+   The bytes the bank hashes, written into one buffer: integers as
+   [string_of_int] prints them and floats as [Printf]'s [%h] does, without
+   going through either. A routing row is [j:-;] or [j:COST:v,v,...,;], a
+   pricing row [j:] then [TRANSIT=PRICE[tag,...,]] per entry then [;],
+   an input set [SENDER>TABLE|] per sender in sender order, and a cost
+   list [COST;] per node. *)
 
-let routing_digest t = Sha256.digest_hex (serialize_routing t)
+(* The digits of [v <= 0], most significant first: negated digits, so
+   [min_int] needs no special case. *)
+let rec add_digits buf v =
+  if v <= -10 then add_digits buf (v / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (v mod 10)))
 
-let pricing_digest t = Sha256.digest_hex (serialize_pricing t)
+let add_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf i
+  end
+  else add_digits buf (-i)
+
+let hex_digits = "0123456789abcdef"
+
+(* [Printf.sprintf "%h" x]: a [-] when the sign bit is set (NaNs too);
+   then [infinity], [nan], or [0x1] for a normal number and [0x0] for a
+   zero or subnormal, followed by [.] and the 52-bit fraction in nibbles
+   with trailing zero nibbles trimmed (nothing when the fraction is zero),
+   then [p] and the always-signed binary exponent: the biased exponent
+   less 1023, [-1022] for subnormals, [+0] for zeros. *)
+let add_hex_float buf x =
+  if Float.sign_bit x then Buffer.add_char buf '-';
+  (* The low 63 bits: the biased exponent and the fraction. *)
+  let bits = Int64.to_int (Int64.bits_of_float x) in
+  let exp = (bits lsr 52) land 0x7ff and frac = bits land 0xf_ffff_ffff_ffff in
+  if exp = 0x7ff then Buffer.add_string buf (if frac = 0 then "infinity" else "nan")
+  else begin
+    Buffer.add_string buf (if exp = 0 then "0x0" else "0x1");
+    if frac <> 0 then begin
+      Buffer.add_char buf '.';
+      let rest = ref frac and shift = ref 48 in
+      while !rest <> 0 do
+        Buffer.add_char buf hex_digits.[(!rest lsr !shift) land 0xf];
+        rest := !rest land ((1 lsl !shift) - 1);
+        shift := !shift - 4
+      done
+    end;
+    Buffer.add_char buf 'p';
+    let e = if exp <> 0 then exp - 1023 else if frac = 0 then 0 else -1022 in
+    if e >= 0 then Buffer.add_char buf '+';
+    add_int buf e
+  end
+
+let rec add_ints_comma buf = function
+  | [] -> ()
+  | v :: rest ->
+      add_int buf v;
+      Buffer.add_char buf ',';
+      add_ints_comma buf rest
+
+let add_routing buf (t : routing_table) =
+  for j = 0 to Array.length t - 1 do
+    add_int buf j;
+    (match t.(j) with
+    | None -> Buffer.add_string buf ":-"
+    | Some e ->
+        Buffer.add_char buf ':';
+        add_hex_float buf e.Dijkstra.cost;
+        Buffer.add_char buf ':';
+        add_ints_comma buf e.Dijkstra.path);
+    Buffer.add_char buf ';'
+  done
+
+let rec add_price_entries buf = function
+  | [] -> ()
+  | pe :: rest ->
+      add_int buf pe.transit;
+      Buffer.add_char buf '=';
+      add_hex_float buf pe.price;
+      Buffer.add_char buf '[';
+      add_ints_comma buf pe.tags;
+      Buffer.add_char buf ']';
+      add_price_entries buf rest
+
+let add_pricing buf (t : pricing_table) =
+  for j = 0 to Array.length t - 1 do
+    add_int buf j;
+    Buffer.add_char buf ':';
+    add_price_entries buf t.(j);
+    Buffer.add_char buf ';'
+  done
+
+let digest_with add x =
+  let buf = Buffer.create 1024 in
+  add buf x;
+  Sha256.digest_hex (Buffer.contents buf)
+
+let routing_digest t = digest_with add_routing t
+
+let pricing_digest t = digest_with add_pricing t
 
 (* Digest over a (sender, table) input set — what a principal consumed to
    recompute, and what a checker's mirror consumed. Comparing the two
@@ -171,24 +262,25 @@ let pricing_digest t = Sha256.digest_hex (serialize_pricing t)
    omission (the checker worked from different inputs: a message was
    lost, restart instead of accusing). Sorted by sender so the digest is
    order-insensitive. *)
-let inputs_digest serialize inputs =
-  let buf = Buffer.create 256 in
+let add_inputs add buf inputs =
   List.sort (fun (a, _) (b, _) -> Int.compare a b) inputs
   |> List.iter (fun (sender, table) ->
-         Buffer.add_string buf (string_of_int sender);
+         add_int buf sender;
          Buffer.add_char buf '>';
-         Buffer.add_string buf (serialize table);
-         Buffer.add_char buf '|');
-  Sha256.digest_hex (Buffer.contents buf)
+         add buf table;
+         Buffer.add_char buf '|')
 
-let routing_inputs_digest inputs = inputs_digest serialize_routing inputs
+let routing_inputs_digest inputs = digest_with (add_inputs add_routing) inputs
 
-let pricing_inputs_digest inputs = inputs_digest serialize_pricing inputs
+let pricing_inputs_digest inputs = digest_with (add_inputs add_pricing) inputs
 
 let costs_digest costs =
-  let buf = Buffer.create 64 in
-  Array.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%h;" c)) costs;
-  Sha256.digest_hex (Buffer.contents buf)
+  digest_with
+    (fun buf ->
+      Array.iter (fun c ->
+          add_hex_float buf c;
+          Buffer.add_char buf ';'))
+    costs
 
 (* Equality with exactly the serializations' equivalence: floats as
    [%h] prints them (equal bits, or NaNs of one sign — "nan"/"-nan"),

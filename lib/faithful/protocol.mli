@@ -49,6 +49,16 @@ type msg =
 val msg_size : msg -> int
 (** Approximate wire size in bytes, for the overhead experiments. *)
 
+val sizer : unit -> msg -> int
+(** [sizer ()] is a fresh [msg_size] that remembers, for routing and for
+    pricing tables, the last table it sized, by physical identity, with its
+    size: a run of sends of one table (an announcement to every neighbour,
+    a relayed copy to every checker) walks the table once. Equal to
+    [msg_size] on every message as long as no table is mutated after it
+    was sized; the protocol never mutates a table once it is on the wire
+    ([Node] recomputes into copies). Each engine takes its own
+    ([Runner.run]); the memo is local to the closure. *)
+
 val empty_routing : n:int -> self:int -> routing_table
 (** Only the trivial self entry. *)
 
@@ -102,7 +112,13 @@ val recompute_pricing :
     every destination of [own_routing]. *)
 
 val routing_digest : routing_table -> string
-(** Hex SHA-256 of the canonical serialization — what [BANK1] compares. *)
+(** Hex SHA-256 of the canonical serialization — what [BANK1] compares.
+    The digests' serializations write integers as [string_of_int] and
+    floats as [Printf]'s [%h] would, straight into one buffer: the sign,
+    [0x1.]/[0x0.] and the fraction's nibbles with trailing zeros trimmed,
+    [p] and an always-signed exponent ([p-1022] for subnormals), or
+    [infinity]/[nan]. The [Printf] serializations they replaced are the
+    test oracle [test/serialize_reference.ml]. *)
 
 val pricing_digest : pricing_table -> string
 (** Hex SHA-256 including tags — what [BANK2] compares. *)
@@ -125,7 +141,8 @@ val routing_equal : routing_table -> routing_table -> bool
     both holding equal paths (element by element) and costs that [%h]
     prints alike — equal bits, or both NaN with the same sign. So [0.]
     and [-0.] differ. Compares structurally, without serializing; the
-    node's announce-on-change test. *)
+    node's announce-on-change test, and how the bank's checkpoint memo
+    finds a table it already hashed ([Bank.checkpoint]). *)
 
 val pricing_equal : pricing_table -> pricing_table -> bool
 (** As [routing_equal], for [pricing_digest]: row by row the same entries

@@ -126,7 +126,7 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
             fun ~src ~dst -> m.(src).(dst))
   in
   let engine : Protocol.msg Engine.t = Engine.create ~latency ~n () in
-  Engine.set_size engine Protocol.msg_size;
+  Engine.set_size engine (Protocol.sizer ());
   let obs = params.obs in
   if Obs.enabled obs then
     Engine.set_obs engine obs

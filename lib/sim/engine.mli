@@ -98,7 +98,10 @@ val all_up : 'msg t -> unit
 
 val set_size : 'msg t -> ('msg -> int) -> unit
 (** Message-size model for byte accounting (default: every message is one
-    byte). *)
+    byte). It is called once per send that passes the tap, on the message
+    as the tap left it, in send order, and nowhere else; so it may
+    memoize, e.g. remember the last payload it sized
+    ([Damd_faithful.Protocol.sizer]). *)
 
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Enqueue a delivery event at [now + latency src dst]. Self-sends are

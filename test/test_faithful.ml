@@ -33,6 +33,52 @@ let fig1_traffic = Traffic.uniform ~n:6 ~rate:1.
 let ring5 =
   lazy (Gen.ring ~n:5 ~costs:[| 2.; 3.; 1.; 4.; 2. |])
 
+module Engine = Damd_sim.Engine
+
+(* A construction driven through the public [Engine]/[Node] calls, the
+   way [Runner] drives it but with the bank left to the caller: [build]
+   runs the cost flood and freezes DATA1, [drive st] runs one table to
+   quiescence. [tap] picks the messages that are delivered. *)
+type construction = {
+  nodes : Node.t array;
+  engine : Protocol.msg Engine.t;
+  sends : Node.send array;
+}
+
+let build ?tap g deviations =
+  let n = Graph.n g in
+  let neighbor_sets = Array.init n (Graph.neighbors g) in
+  let nodes =
+    Array.init n (fun id ->
+        Node.create ~id ~n ~neighbor_sets ~true_cost:(Graph.cost g id)
+          ~deviation:deviations.(id) ())
+  in
+  let engine : Protocol.msg Engine.t = Engine.create ~n () in
+  Option.iter
+    (fun keep ->
+      Engine.set_tap engine (fun ~src:_ ~dst:_ m -> if keep m then Some m else None))
+    tap;
+  let sends = Array.init n (fun src ~dst msg -> Engine.send engine ~src ~dst msg) in
+  for i = 0 to n - 1 do
+    Engine.set_handler engine i (fun ~sender msg ->
+        match msg with
+        | Protocol.Update u -> Node.on_cost_msg nodes.(i) sends.(i) ~sender u
+        | _ -> ())
+  done;
+  Array.iteri (fun i node -> Node.announce_cost node sends.(i)) nodes;
+  ignore (Engine.run engine);
+  Array.iter (fun node -> ignore (Node.finalize_costs node)) nodes;
+  { nodes; engine; sends }
+
+let drive c st =
+  Array.iteri
+    (fun i node ->
+      Engine.set_handler c.engine i (fun ~sender msg ->
+          Node.on_msg st node c.sends.(i) ~sender msg))
+    c.nodes;
+  Array.iteri (fun i node -> Node.start st node c.sends.(i)) c.nodes;
+  ignore (Engine.run ~max_events:1_000_000 c.engine)
+
 (* --- Protocol --- *)
 
 let test_protocol_empty_routing () =
@@ -78,14 +124,36 @@ let test_protocol_pricing_digest_sees_tags () =
   check Alcotest.bool "tags hashed" true
     (Protocol.pricing_digest a <> Protocol.pricing_digest b)
 
+(* Wire sizes of fig1's converged tables, per node: the routing and the
+   pricing announcement, each also as a relayed copy (8 bytes more). *)
+let fig1_table_sizes =
+  [ (123, 91); (119, 75); (119, 75); (111, 43); (119, 75); (115, 59) ]
+
 let test_protocol_msg_sizes () =
   let u = Protocol.Cost_announce { origin = 0; cost = 1. } in
-  check Alcotest.bool "positive" true (Protocol.msg_size (Protocol.Update u) > 0);
-  let copy = Protocol.Copy { principal = 0; via = 1; inner = u } in
-  check Alcotest.bool "copy larger" true
-    (Protocol.msg_size copy > Protocol.msg_size (Protocol.Update u));
+  check Alcotest.int "cost announcement" 13 (Protocol.msg_size (Protocol.Update u));
+  check Alcotest.int "cost copy" 21
+    (Protocol.msg_size (Protocol.Copy { principal = 0; via = 1; inner = u }));
   let p = Protocol.Packet { src = 0; dst = 1; rate = 1.; trace = [ 0; 2 ] } in
-  check Alcotest.bool "packet sized" true (Protocol.msg_size p > 0)
+  check Alcotest.int "packet" 28 (Protocol.msg_size p);
+  let g, _ = Lazy.force fig1 in
+  let c = build g (Array.make 6 Adversary.Faithful) in
+  drive c Node.routing_stage;
+  drive c Node.pricing_stage;
+  let sizes inner =
+    let update = Protocol.msg_size (Protocol.Update inner) in
+    check Alcotest.int "copy = update + 8" (update + 8)
+      (Protocol.msg_size (Protocol.Copy { principal = 0; via = 1; inner }));
+    update
+  in
+  check
+    Alcotest.(list (pair int int))
+    "fig1 converged tables" fig1_table_sizes
+    (Array.to_list c.nodes
+    |> List.map (fun (node : Node.t) ->
+           let origin = node.Node.id in
+           ( sizes (Protocol.Routing_update { origin; table = node.Node.routing }),
+             sizes (Protocol.Pricing_update { origin; table = node.Node.pricing }) )))
 
 let test_protocol_costs_digest () =
   check Alcotest.bool "cost digests" true
@@ -214,6 +282,135 @@ let prop_pricing_equal_is_digest_equal =
   prop_equal_is_digest_equal "pricing_equal = digest equality"
     (gen_table_pair gen_pricing_row mutate_pricing_row)
     print_pricing Protocol.pricing_equal Protocol.pricing_digest
+
+(* --- Digest writers vs the Printf reference ---
+
+   [Protocol]'s digests write their bytes with a hand-written [%h] and
+   integer writer; [Serialize_reference] keeps the [Printf] serializations
+   they replaced. Every digest must be the SHA-256 of the reference bytes.
+   Half the floats are raw 64-bit patterns, drawn by class where [%h] has
+   a case of its own — any pattern, a subnormal, a NaN payload, an
+   infinity, a zero, each with either sign — and half ordinary costs.
+   Ids are mostly small, sometimes any int. *)
+
+let gen_raw_float =
+  let open QCheck.Gen in
+  let* negative = bool
+  and* kind = int_bound 4
+  and* frac =
+    map2 (fun hi lo -> (hi lsl 26) lor lo) (int_bound 0x3ff_ffff) (int_bound 0x3ff_ffff)
+  and* any_exp = int_bound 0x7ff in
+  let exp, frac =
+    match kind with
+    | 0 -> (any_exp, frac)
+    | 1 -> (0, frac) (* subnormal *)
+    | 2 -> (0x7ff, frac) (* NaN *)
+    | 3 -> (0x7ff, 0) (* infinity *)
+    | _ -> (0, 0)
+  in
+  let bits = Int64.(logor (shift_left (of_int exp) 52) (of_int frac)) in
+  return (Int64.float_of_bits (if negative then Int64.logor Int64.min_int bits else bits))
+
+let gen_cost =
+  QCheck.Gen.(
+    oneof
+      [
+        map float_of_int (int_bound 20);
+        map (fun k -> float_of_int k /. 8.) (int_bound 160);
+        float_bound_inclusive 50.;
+      ])
+
+let gen_any_float = QCheck.Gen.(frequency [ (1, gen_raw_float); (1, gen_cost) ])
+let gen_id = QCheck.Gen.(frequency [ (4, int_bound 20); (1, int) ])
+let gen_id_list = QCheck.Gen.(list_size (int_bound 4) gen_id)
+
+let gen_any_routing : Protocol.routing_table QCheck.Gen.t =
+  QCheck.Gen.(
+    array_size (int_bound 6)
+      (opt (map2 (fun cost path -> { Dijkstra.cost; path }) gen_any_float gen_id_list)))
+
+let gen_any_pricing : Protocol.pricing_table QCheck.Gen.t =
+  QCheck.Gen.(
+    array_size (int_bound 6)
+      (list_size (int_bound 3)
+         (map3
+            (fun transit price tags -> { Protocol.transit; price; tags })
+            gen_id gen_any_float gen_id_list)))
+
+let gen_inputs gen_table = QCheck.Gen.(list_size (int_bound 3) (pair gen_id gen_table))
+
+let prop_digests_equal_printf_reference =
+  let module R = Serialize_reference in
+  let print (r, p, c, (ri, pi)) =
+    String.concat "\n"
+      [
+        R.routing r;
+        R.pricing p;
+        R.costs c;
+        R.inputs R.routing ri;
+        R.inputs R.pricing pi;
+      ]
+  in
+  QCheck.Test.make ~name:"digest writers = Printf reference bytes" ~count:1000
+    (QCheck.make ~print
+       QCheck.Gen.(
+         quad gen_any_routing gen_any_pricing
+           (array_size (int_bound 6) gen_any_float)
+           (pair (gen_inputs gen_any_routing) (gen_inputs gen_any_pricing))))
+    (fun (r, p, c, (ri, pi)) ->
+      String.equal (Protocol.routing_digest r) (R.routing_digest r)
+      && String.equal (Protocol.pricing_digest p) (R.pricing_digest p)
+      && String.equal (Protocol.costs_digest c) (R.costs_digest c)
+      && String.equal (Protocol.routing_inputs_digest ri) (R.routing_inputs_digest ri)
+      && String.equal (Protocol.pricing_inputs_digest pi) (R.pricing_inputs_digest pi))
+
+(* --- The memoizing sizer vs msg_size ---
+
+   A random sequence of sends the way [Node] makes them: a table from a
+   small pool of routing and pricing tables, resent as fresh messages to
+   several neighbours, as updates or as relayed copies, with cost
+   announcements and packets mixed in. The pools hold structurally equal
+   tables under distinct identities too. At every step the sizer must
+   agree with [msg_size]. *)
+
+let gen_sends =
+  let open QCheck.Gen in
+  let* routing = array_size (1 -- 3) gen_any_routing
+  and* pricing = array_size (1 -- 3) gen_any_pricing
+  and* steps =
+    list_size (int_bound 30)
+      (quad (int_bound 3) small_nat (int_bound 3) (pair bool gen_id_list))
+  in
+  let routing = Array.append routing (Array.map Array.copy routing) in
+  let pricing = Array.append pricing (Array.map Array.copy pricing) in
+  return
+    (List.concat_map
+       (fun (kind, pick, times, (as_copy, trace)) ->
+         List.init (1 + times) (fun via ->
+             let wrap inner =
+               if as_copy then Protocol.Copy { principal = 0; via; inner }
+               else Protocol.Update inner
+             in
+             match kind with
+             | 0 ->
+                 let table = routing.(pick mod Array.length routing) in
+                 wrap (Protocol.Routing_update { origin = via; table })
+             | 1 ->
+                 let table = pricing.(pick mod Array.length pricing) in
+                 wrap (Protocol.Pricing_update { origin = via; table })
+             | 2 -> wrap (Protocol.Cost_announce { origin = via; cost = 1. })
+             | _ -> Protocol.Packet { src = 0; dst = via; rate = 1.; trace }))
+       steps)
+
+let prop_sizer_equals_msg_size =
+  QCheck.Test.make ~name:"sizer = msg_size on every send" ~count:300
+    (QCheck.make
+       ~print:(fun msgs ->
+         String.concat " " (List.map (fun m -> string_of_int (Protocol.msg_size m)) msgs))
+       gen_sends)
+    (fun msgs ->
+      let size = Protocol.sizer () in
+      List.for_all (fun m -> size m = Protocol.msg_size m) msgs)
 
 (* --- Protocol handlers vs the full-sweep reference ---
 
@@ -569,6 +766,68 @@ let test_bank_checkpoint_bytes_positive () =
         Node.create ~id ~n:6 ~neighbor_sets:sets ~true_cost:1. ~deviation:Adversary.Faithful ())
   in
   check Alcotest.bool "bytes > 0" true (Bank.checkpoint_bytes nodes > 0)
+
+(* --- Bank.checkpoint vs the one-digest-per-query reference ---
+
+   [Bank.checkpoint] hashes each distinct table once per call;
+   [Bank_reference] keeps the bodies that hashed once per query and
+   computed the principal's own inputs digest up front. On a random small
+   graph with up to two deviants (announce and copy distortion,
+   withholding, spoofing, shielding checkers, Byzantine plans) and a
+   seeded tap that may drop routing and pricing updates and copies, both
+   must report the same detections (rule, culprit and detail, in order)
+   at the routing and the pricing checkpoint, in both evidence modes.
+   After each checkpoint one principal's own table is replaced by a
+   distorted copy and the bank is asked again, so checkers' mirrors
+   disagree with it on matching inputs: a branch the fault campaigns
+   do not reach. *)
+
+let construction_deviation rng n =
+  Rng.choose rng
+    (Adversary.Byzantine_arbitrary (Int64.to_int (Rng.bits64 rng))
+    :: Adversary.Collude_with (Rng.int rng n)
+    :: List.filter Adversary.is_construction Adversary.library)
+
+let same_detections =
+  List.equal (fun (x : Bank.detection) (y : Bank.detection) ->
+      String.equal x.Bank.rule y.Bank.rule
+      && Option.equal Int.equal x.Bank.culprit y.Bank.culprit
+      && String.equal x.Bank.detail y.Bank.detail)
+
+let checkpoints_agree c st =
+  List.for_all
+    (fun fault_tolerant ->
+      same_detections
+        (Bank.checkpoint ~fault_tolerant st c.nodes)
+        (Bank_reference.checkpoint ~fault_tolerant st c.nodes))
+    [ false; true ]
+
+let prop_checkpoint_equals_reference =
+  QCheck.Test.make ~name:"checkpoint = one-digest-per-query reference" ~count:100
+    QCheck.(triple small_nat (float_bound_inclusive 1.) int)
+    (fun (seed, p, tap_seed) ->
+      let rng = Rng.create (seed + 3300) in
+      let g = Fpss_reference.random_graph rng ~seed ~p in
+      let n = Graph.n g in
+      let deviations = Array.make n Adversary.Faithful in
+      List.iter
+        (fun v -> deviations.(v) <- construction_deviation rng n)
+        (Rng.subset rng (Rng.int_in rng 0 2) n);
+      let drop = Rng.choose rng [ 0.; 0.02; 0.1 ] in
+      let tap_rng = Rng.create tap_seed in
+      let keep = function
+        | Protocol.Update (Protocol.Cost_announce _) | Protocol.Packet _ -> true
+        | Protocol.Update _ | Protocol.Copy _ -> not (Rng.bernoulli tap_rng drop)
+      in
+      let c = build ~tap:keep g deviations in
+      let table st =
+        drive c st;
+        let agree = checkpoints_agree c st in
+        let node = c.nodes.(Rng.int rng n) in
+        st.Node.set node (st.Node.distort 1. (st.Node.get node));
+        agree && checkpoints_agree c st
+      in
+      table Node.routing_stage && table Node.pricing_stage)
 
 (* --- End-to-end: faithful runs --- *)
 
@@ -1871,6 +2130,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_protocol_sweep_equals_reference;
         QCheck_alcotest.to_alcotest prop_routing_equal_is_digest_equal;
         QCheck_alcotest.to_alcotest prop_pricing_equal_is_digest_equal;
+        QCheck_alcotest.to_alcotest prop_digests_equal_printf_reference;
+        QCheck_alcotest.to_alcotest prop_sizer_equals_msg_size;
       ] );
     ( "faithful.node",
       [
@@ -1891,6 +2152,7 @@ let suites =
         Alcotest.test_case "serialize canonical" `Quick test_bank_serialize_report_canonical;
         Alcotest.test_case "checkpoint costs" `Quick test_bank_checkpoint_costs;
         Alcotest.test_case "checkpoint bytes" `Quick test_bank_checkpoint_bytes_positive;
+        QCheck_alcotest.to_alcotest prop_checkpoint_equals_reference;
       ] );
     ( "faithful.run",
       [

@@ -12,6 +12,10 @@
 #     --weaken settlement and --weaken pricing; 40 campaigns with
 #     --faults --epsilon 0.5; --replay of seeds 1 2 3 42, and of
 #     4285784464683832136 with --faults;
+#   - 40 campaigns with --faults --trace-out, keeping only the trace's
+#     instant events (name and args, in order: checkpoint outcomes and
+#     reasons, accusations with their detail strings, verdicts, fault
+#     events); spans and samples carry timings and are dropped;
 #   - experiments, full and --quick;
 #   - routing on fig1 with node 2 running each CLI deviation, and the
 #     faithful run with --no-checking, --no-copies,
@@ -74,6 +78,18 @@ print(json.dumps(strip(json.load(open(sys.argv[1]))), indent=1))' "$1" >"$1.stri
     rm "$1"
 }
 
+# instants FILE: the name and args of every instant event of a
+# damd-trace/1 document, one JSON line each, into FILE.instants; the
+# document and its Chrome twin are removed.
+instants() {
+  python3 -c '
+import json, sys
+for e in json.load(open(sys.argv[1]))["events"]:
+    if e["type"] == "instant":
+        print(json.dumps([e["name"], e.get("args")], sort_keys=True))' "$1" >"$1.instants" &&
+    rm "$1" "${1%.json}.chrome.json"
+}
+
 drive() {
   local tree="$1" out="$2"
   local C="$tree/_build/default/bin/damd_cli.exe"
@@ -88,6 +104,9 @@ drive() {
     --weaken pricing --json gauntlet_pricing.json
   run gauntlet_epsilon "$C" gauntlet --seed 42 --campaigns 40 --faults \
     --epsilon 0.5 --json gauntlet_epsilon.json
+  run gauntlet_traced "$C" gauntlet --seed 42 --campaigns 40 --faults \
+    --trace-out gauntlet_traced.json
+  instants gauntlet_traced.json
   local s
   for s in 1 2 3 42; do run "replay_$s" "$C" gauntlet --replay "$s"; done
   run replay_finding "$C" gauntlet --replay 4285784464683832136 --faults
