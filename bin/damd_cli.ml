@@ -179,17 +179,9 @@ let parse_deviation spec =
       (node, deviation))
   | _ -> fail ()
 
-let run_routing topology seed deviants no_checking no_copies deferred latency loss
-    hotspots rate verbose =
-  let rate = non_negative "--rate" rate in
-  let loss = Option.map (probability "--loss") loss in
-  at_least 0 "hotspots" hotspots;
-  let g = parse_topology topology seed in
-  let n = Graph.n g in
-  let traffic =
-    if hotspots > 0 then Traffic.hotspot (Rng.create (seed + 1)) ~n ~hotspots ~rate
-    else Traffic.uniform ~n ~rate
-  in
+(* The --deviant specs as a profile over [n] nodes: every seat and every
+   colluder's principal must be a node. *)
+let deviant_profile n deviants =
   let deviations = Array.make n Adversary.Faithful in
   List.iter
     (fun spec ->
@@ -202,6 +194,20 @@ let run_routing topology seed deviants no_checking no_copies deferred latency lo
       | _ -> ());
       deviations.(who) <- d)
     deviants;
+  deviations
+
+let run_routing topology seed deviants no_checking no_copies deferred latency loss
+    hotspots rate verbose =
+  let rate = non_negative "--rate" rate in
+  let loss = Option.map (probability "--loss") loss in
+  at_least 0 "hotspots" hotspots;
+  let g = parse_topology topology seed in
+  let n = Graph.n g in
+  let traffic =
+    if hotspots > 0 then Traffic.hotspot (Rng.create (seed + 1)) ~n ~hotspots ~rate
+    else Traffic.uniform ~n ~rate
+  in
+  let deviations = deviant_profile n deviants in
   let params =
     {
       Runner.default_params with
@@ -492,9 +498,37 @@ let check_mutation = function
       input_error "unknown mutation %S (see `damd lint --list-mutations`)" m
   | _ -> ()
 
+(* The tail of the lint, verify and analyze reports: the findings table,
+   the error count, the JSON document when --json names a file, then the
+   exit code, 1 iff some finding is an error. *)
+let report_findings ~schema ~json_path findings json =
+  let module Check = Damd_speccheck.Check in
+  if findings = [] then print_endline "no findings"
+  else begin
+    let t = Table.create [ "id"; "severity"; "location"; "explanation" ] in
+    List.iter
+      (fun (f : Check.finding) ->
+        Table.add_row t
+          [
+            f.Check.id;
+            Check.severity_to_string f.Check.severity;
+            f.Check.location;
+            f.Check.message;
+          ])
+      findings;
+    Table.print t
+  end;
+  let errors = List.length (Check.errors findings) in
+  Printf.printf "%d error(s)\n" errors;
+  (match json_path with
+  | None -> ()
+  | Some path ->
+      Json.to_file path (json ());
+      Printf.printf "report written to %s (schema %s)\n" path schema);
+  exit (if errors = 0 then 0 else 1)
+
 let run_lint topology seed mutate json_path list_mutations =
   let module Speccheck = Damd_speccheck in
-  let module Check = Speccheck.Check in
   let module Lint = Speccheck.Lint in
   if list_mutations then
     List.iter
@@ -513,28 +547,8 @@ let run_lint topology seed mutate json_path list_mutations =
     in
     Printf.printf "lint: spec %s, topology %s%s\n" report.Lint.spec topology
       (match mutate with Some m -> ", mutation " ^ m | None -> "");
-    if report.Lint.findings = [] then print_endline "no findings"
-    else begin
-      let t = Table.create [ "id"; "severity"; "location"; "explanation" ] in
-      List.iter
-        (fun (f : Check.finding) ->
-          Table.add_row t
-            [
-              f.Check.id;
-              Check.severity_to_string f.Check.severity;
-              f.Check.location;
-              f.Check.message;
-            ])
-        report.Lint.findings;
-      Table.print t
-    end;
-    Printf.printf "%d error(s)\n" (Lint.error_count report);
-    (match json_path with
-    | None -> ()
-    | Some path ->
-        Damd_util.Json.to_file path (Lint.to_json report);
-        Printf.printf "report written to %s (schema damd-lint/1)\n" path);
-    exit (Lint.exit_code report)
+    report_findings ~schema:"damd-lint/1" ~json_path report.Lint.findings
+      (fun () -> Lint.to_json report)
   end
 
 let mutate_arg =
@@ -567,8 +581,8 @@ let list_mutations_arg =
 let run_verify topology seed mutate json_path bound por_s domains key_audit
     trace_out =
   let module Speccheck = Damd_speccheck in
-  let module Check = Speccheck.Check in
   let module Explore = Speccheck.Explore in
+  let module Scenario = Speccheck.Scenario in
   let module Verify = Speccheck.Verify in
   let g = parse_topology topology seed in
   check_mutation mutate;
@@ -624,39 +638,19 @@ let run_verify topology seed mutate json_path bound por_s domains key_audit
     (fun (dev, v) ->
       let verdict, detail =
         match v with
-        | Explore.Detected { depth; certifier } ->
+        | Scenario.Detected { depth; certifier; phase = _ } ->
             ( "detected",
               Printf.sprintf "depth %d, %s" depth
                 (Option.value ~default:"progress timeout" certifier) )
-        | Explore.Undetected { witness } -> ("UNDETECTED", witness)
-        | Explore.Exempt { reason } -> ("exempt", reason)
-        | Explore.Truncated -> ("truncated", "state bound exhausted")
+        | Scenario.Undetected { witness } -> ("UNDETECTED", witness)
+        | Scenario.Exempt { reason } -> ("exempt", reason)
+        | Scenario.Truncated -> ("truncated", "state bound exhausted")
       in
       Table.add_row vt [ Speccheck.Dev.to_string dev; verdict; detail ])
     report.Verify.verdicts;
   Table.print vt;
-  if report.Verify.findings = [] then print_endline "no findings"
-  else begin
-    let t = Table.create [ "id"; "severity"; "location"; "explanation" ] in
-    List.iter
-      (fun (f : Check.finding) ->
-        Table.add_row t
-          [
-            f.Check.id;
-            Check.severity_to_string f.Check.severity;
-            f.Check.location;
-            f.Check.message;
-          ])
-      report.Verify.findings;
-    Table.print t
-  end;
-  Printf.printf "%d error(s)\n" (Verify.error_count report);
-  (match json_path with
-  | None -> ()
-  | Some path ->
-      Damd_util.Json.to_file path (Verify.to_json report);
-      Printf.printf "report written to %s (schema damd-verify/1)\n" path);
-  exit (Verify.exit_code report)
+  report_findings ~schema:"damd-verify/1" ~json_path report.Verify.findings
+    (fun () -> Verify.to_json report)
 
 let bound_arg =
   Arg.(
@@ -704,8 +698,8 @@ let key_audit_arg =
 let run_analyze topology seed mutate json_path bound differential
     explore_bound trace_out =
   let module Speccheck = Damd_speccheck in
-  let module Check = Speccheck.Check in
   let module Absint = Speccheck.Absint in
+  let module Scenario = Speccheck.Scenario in
   let module Analyze = Speccheck.Analyze in
   let g = parse_topology topology seed in
   check_mutation mutate;
@@ -761,12 +755,12 @@ let run_analyze topology seed mutate json_path bound differential
     (fun fr ->
       let verdict =
         match fr.Absint.fr_verdict with
-        | Absint.Scertified { depth; certifier; _ } ->
+        | Scenario.Detected { depth; certifier; phase = _ } ->
             Printf.sprintf "certified (depth %d, %s)" depth
               (Option.value ~default:"progress timeout" certifier)
-        | Absint.Sblind _ -> "BLIND"
-        | Absint.Sexempt _ -> "exempt"
-        | Absint.Struncated -> "truncated"
+        | Scenario.Undetected _ -> "BLIND"
+        | Scenario.Exempt _ -> "exempt"
+        | Scenario.Truncated -> "truncated"
       in
       Table.add_row vt
         [
@@ -782,28 +776,8 @@ let run_analyze topology seed mutate json_path bound differential
         ])
     res.Absint.frontier;
   Table.print vt;
-  if report.Analyze.findings = [] then print_endline "no findings"
-  else begin
-    let t = Table.create [ "id"; "severity"; "location"; "explanation" ] in
-    List.iter
-      (fun (f : Check.finding) ->
-        Table.add_row t
-          [
-            f.Check.id;
-            Check.severity_to_string f.Check.severity;
-            f.Check.location;
-            f.Check.message;
-          ])
-      report.Analyze.findings;
-    Table.print t
-  end;
-  Printf.printf "%d error(s)\n" (Analyze.error_count report);
-  (match json_path with
-  | None -> ()
-  | Some path ->
-      Damd_util.Json.to_file path (Analyze.to_json report);
-      Printf.printf "report written to %s (schema damd-analyze/1)\n" path);
-  exit (Analyze.exit_code report)
+  report_findings ~schema:"damd-analyze/1" ~json_path report.Analyze.findings
+    (fun () -> Analyze.to_json report)
 
 let analyze_json_arg =
   Arg.(
@@ -1071,17 +1045,11 @@ let run_gauntlet campaigns seed weaken_s json_path replay no_shrink faults
 (* --- forensic tracing --- *)
 
 let run_trace topology seed deviants rate out =
+  let rate = non_negative "--rate" rate in
   let g = parse_topology topology seed in
   let n = Graph.n g in
   let traffic = Traffic.uniform ~n ~rate in
-  let deviations = Array.make n Adversary.Faithful in
-  List.iter
-    (fun spec ->
-      let who, d = parse_deviation spec in
-      if who < 0 || who >= n then
-        input_error "deviant node %d out of range" who;
-      deviations.(who) <- d)
-    deviants;
+  let deviations = deviant_profile n deviants in
   let obs = Obs.memory ~detail:true () in
   let params = { Runner.default_params with Runner.obs = obs } in
   let r = Runner.run ~params ~graph:g ~traffic ~deviations () in

@@ -80,6 +80,10 @@ let unmediated p = corrupts_costs p || execution p
 
 let active p = tampers p || unmediated p
 
+(* A cost pair read one way: the same cost to every neighbour is the
+   consistent declaration [Declare a], two costs are a [Split]. *)
+let declare_pair a b = if Float.equal a b then Declare a else Split (a, b)
+
 (* The plan is a *fixed* function of the seed, sampled once: a Byzantine
    node that re-randomized per message would never converge its own
    announcement loop (every recomputation would differ), turning every
@@ -87,7 +91,8 @@ let active p = tampers p || unmediated p
    the behaviors at creation keeps the node deterministic — arbitrary in
    choice, not in time. The draws run in a fixed order, the under-report
    first and the cost pair last; seeded replay depends on it. A drawn
-   pair stays a [Split] even when its two costs are equal. *)
+   pair of equal costs is the consistent [Declare], which is not active
+   on its own. *)
 let plan_of_seed seed =
   let rng = Rng.create (0x42595A + seed) in
   let maybe p f = if Rng.bernoulli rng p then Some (f ()) else None in
@@ -113,7 +118,8 @@ let plan_of_seed seed =
   let plan =
     {
       faithful with
-      declare = (match cost_pair with Some (a, b) -> Split (a, b) | None -> True_cost);
+      declare =
+        (match cost_pair with Some (a, b) -> declare_pair a b | None -> True_cost);
       forward;
       routing = { honest_table with announce = routing_announce; copies = routing_copies };
       pricing = { honest_table with announce = pricing_announce; copies = pricing_copies };
@@ -130,7 +136,7 @@ let pricing table_plan = { faithful with pricing = table_plan }
 let rec plan = function
   | Faithful -> faithful
   | Misreport_cost c -> { faithful with declare = Declare c }
-  | Inconsistent_cost (a, b) -> { faithful with declare = Split (a, b) }
+  | Inconsistent_cost (a, b) -> { faithful with declare = declare_pair a b }
   | Corrupt_cost_forward delta -> { faithful with forward = Some delta }
   | Drop_routing_copies -> routing { honest_table with copies = Withhold }
   | Drop_pricing_copies -> pricing { honest_table with copies = Withhold }

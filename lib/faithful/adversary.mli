@@ -34,7 +34,8 @@ type t =
       (** declare this transit cost to everyone (consistent lie) *)
   | Inconsistent_cost of float * float
       (** declare the first cost to even-indexed neighbors, the second to
-          odd — inconsistent information revelation (Remark 4) *)
+          odd — inconsistent information revelation (Remark 4); two equal
+          costs are the consistent [Misreport_cost] of that cost *)
   | Corrupt_cost_forward of float
       (** add this delta to every transit-cost fact forwarded for others *)
   | Drop_routing_copies
@@ -113,7 +114,9 @@ type declare =
   | True_cost
   | Declare of float  (** one false cost, told to every neighbour *)
   | Split of float * float
-      (** the first cost to even-indexed neighbours, the second to odd *)
+      (** the first cost to even-indexed neighbours, the second to odd;
+          the two costs differ, since a pair of equal costs is a
+          [Declare] *)
 
 (** What a deviation does to a table the node sends: pass it on, shift its
     costs or prices by a delta, or send nothing. *)
@@ -158,8 +161,8 @@ val plan_of_seed : int -> plan
     forward delta, each table's announce and copies distortions,
     misrouting and the under-report, each independently active with
     moderate probability and at least one always active. A drawn cost
-    pair is a [Split], even when its two costs are equal. Pure in the
-    seed. *)
+    pair [(a, b)] is a [Split], or [Declare a] when [a = b]: a consistent
+    declaration, which does not count as active. Pure in the seed. *)
 
 val shields : plan -> principal:int -> bool
 (** Whether a checker playing this plan echoes [principal]'s

@@ -7,20 +7,9 @@ module Tables = Damd_fpss.Tables
 module Obs = Damd_obs.Obs
 module Json = Damd_util.Json
 
-type bank_checks = {
-  costs_check : bool;
-  routing_check : bool;
-  pricing_check : bool;
-  settlement_check : bool;
-}
+type bank_checks = { pricing_check : bool; settlement_check : bool }
 
-let all_checks =
-  {
-    costs_check = true;
-    routing_check = true;
-    pricing_check = true;
-    settlement_check = true;
-  }
+let all_checks = { pricing_check = true; settlement_check = true }
 
 type perturb = {
   jitter : float;
@@ -31,7 +20,6 @@ type perturb = {
 }
 
 type params = {
-  value_per_packet : float;
   progress_penalty : float;
   epsilon : float;
   max_restarts : int;
@@ -47,9 +35,11 @@ type params = {
   obs : Obs.t;
 }
 
+(* A node's utility per unit of its own traffic delivered (DESIGN.md §5). *)
+let value_per_packet = 50.
+
 let default_params =
   {
-    value_per_packet = 50.;
     progress_penalty = 1e5;
     epsilon = 1.;
     max_restarts = 2;
@@ -339,9 +329,7 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
              else if params.deferred_certification then Ok ()
              else
                verdict
-                 (if params.checking && params.checks.costs_check then
-                    Bank.checkpoint_costs nodes
-                  else [])));
+                 (if params.checking then Bank.checkpoint_costs nodes else [])));
     }
   in
   let table_checkpoint st ~check =
@@ -367,7 +355,7 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
   in
   let phase2a =
     phase2 Node.routing_stage ~name:"construction-2a (routing)" ~drain_name:"phase2a"
-      ~anchor:`Routing ~reset:Node.reset_routing_phase ~check:params.checks.routing_check
+      ~anchor:`Routing ~reset:Node.reset_routing_phase ~check:true
   in
   let phase2b =
     phase2 Node.pricing_stage ~name:"construction-2b (pricing)" ~drain_name:"phase2b"
@@ -410,8 +398,8 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
   | Phase.Completed progress
     when params.deferred_certification && params.checking
          && (let ds =
-               (if params.checks.costs_check then Bank.checkpoint_costs nodes else [])
-               @ table_checkpoint Node.routing_stage ~check:params.checks.routing_check
+               Bank.checkpoint_costs nodes
+               @ table_checkpoint Node.routing_stage ~check:true
                @ table_checkpoint Node.pricing_stage ~check:params.checks.pricing_check
              in
              note ds;
@@ -456,7 +444,7 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
             let carried_load =
               List.fold_left (fun acc (_, _, rate, _) -> acc +. rate) 0. node.Node.carried
             in
-            (params.value_per_packet *. settlement.Bank.delivered.(i))
+            (value_per_packet *. settlement.Bank.delivered.(i))
             -. settlement.Bank.outlays.(i)
             -. settlement.Bank.penalties.(i)
             +. settlement.Bank.incomes.(i)

@@ -16,17 +16,16 @@
     the mechanism to make progress). *)
 
 type bank_checks = {
-  costs_check : bool;  (** DATA1 phase-1 digest comparison *)
-  routing_check : bool;  (** BANK1 routing checkpoint *)
   pricing_check : bool;  (** BANK2 pricing checkpoint *)
   settlement_check : bool;
       (** verified execution clearing (DATA4 comparison + route audit) *)
 }
-(** Per-checkpoint bank switches, all [true] in [all_checks]. Turning one
-    off deliberately weakens the mechanism — the gauntlet uses this to
-    prove its faithfulness-violation oracle has teeth (a weakened bank
-    must let some sampled deviation profit). [checking = false] overrides
-    them all. *)
+(** The bank checks that can be switched off one by one, both [true] in
+    [all_checks]; the DATA1 and BANK1 checkpoints always run while
+    [checking] holds. Turning one off deliberately weakens the mechanism
+    — the gauntlet uses this to prove its faithfulness-violation oracle
+    has teeth (a weakened bank must let some sampled deviation profit).
+    [checking = false] overrides them all. *)
 
 val all_checks : bank_checks
 
@@ -51,7 +50,6 @@ type perturb = {
     attributable to the deviation, not the schedule. *)
 
 type params = {
-  value_per_packet : float;  (** utility per unit of own traffic delivered *)
   progress_penalty : float;
       (** utility when a construction phase never certifies (large) *)
   epsilon : float;  (** the bank's fine margin *)
@@ -113,8 +111,9 @@ type params = {
 }
 
 val default_params : params
-(** value 50, progress penalty 10^5, epsilon 1, 2 restarts, checking and
-    copies on, phase-by-phase certification, constant latency. *)
+(** Progress penalty 10^5, epsilon 1, 2 restarts, checking and copies
+    on, phase-by-phase certification, constant latency. A delivered unit
+    of a node's own traffic is worth 50 to it in every run. *)
 
 type result = {
   completed : bool;

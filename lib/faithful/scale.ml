@@ -25,7 +25,10 @@ type report = {
   utilities : float array;
 }
 
-let default_value_per_packet = 100.
+(* A source's value per delivered unit of its own traffic, and the
+   residual a checker tolerates before it flags a node. *)
+let value_per_packet = 100.
+let tolerance = 1e-9
 
 (* One checkpoint per construction phase: every node's announced row is
    already held by each of its neighbors (they received the
@@ -37,7 +40,7 @@ let default_value_per_packet = 100.
    copies (the dense [Runner] plays the per-checker version out message
    by message; at n=10k that fidelity is exactly the O(n^2) traffic this
    layer exists to avoid). *)
-let checkpoint ~phase ~residual_of ~tolerance g detections =
+let checkpoint ~phase ~residual_of g detections =
   let n = Graph.n g in
   for i = 0 to n - 1 do
     let r = residual_of i in
@@ -51,7 +54,7 @@ let checkpoint ~phase ~residual_of ~tolerance g detections =
    of DESIGN.md §5 restricted to what exists at scale: value of own
    delivered traffic minus outlays, plus transit income minus true
    carriage cost. *)
-let settle ~value_per_packet g sp utilities =
+let settle g sp utilities =
   let n = Graph.n g in
   let delivered = ref 0 in
   let total_payments = ref 0. in
@@ -83,9 +86,7 @@ let settle ~value_per_packet g sp utilities =
     (Sparse.dests sp);
   (!delivered, !total_payments, !total_true_cost)
 
-let run ?dests ?max_rounds ?(tolerance = 1e-9)
-    ?(value_per_packet = default_value_per_packet)
-    ?(deviations = fun _ -> Honest) ?obs g =
+let run ?dests ?(deviations = fun _ -> Honest) ?obs g =
   let n = Graph.n g in
   let routing_offsets = Array.make n 0. in
   let pricing_offsets = Array.make n 0. in
@@ -102,7 +103,7 @@ let run ?dests ?max_rounds ?(tolerance = 1e-9)
   done;
   let sp = Sparse.create ?dests g in
   Option.iter (Sparse.set_obs sp) obs;
-  Sparse.run ?max_rounds
+  Sparse.run
     ?routing_offsets:(if !any_routing then Some routing_offsets else None)
     ?pricing_offsets:(if !any_pricing then Some pricing_offsets else None)
     sp;
@@ -110,12 +111,12 @@ let run ?dests ?max_rounds ?(tolerance = 1e-9)
   let chk_r =
     checkpoint ~phase:`Routing
       ~residual_of:(Sparse.routing_deviation sp)
-      ~tolerance g detections
+      g detections
   in
   let chk_p =
     checkpoint ~phase:`Pricing
       ~residual_of:(Sparse.pricing_deviation sp)
-      ~tolerance g detections
+      g detections
   in
   let detections = List.rev !detections in
   let completed = detections = [] in
@@ -127,7 +128,7 @@ let run ?dests ?max_rounds ?(tolerance = 1e-9)
      mechanism halts and punishes instead of clearing traffic over known
      bad tables (the scale analogue of the bank refusing to certify). *)
   if completed then begin
-    let d, tp, tc = settle ~value_per_packet g sp utilities in
+    let d, tp, tc = settle g sp utilities in
     delivered := d;
     total_payments := tp;
     total_true_cost := tc

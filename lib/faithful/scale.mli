@@ -57,9 +57,6 @@ type report = {
 
 val run :
   ?dests:int array ->
-  ?max_rounds:int ->
-  ?tolerance:float ->
-  ?value_per_packet:float ->
   ?deviations:(int -> deviation) ->
   ?obs:Damd_obs.Obs.t ->
   Damd_graph.Graph.t ->
@@ -67,8 +64,8 @@ val run :
 (** Full faithful pass: flood, routing fixpoint, routing checkpoint,
     pricing fixpoint, pricing checkpoint, then execution + settlement
     when clean. [dests] defaults to all nodes (restrict it at large n);
-    [tolerance] (default 1e-9) is the checker's residual margin;
-    [value_per_packet] defaults to 100. Distortion deltas must be
+    a checker flags a residual above 1e-9, and a delivered unit of a
+    source's own traffic is worth 100 to it. Distortion deltas must be
     positive and small enough to keep effective costs non-negative. The
     returned [Sparse.t] exposes the converged announced state. [obs]
     instruments the fixpoints ([Damd_fpss.Sparse.set_obs]: stage spans

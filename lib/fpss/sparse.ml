@@ -192,10 +192,11 @@ let recompute_routing t i s =
    recomputation reads round r-1 state — the full sweep's schedule: from a
    cold start the per-round changed-node sets, and so the round and
    message counts, are the full sweep's (a changed node announces to all
-   neighbors: degree messages). *)
-let fixpoint ~max_rounds ~stage ~changed ~recompute ~apply t =
+   neighbors: degree messages). The budget is 10n+20 rounds per stage. *)
+let fixpoint ~stage ~changed ~recompute ~apply t =
   let g = t.g in
   let n = Graph.n g in
+  let max_rounds = (10 * n) + 20 in
   let rounds = ref 0 in
   let dirty = Array.make n [] in
   let stamp = Array.make t.k (-1) in
@@ -261,10 +262,7 @@ let fixpoint ~max_rounds ~stage ~changed ~recompute ~apply t =
   done;
   max 0 (!rounds - 1)
 
-let default_rounds t = (10 * Graph.n t.g) + 20
-
-let routing_fixpoint ?max_rounds ?offsets t =
-  let max_rounds = match max_rounds with Some r -> r | None -> default_rounds t in
+let routing ?offsets t =
   let off i = match offsets with None -> 0. | Some o -> o.(i) in
   Array.iteri
     (fun s j ->
@@ -290,7 +288,7 @@ let routing_fixpoint ?max_rounds ?offsets t =
   let r0 = t.recomputes in
   t.rounds_routing <-
     Obs.span t.obs ~cat:"fpss" "sparse.routing" (fun () ->
-        fixpoint ~max_rounds ~stage:"routing" ~changed ~recompute ~apply t);
+        fixpoint ~stage:"routing" ~changed ~recompute ~apply t);
   if Obs.enabled t.obs then
     Obs.instant t.obs ~cat:"fpss"
       ~args:
@@ -348,8 +346,7 @@ let recompute_pricing t i s =
     List.filter_map price_for transits |> List.sort by_transit
   end
 
-let pricing_fixpoint ?max_rounds ?offsets t =
-  let max_rounds = match max_rounds with Some r -> r | None -> default_rounds t in
+let pricing ?offsets t =
   let recompute i s =
     match offsets with
     | None -> recompute_pricing t i s
@@ -362,7 +359,7 @@ let pricing_fixpoint ?max_rounds ?offsets t =
   let r0 = t.recomputes in
   t.rounds_pricing <-
     Obs.span t.obs ~cat:"fpss" "sparse.pricing" (fun () ->
-        fixpoint ~max_rounds ~stage:"pricing" ~changed ~recompute ~apply t);
+        fixpoint ~stage:"pricing" ~changed ~recompute ~apply t);
   if Obs.enabled t.obs then
     Obs.instant t.obs ~cat:"fpss"
       ~args:
@@ -372,10 +369,13 @@ let pricing_fixpoint ?max_rounds ?offsets t =
         ]
       "sparse.pricing.done"
 
-let run ?max_rounds ?routing_offsets ?pricing_offsets t =
+let routing_fixpoint t = routing t
+let pricing_fixpoint t = pricing t
+
+let run ?routing_offsets ?pricing_offsets t =
   flood t;
-  routing_fixpoint ?max_rounds ?offsets:routing_offsets t;
-  pricing_fixpoint ?max_rounds ?offsets:pricing_offsets t
+  routing ?offsets:routing_offsets t;
+  pricing ?offsets:pricing_offsets t
 
 (* --- Warm restarts ---
 
@@ -403,12 +403,12 @@ let update_cost t i c =
     invalid_arg "Sparse.update_cost: bad cost";
   t.g <- Graph.with_cost t.g i c
 
-let rerun ?max_rounds ?routing_offsets ?pricing_offsets t =
+let rerun t =
   (* No flood: the [k] destination identities are already common
      knowledge, and changed transit costs ride inside the routing
      announcements themselves. *)
-  routing_fixpoint ?max_rounds ?offsets:routing_offsets t;
-  pricing_fixpoint ?max_rounds ?offsets:pricing_offsets t
+  routing t;
+  pricing t
 
 (* --- Mirror checkpoints ---
 

@@ -22,8 +22,8 @@
     messages equal those of the full-sweep reference fixpoints kept in
     the test suite (see [to_tables] and the equivalence tests).
 
-    The [?offsets] hooks run the fixpoints over *announced* rows — node
-    [i]'s stored entry is its honest recomputation plus [offsets.(i)] —
+    [run]'s offsets run the fixpoints over *announced* rows — node [i]'s
+    stored entry is its honest recomputation plus [offsets.(i)] —
     which is how [Damd_faithful.Scale] models rational distortion and
     checks it with honest mirrors ([routing_deviation],
     [pricing_deviation]) without any per-node closures. *)
@@ -39,32 +39,23 @@ val graph : t -> Damd_graph.Graph.t
 val dests : t -> int array
 (** The destination set, sorted ascending. *)
 
-val run :
-  ?max_rounds:int ->
-  ?routing_offsets:float array ->
-  ?pricing_offsets:float array ->
-  t ->
-  unit
+val run : ?routing_offsets:float array -> ?pricing_offsets:float array -> t -> unit
 (** Flood the destination facts, then run the routing and pricing
-    fixpoints to convergence (default [max_rounds] = 10n+20 per stage;
-    raises [Failure] beyond it). Offsets, when given, are per-node
-    announcement distortions applied inside the fixpoints; they must keep
-    effective costs non-negative. *)
+    fixpoints to convergence (at most 10n+20 rounds per stage; raises
+    [Failure] beyond it). Offsets, when given, are per-node announcement
+    distortions applied inside the fixpoints; they must keep effective
+    costs non-negative. *)
 
-val routing_fixpoint : ?max_rounds:int -> ?offsets:float array -> t -> unit
-val pricing_fixpoint : ?max_rounds:int -> ?offsets:float array -> t -> unit
+val routing_fixpoint : t -> unit
+val pricing_fixpoint : t -> unit
+(** One stage of [run], honest rows, same round budget. *)
 
 val update_cost : t -> int -> float -> unit
 (** Change one node's transit cost in place (the announced state is
     untouched — call [rerun] to reconverge). Raises [Invalid_argument]
     on a bad node id or a negative/non-finite cost. *)
 
-val rerun :
-  ?max_rounds:int ->
-  ?routing_offsets:float array ->
-  ?pricing_offsets:float array ->
-  t ->
-  unit
+val rerun : t -> unit
 (** Warm restart after [update_cost]: reconverge the routing and pricing
     fixpoints from the current announced state without re-flooding.
     Reaches state byte-identical to a cold [run] on the updated graph

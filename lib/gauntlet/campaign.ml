@@ -302,16 +302,19 @@ let params_of weaken descr =
     max_events = 200_000;
   }
 
-(* The oracle's input: [Misreport_cost] is a *consistent* declaration the
-   mechanism must honor (strategyproofness, not checking, neutralizes
-   it), so the centralized reference runs on the declared costs. *)
-let declared_graph g deviants =
-  List.fold_left
-    (fun g (i, d) ->
-      match d with
-      | Adversary.Misreport_cost c -> Graph.with_cost g i c
-      | _ -> g)
-    g deviants
+(* The oracle's input: a consistent declaration ([Declare], whichever
+   deviation's plan it comes from) is one the mechanism must honor
+   (strategyproofness, not checking, neutralizes it), so the centralized
+   reference runs on the declared costs of the resolved profile. *)
+let declared_graph g deviations =
+  let g = ref g in
+  Array.iteri
+    (fun i d ->
+      match (Adversary.plan d).Adversary.declare with
+      | Adversary.Declare c -> g := Graph.with_cost !g i c
+      | Adversary.True_cost | Adversary.Split _ -> ())
+    deviations;
+  !g
 
 let profit_tolerance = 1e-6
 
@@ -430,7 +433,7 @@ let grade ?(weaken = No_weaken) ?(obs = Obs.noop) descr =
       match full.Runner.tables with
       | None -> false
       | Some t ->
-          let oracle = Pricing.compute (declared_graph g descr.deviants) in
+          let oracle = Pricing.compute (declared_graph g deviations) in
           Tables.routing_equal t oracle && Tables.prices_equal t oracle
     in
     (* Unilateral baselines: deviant i against the same campaign with only

@@ -208,62 +208,41 @@ let flow_findings (m : Machine.t) (fl : flow) =
           match a.Ir.cls with
           | Some Action.Message_passing when sm.sm_out = Taint.Private ->
               [
-                {
-                  Check.id = "cc-private-leak-flow";
-                  severity = Check.Error;
-                  location = a.Ir.id;
-                  message =
-                    Printf.sprintf
-                      "message-passing action %S emits private taint along \
-                       the reachable chain [%s]: a checker cannot reproduce \
-                       its output, so strong CC fails on this flow even \
-                       though every hop's declaration looks innocent"
-                      a.Ir.id (path_string sm.sm_path);
-                };
+                Check.error "cc-private-leak-flow" a.Ir.id
+                  (Printf.sprintf
+                     "message-passing action %S emits private taint along \
+                      the reachable chain [%s]: a checker cannot reproduce \
+                      its output, so strong CC fails on this flow even \
+                      though every hop's declaration looks innocent"
+                     a.Ir.id (path_string sm.sm_path));
               ]
           | Some Action.Computation when not a.Ir.mirrored ->
               [
-                {
-                  Check.id = "ac-unmirrored-flow";
-                  severity = Check.Error;
-                  location = a.Ir.id;
-                  message =
-                    Printf.sprintf
-                      "computational action %S is reachable (flow [%s], taint \
-                       %s) but no checker mirrors it: Def. 13 coverage fails \
-                       on an execution that actually happens"
-                      a.Ir.id (path_string sm.sm_path)
-                      (Taint.to_string sm.sm_out);
-                };
+                Check.error "ac-unmirrored-flow" a.Ir.id
+                  (Printf.sprintf
+                     "computational action %S is reachable (flow [%s], taint \
+                      %s) but no checker mirrors it: Def. 13 coverage fails \
+                      on an execution that actually happens"
+                     a.Ir.id (path_string sm.sm_path)
+                     (Taint.to_string sm.sm_out));
               ]
           | Some Action.Computation when not a.Ir.digested ->
               [
-                {
-                  Check.id = "ac-undigested-flow";
-                  severity = Check.Error;
-                  location = a.Ir.id;
-                  message =
-                    Printf.sprintf
-                      "computational action %S is reachable (flow [%s]) but \
-                       deposits no bank digest: its mirror can disagree \
-                       without any checkpoint noticing"
-                      a.Ir.id (path_string sm.sm_path);
-                };
+                Check.error "ac-undigested-flow" a.Ir.id
+                  (Printf.sprintf
+                     "computational action %S is reachable (flow [%s]) but \
+                      deposits no bank digest: its mirror can disagree \
+                      without any checkpoint noticing"
+                     a.Ir.id (path_string sm.sm_path));
               ]
           | _ -> []))
     fl.fl_summaries
 
 (* ---- verdicts and the static frontier ---- *)
 
-type sverdict =
-  | Scertified of { depth : int; certifier : string option; phase : int }
-  | Sblind of { witness : string }
-  | Sexempt of { reason : string }
-  | Struncated
-
 type frontier = {
   fr_dev : Dev.t;
-  fr_verdict : sverdict;
+  fr_verdict : Scenario.verdict;
   fr_certifier : string option;
   fr_phase : string option;
   fr_distance : int option;
@@ -276,13 +255,6 @@ type t = {
   states_explored : int;
   elapsed_s : float;
 }
-
-let of_scenario = function
-  | Scenario.Detected { depth; certifier; phase } ->
-      Scertified { depth; certifier; phase }
-  | Scenario.Undetected { witness } -> Sblind { witness }
-  | Scenario.Exempt { reason } -> Sexempt { reason }
-  | Scenario.Truncated -> Struncated
 
 (* The dependence-derived frontier: the earliest checkpoint, at or after
    the deviation's earliest targeted phase, whose certifier reads evidence
@@ -404,14 +376,9 @@ let run ?(bound = 200_000) ?(adversary = Dev.all) ?(obs = Obs.noop) ~graph
         frontier = [];
         findings =
           [
-            {
-              Check.id = "analysis-skipped";
-              severity = Check.Warning;
-              location = ir.Ir.initial;
-              message =
-                "the initial state is not declared, so the abstract product \
-                 machine has no seed configuration; frontier analysis skipped";
-            };
+            Check.warning "analysis-skipped" ir.Ir.initial
+              "the initial state is not declared, so the abstract product \
+               machine has no seed configuration; frontier analysis skipped";
           ];
         states_explored = 0;
         elapsed_s = Clock.s_since t0;
@@ -426,46 +393,33 @@ let run ?(bound = 200_000) ?(adversary = Dev.all) ?(obs = Obs.noop) ~graph
               ~run:"abstract run" m plan ~seats:2)
       in
       let keyless = m.nphases > Statepack.max_phases in
-      let findings = ref [] in
-      let seen = Hashtbl.create 16 in
-      let add_finding severity id location message =
-        if not (Hashtbl.mem seen (id ^ "\x00" ^ location)) then begin
-          Hashtbl.add seen (id ^ "\x00" ^ location) ();
-          findings := { Check.id; severity; location; message } :: !findings
-        end
-      in
-      let add (f : Check.finding) =
-        add_finding f.Check.severity f.Check.id f.Check.location f.Check.message
-      in
-      List.iter add (flow_findings m fl);
       (* checkpoint starvation: a certifier with no covered evidence source
          among its own phase's actions can never accumulate anything to
          certify — every deviation inside the phase is structurally blind. *)
-      Array.iteri
-        (fun i -> function
-          | Some c when not ftab.ft_feeds.(i) ->
-              let p = m.phase_names.(i) in
-              add_finding Check.Error "checkpoint-starved" p
-                (Printf.sprintf
-                   "phase %S ends in certifier %s but no action of the phase \
-                    deposits covered evidence: the checkpoint green-lights on \
-                    an empty ledger, blinding every deviation inside the phase"
-                   p c)
-          | _ -> ())
-        m.certifiers;
-      let states_total = ref 0 in
-      List.iter
-        (fun (o : Scenario.result) ->
-          states_total := !states_total + o.states;
-          List.iter add o.findings)
-        s.Explore.results;
+      let starved =
+        List.concat
+          (List.mapi
+             (fun i -> function
+               | Some c when not ftab.ft_feeds.(i) ->
+                   let p = m.phase_names.(i) in
+                   [
+                     Check.error "checkpoint-starved" p
+                       (Printf.sprintf
+                          "phase %S ends in certifier %s but no action of the \
+                           phase deposits covered evidence: the checkpoint \
+                           green-lights on an empty ledger, blinding every \
+                           deviation inside the phase"
+                          p c);
+                   ]
+               | _ -> [])
+             (Array.to_list m.certifiers))
+      in
       let frontier =
         List.map
           (fun ((e : Scenario.entry), v) ->
-            let v = of_scenario v in
             let fr_certifier, fr_phase, fr_distance =
               match v with
-              | Sexempt _ -> (None, None, None)
+              | Scenario.Exempt _ -> (None, None, None)
               | _ -> dependence_frontier m ftab e.actions
             in
             {
@@ -477,49 +431,66 @@ let run ?(bound = 200_000) ?(adversary = Dev.all) ?(obs = Obs.noop) ~graph
             })
           (Scenario.verdicts plan ~product:"abstract" s.Explore.results)
       in
-      List.iter
-        (fun fr ->
-          match fr.fr_verdict with
-          | Sblind { witness } ->
-              add_finding Check.Error "certifier-blind-spot"
-                (Dev.to_string fr.fr_dev)
+      let labelled fr =
+        match fr.fr_verdict with
+        | Scenario.Undetected { witness } ->
+            Some
+              (Check.error "certifier-blind-spot"
+                 (Dev.to_string fr.fr_dev)
+                 (Printf.sprintf
+                    "no checkpoint certifier ever surfaces deviation %S: %s%s"
+                    (Dev.to_string fr.fr_dev) witness
+                    (match (fr.fr_certifier, fr.fr_phase, fr.fr_distance) with
+                    | Some c, Some p, Some dist ->
+                        Printf.sprintf
+                          " (certifier %s at phase %S, distance %d, reads \
+                           dependent evidence, but the checkpoint discipline \
+                           never surfaces the deviation)"
+                          c p dist
+                    | _ ->
+                        " (and no certifier's evidence transitively depends \
+                         on any output it perturbs)")))
+        | Scenario.Truncated when not keyless ->
+            Some
+              (Check.warning "analysis-truncated"
+                 (Dev.to_string fr.fr_dev)
+                 (Printf.sprintf
+                    "the %d-state bound ran out while abstracting %S: its \
+                     static verdict is unknown"
+                    bound
+                    (Dev.to_string fr.fr_dev)))
+        | Scenario.Detected _ | Scenario.Exempt _ | Scenario.Truncated -> None
+      in
+      let findings =
+        Check.dedup
+          (flow_findings m fl @ starved
+          @ List.concat_map
+              (fun (r : Scenario.result) -> r.findings)
+              s.Explore.results
+          @ List.filter_map labelled frontier
+          @
+          if keyless then
+            [
+              Check.warning "analysis-truncated" ir.Ir.name
                 (Printf.sprintf
-                   "no checkpoint certifier ever surfaces deviation %S: %s%s"
-                   (Dev.to_string fr.fr_dev) witness
-                   (match (fr.fr_certifier, fr.fr_phase, fr.fr_distance) with
-                   | Some c, Some p, Some dist ->
-                       Printf.sprintf
-                         " (certifier %s at phase %S, distance %d, reads \
-                          dependent evidence, but the checkpoint discipline \
-                          never surfaces the deviation)"
-                         c p dist
-                   | _ ->
-                       " (and no certifier's evidence transitively depends \
-                        on any output it perturbs)"))
-          | Struncated when not keyless ->
-              add_finding Check.Warning "analysis-truncated"
-                (Dev.to_string fr.fr_dev)
-                (Printf.sprintf
-                   "the %d-state bound ran out while abstracting %S: its \
-                    static verdict is unknown"
-                   bound
-                   (Dev.to_string fr.fr_dev))
-          | Scertified _ | Sexempt _ | Struncated -> ())
-        frontier;
-      if keyless then
-        add_finding Check.Warning "analysis-truncated" ir.Ir.name
-          (Printf.sprintf
-             "the spec has %d phases but packed product-state keys hold at \
-              most %d; frontier search skipped, every searched deviation is \
-              truncated"
-             m.nphases Statepack.max_phases)
-      else List.iter add (Scenario.unexplored m ~product:"abstract" s.covered);
+                   "the spec has %d phases but packed product-state keys hold \
+                    at most %d; frontier search skipped, every searched \
+                    deviation is truncated"
+                   m.nphases Statepack.max_phases);
+            ]
+          else Scenario.unexplored m ~product:"abstract" s.covered)
+      in
+      let states_total =
+        List.fold_left
+          (fun acc (r : Scenario.result) -> acc + r.states)
+          0 s.Explore.results
+      in
       let elapsed_s = Clock.s_since t0 in
       if Obs.enabled obs then
         Obs.instant obs ~cat:"speccheck"
           ~args:
             [
-              ("states", Json.Int !states_total);
+              ("states", Json.Int states_total);
               ("labels", Json.Int (List.length plan.Scenario.entries));
               ("elapsed_s", Json.Float elapsed_s);
             ]
@@ -527,8 +498,8 @@ let run ?(bound = 200_000) ?(adversary = Dev.all) ?(obs = Obs.noop) ~graph
       {
         flows = fl.fl_summaries;
         frontier;
-        findings = List.rev !findings;
-        states_explored = !states_total;
+        findings;
+        states_explored = states_total;
         elapsed_s;
       }
 
@@ -536,12 +507,7 @@ let run ?(bound = 200_000) ?(adversary = Dev.all) ?(obs = Obs.noop) ~graph
 
 let differential (t : t) (dyn : Explore.outcome) =
   let gap lbl message =
-    {
-      Check.id = "static-frontier-gap";
-      severity = Check.Error;
-      location = Dev.to_string lbl;
-      message;
-    }
+    Check.error "static-frontier-gap" (Dev.to_string lbl) message
   in
   List.filter_map
     (fun fr ->
@@ -549,10 +515,11 @@ let differential (t : t) (dyn : Explore.outcome) =
       | None -> None
       | Some dv -> (
           match (fr.fr_verdict, dv) with
-          | Struncated, _ | _, Explore.Truncated -> None
-          | Sexempt _, Explore.Exempt _ -> None
-          | Sblind _, Explore.Undetected _ -> None
-          | Scertified { depth = ds; _ }, Explore.Detected { depth = dd; _ } ->
+          | Scenario.Truncated, _ | _, Scenario.Truncated -> None
+          | Scenario.Exempt _, Scenario.Exempt _ -> None
+          | Scenario.Undetected _, Scenario.Undetected _ -> None
+          | Scenario.Detected { depth = ds; _ }, Scenario.Detected { depth = dd; _ }
+            ->
               if ds <= dd then None
               else
                 Some
@@ -563,7 +530,7 @@ let differential (t : t) (dyn : Explore.outcome) =
                          lower bound here"
                         ds dd
                         (Dev.to_string fr.fr_dev)))
-          | Scertified _, Explore.Undetected { witness } ->
+          | Scenario.Detected _, Scenario.Undetected { witness } ->
               Some
                 (gap fr.fr_dev
                    (Printf.sprintf
@@ -572,7 +539,7 @@ let differential (t : t) (dyn : Explore.outcome) =
                        claims coverage the product space refutes"
                       (Dev.to_string fr.fr_dev)
                       witness))
-          | Sblind _, Explore.Detected { depth; _ } ->
+          | Scenario.Undetected _, Scenario.Detected { depth; _ } ->
               Some
                 (gap fr.fr_dev
                    (Printf.sprintf
@@ -581,7 +548,7 @@ let differential (t : t) (dyn : Explore.outcome) =
                        frontier is incomplete"
                       (Dev.to_string fr.fr_dev)
                       depth))
-          | Sexempt _, _ | _, Explore.Exempt _ ->
+          | Scenario.Exempt _, _ | _, Scenario.Exempt _ ->
               Some
                 (gap fr.fr_dev
                    (Printf.sprintf

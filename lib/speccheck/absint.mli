@@ -60,19 +60,12 @@ type summary = {
           contribution — the witness the findings print *)
 }
 
-type sverdict =
-  | Scertified of { depth : int; certifier : string option; phase : int }
-      (** the worst-case abstract act-to-certification distance; a [None]
-          certifier is the progress timeout, [phase] the certifying phase
-          index (-1 for the timeout) *)
-  | Sblind of { witness : string }
-      (** an abstract schedule green-lights with the deviation unflagged *)
-  | Sexempt of { reason : string }  (** mirror of [Explore.Exempt] *)
-  | Struncated  (** the abstract state bound ran out *)
-
 type frontier = {
   fr_dev : Dev.t;
-  fr_verdict : sverdict;
+  fr_verdict : Scenario.verdict;
+      (** the verdict of the two-seat search: [Detected] is certified,
+          at a depth no greater than the n-seat one; [Undetected] is a
+          blind spot *)
   fr_certifier : string option;
       (** the earliest certifier whose evidence transitively depends on an
           output the deviation perturbs, per the dependence masks *)

@@ -34,7 +34,9 @@ let blind_spots r =
   List.length
     (List.filter
        (fun fr ->
-         match fr.Absint.fr_verdict with Absint.Sblind _ -> true | _ -> false)
+         match fr.Absint.fr_verdict with
+         | Scenario.Undetected _ -> true
+         | _ -> false)
        r.result.Absint.frontier)
 
 let frontier_sound r =
@@ -51,9 +53,11 @@ let error_count r = List.length (Check.errors r.findings)
 
 let exit_code r = if error_count r = 0 then 0 else 1
 
-let sverdict_json v =
+(* The two-seat verdict in damd-analyze/1's words: certified (with the
+   certifying phase) or blind. *)
+let verdict_json v =
   match v with
-  | Absint.Scertified { depth; certifier; phase } ->
+  | Scenario.Detected { depth; certifier; phase } ->
       Json.Obj
         [
           ("kind", Json.String "certified");
@@ -64,12 +68,12 @@ let sverdict_json v =
             | None -> Json.Null (* the progress timeout, not a rule *) );
           ("phase", Json.Int phase);
         ]
-  | Absint.Sblind { witness } ->
+  | Scenario.Undetected { witness } ->
       Json.Obj
         [ ("kind", Json.String "blind"); ("witness", Json.String witness) ]
-  | Absint.Sexempt { reason } ->
+  | Scenario.Exempt { reason } ->
       Json.Obj [ ("kind", Json.String "exempt"); ("reason", Json.String reason) ]
-  | Absint.Struncated -> Json.Obj [ ("kind", Json.String "truncated") ]
+  | Scenario.Truncated -> Json.Obj [ ("kind", Json.String "truncated") ]
 
 let to_json r =
   Json.Obj
@@ -114,7 +118,7 @@ let to_json r =
                  Json.Obj
                    [
                      ("deviation", Json.String (Dev.to_string fr.Absint.fr_dev));
-                     ("verdict", sverdict_json fr.Absint.fr_verdict);
+                     ("verdict", verdict_json fr.Absint.fr_verdict);
                      ( "certifier",
                        match fr.Absint.fr_certifier with
                        | Some c -> Json.String c

@@ -39,7 +39,8 @@ val run :
     findings. [obs] is threaded to both engines. *)
 
 val blind_spots : report -> int
-(** Number of frontier entries with an [Sblind] verdict. *)
+(** Number of frontier entries with an [Undetected] verdict: the blind
+    spots. *)
 
 val frontier_sound : report -> bool option
 (** [None] when the differential did not run; otherwise whether no
@@ -54,5 +55,7 @@ val to_json : report -> Damd_util.Json.t
 (** The [damd-analyze/1] document: the shared provenance head, abstract
     stats, the two property fields ([blind_spots], [frontier_sound]),
     the per-action flow table (taint + provenance path), one record per
-    frontier entry (deviation, static verdict, dependence-derived
-    certifier/phase/distance), and the shared findings block. *)
+    frontier entry (deviation, static verdict — certified with its depth,
+    certifier and phase, blind, exempt or truncated — and the
+    dependence-derived certifier/phase/distance), and the shared findings
+    block. *)

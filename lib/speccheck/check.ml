@@ -330,3 +330,13 @@ let check_topology g =
     ]
 
 let errors findings = List.filter (fun f -> f.severity = Error) findings
+
+let dedup findings =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun f ->
+      let key = (f.id, f.location) in
+      let first = not (Hashtbl.mem seen key) in
+      if first then Hashtbl.add seen key ();
+      first)
+    findings

@@ -39,6 +39,12 @@ type finding = {
 
 val severity_to_string : severity -> string
 
+val error : string -> string -> string -> finding
+(** [error id location message]: a finding at error severity; [warning]
+    is the same at warning severity. *)
+
+val warning : string -> string -> string -> finding
+
 val check_ir : ?adversary:Dev.t list -> Ir.t -> finding list
 (** All IR-level rules. [adversary] is the label set of the concrete
     adversary library (default [Dev.all]): the deviation cross-consistency
@@ -51,3 +57,8 @@ val check_topology : Damd_graph.Graph.t -> finding list
 
 val errors : finding list -> finding list
 (** The error-severity subset — non-empty means the lint gate fails. *)
+
+val dedup : finding list -> finding list
+(** The first finding for each (id, location) pair, in list order: how
+    [Explore], [Absint] and each [Scenario] search report a property
+    that fails at many states once. *)

@@ -5,8 +5,8 @@ module Metrics = Damd_obs.Metrics
 module Json = Damd_util.Json
 module Sp = Statepack
 
-type verdict =
-  | Detected of { depth : int; certifier : string option }
+type verdict = Scenario.verdict =
+  | Detected of { depth : int; certifier : string option; phase : int }
   | Undetected of { witness : string }
   | Exempt of { reason : string }
   | Truncated
@@ -27,12 +27,6 @@ type outcome = {
   covered_states : string list;
   stats : stats;
 }
-
-let of_scenario = function
-  | Scenario.Detected { depth; certifier; _ } -> Detected { depth; certifier }
-  | Scenario.Undetected { witness } -> Undetected { witness }
-  | Scenario.Exempt { reason } -> Exempt { reason }
-  | Scenario.Truncated -> Truncated
 
 (* The state store of one search. Every visited state is kept as its
    [Statepack] key, [w] words at [keys.(w * i)], in insertion order —
@@ -479,14 +473,9 @@ let search ?(bound = 50_000) ?(obs = Obs.noop) ?(por = true) ?(domains = 0)
       }
 
 let undetected lbl witness =
-  {
-    Check.id = "undetected-deviation";
-    severity = Check.Error;
-    location = Dev.to_string lbl;
-    message =
-      Printf.sprintf "deviation %S can escape its phase checkpoint: %s"
-        (Dev.to_string lbl) witness;
-  }
+  Check.error "undetected-deviation" (Dev.to_string lbl)
+    (Printf.sprintf "deviation %S can escape its phase checkpoint: %s"
+       (Dev.to_string lbl) witness)
 
 let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
     ?(por = true) ?(domains = 0) ?(audit = false) ~graph (ir : Ir.t) =
@@ -514,14 +503,9 @@ let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
   | None ->
       skipped []
         [
-          {
-            Check.id = "exploration-truncated";
-            severity = Check.Warning;
-            location = ir.Ir.initial;
-            message =
-              "the initial state is not declared, so the product machine has \
-               no seed configuration; exploration skipped";
-          };
+          Check.warning "exploration-truncated" ir.Ir.initial
+            "the initial state is not declared, so the product machine has no \
+             seed configuration; exploration skipped";
         ]
   | Some _ ->
       let plan = Scenario.make m ir ~graph ~adversary in
@@ -531,63 +515,45 @@ let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
       in
       let verdicts =
         List.map
-          (fun ((e : Scenario.entry), v) -> (e.Scenario.dev, of_scenario v))
+          (fun ((e : Scenario.entry), v) -> (e.Scenario.dev, v))
           (Scenario.verdicts plan ~product:"explored" s.results)
       in
-      if m.nphases > Sp.max_phases then
+      let keyless = m.nphases > Sp.max_phases in
+      let labelled (lbl, v) =
+        match v with
+        | Scenario.Undetected { witness } -> Some (undetected lbl witness)
+        | Scenario.Truncated when not keyless ->
+            Some
+              (Check.warning "exploration-truncated" (Dev.to_string lbl)
+                 (Printf.sprintf
+                    "the %d-state bound ran out while exploring %S: its \
+                     verdict is unknown"
+                    bound (Dev.to_string lbl)))
+        | Scenario.Detected _ | Scenario.Exempt _ | Scenario.Truncated -> None
+      in
+      if keyless then
         (* Every label that needs a search was cut before it started. *)
         skipped verdicts
-          ({
-             Check.id = "exploration-truncated";
-             severity = Check.Warning;
-             location = ir.Ir.name;
-             message =
-               Printf.sprintf
-                 "the spec has %d phases but packed product-state keys hold \
-                  at most %d (one acted and one evidence bit per phase); \
-                  exploration skipped, every searched deviation is truncated"
-                 m.nphases Sp.max_phases;
-           }
-          :: List.filter_map
-               (function
-                 | lbl, Undetected { witness } -> Some (undetected lbl witness)
-                 | _ -> None)
-               verdicts)
+          (Check.warning "exploration-truncated" ir.Ir.name
+             (Printf.sprintf
+                "the spec has %d phases but packed product-state keys hold at \
+                 most %d (one acted and one evidence bit per phase); \
+                 exploration skipped, every searched deviation is truncated"
+                m.nphases Sp.max_phases)
+          :: List.filter_map labelled verdicts)
       else begin
         (* deterministic merge, in job (= label) order *)
-        let findings = ref [] in
-        let seen = Hashtbl.create 16 in
-        let add (f : Check.finding) =
-          if not (Hashtbl.mem seen (f.Check.id, f.Check.location)) then begin
-            Hashtbl.add seen (f.Check.id, f.Check.location) ();
-            findings := f :: !findings
-          end
+        let findings =
+          Check.dedup
+            (List.concat_map (fun (r : Scenario.result) -> r.findings) s.results
+            @ List.filter_map labelled verdicts
+            @ Scenario.unexplored m ~product:"explored" s.covered)
         in
-        let states_total = ref 0 in
-        List.iter
-          (fun (r : Scenario.result) ->
-            states_total := !states_total + r.Scenario.states;
-            List.iter add r.Scenario.findings)
-          s.results;
-        List.iter
-          (fun (lbl, v) ->
-            match v with
-            | Undetected { witness } -> add (undetected lbl witness)
-            | Truncated ->
-                add
-                  {
-                    Check.id = "exploration-truncated";
-                    severity = Check.Warning;
-                    location = Dev.to_string lbl;
-                    message =
-                      Printf.sprintf
-                        "the %d-state bound ran out while exploring %S: its \
-                         verdict is unknown"
-                        bound (Dev.to_string lbl);
-                  }
-            | Detected _ | Exempt _ -> ())
-          verdicts;
-        List.iter add (Scenario.unexplored m ~product:"explored" s.covered);
+        let states_total =
+          List.fold_left
+            (fun acc (r : Scenario.result) -> acc + r.states)
+            0 s.results
+        in
         let covered_states =
           List.filteri (fun i _ -> s.covered.(i)) (Array.to_list m.states)
         in
@@ -596,29 +562,27 @@ let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
           Obs.instant obs ~cat:"speccheck"
             ~args:
               [
-                ("states", Json.Int !states_total);
+                ("states", Json.Int states_total);
                 ("scenarios", Json.Int njobs);
                 ("frontier_peak", Json.Int s.frontier_peak);
                 ( "states_per_sec",
                   Json.Float
                     (if elapsed_s > 0. then
-                       float_of_int !states_total /. elapsed_s
+                       float_of_int states_total /. elapsed_s
                      else 0.) );
               ]
             "explore.done";
         {
           verdicts;
-          findings = List.rev !findings;
+          findings;
           covered_states;
           stats =
             {
-              states_explored = !states_total;
+              states_explored = states_total;
               frontier_peak = s.frontier_peak;
               scenarios = njobs;
               truncated =
-                List.exists
-                  (fun (_, v) -> match v with Truncated -> true | _ -> false)
-                  verdicts;
+                List.exists (fun (_, v) -> v = Scenario.Truncated) verdicts;
               elapsed_s;
               por;
               domains = s.domains;

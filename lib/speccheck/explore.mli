@@ -62,21 +62,14 @@
     verdicts, findings, and detection depths are unchanged (witness
     *traces* may route differently under POR). *)
 
-type verdict =
-  | Detected of { depth : int; certifier : string option }
-      (** [depth] is the worst-case number of product steps between the
-          deviating step and the checkpoint that surfaces it (for
-          omissions, the depth at which progress provably stops);
-          [certifier] is the certifying rule, [None] for the progress
-          timeout. *)
+(** [Scenario.verdict], documented there, re-exported so that code
+    matching [Explore.Detected] (perfbench's modelcheck workload) keeps
+    compiling. *)
+type verdict = Scenario.verdict =
+  | Detected of { depth : int; certifier : string option; phase : int }
   | Undetected of { witness : string }
-      (** A schedule exists on which the phase green-lights with the
-          deviation unflagged; [witness] is its (truncated) step trace. *)
   | Exempt of { reason : string }
-      (** Outside the checking story by design — e.g. [Misreport_cost]
-          (neutralized by VCG strategyproofness, not by checkers) and
-          [Lying_checker] (a checker-role no-op in isolation). *)
-  | Truncated  (** the state bound ran out before a verdict was reached *)
+  | Truncated
 
 type stats = {
   states_explored : int;
@@ -103,7 +96,7 @@ type stats = {
 }
 
 type outcome = {
-  verdicts : (Dev.t * verdict) list;
+  verdicts : (Dev.t * Scenario.verdict) list;
       (** one verdict per non-[Faithful] label of the adversary
           vocabulary; [Collude_with] aggregates over every directed
           (principal, colluding-checker) neighbor pair and is [Detected]

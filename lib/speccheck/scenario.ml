@@ -228,8 +228,7 @@ type tally = {
   mutable escaped : string option;
   mutable stalled : int option;
   mutable ever_acted : bool;
-  mutable found : Check.finding list;  (* newest first *)
-  mutable seen : (string, unit) Hashtbl.t option;  (* made on demand *)
+  mutable found : Check.finding list;  (* newest first, repeats kept *)
 }
 
 let tally (m : Machine.t) ~run =
@@ -243,23 +242,10 @@ let tally (m : Machine.t) ~run =
     stalled = None;
     ever_acted = false;
     found = [];
-    seen = None;
   }
 
-let add_finding t severity id location message =
-  let seen =
-    match t.seen with
-    | Some s -> s
-    | None ->
-        let s = Hashtbl.create 8 in
-        t.seen <- Some s;
-        s
-  in
-  let key = id ^ "\x00" ^ location in
-  if not (Hashtbl.mem seen key) then begin
-    Hashtbl.add seen key ();
-    t.found <- { Check.id; severity; location; message } :: t.found
-  end
+let add_error t id location message =
+  t.found <- Check.error id location message :: t.found
 
 let act t ~pbit ~depth =
   t.ever_acted <- true;
@@ -283,7 +269,7 @@ let escape t (m : Machine.t) ~ph trace =
     Some (trace ^ " ; [green-light " ^ m.Machine.phase_names.(ph) ^ "]")
 
 let reentry t (m : Machine.t) ~lbl ~dst =
-  add_finding t Check.Error "phase-reentry" lbl
+  add_error t "phase-reentry" lbl
     (Printf.sprintf
        "step %S re-enters phase %S after its checkpoint certified: \
         post-certification play can rewrite what the bank already green-lit"
@@ -303,14 +289,14 @@ let deadlock t (m : Machine.t) job ~ph ~dev ~depth =
     | Some s when s >= depth -> ()
     | _ -> t.stalled <- Some depth)
   else if job.faithful then
-    add_finding t Check.Error "false-accusation" phase
+    add_error t "false-accusation" phase
       (Printf.sprintf
          "the all-faithful %s deadlocks inside phase %S: the bank's progress \
           timeout would punish nodes that followed the suggested play to the \
           letter"
          t.run_noun phase)
   else
-    add_finding t Check.Error "certifier-unreachable" phase
+    add_error t "certifier-unreachable" phase
       (Printf.sprintf
          "phase %S can deadlock before its certifier runs: a deviation inside \
           it is never surfaced at a checkpoint"
@@ -338,7 +324,7 @@ let result t ~truncated ~states =
     acted = t.ever_acted;
     truncated;
     states;
-    findings = List.rev t.found;
+    findings = Check.dedup (List.rev t.found);
   }
 
 (* ---- folding job results back into per-label verdicts ---- *)
@@ -351,16 +337,11 @@ let unexplored (m : Machine.t) ~product covered =
          else
            let s = m.Machine.states.(i) in
            [
-             {
-               Check.id = "unexplored-state";
-               severity = Check.Error;
-               location = s;
-               message =
-                 Printf.sprintf
-                   "state %S is never occupied by any node in any %s product \
-                    execution: it cannot participate in the certified protocol"
-                   s product;
-             };
+             Check.error "unexplored-state" s
+               (Printf.sprintf
+                  "state %S is never occupied by any node in any %s product \
+                   execution: it cannot participate in the certified protocol"
+                  s product);
            ])
        (Array.to_list covered))
 

@@ -28,13 +28,29 @@ type job = {
   faithful : bool;  (** the all-faithful job *)
 }
 
+(** A label's verdict, one type for both seat counts: [Explore.run]'s
+    (n seats) and [Absint.run]'s static frontier (two seats). Each report
+    names the kinds in its own words: damd-verify/1 prints
+    detected/undetected without [phase], damd-analyze/1 prints
+    certified/blind with it. *)
 type verdict =
   | Detected of { depth : int; certifier : string option; phase : int }
-      (** worst-case act-to-certification distance over the label's jobs;
-          [certifier] [None] and [phase] [-1] for the progress timeout *)
+      (** [depth] is the worst-case number of product steps, over the
+          label's jobs, between the deviating step and the checkpoint that
+          surfaces it (for omissions, the depth at which progress provably
+          stops); [certifier] is the certifying rule and [phase] the
+          certifying phase index, [None] and [-1] for the progress
+          timeout. At two seats the depth is a lower bound on the n-seat
+          one. *)
   | Undetected of { witness : string }
+      (** A schedule exists on which the phase green-lights with the
+          deviation unflagged, or the label never certifies; [witness] is
+          the (truncated) step trace or the reason. *)
   | Exempt of { reason : string }
-  | Truncated
+      (** Outside the checking story by design — e.g. [Misreport_cost]
+          (neutralized by VCG strategyproofness, not by checkers) and
+          [Lying_checker] (a checker-role no-op in isolation). *)
+  | Truncated  (** the state bound ran out before a verdict was reached *)
 
 type run =
   | Settled of verdict  (** decided by the plan, no search *)

@@ -59,37 +59,27 @@ let check (ir : Ir.t) ~observed =
             if missing = [] then []
             else
               [
-                {
-                  Check.id = "decl-flow-mismatch";
-                  severity = Check.Error;
-                  location = action;
-                  message =
-                    Printf.sprintf
-                      "%s action %S actually depends on {%s} (taint %s) but \
-                       declares only {%s}: the static CC/AC case split is \
-                       arguing about a different function than the one the \
-                       node runs"
-                      cls_name action (names missing)
-                      (to_string (summary observed))
-                      (names declared);
-                };
+                Check.error "decl-flow-mismatch" action
+                  (Printf.sprintf
+                     "%s action %S actually depends on {%s} (taint %s) but \
+                      declares only {%s}: the static CC/AC case split is \
+                      arguing about a different function than the one the \
+                      node runs"
+                     cls_name action (names missing)
+                     (to_string (summary observed))
+                     (names declared));
               ]
           in
           let slack_findings =
             if slack = [] then []
             else
               [
-                {
-                  Check.id = "decl-flow-slack";
-                  severity = Check.Warning;
-                  location = action;
-                  message =
-                    Printf.sprintf
-                      "action %S declares {%s} but no perturbation of %s ever \
-                       reached its output: the annotation overclaims, or the \
-                       implementation silently dropped a declared dependency"
-                      action (names slack) (names slack);
-                };
+                Check.warning "decl-flow-slack" action
+                  (Printf.sprintf
+                     "action %S declares {%s} but no perturbation of %s ever \
+                      reached its output: the annotation overclaims, or the \
+                      implementation silently dropped a declared dependency"
+                     action (names slack) (names slack));
               ]
           in
           mismatch @ slack_findings)

@@ -5,7 +5,7 @@ type report = {
   topology : string;
   mutation : string option;
   flow : (string * Ir.input list * Ir.input list) list;
-  verdicts : (Dev.t * Explore.verdict) list;
+  verdicts : (Dev.t * Scenario.verdict) list;
   stats : Explore.stats;
   findings : Check.finding list;
 }
@@ -44,8 +44,8 @@ let detection_complete r =
   List.for_all
     (fun (_, v) ->
       match v with
-      | Explore.Detected _ | Explore.Exempt _ -> true
-      | Explore.Undetected _ | Explore.Truncated -> false)
+      | Scenario.Detected _ | Scenario.Exempt _ -> true
+      | Scenario.Undetected _ | Scenario.Truncated -> false)
     r.verdicts
 
 let no_false_accusation r =
@@ -55,9 +55,10 @@ let error_count r = List.length (Check.errors r.findings)
 
 let exit_code r = if error_count r = 0 then 0 else 1
 
+(* The n-seat verdict in damd-verify/1's words: no certifying phase. *)
 let verdict_json v =
   match v with
-  | Explore.Detected { depth; certifier } ->
+  | Scenario.Detected { depth; certifier; phase = _ } ->
       Json.Obj
         [
           ("kind", Json.String "detected");
@@ -67,12 +68,12 @@ let verdict_json v =
             | Some c -> Json.String c
             | None -> Json.Null (* the progress timeout, not a rule *) );
         ]
-  | Explore.Undetected { witness } ->
+  | Scenario.Undetected { witness } ->
       Json.Obj
         [ ("kind", Json.String "undetected"); ("witness", Json.String witness) ]
-  | Explore.Exempt { reason } ->
+  | Scenario.Exempt { reason } ->
       Json.Obj [ ("kind", Json.String "exempt"); ("reason", Json.String reason) ]
-  | Explore.Truncated -> Json.Obj [ ("kind", Json.String "truncated") ]
+  | Scenario.Truncated -> Json.Obj [ ("kind", Json.String "truncated") ]
 
 let to_json r =
   Json.Obj

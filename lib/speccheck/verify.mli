@@ -24,7 +24,7 @@ type report = {
   flow : (string * Ir.input list * Ir.input list) list;
       (** per observed action: (id, declared inputs, observed deps), both
           sides deduplicated and sorted for stable rendering *)
-  verdicts : (Dev.t * Explore.verdict) list;
+  verdicts : (Dev.t * Scenario.verdict) list;
   stats : Explore.stats;
   findings : Check.finding list;
       (** static ([Check]) @ flow ([Taint.check]) @ exploration
@@ -68,6 +68,8 @@ val to_json : report -> Damd_util.Json.t
 (** The [damd-verify/1] document: provenance, exploration stats (states
     explored, frontier peak, scenarios, truncation, states/sec, POR and
     fan-out width actually used), the two property bits, the per-action
-    flow table, one record per verdict (label, kind, detection depth /
-    certifier / witness / reason), and one record per finding —
+    flow table, one record per verdict (label, kind — detected,
+    undetected, exempt or truncated — and the detection depth and
+    certifier, the witness or the reason; not the certifying phase),
+    and one record per finding —
     DESIGN.md §12. *)

@@ -3,17 +3,21 @@
    predicates of [Damd_faithful.Adversary]: the tests assert equal answers
    on every library deviation, on sampled Byzantine seeds and on
    [Epsilon_rational] wrappers, and equal [detectable_in] verdicts on
-   sampled coalition profiles. One entry differs from the predicates as
+   sampled coalition profiles. Two entries differ from the predicates as
    they first stood: [checker_caught] includes [Silent_in_construction],
    since withheld announcements reach the bank only through the silent
-   node's checkers, so a coalition covering its neighbourhood shields it. *)
+   node's checkers, so a coalition covering its neighbourhood shields it;
+   and a cost pair (a, b) — an [Inconsistent_cost] or a Byzantine plan's
+   drawn pair — is inconsistent only when a <> b. A pair of equal costs
+   tells every neighbour the same cost: the consistent declaration of
+   [Misreport_cost a], legal and undetectable. *)
 
 module Adversary = Damd_faithful.Adversary
 open Adversary
 
-(* Which components of a Byzantine plan were drawn. A drawn cost pair is
-   a declaration other than the true cost, whether or not its two values
-   differ. *)
+(* Which components of a Byzantine plan were drawn. [cost_pair] is an
+   inconsistent pair, two different costs; a drawn pair of equal costs
+   is a consistent declaration and counts as no component. *)
 type byz = {
   cost_pair : bool;
   forward : bool;
@@ -26,7 +30,10 @@ let byz seed =
   let p = plan_of_seed seed in
   let active (t : table_plan) = t.announce <> Honest || t.copies <> Honest in
   {
-    cost_pair = p.declare <> True_cost;
+    cost_pair =
+      (match p.declare with
+      | Split (a, b) -> not (Float.equal a b)
+      | True_cost | Declare _ -> false);
     forward = p.forward <> None;
     tables = active p.routing || active p.pricing;
     misroute = p.misroute;
@@ -34,7 +41,8 @@ let byz seed =
   }
 
 let rec is_construction = function
-  | Inconsistent_cost _ | Corrupt_cost_forward _ | Drop_routing_copies
+  | Inconsistent_cost (a, b) -> not (Float.equal a b)
+  | Corrupt_cost_forward _ | Drop_routing_copies
   | Drop_pricing_copies | Corrupt_routing_copies _ | Corrupt_pricing_copies _
   | Spoof_routing_update _ | Spoof_pricing_update _ | Miscompute_routing _
   | Miscompute_pricing _ | Silent_in_construction | Lying_checker | Collude_with _
@@ -58,6 +66,7 @@ let rec is_execution = function
 
 let rec detectable = function
   | Faithful | Misreport_cost _ -> false
+  | Inconsistent_cost (a, b) -> not (Float.equal a b)
   | Lying_checker -> false
   | Collude_with _ -> false
   | Byzantine_arbitrary _ -> true (* every plan has at least one active component *)

@@ -1763,12 +1763,12 @@ let test_adversary_phases_partition () =
     Adversary.library
 
 (* The plan-based scope predicates against the constructor-by-constructor
-   oracle in adversary_reference.ml, on every named deviation, a sampled
-   Byzantine plan and a plan whose one component is a (1, 1) cost pair,
-   each bare and under an ε wrapper; then [detectable_in] on a coalition
-   profile drawn like the gauntlet's sampler over a random biconnected
-   graph. *)
-let one_pair_byzantine_seed = 1367447748165548000 (* the gauntlet's integrity finding *)
+   oracle in adversary_reference.ml, on every named deviation, an
+   inconsistent-cost pair of equal costs, a sampled Byzantine plan and a
+   plan whose one drawn component is a (1, 1) cost pair, each bare and
+   under an ε wrapper; then [detectable_in] on a coalition profile drawn
+   like the gauntlet's sampler over a random biconnected graph. *)
+let one_pair_byzantine_seed = 1367447748165548000 (* gauntlet replay 4285784464683832136 *)
 
 let same_predicates d =
   let module R = Adversary_reference in
@@ -1787,6 +1787,7 @@ let prop_scope_predicates_equal_reference =
     (fun (byz_seed, seed, p) ->
       let named =
         Adversary.Faithful :: Adversary.Collude_with 0 :: Adversary.Collude_with 2
+        :: Adversary.Inconsistent_cost (3., 3.)
         :: Adversary.Byzantine_arbitrary one_pair_byzantine_seed
         :: Adversary.Byzantine_arbitrary byz_seed :: Adversary.library
       in
@@ -2007,6 +2008,19 @@ let test_plan_of_seed_deterministic () =
     (List.exists
        (fun s -> Adversary.plan_of_seed s <> Adversary.plan_of_seed 0)
        [ 1; 2; 3; 4; 5 ])
+
+(* The plan [one_pair_byzantine_seed] draws has one component, the cost
+   pair (1, 1): a consistent declaration, so the at-least-one-active
+   fallback adds its routing distortion. *)
+let test_plan_of_seed_equal_pair () =
+  let p = Adversary.plan_of_seed one_pair_byzantine_seed in
+  check Alcotest.bool "declares 1 to everyone" true
+    (p.Adversary.declare = Adversary.Declare 1.);
+  check Alcotest.bool "fallback routing distortion" true
+    (p.Adversary.routing.Adversary.announce = Adversary.Distort (-2.));
+  check Alcotest.bool "inconsistent-cost (3, 3) declares 3" true
+    ((Adversary.plan (Adversary.Inconsistent_cost (3., 3.))).Adversary.declare
+    = Adversary.Declare 3.)
 
 let test_byzantine_deviant_caught () =
   (* A Byzantine node never slides damage past certification: either the
@@ -2324,5 +2338,7 @@ let suites =
           test_byzantine_deviant_caught;
         Alcotest.test_case "byzantine golden: 40 plans on fig1" `Quick
           test_byzantine_golden;
+        Alcotest.test_case "byz equal cost pair declares" `Quick
+          test_plan_of_seed_equal_pair;
       ] );
   ]

@@ -241,6 +241,37 @@ let test_epsilon_agents_inactive_on_stock () =
         (gr.Campaign.verdict <> Campaign.Violation))
     [ 3; 12; 27 ]
 
+(* Replay 4285784464683832136 under --faults seats node 7 as a Byzantine
+   node whose only drawn component is the cost pair (1, 1): one cost told
+   to every neighbour. Read as that consistent declaration, the plan
+   takes the fallback routing distortion, which BANK1 pins on node 7.
+   The same pair seated alone, as [Inconsistent_cost (1, 1)] on the
+   faults-free campaign, certifies, and the oracle prices the declared
+   cost, so the tables match. Both graded as an integrity violation while
+   the pair was read as a [Split] and the oracle honoured only
+   [Misreport_cost]. *)
+let equal_pair_seed = 4285784464683832136
+
+let test_equal_cost_pair_is_a_declaration () =
+  let d = Campaign.of_seed ~mix:mixed equal_pair_seed in
+  let gr = Campaign.grade d in
+  check Alcotest.bool "replay: no violation" true
+    (gr.Campaign.verdict <> Campaign.Violation);
+  check Alcotest.bool "replay: BANK1 names node 7" true
+    (List.mem ("BANK1", Some 7) gr.Campaign.detections);
+  let alone =
+    Campaign.grade
+      {
+        d with
+        Campaign.deviants = [ (7, Adversary.Inconsistent_cost (1., 1.)) ];
+        fault = None;
+      }
+  in
+  check (Alcotest.option Alcotest.bool) "declared cost priced" (Some true)
+    alone.Campaign.tables_match;
+  check Alcotest.bool "alone: no violation" true
+    (alone.Campaign.verdict <> Campaign.Violation)
+
 (* Campaign 8 of master seed 42 (replay seed 585031616423906090) is the
    known settlement-weakening escape: three execution deviants profit
    once verified clearing is off. *)
@@ -397,6 +428,8 @@ let suites =
           test_partition_knob_accuses_nobody;
         Alcotest.test_case "crash knob accuses nobody" `Quick
           test_crash_knob_accuses_nobody;
+        Alcotest.test_case "equal cost pair is a declaration" `Quick
+          test_equal_cost_pair_is_a_declaration;
         Alcotest.test_case "epsilon inactive on stock" `Quick
           test_epsilon_agents_inactive_on_stock;
         Alcotest.test_case "weakened violation replays and shrinks" `Slow

@@ -16,6 +16,7 @@ module Lint = Damd_speccheck.Lint
 module Taint = Damd_speccheck.Taint
 module Dev = Damd_speccheck.Dev
 module Explore = Damd_speccheck.Explore
+module Scenario = Damd_speccheck.Scenario
 module Machine = Damd_speccheck.Machine
 module Statepack = Damd_speccheck.Statepack
 module Verify = Damd_speccheck.Verify
@@ -426,7 +427,7 @@ let test_explore_stock () =
     (List.length o.Explore.verdicts);
   let exempt, rest =
     List.partition
-      (fun (_, v) -> match v with Explore.Exempt _ -> true | _ -> false)
+      (fun (_, v) -> match v with Scenario.Exempt _ -> true | _ -> false)
       o.Explore.verdicts
   in
   check
@@ -438,7 +439,7 @@ let test_explore_stock () =
   List.iter
     (fun (d, v) ->
       match v with
-      | Explore.Detected { depth; _ } ->
+      | Scenario.Detected { depth; _ } ->
           check Alcotest.bool (Dev.to_string d ^ ": positive depth") true
             (depth > 0)
       | _ -> Alcotest.failf "%s not detected" (Dev.to_string d))
@@ -540,7 +541,7 @@ let prop_explore_total =
    soundness argument (DESIGN.md §16), so POR must preserve the BFS
    detection depth exactly. *)
 let normalize_verdict = function
-  | Explore.Undetected _ -> Explore.Undetected { witness = "" }
+  | Scenario.Undetected _ -> Scenario.Undetected { witness = "" }
   | v -> v
 
 let normalized_verdicts (o : Explore.outcome) =
@@ -628,7 +629,7 @@ let test_explore_torus_scale () =
   List.iter
     (fun (d, v) ->
       match v with
-      | Explore.Detected _ | Explore.Exempt _ -> ()
+      | Scenario.Detected _ | Scenario.Exempt _ -> ()
       | _ -> Alcotest.failf "%s not detected at n=16" (Dev.to_string d))
     on.Explore.verdicts
 
@@ -712,8 +713,8 @@ let test_explore_phase_limit () =
   List.iter
     (fun (d, v) ->
       match v with
-      | Explore.Truncated -> ()
-      | Explore.Exempt _ when List.mem_assoc d Machine.exemptions -> ()
+      | Scenario.Truncated -> ()
+      | Scenario.Exempt _ when List.mem_assoc d Machine.exemptions -> ()
       | _ -> Alcotest.failf "%s: expected truncated" (Dev.to_string d))
     o.Explore.verdicts;
   check
@@ -753,7 +754,7 @@ let test_explore_18_phases () =
   in
   check Alcotest.bool "analyze: no truncated row" false
     (List.exists
-       (fun fr -> fr.Absint.fr_verdict = Absint.Struncated)
+       (fun fr -> fr.Absint.fr_verdict = Scenario.Truncated)
        a.Analyze.result.Absint.frontier);
   check Alcotest.bool "analyze: the stock frontier" true
     (a.Analyze.result.Absint.frontier
@@ -1032,13 +1033,13 @@ let test_analyze_stock () =
   let row (f : Absint.frontier) =
     ( Dev.to_string f.Absint.fr_dev,
       match f.Absint.fr_verdict with
-      | Absint.Scertified { depth; certifier; phase } ->
+      | Scenario.Detected { depth; certifier; phase } ->
           Printf.sprintf "certified %d %s %d" depth
             (Option.value ~default:"timeout" certifier)
             phase
-      | Absint.Sexempt _ -> "exempt"
-      | Absint.Sblind _ -> "blind"
-      | Absint.Struncated -> "truncated" )
+      | Scenario.Exempt _ -> "exempt"
+      | Scenario.Undetected _ -> "blind"
+      | Scenario.Truncated -> "truncated" )
   in
   check
     Alcotest.(list (pair string string))
@@ -1093,27 +1094,24 @@ let test_analyze_differential_stock () =
       match
         (f.Absint.fr_verdict, List.assoc_opt f.Absint.fr_dev dyn.Explore.verdicts)
       with
-      | Absint.Scertified { depth = ds; _ }, Some (Explore.Detected { depth = dd; _ })
+      | Scenario.Detected { depth = ds; _ }, Some (Scenario.Detected { depth = dd; _ })
         ->
           check Alcotest.bool
             (Printf.sprintf "%s: static %d <= dynamic %d"
                (Dev.to_string f.Absint.fr_dev) ds dd)
             true (ds <= dd)
-      | Absint.Sexempt _, Some (Explore.Exempt _) -> ()
+      | Scenario.Exempt _, Some (Scenario.Exempt _) -> ()
       | v, d ->
+          let kind = function
+            | Scenario.Detected _ -> "detected"
+            | Scenario.Undetected _ -> "undetected"
+            | Scenario.Exempt _ -> "exempt"
+            | Scenario.Truncated -> "truncated"
+          in
           Alcotest.failf "%s: verdict kinds diverge (%s vs %s)"
             (Dev.to_string f.Absint.fr_dev)
-            (match v with
-            | Absint.Scertified _ -> "certified"
-            | Absint.Sblind _ -> "blind"
-            | Absint.Sexempt _ -> "exempt"
-            | Absint.Struncated -> "truncated")
-            (match d with
-            | Some (Explore.Detected _) -> "detected"
-            | Some (Explore.Undetected _) -> "undetected"
-            | Some (Explore.Exempt _) -> "exempt"
-            | Some Explore.Truncated -> "truncated"
-            | None -> "absent"))
+            (kind v)
+            (Option.fold ~none:"absent" ~some:kind d))
     r.Analyze.result.Absint.frontier
 
 let test_analyze_mutations_fire () =
@@ -1176,7 +1174,7 @@ let test_analyze_table_consistent () =
 
 (* QCheck: the differential on randomly edited IRs. Whenever both engines
    complete, the static frontier must stay sound — static depth a lower
-   bound wherever Explore detects, and [Sblind] (certifier-blind-spot)
+   bound wherever Explore detects, and [Undetected] (certifier-blind-spot)
    exactly where Explore reports Undetected. [Absint.differential] is
    that statement; an empty finding list is the pass. *)
 let prop_absint_frontier_sound =
