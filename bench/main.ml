@@ -108,7 +108,13 @@ let experiment_tests =
              done));
       Test.make ~name:"e11_async_faithful_n8"
         (Staged.stage (fun () ->
-             let params = { Runner.default_params with Runner.latency_seed = Some 5 } in
+             let params =
+               {
+                 Runner.default_params with
+                 Runner.perturbation =
+                   { Runner.no_perturbation with Runner.jitter = 0.5; perturb_seed = 5 };
+               }
+             in
              ignore (Runner.run_faithful ~params ~graph:graph8 ~traffic:traffic8 ())));
       Test.make ~name:"e16_faithful_election_n8"
         (Staged.stage

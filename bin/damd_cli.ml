@@ -214,7 +214,10 @@ let run_routing topology seed deviants no_checking no_copies deferred latency lo
       Runner.checking = not no_checking;
       copies = not no_copies;
       deferred_certification = deferred;
-      latency_seed = latency;
+      perturbation =
+        (match latency with
+        | Some s -> { Runner.no_perturbation with Runner.jitter = 0.5; perturb_seed = s }
+        | None -> Runner.no_perturbation);
       channel_loss = (match loss with Some p -> Some (p, seed + 2) | None -> None);
     }
   in
@@ -387,7 +390,10 @@ let latency =
   Arg.(
     value
     & opt (some int) None
-    & info [ "latency-seed" ] ~docv:"SEED" ~doc:"Heterogeneous per-link latencies.")
+    & info [ "latency-seed" ] ~docv:"SEED"
+        ~doc:
+          "Heterogeneous per-link latencies: each link's constant delay is drawn \
+           once from [0.5, 1.5) (jitter 0.5 seeded by SEED).")
 
 let loss =
   Arg.(

@@ -663,7 +663,13 @@ let e11 ~quick =
   let all_ok = ref true in
   List.iter
     (fun seed ->
-      let params = { Runner.default_params with Runner.latency_seed = Some seed } in
+      let params =
+        {
+          Runner.default_params with
+          Runner.perturbation =
+            { Runner.no_perturbation with Runner.jitter = 0.5; perturb_seed = seed };
+        }
+      in
       let r = Runner.run_faithful ~params ~graph:g ~traffic () in
       let matches =
         match r.Runner.tables with

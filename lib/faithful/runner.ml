@@ -6,6 +6,8 @@ module Traffic = Damd_fpss.Traffic
 module Tables = Damd_fpss.Tables
 module Obs = Damd_obs.Obs
 module Json = Damd_util.Json
+module Rng = Damd_util.Rng
+module Fault = Damd_sim.Fault
 
 type bank_checks = { pricing_check : bool; settlement_check : bool }
 
@@ -19,6 +21,9 @@ type perturb = {
   perturb_seed : int;
 }
 
+let no_perturbation =
+  { jitter = 0.; dup_p = 0.; drop_p = 0.; drop_budget = 0; perturb_seed = 0 }
+
 type params = {
   progress_penalty : float;
   epsilon : float;
@@ -27,10 +32,9 @@ type params = {
   checks : bank_checks;
   copies : bool;
   deferred_certification : bool;
-  latency_seed : int option;
   channel_loss : (float * int) option;
-  perturbation : perturb option;
-  fault : Damd_sim.Fault.spec option;
+  perturbation : perturb;
+  fault : Fault.spec option;
   max_events : int;
   obs : Obs.t;
 }
@@ -47,9 +51,8 @@ let default_params =
     checks = all_checks;
     copies = true;
     deferred_certification = false;
-    latency_seed = None;
     channel_loss = None;
-    perturbation = None;
+    perturbation = no_perturbation;
     fault = None;
     max_events = 10_000_000;
     obs = Obs.noop;
@@ -92,28 +95,17 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
         Node.create ~copies:params.copies ~id ~n ~neighbor_sets
           ~true_cost:(Graph.cost graph id) ~deviation:deviations.(id) ())
   in
+  let pb = params.perturbation in
   let latency =
-    match params.perturbation with
-    | Some pb when pb.jitter > 0. ->
-        (* Jittered but still per-link constant delays (same FIFO argument
-           as [latency_seed] below): draw each link's latency once from
-           [max(0.1, 1-j), 1+j). *)
-        let rng = Damd_util.Rng.create (pb.perturb_seed lxor 0x5bd1e995) in
-        let lo = Float.max 0.1 (1. -. pb.jitter) and hi = 1. +. pb.jitter in
-        let m =
-          Array.init n (fun _ -> Array.init n (fun _ -> Damd_util.Rng.float_in rng lo hi))
-        in
-        fun ~src ~dst -> m.(src).(dst)
-    | _ -> (
-        match params.latency_seed with
-        | None -> fun ~src:_ ~dst:_ -> 1.0
-        | Some seed ->
-            (* Heterogeneous but per-link constant delays: asynchrony without
-               breaking the per-link FIFO the table-overwrite semantics rely
-               on. *)
-            let rng = Damd_util.Rng.create seed in
-            let m = Array.init n (fun _ -> Array.init n (fun _ -> Damd_util.Rng.float_in rng 0.5 1.5)) in
-            fun ~src ~dst -> m.(src).(dst))
+    if pb.jitter <= 0. then fun ~src:_ ~dst:_ -> 1.0
+    else
+      (* Heterogeneous but per-link constant delays, each drawn once from
+         [max(0.1, 1-j), 1+j): asynchrony without breaking the per-link
+         FIFO the table-overwrite semantics rely on. *)
+      let rng = Rng.create (pb.perturb_seed lxor 0x5bd1e995) in
+      let lo = Float.max 0.1 (1. -. pb.jitter) and hi = 1. +. pb.jitter in
+      let m = Array.init n (fun _ -> Array.init n (fun _ -> Rng.float_in rng lo hi)) in
+      fun ~src ~dst -> m.(src).(dst)
   in
   let engine : Protocol.msg Engine.t = Engine.create ~latency ~n () in
   Engine.set_size engine (Protocol.sizer ());
@@ -128,69 +120,59 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
         | Protocol.Update (Protocol.Pricing_update _) -> 2
         | Protocol.Copy _ -> 3
         | Protocol.Packet _ -> 4);
-  let loss_tap =
+  (* The network environment: one shaper over the §5 channel loss, the
+     perturbation's copy drops and duplicates, and the [Fault] schedule,
+     in that order. None of them touches an execution packet: losing or
+     duplicating one would change utilities and turn an environment
+     fault into a spurious Theorem-1 counterexample. *)
+  let channel_lost =
     match params.channel_loss with
-    | None -> None
+    | None -> fun _ -> false
     | Some (p, seed) ->
-        let rng = Damd_util.Rng.create seed in
-        Some
-          (fun msg ->
-            match msg with
-            | Protocol.Packet _ -> Some msg (* loss injected on construction only *)
-            | _ -> if Damd_util.Rng.bernoulli rng p then None else Some msg)
+        let rng = Rng.create seed in
+        (function Protocol.Packet _ -> false | _ -> Rng.bernoulli rng p)
   in
-  let perturb_tap =
-    match params.perturbation with
-    | Some pb when pb.dup_p > 0. || (pb.drop_budget > 0 && pb.drop_p > 0.) ->
-        let rng = Damd_util.Rng.create (pb.perturb_seed lxor 0x27d4eb2f) in
-        let drop_budget = ref pb.drop_budget in
-        let in_dup = ref false in
-        Some
-          (fun ~src ~dst msg ->
-            if !in_dup then Some msg
-            else
-              match msg with
-              | Protocol.Packet _ ->
-                  (* Execution traffic is never perturbed: drops/dups there
-                     would change utilities and turn a schedule fault into a
-                     spurious Theorem-1 counterexample. *)
-                  Some msg
-              | Protocol.Copy _
-                when !drop_budget > 0 && Damd_util.Rng.bernoulli rng pb.drop_p ->
-                  (* Bounded drops target the checker-copy channel only: a
-                     lost copy desynchronizes a mirror, fails the next
-                     checkpoint and is absorbed by a restart — it exercises
-                     the recovery path without perturbing the certified
-                     tables (unbounded loss of protocol updates is the §5
-                     omission-fault model, [channel_loss]). *)
-                  decr drop_budget;
-                  None
-              | (Protocol.Update _ | Protocol.Copy _) as msg
-                when pb.dup_p > 0. && Damd_util.Rng.bernoulli rng pb.dup_p ->
-                  (* Duplicate delivery: re-send the same message at the same
-                     clock instant so the copy lands immediately after the
-                     original (same timestamp, later sequence number). The
-                     construction handlers are idempotent, so duplication
-                     reorders/extends the schedule without changing state. *)
-                  Engine.schedule engine ~delay:0. (fun () ->
-                      in_dup := true;
-                      Engine.send engine ~src ~dst msg;
-                      in_dup := false);
-                  Some msg
-              | msg -> Some msg)
+  let perturb_lost =
+    let rng = Rng.create (pb.perturb_seed lxor 0x27d4eb2f) in
+    let drop_budget = ref pb.drop_budget in
+    let in_dup = ref false in
+    fun ~src ~dst msg ->
+      (not !in_dup)
+      &&
+      match msg with
+      | Protocol.Packet _ -> false
+      | Protocol.Copy _ when !drop_budget > 0 && Rng.bernoulli rng pb.drop_p ->
+          (* Bounded drops target the checker-copy channel only: a lost
+             copy can desynchronize a mirror, fail the next checkpoint and
+             cost a restart — it exercises the recovery path without
+             perturbing the certified tables. *)
+          decr drop_budget;
+          true
+      | Protocol.Update _ | Protocol.Copy _ ->
+          if pb.dup_p > 0. && Rng.bernoulli rng pb.dup_p then
+            (* Duplicate delivery: re-send the same message at the same
+               clock instant so the copy lands immediately after the
+               original (same timestamp, later sequence number). The
+               construction handlers are idempotent, so duplication
+               reorders/extends the schedule without changing state. The
+               copy skips the perturbation, not the other decisions. *)
+            Engine.schedule engine ~delay:0. (fun () ->
+                in_dup := true;
+                Engine.send engine ~src ~dst msg;
+                in_dup := false);
+          false
+  in
+  let fault =
+    match params.fault with
+    | Some spec when not (Fault.is_none spec) -> Some (Fault.create ~n spec)
     | _ -> None
   in
-  (match (loss_tap, perturb_tap) with
-  | None, None -> ()
-  | loss, perturb ->
-      Engine.set_tap engine (fun ~src ~dst msg ->
-          let after_loss =
-            match loss with None -> Some msg | Some f -> f msg
-          in
-          match (after_loss, perturb) with
-          | None, _ -> None
-          | Some msg, None -> Some msg
-          | Some msg, Some f -> f ~src ~dst msg));
+  Engine.set_shaper engine (fun ~src ~dst ~now msg ->
+      if channel_lost msg || perturb_lost ~src ~dst msg then Engine.Lose
+      else
+        match fault with
+        | None -> Engine.Pass
+        | Some ctl -> Fault.shape ctl ~src ~dst ~now msg);
   (* Nodes can only transmit on physical links. *)
   let send_from src ~dst msg =
     if not (List.mem dst neighbor_sets.(src)) then
@@ -199,13 +181,7 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
     Engine.send engine ~src ~dst msg
   in
   let sends = Array.init n (fun i -> send_from i) in
-  let fault_control =
-    match params.fault with
-    | Some spec when not (Damd_sim.Fault.is_none spec) ->
-        Some (Damd_sim.Fault.install engine spec)
-    | _ -> None
-  in
-  let ft = Option.is_some fault_control in
+  let ft = Option.is_some fault in
   (* Crash-recovery handoff: when a crashed node rejoins mid-phase, it and
      each up neighbor re-deliver their current phase state in both
      directions — the facts the recovered node missed while down, and the
@@ -222,9 +198,7 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
       neighbor_sets.(i)
   in
   let arm_faults phase resend =
-    Option.iter
-      (fun ctl -> Damd_sim.Fault.arm ~on_recover:(handoff resend) engine ctl ~phase)
-      fault_control
+    Option.iter (fun ctl -> Fault.arm ~on_recover:(handoff resend) engine ctl ~phase) fault
   in
   let dispatch : dispatch ref = ref (fun _ ~sender:_ _ -> ()) in
   for i = 0 to n - 1 do
@@ -410,11 +384,11 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
       stuck "deferred-certification" progress
   | Phase.Completed progress ->
       (* --- execution phase --- *)
-      (* Injection ends with construction: execution-phase loss is the
-         separately-graded §5 omission model ([channel_loss]), and keeping
-         faults out of execution keeps Definition-8 utility deltas
-         attributable to the deviant rather than to fault noise. *)
-      Option.iter (fun ctl -> Damd_sim.Fault.deactivate engine ctl) fault_control;
+      (* Fault injection ends with construction; channel loss and the
+         perturbation spare execution packets too, so Definition-8 utility
+         deltas stay attributable to the deviant rather than to fault
+         noise. *)
+      Option.iter (fun ctl -> Fault.deactivate engine ctl) fault;
       Engine.reset_stats engine;
       Obs.span obs ~cat:"phase" "execution" (fun () ->
           current_phase := "execution";

@@ -13,7 +13,14 @@
     traffic, minus payments and fines, plus transit income, minus true
     transit costs, minus a large progress penalty if the mechanism never
     certifies (the paper's assumption that every node strongly prefers
-    the mechanism to make progress). *)
+    the mechanism to make progress).
+
+    The network environment is one engine shaper per run. Per send, in
+    this order, it decides [channel_loss], the [perturbation]'s copy
+    drops and duplicates, and the [fault] schedule; a later decision
+    draws from its seeded stream only for messages the earlier ones let
+    through. Every environment loss is counted once, as sent and then
+    lost, and none touches an execution packet. *)
 
 type bank_checks = {
   pricing_check : bool;  (** BANK2 pricing checkpoint *)
@@ -32,22 +39,30 @@ val all_checks : bank_checks
 type perturb = {
   jitter : float;
       (** per-link latency spread: each link's constant delay is drawn
-          from [max(0.1, 1-jitter), 1+jitter) — per-link FIFO preserved *)
+          from [max(0.1, 1-jitter), 1+jitter) — per-link FIFO preserved;
+          [0.] keeps every link at latency 1.0 *)
   dup_p : float;
       (** probability of duplicating each construction message; the copy
           arrives immediately after the original (same timestamp, later
           pqueue sequence number) *)
   drop_p : float;  (** drop probability while [drop_budget] remains *)
   drop_budget : int;
-      (** at most this many checker-copy messages are dropped; each drop
-          costs one phase restart, so keep it within [max_restarts] *)
+      (** at most this many checker-copy messages are lost; each loss
+          can cost one phase restart, so keep it within [max_restarts] *)
   perturb_seed : int;  (** all perturbation draws derive from this *)
 }
-(** Adversarial schedule perturbation for gauntlet campaigns: reorders and
-    extends the event schedule (jitter, duplicates) and exercises the
-    restart machinery (bounded copy drops) without changing the certified
-    tables or utilities — so a utility delta under perturbation is still
-    attributable to the deviation, not the schedule. *)
+(** The schedule perturbation, and the runner's only latency model. It
+    reorders and extends the event schedule (jitter, duplicates) and
+    exercises the restart machinery (bounded copy drops) without changing
+    the certified tables or utilities — so a utility delta under
+    perturbation is still attributable to the deviation, not the
+    schedule. Gauntlet campaigns draw all five fields; the asynchrony
+    experiment (E11) and [damd_cli routing --latency-seed S] use jitter
+    alone, [{ no_perturbation with jitter = 0.5; perturb_seed = S }]:
+    per-link latencies uniform in [0.5, 1.5). *)
+
+val no_perturbation : perturb
+(** All zero: constant latency 1.0, no duplicates, no drops. *)
 
 type params = {
   progress_penalty : float;
@@ -66,20 +81,16 @@ type params = {
       (** true = run all construction phases without intermediate
           checkpoints and certify everything only at the end — the
           phase-decomposition ablation of experiment E8 *)
-  latency_seed : int option;
-      (** when set, per-link latencies are drawn uniformly from
-          [0.5, 1.5) instead of the constant 1.0 — asynchrony robustness
-          (per-link FIFO is preserved, as the model requires) *)
   channel_loss : (float * int) option;
-      (** [(p, seed)]: drop every construction message independently with
-          probability [p] — a *non-rational* omission-failure model. The
-          paper's §5 flags exactly this: other failure classes can make
-          the system "falsely detect and punish manipulation"; experiment
-          E12 measures it *)
-  perturbation : perturb option;
-      (** gauntlet schedule perturbation; composes with [channel_loss]
-          (loss applies first). Overrides [latency_seed] when
-          [jitter > 0]. *)
+      (** [(p, seed)]: lose every construction message (every message
+          but an execution [Packet]) independently with probability [p] —
+          a *non-rational* omission-failure model. The paper's §5 flags
+          exactly this: other failure classes can make the system
+          "falsely detect and punish manipulation"; experiment E12
+          measures it *)
+  perturbation : perturb;
+      (** latency jitter and schedule perturbation (default
+          [no_perturbation]) *)
   fault : Damd_sim.Fault.spec option;
       (** seeded mixed-failure injection ([Damd_sim.Fault]): per-link
           loss/reordering, a healing partition, fail-stop crash/recover

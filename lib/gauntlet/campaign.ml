@@ -288,7 +288,7 @@ let params_of weaken descr =
     Runner.default_params with
     Runner.checking = weaken <> Weaken_all;
     checks = checks_of weaken;
-    perturbation = Some descr.perturb;
+    perturbation = descr.perturb;
     fault = descr.fault;
     (* Faults consume restarts (link loss hits every attempt, a crash or
        partition window costs the first): give fault campaigns headroom so
@@ -437,9 +437,12 @@ let grade ?(weaken = No_weaken) ?(obs = Obs.noop) descr =
           Tables.routing_equal t oracle && Tables.prices_equal t oracle
     in
     (* Unilateral baselines: deviant i against the same campaign with only
-       its own deviation reverted — the Definition 8 comparison, valid
-       under multi-deviant profiles because VCG truthfulness and the
-       epsilon-above-gain fines are dominant-strategy arguments. *)
+       its own deviation reverted. With one deviant this is the
+       Definition 8 comparison. Theorem 1 is ex post Nash and assumes the
+       others faithful, so with several deviants the comparison is
+       stricter than the theorem, and it has an open counterexample
+       (replay 772341180993425955: a misreporter gains while a neighbour
+       misroutes). *)
     let deltas =
       List.map
         (fun (i, _) ->

@@ -16,7 +16,6 @@ type 'msg t = {
   latency : src:int -> dst:int -> float;
   queue : 'msg event Pqueue.t;
   handlers : (sender:int -> 'msg -> unit) option array;
-  mutable tap : (src:int -> dst:int -> 'msg -> 'msg option) option;
   mutable shaper : (src:int -> dst:int -> now:float -> 'msg -> shaping) option;
   down : bool array;
   mutable size_of : 'msg -> int;
@@ -24,11 +23,8 @@ type 'msg t = {
   mutable processed : int;
   mutable sent : int;
   mutable delivered : int;
-  mutable dropped : int;
   mutable lost : int;
   mutable bytes : int;
-  sent_by : int array;
-  received_by : int array;
   (* Observability (Damd_obs). [obs] defaults to the noop sink; the
      per-kind arrays are empty until [set_obs] installs a classifier,
      so the uninstrumented hot path pays one [None] check per send. *)
@@ -38,7 +34,6 @@ type 'msg t = {
   mutable kind_names : string array;
   mutable k_sent : int array;
   mutable k_delivered : int array;
-  mutable k_dropped : int array;
   mutable k_lost : int array;
   mutable shaper_losses : int;
   mutable shaper_delays : int;
@@ -52,7 +47,6 @@ let create ?(latency = fun ~src:_ ~dst:_ -> 1.0) ~n () =
     latency;
     queue = Pqueue.create ();
     handlers = Array.make n None;
-    tap = None;
     shaper = None;
     down = Array.make n false;
     size_of = (fun _ -> 1);
@@ -60,18 +54,14 @@ let create ?(latency = fun ~src:_ ~dst:_ -> 1.0) ~n () =
     processed = 0;
     sent = 0;
     delivered = 0;
-    dropped = 0;
     lost = 0;
     bytes = 0;
-    sent_by = Array.make n 0;
-    received_by = Array.make n 0;
     obs = Obs.noop;
     obs_detail = false;
     kind_of = None;
     kind_names = [||];
     k_sent = [||];
     k_delivered = [||];
-    k_dropped = [||];
     k_lost = [||];
     shaper_losses = 0;
     shaper_delays = 0;
@@ -85,10 +75,6 @@ let now t = t.clock
 let set_handler t i h =
   if i < 0 || i >= t.n then invalid_arg "Engine.set_handler: node out of range";
   t.handlers.(i) <- Some h
-
-let set_tap t tap = t.tap <- Some tap
-
-let clear_tap t = t.tap <- None
 
 let set_shaper t shaper = t.shaper <- Some shaper
 
@@ -114,7 +100,6 @@ let set_obs ?(kinds = [||]) ?kind_of t obs =
   let nk = Array.length kinds in
   t.k_sent <- Array.make nk 0;
   t.k_delivered <- Array.make nk 0;
-  t.k_dropped <- Array.make nk 0;
   t.k_lost <- Array.make nk 0
 
 let kind_index t msg =
@@ -135,70 +120,54 @@ let note_queue_peak t =
 let send t ~src ~dst msg =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Engine.send: node out of range";
-  let original = msg in
-  let msg =
-    match t.tap with
-    | None -> Some msg
-    | Some tap -> tap ~src ~dst msg
+  t.sent <- t.sent + 1;
+  t.bytes <- t.bytes + t.size_of msg;
+  let k = kind_index t msg in
+  bump t.k_sent k;
+  (* Every send is counted before the environment decides its fate, so a
+     lost message is sent and then lost. Shaper decisions are drawn in
+     global send order, which is deterministic given a deterministic
+     protocol, so a seeded shaper keeps runs bit-for-bit reproducible. *)
+  let shaping =
+    if t.down.(src) then Lose
+    else
+      match t.shaper with
+      | None -> Pass
+      | Some shape ->
+          let s = shape ~src ~dst ~now:t.clock msg in
+          (match s with
+          | Lose -> t.shaper_losses <- t.shaper_losses + 1
+          | Delay _ -> t.shaper_delays <- t.shaper_delays + 1
+          | Pass -> ());
+          s
   in
-  match msg with
-  | None ->
-      t.dropped <- t.dropped + 1;
-      bump t.k_dropped (kind_index t original)
-  | Some msg ->
-      t.sent <- t.sent + 1;
-      t.sent_by.(src) <- t.sent_by.(src) + 1;
-      t.bytes <- t.bytes + t.size_of msg;
-      (* A tap may rewrite the message, so classify what actually went
-         onto the wire, not what the sender handed us. *)
-      let k = kind_index t msg in
-      bump t.k_sent k;
-      (* The fault shaper runs after the (adversarial) tap: an injected
-         link fault acts on whatever actually went onto the wire. Shaper
-         decisions are drawn in global send order, which is deterministic
-         given a deterministic protocol, so a seeded shaper keeps runs
-         bit-for-bit reproducible. *)
-      let shaping =
-        if t.down.(src) then Lose
-        else
-          match t.shaper with
-          | None -> Pass
-          | Some shape ->
-              let s = shape ~src ~dst ~now:t.clock msg in
-              (match s with
-              | Lose -> t.shaper_losses <- t.shaper_losses + 1
-              | Delay _ -> t.shaper_delays <- t.shaper_delays + 1
-              | Pass -> ());
-              s
-      in
-      if t.obs_detail then
-        Obs.instant t.obs ~cat:"engine"
-          ~args:
-            [
-              ("src", Json.Int src);
-              ("dst", Json.Int dst);
-              ("kind", Json.String (kind_name t k));
-              ( "shaping",
-                Json.String
-                  (match shaping with
-                  | Pass -> "pass"
-                  | Lose -> if t.down.(src) then "down-src" else "lose"
-                  | Delay _ -> "delay") );
-              ("sim_t", Json.Float t.clock);
-            ]
-          "send";
-      (match shaping with
-      | Lose ->
-          t.lost <- t.lost + 1;
-          bump t.k_lost k
-      | Pass | Delay _ ->
-          let extra = match shaping with Delay d -> d | _ -> 0. in
-          if extra < 0. then invalid_arg "Engine.send: negative shaper delay";
-          let latency = t.latency ~src ~dst in
-          if latency < 0. then invalid_arg "Engine.send: negative latency";
-          Pqueue.push t.queue (t.clock +. latency +. extra)
-            (Deliver { src; dst; msg });
-          note_queue_peak t)
+  if t.obs_detail then
+    Obs.instant t.obs ~cat:"engine"
+      ~args:
+        [
+          ("src", Json.Int src);
+          ("dst", Json.Int dst);
+          ("kind", Json.String (kind_name t k));
+          ( "shaping",
+            Json.String
+              (match shaping with
+              | Pass -> "pass"
+              | Lose -> if t.down.(src) then "down-src" else "lose"
+              | Delay _ -> "delay") );
+          ("sim_t", Json.Float t.clock);
+        ]
+      "send";
+  match shaping with
+  | Lose ->
+      t.lost <- t.lost + 1;
+      bump t.k_lost k
+  | Pass | Delay _ ->
+      let extra = match shaping with Delay d -> d | _ -> 0. in
+      if extra < 0. then invalid_arg "Engine.send: negative shaper delay";
+      let latency = t.latency ~src ~dst in
+      if latency < 0. then invalid_arg "Engine.send: negative latency";
+      Pqueue.push t.queue (t.clock +. latency +. extra) (Deliver { src; dst; msg });
+      note_queue_peak t
 
 let schedule t ~delay callback =
   if delay < 0. then invalid_arg "Engine.schedule: negative delay";
@@ -248,7 +217,6 @@ let run ?(max_events = 10_000_000) t =
               end
               else begin
                 t.delivered <- t.delivered + 1;
-                t.received_by.(dst) <- t.received_by.(dst) + 1;
                 bump t.k_delivered k;
                 if t.obs_detail then
                   Obs.instant t.obs ~cat:"engine"
@@ -274,15 +242,9 @@ let messages_sent t = t.sent
 
 let messages_delivered t = t.delivered
 
-let messages_dropped t = t.dropped
-
 let messages_lost t = t.lost
 
 let bytes_sent t = t.bytes
-
-let sent_by t i = t.sent_by.(i)
-
-let received_by t i = t.received_by.(i)
 
 let shaper_losses t = t.shaper_losses
 
@@ -294,8 +256,7 @@ let obs t = t.obs
 
 let kind_stats t =
   List.init (Array.length t.kind_names) (fun k ->
-      (t.kind_names.(k), t.k_sent.(k), t.k_delivered.(k), t.k_dropped.(k),
-       t.k_lost.(k)))
+      (t.kind_names.(k), t.k_sent.(k), t.k_delivered.(k), t.k_lost.(k)))
 
 let obs_metrics ?(prefix = "engine") t reg =
   let c name v =
@@ -304,7 +265,6 @@ let obs_metrics ?(prefix = "engine") t reg =
   c "events_processed" t.processed;
   c "messages_sent" t.sent;
   c "messages_delivered" t.delivered;
-  c "messages_dropped" t.dropped;
   c "messages_lost" t.lost;
   c "bytes_sent" t.bytes;
   c "shaper_losses" t.shaper_losses;
@@ -313,10 +273,9 @@ let obs_metrics ?(prefix = "engine") t reg =
     (Metrics.gauge reg (prefix ^ ".queue_peak"))
     (float_of_int t.queue_peak);
   List.iter
-    (fun (name, s, d, dr, l) ->
+    (fun (name, s, d, l) ->
       c (Printf.sprintf "sent.%s" name) s;
       c (Printf.sprintf "delivered.%s" name) d;
-      c (Printf.sprintf "dropped.%s" name) dr;
       c (Printf.sprintf "lost.%s" name) l)
     (kind_stats t)
 
@@ -326,15 +285,11 @@ let reset_stats t =
   t.processed <- 0;
   t.sent <- 0;
   t.delivered <- 0;
-  t.dropped <- 0;
   t.lost <- 0;
   t.bytes <- 0;
-  Array.fill t.sent_by 0 t.n 0;
-  Array.fill t.received_by 0 t.n 0;
   t.shaper_losses <- 0;
   t.shaper_delays <- 0;
   t.queue_peak <- 0;
   zero t.k_sent;
   zero t.k_delivered;
-  zero t.k_dropped;
   zero t.k_lost

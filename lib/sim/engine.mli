@@ -23,10 +23,10 @@
     seed-replay machinery rests on this.
 
     The paper's adversaries are *rational nodes*, i.e. deviant handlers —
-    they simply send different messages — so deviation needs no special
-    engine support. The [tap] hook exists for instrumentation and for
-    injecting classic channel faults in tests (drop/corrupt), not for
-    modelling rationality.
+    they simply send different messages — so deviation needs no engine
+    support. The engine's one per-send hook, the [shaper], models the
+    *network environment* instead: it can lose or delay what a node
+    sent, never rewrite it.
 
     Schedule coverage: because equal-time ties are the only scheduling
     freedom, the set of delivery orders this engine can ever produce (over
@@ -45,7 +45,7 @@ type outcome =
 
 type shaping =
   | Pass  (** deliver normally *)
-  | Lose  (** silently lose the message (counted in [messages_lost]) *)
+  | Lose  (** the message was sent but never arrives ([messages_lost]) *)
   | Delay of float  (** add this much to the link latency (must be >= 0) *)
 
 val create : ?latency:(src:int -> dst:int -> float) -> n:int -> unit -> 'msg t
@@ -60,23 +60,18 @@ val set_handler : 'msg t -> int -> (sender:int -> 'msg -> unit) -> unit
 (** Install node [i]'s message handler. Handlers typically close over the
     engine and call [send] to emit messages. *)
 
-val set_tap : 'msg t -> (src:int -> dst:int -> 'msg -> 'msg option) -> unit
-(** Interpose on every send: return [None] to drop the message, [Some m']
-    to (possibly) rewrite it. At most one tap; [clear_tap] removes it. *)
-
-val clear_tap : 'msg t -> unit
-
 val set_shaper :
   'msg t -> (src:int -> dst:int -> now:float -> 'msg -> shaping) -> unit
-(** Environment fault hook, distinct from the tap: the tap models a
-    *node's* deviation (it can rewrite payloads), the shaper models the
-    *network* (it can only lose or delay what was actually sent). The
-    shaper runs after the tap, once per send, in global send order — so a
-    shaper driven by a seeded [Damd_util.Rng] makes the fault realization
-    a pure function of (seed, protocol behavior) and runs stay
-    bit-for-bit reproducible. Equal-timestamp ties among delayed messages
-    are still broken by enqueue order (see the determinism guarantee
-    above), so link faults never introduce scheduling nondeterminism.
+(** The network-environment hook: it can only lose or delay what was
+    actually sent. The shaper runs once per send from an up node, after
+    the send is counted, in global send order — so a shaper driven by a
+    seeded [Damd_util.Rng] makes the fault realization a pure function of
+    (seed, protocol behavior) and runs stay bit-for-bit reproducible. It
+    may itself [send] or [schedule] (a duplicate, say); such a nested
+    send is shaped like any other. Equal-timestamp ties among delayed
+    messages are still broken by enqueue order (see the determinism
+    guarantee above), so link faults never introduce scheduling
+    nondeterminism.
     At most one shaper; [clear_shaper] removes it. [Delay] composes with
     link latency additively; note a positive delay can reorder messages
     *within* a link, which is exactly the reordering fault model. *)
@@ -98,14 +93,14 @@ val all_up : 'msg t -> unit
 
 val set_size : 'msg t -> ('msg -> int) -> unit
 (** Message-size model for byte accounting (default: every message is one
-    byte). It is called once per send that passes the tap, on the message
-    as the tap left it, in send order, and nowhere else; so it may
-    memoize, e.g. remember the last payload it sized
-    ([Damd_faithful.Protocol.sizer]). *)
+    byte). It is called once per send, lost or not, in send order, and
+    nowhere else; so it may memoize, e.g. remember the last payload it
+    sized ([Damd_faithful.Protocol.sizer]). *)
 
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
-(** Enqueue a delivery event at [now + latency src dst]. Self-sends are
-    allowed (delivered like any other message). *)
+(** Count the message as sent, then enqueue a delivery event at
+    [now + latency src dst] unless the source is down or the shaper loses
+    it. Self-sends are allowed (delivered like any other message). *)
 
 val schedule : 'msg t -> delay:float -> (unit -> unit) -> unit
 (** Enqueue a timer callback. [delay] must be non-negative. *)
@@ -129,21 +124,15 @@ val events_processed : 'msg t -> int
 (** Accounting, reset with [reset_stats]. *)
 
 val messages_sent : 'msg t -> int
+(** Every send, lost ones included. *)
+
 val messages_delivered : 'msg t -> int
-val messages_dropped : 'msg t -> int
-(** Dropped by the tap. *)
 
 val messages_lost : 'msg t -> int
-(** Lost to injected faults: shaper [Lose] decisions plus messages sent
-    by or delivered to a down node. Kept separate from [messages_dropped]
-    so adversarial drops and environment faults stay distinguishable in
-    the accounting. *)
+(** Lost to the environment: shaper [Lose] decisions plus messages sent
+    by or delivered to a down node. *)
 
 val bytes_sent : 'msg t -> int
-val sent_by : 'msg t -> int -> int
-(** Messages sent by a given node. *)
-
-val received_by : 'msg t -> int -> int
 
 val shaper_losses : 'msg t -> int
 (** Shaper [Lose] decisions (a subset of [messages_lost]: down-node
@@ -167,7 +156,7 @@ val reset_stats : 'msg t -> unit
     [~detail:true] — emits a per-message instant for every send,
     delivery and loss (with src/dst/kind/shaping args), which is the raw
     material of a forensic timeline. A [kind_of] classifier additionally
-    maintains per-message-kind sent/delivered/dropped/lost counters.
+    maintains per-message-kind sent/delivered/lost counters.
     None of this perturbs the simulation: no RNG is consulted and no
     event ordering changes. *)
 
@@ -183,8 +172,8 @@ val set_obs :
 
 val obs : 'msg t -> Damd_obs.Obs.t
 
-val kind_stats : 'msg t -> (string * int * int * int * int) list
-(** Per-kind [(name, sent, delivered, dropped, lost)] in [kinds] order;
+val kind_stats : 'msg t -> (string * int * int * int) list
+(** Per-kind [(name, sent, delivered, lost)] in [kinds] order;
     [[]] until [set_obs] installs a classifier. *)
 
 val obs_metrics : ?prefix:string -> 'msg t -> Damd_obs.Metrics.t -> unit

@@ -48,6 +48,8 @@ let validate ~n s =
 
 type control = {
   spec : spec;
+  island : bool array;
+  rng : Rng.t;
   mutable active : bool;
   (* materialized when the anchoring phase arms, absolute sim time *)
   mutable partition_window : (float * float) option;
@@ -56,46 +58,47 @@ type control = {
 
 let active c = c.active
 
-let install engine spec =
-  let n = Engine.n engine in
+let create ~n spec =
   validate ~n spec;
-  let control = { spec; active = true; partition_window = None; armed = [] } in
   let island = Array.make n false in
   (match spec.partition with
   | None -> ()
   | Some p -> List.iter (fun i -> island.(i) <- true) p.island);
-  let rng = Rng.create spec.seed in
-  (* One shaper covers both the seeded link distribution and the
-     partition window: partition losses are decided first and draw
-     nothing from the stream, so the link-fault realization is invariant
-     under adding or removing a partition with the same seed. *)
-  (match (spec.link, spec.partition) with
-  | None, None -> ()
-  | _ ->
-      Engine.set_shaper engine (fun ~src ~dst ~now _msg ->
-          if not control.active then Engine.Pass
-          else
-            let partitioned =
-              match control.partition_window with
-              | Some (from_t, heals_at) when now >= from_t && now < heals_at ->
-                  island.(src) <> island.(dst)
-              | _ -> false
-            in
-            if partitioned then Engine.Lose
-            else
-              match spec.link with
-              | None -> Engine.Pass
-              | Some l ->
-                  if l.loss_p > 0. && Rng.bernoulli rng l.loss_p then Engine.Lose
-                  else if l.reorder_p > 0. && Rng.bernoulli rng l.reorder_p then
-                    Engine.Delay (Rng.float rng l.reorder_delay)
-                  else Engine.Pass));
-  control
+  {
+    spec;
+    island;
+    rng = Rng.create spec.seed;
+    active = true;
+    partition_window = None;
+    armed = [];
+  }
+
+(* Partition losses are decided first and draw nothing from the stream,
+   so the link-fault realization is invariant under adding or removing a
+   partition with the same seed. *)
+let shape c ~src ~dst ~now _msg =
+  if not c.active then Engine.Pass
+  else
+    let partitioned =
+      match c.partition_window with
+      | Some (from_t, heals_at) when now >= from_t && now < heals_at ->
+          c.island.(src) <> c.island.(dst)
+      | _ -> false
+    in
+    if partitioned then Engine.Lose
+    else
+      match c.spec.link with
+      | None -> Engine.Pass
+      | Some l ->
+          if l.loss_p > 0. && Rng.bernoulli c.rng l.loss_p then Engine.Lose
+          else if l.reorder_p > 0. && Rng.bernoulli c.rng l.reorder_p then
+            Engine.Delay (Rng.float c.rng l.reorder_delay)
+          else Engine.Pass
 
 let arm ?(on_crash = fun _ -> ()) ?(on_recover = fun _ -> ()) engine control ~phase =
   (* Crash and partition instants are offsets *within their anchoring
      phase*: a quiescing phase drains the whole event queue, so timers
-     scheduled in absolute time at install would all fire during the
+     scheduled in absolute time at [create] would all fire during the
      first phase. Arming at phase start schedules them relative to the
      current clock — mid-phase, inside this phase's drain. Each anchor
      fires on the phase's first attempt only: a bank-ordered restart of
@@ -155,5 +158,4 @@ let arm ?(on_crash = fun _ -> ()) ?(on_recover = fun _ -> ()) engine control ~ph
 
 let deactivate engine control =
   control.active <- false;
-  Engine.clear_shaper engine;
   Engine.all_up engine

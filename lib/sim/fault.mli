@@ -57,15 +57,22 @@ val is_none : spec -> bool
 val phase_name : phase_tag -> string
 
 type control
-(** Handle over an installed schedule; lets the protocol layer arm
-    phase-anchored windows and end the injection. *)
+(** A live schedule: the seeded link stream, the partition window once
+    armed, and whether injection is still on. *)
 
-val install : 'msg Engine.t -> spec -> control
-(** Validate the spec and install the seeded shaper (link loss/reorder
-    plus the partition window once armed). Windowed components do
-    nothing until [arm]ed by their anchoring phase. Raises
-    [Invalid_argument] on malformed probabilities, windows or node
-    ids. *)
+val create : n:int -> spec -> control
+(** Validate the spec against an [n]-node network and start its
+    schedule. Windowed components do nothing until [arm]ed by their
+    anchoring phase. Raises [Invalid_argument] on malformed
+    probabilities, windows or node ids. *)
+
+val shape : control -> src:int -> dst:int -> now:float -> 'msg -> Engine.shaping
+(** The schedule's decision for one send: [Lose] across an armed
+    partition window, otherwise the link's seeded loss/reorder draw;
+    [Pass] once deactivated. It has the shape of an [Engine.set_shaper]
+    hook, and the caller owns that hook — [Damd_faithful.Runner]
+    composes it after its other environment decisions. Call it once per
+    send, in send order, for the realization to replay. *)
 
 val arm :
   ?on_crash:(int -> unit) ->
@@ -83,11 +90,12 @@ val arm :
     runner performs table handoff. *)
 
 val deactivate : 'msg Engine.t -> control -> unit
-(** End the injection window: clears the shaper, revives down nodes and
-    turns still-pending timers into no-ops. The runner calls this when
-    construction ends — execution-phase packet loss is the §5
-    omission-failure model ([Runner.channel_loss]), graded separately,
-    so fault campaigns keep Definition-8 utility deltas attributable to
-    the deviant rather than to fault-realization noise. *)
+(** End the injection window: [shape] passes everything from now on,
+    down nodes revive and still-pending timers turn into no-ops. The
+    shaper itself stays installed. The runner calls this when
+    construction ends: no environment loss reaches execution packets
+    ([Runner.channel_loss] spares them too), so fault campaigns keep
+    Definition-8 utility deltas attributable to the deviant rather than
+    to fault-realization noise. *)
 
 val active : control -> bool

@@ -38,14 +38,14 @@ module Engine = Damd_sim.Engine
 (* A construction driven through the public [Engine]/[Node] calls, the
    way [Runner] drives it but with the bank left to the caller: [build]
    runs the cost flood and freezes DATA1, [drive st] runs one table to
-   quiescence. [tap] picks the messages that are delivered. *)
+   quiescence. [keep] picks the messages that are sent at all. *)
 type construction = {
   nodes : Node.t array;
   engine : Protocol.msg Engine.t;
   sends : Node.send array;
 }
 
-let build ?tap g deviations =
+let build ?(keep = fun _ -> true) g deviations =
   let n = Graph.n g in
   let neighbor_sets = Array.init n (Graph.neighbors g) in
   let nodes =
@@ -54,11 +54,9 @@ let build ?tap g deviations =
           ~deviation:deviations.(id) ())
   in
   let engine : Protocol.msg Engine.t = Engine.create ~n () in
-  Option.iter
-    (fun keep ->
-      Engine.set_tap engine (fun ~src:_ ~dst:_ m -> if keep m then Some m else None))
-    tap;
-  let sends = Array.init n (fun src ~dst msg -> Engine.send engine ~src ~dst msg) in
+  let sends =
+    Array.init n (fun src ~dst msg -> if keep msg then Engine.send engine ~src ~dst msg)
+  in
   for i = 0 to n - 1 do
     Engine.set_handler engine i (fun ~sender msg ->
         match msg with
@@ -805,7 +803,7 @@ let checkpoints_agree c st =
 let prop_checkpoint_equals_reference =
   QCheck.Test.make ~name:"checkpoint = one-digest-per-query reference" ~count:100
     QCheck.(triple small_nat (float_bound_inclusive 1.) int)
-    (fun (seed, p, tap_seed) ->
+    (fun (seed, p, keep_seed) ->
       let rng = Rng.create (seed + 3300) in
       let g = Fpss_reference.random_graph rng ~seed ~p in
       let n = Graph.n g in
@@ -814,12 +812,12 @@ let prop_checkpoint_equals_reference =
         (fun v -> deviations.(v) <- construction_deviation rng n)
         (Rng.subset rng (Rng.int_in rng 0 2) n);
       let drop = Rng.choose rng [ 0.; 0.02; 0.1 ] in
-      let tap_rng = Rng.create tap_seed in
+      let keep_rng = Rng.create keep_seed in
       let keep = function
         | Protocol.Update (Protocol.Cost_announce _) | Protocol.Packet _ -> true
-        | Protocol.Update _ | Protocol.Copy _ -> not (Rng.bernoulli tap_rng drop)
+        | Protocol.Update _ | Protocol.Copy _ -> not (Rng.bernoulli keep_rng drop)
       in
-      let c = build ~tap:keep g deviations in
+      let c = build ~keep g deviations in
       let table st =
         drive c st;
         let agree = checkpoints_agree c st in
@@ -1225,7 +1223,13 @@ let test_heterogeneous_latency_agrees () =
   let c = Pricing.compute g in
   List.iter
     (fun seed ->
-      let params = { Runner.default_params with Runner.latency_seed = Some seed } in
+      let params =
+        {
+          Runner.default_params with
+          Runner.perturbation =
+            { Runner.no_perturbation with Runner.jitter = 0.5; perturb_seed = seed };
+        }
+      in
       let r = Runner.run_faithful ~params ~graph:g ~traffic () in
       check Alcotest.bool "completed" true r.Runner.completed;
       match r.Runner.tables with
@@ -1238,7 +1242,13 @@ let test_heterogeneous_latency_agrees () =
 let test_heterogeneous_latency_still_detects () =
   let g = Lazy.force ring5 in
   let traffic = Traffic.uniform ~n:5 ~rate:1. in
-  let params = { Runner.default_params with Runner.latency_seed = Some 9 } in
+  let params =
+    {
+      Runner.default_params with
+      Runner.perturbation =
+        { Runner.no_perturbation with Runner.jitter = 0.5; perturb_seed = 9 };
+    }
+  in
   let deviations = Array.make 5 Adversary.Faithful in
   deviations.(2) <- Adversary.Miscompute_pricing 2.;
   let r = Runner.run ~params ~graph:g ~traffic ~deviations () in
@@ -2130,6 +2140,245 @@ let test_byzantine_golden () =
     Alcotest.fail "byzantine golden digests moved"
   end
 
+(* Cross-commit golden for the network environment: channel loss, schedule
+   perturbations and [Fault] schedules, alone and composed. One digest per
+   run covers the verdict, restarts, stuck phase, every detection, the
+   utilities and the final clock in hex, the certified tables, and the
+   delivered-message and processed-event counts of each epoch. Sent
+   message and byte counts are left out: they depend on whether a lost
+   message is counted as sent, while a change to which messages are lost,
+   delayed or duplicated moves the delivered and event counts. *)
+let environment_golden =
+  [
+    ("fig1 loss 0.05 seed 1", "dd62bacebe8321f6c8202bd1371eca18");
+    ("fig1 loss 0.05 seed 2", "b30631f95b7d610ad829350d5dca002c");
+    ("fig1 loss 0.05 seed 3", "081ddd4c634a1bb76112b955b48b53d7");
+    ("fig1 loss 0.05 seed 4", "c407feecf2335eeea5cffa2e4a5ed23f");
+    ("fig1 loss 0.05 seed 5", "c1a0482510636a60e2fefb749f367bea");
+    ("fig1 loss 0.15 seed 1", "c7010305491e9b9d1c650c0c3e5015b7");
+    ("fig1 loss 0.15 seed 2", "342ddae8f6967280aac865758381a4c3");
+    ("fig1 loss 0.15 seed 3", "ce6996614ea3ea3a6777ae2b66381d54");
+    ("fig1 loss 0.15 seed 4", "b0c58a89b199c5d6a06c12b3df43e655");
+    ("fig1 loss 0.15 seed 5", "6048a1acb9f2e481ed0ac86c0ad467e6");
+    ("fig1 loss 0.25 seed 1", "7a7d08985b2c2890a0f44312242890b0");
+    ("fig1 loss 0.25 seed 2", "0c38932dda48108cb40eb37f48711848");
+    ("fig1 loss 0.25 seed 3", "02fdc2f2028d3ec4a9a15ff697a5e13f");
+    ("fig1 loss 0.25 seed 4", "4dd91a7000cd81796b680e6e313af2fb");
+    ("fig1 loss 0.25 seed 5", "1e4be53bbc4fcf7b89f3555978574c70");
+    ("fig1 jitter 0.2 dup 0.05 budget 1 seed 5", "596bf43eb644ccc237d725fe99f32a0c");
+    ("fig1 jitter 0.2 dup 0.05 budget 1 seed 17", "742723e98846091edf3f8ba60325b91d");
+    ("fig1 jitter 0.4 dup 0.1 budget 2 seed 5", "54a94da6624610b328ab202943e711ca");
+    ("fig1 jitter 0.4 dup 0.1 budget 2 seed 17", "3c8a5f55be0e4cb9338145df7b00dcab");
+    ("fig1 jitter 0.2 dup 0.1 budget 2 seed 5", "0a8b3f8ebc62b7ee816f158a3cd7dbab");
+    ("fig1 jitter 0.2 dup 0.1 budget 2 seed 17", "b5a0604de8be8b5e3320b36a156e25c2");
+    ("fig1 jitter 0.4 dup 0.05 budget 1 seed 5", "8c509f41bdaa4281eb674ce339fff25f");
+    ("fig1 jitter 0.4 dup 0.05 budget 1 seed 17", "b69b51d2e020341f02e0f0d1c1e82b26");
+    ("mesh:3x3 jitter 0.2 dup 0.05 budget 1 seed 5", "07de3adea0c62fec8a1604132041837f");
+    ("mesh:3x3 jitter 0.2 dup 0.05 budget 1 seed 17", "4b93bae7645d9c5ff9a9931eb87cd702");
+    ("mesh:3x3 jitter 0.4 dup 0.1 budget 2 seed 5", "3f3033f6602aec72fa7b2dab8c6d6972");
+    ("mesh:3x3 jitter 0.4 dup 0.1 budget 2 seed 17", "26586186cd4feac204ad76414a094694");
+    ("mesh:3x3 jitter 0.2 dup 0.1 budget 2 seed 5", "81359d396d3003d7abeab5229218267e");
+    ("mesh:3x3 jitter 0.2 dup 0.1 budget 2 seed 17", "a4762b801a6621bc2aad7f3a6ad1a23d");
+    ("mesh:3x3 jitter 0.4 dup 0.05 budget 1 seed 5", "083cf6e5c47e568f2dbb6712e311d64a");
+    ("mesh:3x3 jitter 0.4 dup 0.05 budget 1 seed 17", "586f2c80cac8dbe8ddd6712673fb2202");
+    ("fig1 link fault", "4bc663cfab0a0fcdbcc4b1b42e342f3a");
+    ("fig1 link fault, deviant", "3f9b6d35ddd1677e5a82a636d4b48dc5");
+    ("mesh:3x3 link fault", "4fdeaaac38fabf48e7c2347e302a50e2");
+    ("mesh:3x3 link fault, deviant", "3e690d0890e28515d4496c1a8908f4ae");
+    ("fig1 partition fault", "e51b4cb0117ba07256399d1d464b57f7");
+    ("fig1 partition fault, deviant", "04af6017f400debc06efcfe1b5430a45");
+    ("mesh:3x3 partition fault", "63769bc36ad5deccd73253cab04c1626");
+    ("mesh:3x3 partition fault, deviant", "ccd85faf23dec0a83ba45fdbe10ee172");
+    ("fig1 crash fault", "9ddbfdcfe58b7fbbb28e4a42221a00f1");
+    ("fig1 crash fault, deviant", "369f9e4473b9e049bc56ba711bb4266f");
+    ("mesh:3x3 crash fault", "ec58d9932a6ca8bd364e9b85f83fb157");
+    ("mesh:3x3 crash fault, deviant", "24c6d15e14e74a916c26e1da6cc73a08");
+    ("fig1 link+partition+crash fault", "5740939557460093abb4104827f003c5");
+    ("fig1 link+partition+crash fault, deviant", "85ac4a14eec6979fd1b1d4c183a53652");
+    ("mesh:3x3 link+partition+crash fault", "dee11677ae0834dafaf2a254635c816c");
+    ("mesh:3x3 link+partition+crash fault, deviant", "c63c58b319fcb093f1b7a68759563d59");
+    ("fig1 loss+perturbation", "d0367440ae45e9e1a578475fa2fba67e");
+    ("fig1 loss+perturbation+crash", "5efa070f3cd7fa50b88b4d51a287e7e3");
+    ("mesh:3x3 loss+perturbation+partition, deviant", "89113e770c19c935c35550475059daaa");
+  ]
+
+let environment_runs =
+  lazy
+    (let fig1, _ = Lazy.force fig1 in
+     let mesh =
+       Gen.grid ~rows:3 ~cols:3 ~costs:[| 3.; 1.; 4.; 1.; 5.; 9.; 2.; 6.; 5. |]
+     in
+     let on_fig1 = (fig1, fig1_traffic) in
+     let on_mesh = (mesh, Traffic.uniform ~n:9 ~rate:1.) in
+     let honest g = Array.make (Graph.n g) Adversary.Faithful in
+     let deviant g i d =
+       let p = honest g in
+       p.(i) <- d;
+       p
+     in
+     let perturb ~jitter ~dup ~budget seed =
+       {
+         Runner.jitter;
+         dup_p = dup;
+         drop_p = 0.3;
+         drop_budget = budget;
+         perturb_seed = seed;
+       }
+     in
+     let params ?loss ?(perturbation = Runner.no_perturbation) ?fault () =
+       {
+         Runner.default_params with
+         Runner.channel_loss = loss;
+         perturbation;
+         fault;
+         max_restarts = (if fault = None then 2 else 4);
+       }
+     in
+     let link = Some { Fault.loss_p = 0.05; reorder_p = 0.2; reorder_delay = 1.5 } in
+     let partition =
+       Some { Fault.island = [ 0; 1 ]; part_phase = `Routing; at = 0.5; heals_at = 3. }
+     in
+     let crash =
+       Some { Fault.node = 3; crash_phase = `Costs; at = 1.; recovers_at = 2.5 }
+     in
+     let spec seed ?link ?partition ?crash () = { Fault.seed; link; partition; crash } in
+     let losses =
+       List.concat_map
+         (fun p ->
+           List.init 5 (fun s ->
+               ( Printf.sprintf "fig1 loss %g seed %d" p (s + 1),
+                 on_fig1,
+                 params ~loss:(p, s + 1) (),
+                 honest fig1 )))
+         [ 0.05; 0.15; 0.25 ]
+     in
+     let mixes = [ (0.2, 0.05, 1); (0.4, 0.1, 2); (0.2, 0.1, 2); (0.4, 0.05, 1) ] in
+     let perturbed =
+       List.concat_map
+         (fun (name, ((g, _) as on)) ->
+           List.concat_map
+             (fun (jitter, dup, budget) ->
+               List.map
+                 (fun seed ->
+                   ( Printf.sprintf "%s jitter %g dup %g budget %d seed %d" name jitter
+                       dup budget seed,
+                     on,
+                     params ~perturbation:(perturb ~jitter ~dup ~budget seed) (),
+                     honest g ))
+                 [ 5; 17 ])
+             mixes)
+         [ ("fig1", on_fig1); ("mesh:3x3", on_mesh) ]
+     in
+     let p = perturb ~jitter:0.4 ~dup:0.1 ~budget:2 in
+     let faults =
+       [
+         ("link", spec 11 ?link ());
+         ("partition", spec 12 ?partition ());
+         ("crash", spec 13 ?crash ());
+         ("link+partition+crash", spec 14 ?link ?partition ?crash ());
+       ]
+       |> List.concat_map (fun (name, f) ->
+              List.concat_map
+                (fun (gname, ((g, _) as on)) ->
+                  [
+                    ( Printf.sprintf "%s %s fault" gname name,
+                      on,
+                      params ~perturbation:(p 7) ~fault:f (),
+                      honest g );
+                    ( Printf.sprintf "%s %s fault, deviant" gname name,
+                      on,
+                      params ~perturbation:(p 8) ~fault:f (),
+                      deviant g 2 (Adversary.Miscompute_routing (-2.)) );
+                  ])
+                [ ("fig1", on_fig1); ("mesh:3x3", on_mesh) ])
+     in
+     let composed =
+       [
+         ( "fig1 loss+perturbation",
+           on_fig1,
+           params ~loss:(0.05, 21) ~perturbation:(p 21) (),
+           honest fig1 );
+         ( "fig1 loss+perturbation+crash",
+           on_fig1,
+           params ~loss:(0.05, 22) ~perturbation:(p 22)
+             ~fault:(spec 22 ?link ?crash ()) (),
+           honest fig1 );
+         ( "mesh:3x3 loss+perturbation+partition, deviant",
+           on_mesh,
+           params ~loss:(0.02, 23) ~perturbation:(p 23)
+             ~fault:(spec 23 ?partition ()) (),
+           deviant mesh 4 (Adversary.Byzantine_arbitrary 23) );
+       ]
+     in
+     losses @ perturbed @ faults @ composed)
+
+let environment_run_digest ((g, traffic), params, deviations) =
+  let obs = Damd_obs.Obs.memory () in
+  let r = Runner.run ~params:{ params with Runner.obs } ~graph:g ~traffic ~deviations () in
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "completed=%b;restarts=%d;stuck=%s;" r.Runner.completed
+    r.Runner.restarts
+    (Option.value ~default:"-" r.Runner.stuck_phase);
+  Option.iter
+    (fun reg ->
+      List.iter
+        (fun name ->
+          Printf.bprintf b "%s=%d;" name
+            (Damd_obs.Metrics.counter_value (Damd_obs.Metrics.counter reg name)))
+        [
+          "engine.construction.messages_delivered";
+          "engine.construction.events_processed";
+          "engine.execution.messages_delivered";
+          "engine.execution.events_processed";
+        ])
+    (Damd_obs.Obs.metrics obs);
+  List.iter
+    (fun (d : Bank.detection) ->
+      Printf.bprintf b "detection=%s/%s/%s;" d.Bank.rule
+        (match d.Bank.culprit with Some c -> string_of_int c | None -> "-")
+        d.Bank.detail)
+    r.Runner.detections;
+  Array.iter (fun u -> Printf.bprintf b "utility=%h;" u) r.Runner.utilities;
+  Printf.bprintf b "sim_time=%h;" r.Runner.sim_time;
+  Option.iter
+    (fun (t : Tables.t) ->
+      Array.iteri
+        (fun src row ->
+          Array.iteri
+            (fun dst e ->
+              Printf.bprintf b "route %d %d=" src dst;
+              Option.iter
+                (fun (e : Dijkstra.entry) ->
+                  Printf.bprintf b "%h:%s" e.Dijkstra.cost
+                    (String.concat "," (List.map string_of_int e.Dijkstra.path)))
+                e;
+              List.iter
+                (fun (k, p) -> Printf.bprintf b " %d@%h" k p)
+                t.Tables.prices.(src).(dst);
+              Buffer.add_char b ';')
+            row)
+        t.Tables.routing)
+    r.Runner.tables;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_environment_golden () =
+  let actual =
+    List.map
+      (fun (label, on, params, deviations) ->
+        (label, environment_run_digest (on, params, deviations)))
+      (Lazy.force environment_runs)
+  in
+  if actual <> environment_golden then begin
+    List.iter
+      (fun (label, hex) ->
+        if List.assoc_opt label environment_golden <> Some hex then
+          Printf.printf "environment golden mismatch: %s\n" label)
+      actual;
+    print_endline "actual list:";
+    List.iter (fun (label, hex) -> Printf.printf "    (%S, %S);\n" label hex) actual;
+    Alcotest.fail "environment golden digests moved"
+  end
+
 let suites =
   [
     ( "faithful.protocol",
@@ -2340,5 +2589,7 @@ let suites =
           test_byzantine_golden;
         Alcotest.test_case "byz equal cost pair declares" `Quick
           test_plan_of_seed_equal_pair;
+        Alcotest.test_case "environment golden: loss, perturbation, faults" `Quick
+          test_environment_golden;
       ] );
   ]

@@ -1,6 +1,7 @@
 (* Tests for Damd_sim.Engine: delivery semantics, deterministic ordering,
-   per-link FIFO, taps (drop / rewrite), timers, accounting, and repeated
-   run-to-quiescence — the execution pattern the faithful protocol uses. *)
+   per-link FIFO, timers, accounting, the environment shaper and down
+   nodes, and repeated run-to-quiescence — the execution pattern the
+   faithful protocol uses — and for the seeded Damd_sim.Fault schedules. *)
 
 module Engine = Damd_sim.Engine
 
@@ -59,29 +60,6 @@ let test_no_handler_discards () =
   check Alcotest.bool "quiescent" true (Engine.run e = Engine.Quiescent);
   check Alcotest.int "still counted" 1 (Engine.messages_delivered e)
 
-let test_tap_drop () =
-  let e = Engine.create ~n:2 () in
-  let got = ref 0 in
-  Engine.set_handler e 1 (fun ~sender:_ _ -> incr got);
-  Engine.set_tap e (fun ~src:_ ~dst:_ msg -> if msg = "drop" then None else Some msg);
-  Engine.send e ~src:0 ~dst:1 "drop";
-  Engine.send e ~src:0 ~dst:1 "keep";
-  ignore (Engine.run e);
-  check Alcotest.int "one delivered" 1 !got;
-  check Alcotest.int "one dropped" 1 (Engine.messages_dropped e);
-  check Alcotest.int "one sent" 1 (Engine.messages_sent e)
-
-let test_tap_rewrite_and_clear () =
-  let e = Engine.create ~n:2 () in
-  let got = ref [] in
-  Engine.set_handler e 1 (fun ~sender:_ msg -> got := msg :: !got);
-  Engine.set_tap e (fun ~src:_ ~dst:_ msg -> Some (msg ^ "!"));
-  Engine.send e ~src:0 ~dst:1 "a";
-  Engine.clear_tap e;
-  Engine.send e ~src:0 ~dst:1 "b";
-  ignore (Engine.run e);
-  check (Alcotest.list Alcotest.string) "rewrite then clean" [ "a!"; "b" ] (List.rev !got)
-
 let test_timers_interleave () =
   let e = Engine.create ~n:1 () in
   let order = ref [] in
@@ -117,8 +95,6 @@ let test_stats_accounting () =
   check Alcotest.int "sent" 3 (Engine.messages_sent e);
   check Alcotest.int "delivered" 3 (Engine.messages_delivered e);
   check Alcotest.int "bytes" 11 (Engine.bytes_sent e);
-  check Alcotest.int "sent by 0" 2 (Engine.sent_by e 0);
-  check Alcotest.int "received by 2" 2 (Engine.received_by e 2);
   Engine.reset_stats e;
   check Alcotest.int "reset" 0 (Engine.messages_sent e)
 
@@ -196,19 +172,6 @@ let test_run_on_empty_engine () =
   let e : unit Engine.t = Engine.create ~n:0 () in
   check Alcotest.bool "empty quiescent" true (Engine.run e = Engine.Quiescent)
 
-let test_tap_sees_original_sender_and_dst () =
-  let e = Engine.create ~n:3 () in
-  let observed = ref [] in
-  Engine.set_tap e (fun ~src ~dst msg ->
-      observed := (src, dst) :: !observed;
-      Some msg);
-  Engine.send e ~src:1 ~dst:2 ();
-  Engine.send e ~src:0 ~dst:1 ();
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "tap observations" [ (1, 2); (0, 1) ]
-    (List.rev !observed)
-
 let test_timer_can_send () =
   let e = Engine.create ~n:2 () in
   let got = ref false in
@@ -270,22 +233,6 @@ let test_identical_traces_with_timers_and_ties () =
   in
   check Alcotest.bool "identical traces and event counts" true
     (trace () = trace ())
-
-let test_dropped_excluded_from_byte_accounting () =
-  (* A tap-dropped message must not count toward sent/bytes/sent_by —
-     only toward messages_dropped. *)
-  let e = Engine.create ~n:2 () in
-  Engine.set_size e String.length;
-  Engine.set_handler e 1 (fun ~sender:_ _ -> ());
-  Engine.set_tap e (fun ~src:_ ~dst:_ msg ->
-      if String.length msg > 4 then None else Some msg);
-  Engine.send e ~src:0 ~dst:1 "tiny";
-  Engine.send e ~src:0 ~dst:1 "dropped!";
-  ignore (Engine.run e);
-  check Alcotest.int "bytes exclude dropped" 4 (Engine.bytes_sent e);
-  check Alcotest.int "sent excludes dropped" 1 (Engine.messages_sent e);
-  check Alcotest.int "sent_by excludes dropped" 1 (Engine.sent_by e 0);
-  check Alcotest.int "dropped counted" 1 (Engine.messages_dropped e)
 
 let test_reset_stats_keeps_clock_and_processed () =
   (* reset_stats zeroes every counter — including [events_processed],
@@ -357,6 +304,12 @@ let test_out_of_range_src_rejected () =
 
 module Fault = Damd_sim.Fault
 
+(* [Fault] decides; the caller owns the engine's shaper hook. *)
+let install e spec =
+  let ctl = Fault.create ~n:(Engine.n e) spec in
+  Engine.set_shaper e (Fault.shape ctl);
+  ctl
+
 let test_shaper_lose_delay_and_clear () =
   let e = Engine.create ~n:3 () in
   let got = ref [] in
@@ -419,7 +372,7 @@ let test_fault_loss_deterministic () =
         crash = None;
       }
     in
-    ignore (Fault.install e spec);
+    ignore (install e spec);
     Engine.send e ~src:0 ~dst:1 30;
     Engine.send e ~src:2 ~dst:3 30;
     ignore (Engine.run e);
@@ -445,7 +398,7 @@ let test_fault_crash_window_and_arm_once () =
         Some { Fault.node = 1; crash_phase = `Routing; at = 2.; recovers_at = 5. };
     }
   in
-  let ctl = Fault.install e spec in
+  let ctl = install e spec in
   (* anchored to `Routing: arming `Costs does nothing *)
   Fault.arm e ctl ~phase:`Costs;
   Engine.send e ~src:0 ~dst:1 "costs-phase";
@@ -489,7 +442,7 @@ let test_fault_partition_window_and_heal () =
       crash = None;
     }
   in
-  let ctl = Fault.install e spec in
+  let ctl = install e spec in
   Fault.arm e ctl ~phase:`Costs;
   Engine.send e ~src:0 ~dst:2 "cross-early";
   Engine.send e ~src:0 ~dst:1 "intra-island";
@@ -516,7 +469,7 @@ let test_fault_deactivate_stops_injection () =
       crash = None;
     }
   in
-  let ctl = Fault.install e spec in
+  let ctl = install e spec in
   Engine.send e ~src:0 ~dst:1 ();
   ignore (Engine.run e);
   check Alcotest.int "total loss while active" 0 !got;
@@ -533,7 +486,7 @@ let test_fault_validate_rejects_malformed () =
   List.iter
     (fun spec ->
       check Alcotest.bool "malformed spec rejected" true
-        (match Fault.install e spec with
+        (match install e spec with
         | exception Invalid_argument _ -> true
         | _ -> false))
     [
@@ -558,47 +511,32 @@ module Obs = Damd_obs.Obs
 module Metrics = Damd_obs.Metrics
 
 let test_obs_kind_counters_under_faults () =
-  (* The three loss classes must stay distinguishable — tap-dropped
-     (adversarial), shaper-lost (environment), crashed src/dst — each
-     classified per message kind for the obs layer. *)
+  (* Shaper losses and crashed src/dst losses are all counted as sent and
+     then lost, each classified per message kind for the obs layer; only
+     the shaper's are shaper decisions. *)
   let e = Engine.create ~n:4 () in
   Engine.set_obs e (Obs.memory ()) ~kinds:[| "a"; "b" |] ~kind_of:(fun m -> m);
   for i = 0 to 3 do
     Engine.set_handler e i (fun ~sender:_ _ -> ())
   done;
-  Engine.set_tap e (fun ~src:_ ~dst msg -> if dst = 2 then None else Some msg);
   Engine.set_shaper e (fun ~src:_ ~dst ~now:_ msg ->
       if dst = 1 && msg = 1 then Engine.Lose else Engine.Pass);
   Engine.set_down e 3 true;
   Engine.send e ~src:0 ~dst:1 0 (* delivered, kind a *);
   Engine.send e ~src:0 ~dst:1 1 (* shaper-lost, kind b *);
-  Engine.send e ~src:0 ~dst:2 0 (* tap-dropped, kind a *);
   Engine.send e ~src:0 ~dst:3 1 (* lost at delivery: crashed dst, kind b *);
   Engine.send e ~src:3 ~dst:1 0 (* lost at send: crashed src, kind a *);
   ignore (Engine.run e);
-  check Alcotest.int "sent excludes tap-dropped" 4 (Engine.messages_sent e);
+  check Alcotest.int "sent includes lost" 4 (Engine.messages_sent e);
+  check Alcotest.int "bytes include lost" 4 (Engine.bytes_sent e);
   check Alcotest.int "delivered" 1 (Engine.messages_delivered e);
-  check Alcotest.int "dropped = tap only" 1 (Engine.messages_dropped e);
   check Alcotest.int "lost = shaper + down-dst + down-src" 3
     (Engine.messages_lost e);
   check Alcotest.int "shaper losses" 1 (Engine.shaper_losses e);
   check Alcotest.int "shaper delays" 0 (Engine.shaper_delays e);
   check Alcotest.bool "queue peak positive" true (Engine.queue_peak e > 0);
   check Alcotest.bool "per-kind counters" true
-    (Engine.kind_stats e = [ ("a", 2, 1, 1, 1); ("b", 2, 0, 0, 2) ])
-
-let test_obs_kind_classified_after_rewrite () =
-  (* A tap rewrite changes what goes onto the wire: sent/delivered count
-     the rewritten kind, while a tap *drop* is attributed to the
-     original message's kind (nothing else ever existed). *)
-  let e = Engine.create ~n:2 () in
-  Engine.set_obs e (Obs.memory ()) ~kinds:[| "a"; "b" |] ~kind_of:(fun m -> m);
-  Engine.set_handler e 1 (fun ~sender:_ _ -> ());
-  Engine.set_tap e (fun ~src:_ ~dst:_ _ -> Some 1);
-  Engine.send e ~src:0 ~dst:1 0;
-  ignore (Engine.run e);
-  check Alcotest.bool "rewritten kind counted" true
-    (Engine.kind_stats e = [ ("a", 0, 0, 0, 0); ("b", 1, 1, 0, 0) ])
+    (Engine.kind_stats e = [ ("a", 2, 1, 1); ("b", 2, 0, 2) ])
 
 let test_reset_stats_zeroes_obs_counters () =
   (* Regression guard for the PR-5 events_processed bug class: every
@@ -620,7 +558,6 @@ let test_reset_stats_zeroes_obs_counters () =
   Engine.reset_stats e;
   check Alcotest.int "sent" 0 (Engine.messages_sent e);
   check Alcotest.int "delivered" 0 (Engine.messages_delivered e);
-  check Alcotest.int "dropped" 0 (Engine.messages_dropped e);
   check Alcotest.int "lost" 0 (Engine.messages_lost e);
   check Alcotest.int "bytes" 0 (Engine.bytes_sent e);
   check Alcotest.int "events processed" 0 (Engine.events_processed e);
@@ -628,7 +565,7 @@ let test_reset_stats_zeroes_obs_counters () =
   check Alcotest.int "shaper delays" 0 (Engine.shaper_delays e);
   check Alcotest.int "queue peak" 0 (Engine.queue_peak e);
   check Alcotest.bool "per-kind zeroed" true
-    (Engine.kind_stats e = [ ("a", 0, 0, 0, 0); ("b", 0, 0, 0, 0) ])
+    (Engine.kind_stats e = [ ("a", 0, 0, 0); ("b", 0, 0, 0) ])
 
 let test_obs_metrics_snapshot () =
   let e = Engine.create ~n:2 () in
@@ -652,8 +589,6 @@ let suites =
         Alcotest.test_case "cascading sends" `Quick test_cascading_sends;
         Alcotest.test_case "event limit" `Quick test_event_limit;
         Alcotest.test_case "no handler discards" `Quick test_no_handler_discards;
-        Alcotest.test_case "tap drop" `Quick test_tap_drop;
-        Alcotest.test_case "tap rewrite and clear" `Quick test_tap_rewrite_and_clear;
         Alcotest.test_case "timers interleave" `Quick test_timers_interleave;
         Alcotest.test_case "negative delay rejected" `Quick test_negative_delay_rejected;
         Alcotest.test_case "out of range rejected" `Quick test_out_of_range_send_rejected;
@@ -667,15 +602,11 @@ let suites =
           test_fifo_preserved_per_link_with_heterogeneous_latency;
         Alcotest.test_case "default size" `Quick test_default_size_is_one_byte;
         Alcotest.test_case "empty engine" `Quick test_run_on_empty_engine;
-        Alcotest.test_case "tap observes endpoints" `Quick
-          test_tap_sees_original_sender_and_dst;
         Alcotest.test_case "timer can send" `Quick test_timer_can_send;
         Alcotest.test_case "equal-time cross-link order" `Quick
           test_equal_time_cross_link_order;
         Alcotest.test_case "identical traces with ties" `Quick
           test_identical_traces_with_timers_and_ties;
-        Alcotest.test_case "dropped excluded from bytes" `Quick
-          test_dropped_excluded_from_byte_accounting;
         Alcotest.test_case "reset_stats keeps clock" `Quick
           test_reset_stats_keeps_clock_and_processed;
         Alcotest.test_case "event limit boundary" `Quick
@@ -690,8 +621,6 @@ let suites =
           test_down_node_loses_both_directions;
         Alcotest.test_case "obs kind counters under faults" `Quick
           test_obs_kind_counters_under_faults;
-        Alcotest.test_case "obs kind follows tap rewrite" `Quick
-          test_obs_kind_classified_after_rewrite;
         Alcotest.test_case "reset_stats zeroes obs counters" `Quick
           test_reset_stats_zeroes_obs_counters;
         Alcotest.test_case "obs_metrics snapshot prefixing" `Quick

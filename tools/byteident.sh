@@ -25,7 +25,10 @@
 #     prints a rate);
 #   - the gauntlet.campaign tests (whose "replay golden" case pins 32
 #     campaign digests) and the faithful.fault tests (whose "byzantine
-#     golden" case pins 40 Byzantine-plan run digests), exit codes only.
+#     golden" case pins 40 Byzantine-plan run digests), exit codes only;
+#     and, on its own, the exit code of faithful.fault case 7, the
+#     "environment golden" (50 runs under channel loss, perturbations and
+#     fault schedules). A REV older than that case exits 1 there.
 # Then `diff -r` on the two directories. Exit 0 when they are identical,
 # 1 on any difference, 2 on a usage or build error. About two minutes per
 # tree.
@@ -130,6 +133,8 @@ drive() {
   echo "$?" >tests_gauntlet_campaign.exit
   (cd "$tree" && ./_build/default/test/test_main.exe test faithful.fault >/dev/null 2>&1)
   echo "$?" >tests_faithful_fault.exit
+  (cd "$tree" && ./_build/default/test/test_main.exe test faithful.fault 7 >/dev/null 2>&1)
+  echo "$?" >tests_environment_golden.exit
 }
 
 (drive "$work/base" "$work/out/base")
