@@ -77,9 +77,7 @@ let experiment_tests =
         (Staged.stage (fun () -> ignore (Distributed.run graph16)));
       Test.make ~name:"e6_plain_fpss_n8"
         (Staged.stage (fun () ->
-             let params =
-               { Runner.default_params with Runner.checking = false; copies = false }
-             in
+             let params = { Runner.default_params with Runner.bank = Runner.Plain } in
              ignore (Runner.run_faithful ~params ~graph:graph8 ~traffic:traffic8 ())));
       Test.make ~name:"e6_faithful_n8"
         (Staged.stage (fun () ->
@@ -93,9 +91,7 @@ let experiment_tests =
                   ~deviation:(Adversary.Underreport_payments 0.5) ())));
       Test.make ~name:"e8_deferred_certification"
         (Staged.stage (fun () ->
-             let params =
-               { Runner.default_params with Runner.deferred_certification = true }
-             in
+             let params = { Runner.default_params with Runner.bank = Runner.Deferred } in
              let deviations = Array.make 6 Adversary.Faithful in
              deviations.(2) <- Adversary.Inconsistent_cost (1., 8.);
              ignore (Runner.run ~params ~graph:fig1 ~traffic:fig1_traffic ~deviations ())));

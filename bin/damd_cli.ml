@@ -208,12 +208,26 @@ let run_routing topology seed deviants no_checking no_copies deferred latency lo
     else Traffic.uniform ~n ~rate
   in
   let deviations = deviant_profile n deviants in
+  let bank =
+    match
+      List.filter snd
+        [
+          (Runner.Unchecked, no_checking);
+          (Runner.Plain, no_copies);
+          (Runner.Deferred, deferred);
+        ]
+    with
+    | [] -> Runner.Certified
+    | [ (bank, _) ] -> bank
+    | _ ->
+        input_error
+          "--no-checking, --no-copies and --deferred-certification each select \
+           a bank; give at most one"
+  in
   let params =
     {
       Runner.default_params with
-      Runner.checking = not no_checking;
-      copies = not no_copies;
-      deferred_certification = deferred;
+      Runner.bank;
       perturbation =
         (match latency with
         | Some s -> { Runner.no_perturbation with Runner.jitter = 0.5; perturb_seed = s }
@@ -375,16 +389,26 @@ let deviants =
         ~doc:"Seat a deviant (repeatable), e.g. 3:miscompute-routing:-2.")
 
 let no_checking =
-  Arg.(value & flag & info [ "no-checking" ] ~doc:"Disable checkers and the bank.")
+  Arg.(
+    value & flag
+    & info [ "no-checking" ]
+        ~doc:
+          "Disable the bank's checks. In routing this is the unchecked bank \
+           of E7: checkers still get copies, the bank believes every report.")
 
 let no_copies =
-  Arg.(value & flag & info [ "no-copies" ] ~doc:"Plain FPSS: no checker copies.")
+  Arg.(
+    value & flag
+    & info [ "no-copies" ]
+        ~doc:"Plain FPSS (E6 baseline): no checker copies and no checks.")
 
 let deferred =
   Arg.(
     value & flag
     & info [ "deferred-certification" ]
-        ~doc:"Certify only once, at the end of construction (E8 ablation).")
+        ~doc:
+          "Certify only once, at the end of construction (E8 ablation). At \
+           most one of --no-checking, --no-copies and this flag.")
 
 let latency =
   Arg.(
@@ -914,9 +938,9 @@ let run_gauntlet campaigns seed weaken_s json_path replay no_shrink faults
   let module Campaign = Damd_gauntlet.Campaign in
   at_least 1 "campaigns" campaigns;
   let epsilon = Option.map (finite "--epsilon") epsilon in
-  let weaken =
+  let bank =
     match Campaign.weaken_of_string weaken_s with
-    | Some w -> w
+    | Some b -> b
     | None ->
         input_error "bad --weaken %S (expected none | pricing | settlement | all)"
           weaken_s
@@ -924,7 +948,7 @@ let run_gauntlet campaigns seed weaken_s json_path replay no_shrink faults
   let mix = { Campaign.faults; epsilon } in
   let trace_meta extra =
     [ ("command", Json.String "gauntlet");
-      ("weaken", Json.String (Campaign.weaken_name weaken)) ]
+      ("weaken", Json.String (Campaign.weaken_name bank)) ]
     @ extra
   in
   match replay with
@@ -938,7 +962,7 @@ let run_gauntlet campaigns seed weaken_s json_path replay no_shrink faults
         | Some _ -> Obs.memory ~detail:true ()
       in
       let descr = Campaign.of_seed ~mix cseed in
-      let gr = Campaign.grade ~weaken ~obs descr in
+      let gr = Campaign.grade ~bank ~obs descr in
       print_endline (Damd_util.Json.to_string ~indent:2 (Campaign.json_of_graded gr));
       (match trace_out with
       | None -> ()
@@ -951,20 +975,20 @@ let run_gauntlet campaigns seed weaken_s json_path replay no_shrink faults
              evidence surfaced in, and the certifying checkpoint. *)
           if
             gr.Campaign.verdict = Campaign.Violation
-            && weaken <> Campaign.No_weaken
+            && bank <> Runner.Certified
           then
             ignore
               (Obs.span obs ~cat:"gauntlet"
                  ~args:[ ("weaken", Json.String "none") ]
                  "forensic"
-                 (fun () -> Campaign.grade ~weaken:Campaign.No_weaken ~obs descr));
+                 (fun () -> Campaign.grade ~obs descr));
           write_trace ~meta:(trace_meta [ ("replay", Json.Int cseed) ]) ~path obs);
       if gr.Campaign.verdict = Campaign.Violation then exit 1
   | None ->
       let obs =
         match trace_out with None -> Obs.noop | Some _ -> Obs.memory ()
       in
-      let gradeds = Campaign.run_batch ~weaken ~mix ~obs ~campaigns ~seed () in
+      let gradeds = Campaign.run_batch ~bank ~mix ~obs ~campaigns ~seed () in
       (match trace_out with
       | None -> ()
       | Some path ->
@@ -979,7 +1003,7 @@ let run_gauntlet campaigns seed weaken_s json_path replay no_shrink faults
       in
       let shrunk =
         if no_shrink then []
-        else List.map (Campaign.shrink ~weaken) violations
+        else List.map (Campaign.shrink ~bank) violations
       in
       let count v =
         List.length (List.filter (fun g -> g.Campaign.verdict = v) gradeds)
@@ -988,7 +1012,7 @@ let run_gauntlet campaigns seed weaken_s json_path replay no_shrink faults
         "gauntlet: %d campaigns, master seed %d, weaken=%s%s\n\
          verdicts: %d detected, %d undetected-unprofitable, %d VIOLATION\n"
         campaigns seed
-        (Campaign.weaken_name weaken)
+        (Campaign.weaken_name bank)
         ((if faults then ", faults=on" else "")
         ^
         match epsilon with
@@ -1043,7 +1067,7 @@ let run_gauntlet campaigns seed weaken_s json_path replay no_shrink faults
       | None -> ()
       | Some path ->
           Damd_util.Json.to_file path
-            (Campaign.report ~shrunk ~weaken ~seed gradeds);
+            (Campaign.report ~shrunk ~bank ~seed gradeds);
           Printf.printf "\nreport written to %s (schema damd-gauntlet/%d)\n" path
             (if Campaign.is_stock mix then 1 else 2));
       if violations <> [] then exit 1

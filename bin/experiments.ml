@@ -408,9 +408,7 @@ let e6 ~quick =
     (fun n ->
       let g = Gen.chordal_ring rng ~n ~chords:(n / 4) (Gen.Uniform_int (1, 10)) in
       let traffic = Traffic.uniform ~n ~rate:1. in
-      let plain_params =
-        { Runner.default_params with Runner.checking = false; copies = false }
-      in
+      let plain_params = { Runner.default_params with Runner.bank = Runner.Plain } in
       let plain = Runner.run_faithful ~params:plain_params ~graph:g ~traffic () in
       let faithful = Runner.run_faithful ~graph:g ~traffic () in
       let repl = Replication.run g in
@@ -476,7 +474,7 @@ let e7 ~quick =
           Table.cell_float report.Equilibrium.max_gain;
           (if Equilibrium.holds report then "holds" else "VIOLATED");
         ];
-      let unchecked = { Runner.default_params with Runner.checking = false } in
+      let unchecked = { Runner.default_params with Runner.bank = Runner.Unchecked } in
       let report_off =
         Analysis.ex_post_nash_report ~params:unchecked ~rng ~profiles ~base:g ~traffic ()
       in
@@ -516,8 +514,8 @@ let e8 ~quick:_ =
   let g = Gen.chordal_ring rng ~n:10 ~chords:4 (Gen.Uniform_int (1, 8)) in
   let n = Graph.n g in
   let traffic = Traffic.uniform ~n ~rate:1. in
-  let run ~deferred deviation =
-    let params = { Runner.default_params with Runner.deferred_certification = deferred } in
+  let run bank deviation =
+    let params = { Runner.default_params with Runner.bank } in
     let deviations = Array.make n Adversary.Faithful in
     deviations.(0) <- deviation;
     Runner.run ~params ~graph:g ~traffic ~deviations ()
@@ -529,8 +527,8 @@ let e8 ~quick:_ =
   let localizes = ref true in
   List.iter
     (fun d ->
-      let phased = run ~deferred:false d in
-      let deferred = run ~deferred:true d in
+      let phased = run Runner.Certified d in
+      let deferred = run Runner.Deferred d in
       Table.add_row t
         [
           Adversary.name d;

@@ -30,12 +30,8 @@ let one ?params ~graph ~traffic ~node ~deviation () =
   deviations.(node) <- deviation;
   let r = Runner.run ?params ~graph ~traffic ~deviations () in
   let rules =
-    r.Runner.detections
-    |> List.filter_map (fun d ->
-           (* checker flags are advisory; bank rules are the verdicts *)
-           if d.Bank.rule = "CHECK" || d.Bank.rule = "CHECK2" then None
-           else Some d.Bank.rule)
-    |> List.sort_uniq String.compare
+    List.sort_uniq String.compare
+      (List.map (fun d -> d.Bank.rule) r.Runner.detections)
   in
   let outcome =
     if rules <> [] then Caught rules

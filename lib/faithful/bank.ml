@@ -193,18 +193,6 @@ let checkpoint ~fault_tolerant st nodes =
 let checkpoint_routing nodes = checkpoint ~fault_tolerant:false Node.routing_stage nodes
 let checkpoint_pricing nodes = checkpoint ~fault_tolerant:false Node.pricing_stage nodes
 
-let collect_flags nodes =
-  Array.to_list nodes
-  |> List.concat_map (fun (node : Node.t) ->
-         List.rev_map
-           (fun (rule, detail) ->
-             {
-               rule;
-               culprit = None;
-               detail = Printf.sprintf "%s (flagged by node %d)" detail node.Node.id;
-             })
-           node.Node.check_flags)
-
 let checkpoint_bytes nodes =
   (* DATA1: one digest per node; BANK1 and BANK2: per principal one
      self-digest plus two digests (mirror + announced) per checker. Each
@@ -235,9 +223,7 @@ type settlement = {
 (* The certified view: node s's own tables (which, after a clean
    checkpoint, equal every checker's mirror). *)
 let certified_prices (nodes : Node.t array) s dst =
-  List.map
-    (fun (pe : Protocol.price_entry) -> (pe.Protocol.transit, pe.Protocol.price))
-    nodes.(s).Node.pricing.(dst)
+  Protocol.price_pairs nodes.(s).Node.pricing.(dst)
 
 let certified_path (nodes : Node.t array) s dst =
   match nodes.(s).Node.routing.(dst) with

@@ -20,7 +20,7 @@
     gain. All node↔bank traffic is signed ([Damd_crypto.Signer]). *)
 
 type detection = {
-  rule : string;  (** "DATA1" | "BANK1" | "BANK2" | "EXEC" | checker flags *)
+  rule : string;  (** "DATA1" | "BANK1" | "BANK2" | "EXEC" | "LIVELOCK" *)
   culprit : int option;
       (** the principal whose hash set disagreed / the node whose
           forwarding or report deviated; [None] when unattributable *)
@@ -69,10 +69,6 @@ val checkpoint_routing : Node.t array -> detection list
 val checkpoint_pricing : Node.t array -> detection list
 (** [checkpoint ~fault_tolerant:false Node.pricing_stage] ([BANK2]). *)
 
-val collect_flags : Node.t array -> detection list
-(** Checker-raised flags (malformed or misattributed copies, bad update
-    provenance). *)
-
 val checkpoint_bytes : Node.t array -> int
 (** Bytes moved over the signed bank channel for one full set of
     construction checkpoints (E10's cost model). *)
@@ -96,9 +92,9 @@ val settle :
 (** Clear the execution phase. With [checking = true] payments are
     corrected to the certified tables, misreports and misroutes are
     detected and fined; with [checking = false] the bank naively believes
-    every report (the unfaithful baseline of experiment E7). [obs] (pass
-    [Damd_obs.Obs.noop] when not tracing) runs the settlement under a
-    ["bank.settle"] span. *)
+    every report ([Runner]'s [Naive_settlement], [Unchecked] and [Plain]
+    banks). [obs] (pass [Damd_obs.Obs.noop] when not tracing) runs the
+    settlement under a ["bank.settle"] span. *)
 
 val serialize_report : (int * float) list -> string
 (** Canonical DATA4 payload placed under the signature. *)

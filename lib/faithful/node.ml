@@ -29,14 +29,11 @@ type t = {
   mutable pricing : Protocol.pricing_table;
   routing_slot : Protocol.routing_table slot;
   pricing_slot : Protocol.pricing_table slot;
-  mutable check_flags : (string * string) list;
   mutable carried : (int * int * float * int) list;
   mutable deliveries : (int * float * int list) list;
 }
 
 type 'tbl stage = {
-  table : string;
-  princ_rule : string;
   bank_rule : string;
   wrap : origin:int -> 'tbl -> Protocol.update;
   unwrap : Protocol.update -> (int * 'tbl) option;
@@ -105,7 +102,6 @@ let create ?(copies = true) ~id ~n ~neighbor_sets ~true_cost ~deviation () =
     pricing = Protocol.empty_pricing ~n;
     routing_slot = new_slot ~n (Protocol.empty_routing ~n ~self:id);
     pricing_slot = new_slot ~n (Protocol.empty_pricing ~n);
-    check_flags = [];
     carried = [];
     deliveries = [];
   }
@@ -124,8 +120,6 @@ let reset_stage st node =
 let reset_execution node =
   node.carried <- [];
   node.deliveries <- []
-
-let flag node rule detail = node.check_flags <- (rule, detail) :: node.check_flags
 
 (* --- Phase 1: cost flood --- *)
 
@@ -161,7 +155,7 @@ let on_cost_msg node (send : send) ~sender update =
               if nbr <> sender then
                 send ~dst:nbr (Protocol.Update (Protocol.Cost_announce { origin; cost })))
             node.neighbors_arr)
-  | _ -> flag node "PHASE1" "non-cost update during phase 1"
+  | _ -> () (* a table update during phase 1 is dropped *)
 
 let finalize_costs node =
   if Array.for_all Option.is_some node.learned_costs then begin
@@ -213,22 +207,15 @@ let announce st node (send : send) =
           node.neighbors_arr
       end
 
-let checker_accepts node ~principal ~via ~origin =
-  if not (mem_sorted node.neighbors_arr principal) then begin
-    flag node "CHECK" "copy from a non-neighbor principal";
-    false
-  end
-  else if origin <> via then begin
-    flag node "CHECK2" "copy whose inner origin does not match its via tag";
-    false
-  end
-  else if not (mem_sorted node.neighbor_arrs.(principal) via) then begin
-    (* §4.3 [CHECK2]: ignore messages whose identity is not a checker node
-       of the principal. *)
-    flag node "CHECK2" "copy via a node that is not a checker of the principal";
-    false
-  end
-  else true
+(* A copy enters the mirror of [principal] only when that principal, a
+   neighbour, sent it, its inner origin equals its [via] tag, and [via]
+   is a checker of the principal (§4.3 [CHECK2]: ignore messages whose
+   identity is not a checker node of the principal). *)
+let checker_accepts node ~sender ~principal ~via ~origin =
+  sender = principal
+  && mem_sorted node.neighbors_arr principal
+  && origin = via
+  && mem_sorted node.neighbor_arrs.(principal) via
 
 let spoof_target node ~sender =
   (* A fabricated provenance: the neighbor after [sender] in id order. *)
@@ -265,40 +252,31 @@ let start st node (send : send) =
   (st.slot node).announced <- None;
   announce st node send
 
+(* Anything but this stage's update from a neighbour about itself, or an
+   accepted copy of this stage's table, is dropped. *)
 let on_msg st node (send : send) ~sender msg =
-  let unexpected () =
-    flag node st.princ_rule ("unexpected message in " ^ st.table ^ " phase")
-  in
   match msg with
   | Protocol.Update u -> (
       match st.unwrap u with
-      | None -> unexpected ()
-      | Some (origin, table) ->
-          if (not (mem_sorted node.neighbors_arr sender)) || origin <> sender then
-            flag node st.princ_rule
-              (st.table ^ " update with inconsistent provenance")
-          else begin
-            let slot = st.slot node in
-            let old = List.assoc_opt sender slot.heard in
-            slot.heard <- set_assoc sender table slot.heard;
-            forward_copies st node send ~sender table;
-            st.set node
-              (match old with
-              | None -> st.recompute node
-              | Some old -> st.refresh node ~old table);
-            announce st node send
-          end)
+      | Some (origin, table)
+        when origin = sender && mem_sorted node.neighbors_arr sender ->
+          let slot = st.slot node in
+          let old = List.assoc_opt sender slot.heard in
+          slot.heard <- set_assoc sender table slot.heard;
+          forward_copies st node send ~sender table;
+          st.set node
+            (match old with
+            | None -> st.recompute node
+            | Some old -> st.refresh node ~old table);
+          announce st node send
+      | _ -> ())
   | Protocol.Copy { principal; via; inner } -> (
       match st.unwrap inner with
-      | None -> unexpected ()
-      | Some (origin, table) ->
-          if sender <> principal then
-            flag node "CHECK" "copy not sent by its claimed principal"
-          else if checker_accepts node ~principal ~via ~origin then begin
-            let slot = st.slot node in
-            slot.mirrors.(principal) <- set_assoc via table slot.mirrors.(principal)
-          end)
-  | Protocol.Packet _ -> unexpected ()
+      | Some (origin, table) when checker_accepts node ~sender ~principal ~via ~origin ->
+          let slot = st.slot node in
+          slot.mirrors.(principal) <- set_assoc via table slot.mirrors.(principal)
+      | _ -> ())
+  | Protocol.Packet _ -> ()
 
 (* Crash-recovery handoff: re-deliver the last announcement (if any) and
    the checker copies [to_] missed, through the live path's deviation
@@ -325,8 +303,6 @@ let mirror_digest st node ~principal = st.digest (st.mirror node ~principal)
 
 let routing_stage =
   {
-    table = "routing";
-    princ_rule = "PRINC1";
     bank_rule = "BANK1";
     wrap = (fun ~origin table -> Protocol.Routing_update { origin; table });
     unwrap =
@@ -371,8 +347,6 @@ let routing_stage =
    recompute, mirror and fault-tolerant input digests read both slots. *)
 let pricing_stage =
   {
-    table = "pricing";
-    princ_rule = "PRINC2";
     bank_rule = "BANK2";
     wrap = (fun ~origin table -> Protocol.Pricing_update { origin; table });
     unwrap =
@@ -423,8 +397,7 @@ let reset_pricing_phase node = reset_stage pricing_stage node
 
 let reset_routing_phase node =
   reset_stage pricing_stage node;
-  reset_stage routing_stage node;
-  node.check_flags <- []
+  reset_stage routing_stage node
 
 let start_routing node send = start routing_stage node send
 let on_routing_msg node send ~sender msg = on_msg routing_stage node send ~sender msg
@@ -469,7 +442,7 @@ let on_packet node (send : send) ~sender msg =
               send ~dst:hop
                 (Protocol.Packet { src; dst; rate; trace = trace @ [ node.id ] })
       end
-  | _ -> flag node "EXEC" "unexpected message in execution phase"
+  | _ -> () (* a table message during execution is dropped *)
 
 let payment_report node traffic =
   let totals = Hashtbl.create 8 in

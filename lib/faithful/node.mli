@@ -30,8 +30,7 @@
     hash comparison settles. Copy intake applies one filter to both
     tables: the copy must come from [p] itself, its inner origin must
     equal its [via] tag, and [via] must be a checker of [p] (a neighbor of
-    [p]); a rejected copy raises a [CHECK]/[CHECK2] flag whichever table
-    it carries. *)
+    [p]); a rejected copy is dropped, whichever table it carries. *)
 
 type send = dst:int -> Protocol.msg -> unit
 
@@ -78,7 +77,6 @@ type t = {
   mutable pricing : Protocol.pricing_table;
   routing_slot : Protocol.routing_table slot;
   pricing_slot : Protocol.pricing_table slot;
-  mutable check_flags : (string * string) list;  (** (rule, detail), newest first *)
   (* execution state *)
   mutable carried : (int * int * float * int) list;
       (** (src, dst, rate, from) transits actually performed *)
@@ -88,8 +86,6 @@ type t = {
 
 (** Everything the routing and pricing stages differ in. *)
 type 'tbl stage = {
-  table : string;  (** ["routing"] | ["pricing"], as flag details word it *)
-  princ_rule : string;  (** ["PRINC1"] | ["PRINC2"]: the intake flags' rule *)
   bank_rule : string;  (** ["BANK1"] | ["BANK2"]: the checkpoint's rule *)
   wrap : origin:int -> 'tbl -> Protocol.update;
   unwrap : Protocol.update -> (int * 'tbl) option;
@@ -141,8 +137,8 @@ val reset_costs : t -> unit
 (** Wipe DATA1 (a phase-1 restart). *)
 
 val reset_routing_phase : t -> unit
-(** Wipe phase-2 state (both tables) and the checker flags — a
-    bank-ordered restart of the routing stage. *)
+(** Wipe phase-2 state (both tables) — a bank-ordered restart of the
+    routing stage. *)
 
 val reset_pricing_phase : t -> unit
 (** Wipe only the pricing table's state (a [BANK2]-ordered restart keeps
@@ -172,7 +168,9 @@ val start : 'tbl stage -> t -> send -> unit
 val on_msg : 'tbl stage -> t -> send -> sender:int -> Protocol.msg -> unit
 (** Handles both direct updates (store, forward copies to checkers,
     recompute, announce on change) and copies (update the relevant
-    mirror). Anything else raises a [princ_rule] flag. An update from a
+    mirror). Anything else is dropped: an update that is not from a
+    neighbour about itself, a copy the intake filter rejects, a message
+    of another stage. An update from a
     neighbour heard before recomputes only the rows its new table changed
     ([refresh]); a neighbour's first table recomputes every row. Either
     way the node's table equals [recompute] of everything it has heard. *)

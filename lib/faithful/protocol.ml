@@ -76,6 +76,8 @@ let empty_routing ~n ~self =
 
 let empty_pricing ~n = Array.make n ([] : price_entry list)
 
+let price_pairs row = List.map (fun pe -> (pe.transit, pe.price)) row
+
 let routing_row ~self ~costs ~neighbor_tables dst =
   if dst = self then self_entry self
   else

@@ -64,6 +64,10 @@ val empty_routing : n:int -> self:int -> routing_table
 
 val empty_pricing : n:int -> pricing_table
 
+val price_pairs : price_entry list -> (int * float) list
+(** A pricing row as [(transit, price)] pairs, tags dropped: the row of
+    [Damd_fpss.Tables.prices] it certifies. *)
+
 val routing_row :
   self:int ->
   costs:float array ->

@@ -148,11 +148,7 @@ let run g =
     {
       Damd_fpss.Tables.routing = Array.init n (fun i -> states.(i).routing);
       prices =
-        Array.init n (fun i ->
-            Array.map
-              (List.map (fun (pe : Protocol.price_entry) ->
-                   (pe.Protocol.transit, pe.Protocol.price)))
-              states.(i).pricing);
+        Array.init n (fun i -> Array.map Protocol.price_pairs states.(i).pricing);
     }
   in
   let tables_match =

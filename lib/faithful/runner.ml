@@ -9,9 +9,13 @@ module Json = Damd_util.Json
 module Rng = Damd_util.Rng
 module Fault = Damd_sim.Fault
 
-type bank_checks = { pricing_check : bool; settlement_check : bool }
-
-let all_checks = { pricing_check = true; settlement_check = true }
+type bank =
+  | Certified
+  | Deferred
+  | Skip_pricing
+  | Naive_settlement
+  | Unchecked
+  | Plain
 
 type perturb = {
   jitter : float;
@@ -28,10 +32,7 @@ type params = {
   progress_penalty : float;
   epsilon : float;
   max_restarts : int;
-  checking : bool;
-  checks : bank_checks;
-  copies : bool;
-  deferred_certification : bool;
+  bank : bank;
   channel_loss : (float * int) option;
   perturbation : perturb;
   fault : Fault.spec option;
@@ -47,10 +48,7 @@ let default_params =
     progress_penalty = 1e5;
     epsilon = 1.;
     max_restarts = 2;
-    checking = true;
-    checks = all_checks;
-    copies = true;
-    deferred_certification = false;
+    bank = Certified;
     channel_loss = None;
     perturbation = no_perturbation;
     fault = None;
@@ -78,11 +76,7 @@ let build_tables (nodes : Node.t array) =
   let n = Array.length nodes in
   let routing = Array.init n (fun src -> Array.copy nodes.(src).Node.routing) in
   let prices =
-    Array.init n (fun src ->
-        Array.map
-          (List.map (fun (pe : Protocol.price_entry) ->
-               (pe.Protocol.transit, pe.Protocol.price)))
-          nodes.(src).Node.pricing)
+    Array.init n (fun src -> Array.map Protocol.price_pairs nodes.(src).Node.pricing)
   in
   { Tables.routing; prices }
 
@@ -92,7 +86,7 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
   let neighbor_sets = Array.init n (Graph.neighbors graph) in
   let nodes =
     Array.init n (fun id ->
-        Node.create ~copies:params.copies ~id ~n ~neighbor_sets
+        Node.create ~copies:(params.bank <> Plain) ~id ~n ~neighbor_sets
           ~true_cost:(Graph.cost graph id) ~deviation:deviations.(id) ())
   in
   let pb = params.perturbation in
@@ -280,6 +274,19 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
     note ds;
     match ds with [] -> Ok () | d :: _ -> Error d.Bank.detail
   in
+  (* The bank's evidence on one construction phase: DATA1, BANK1, BANK2.
+     The unchecked and plain banks collect none, skip-pricing no BANK2. *)
+  let evidence (phase : Fault.phase_tag) =
+    match (params.bank, phase) with
+    | (Unchecked | Plain), _ | Skip_pricing, `Pricing -> []
+    | _, `Costs -> Bank.checkpoint_costs nodes
+    | _, `Routing -> Bank.checkpoint ~fault_tolerant:ft Node.routing_stage nodes
+    | _, `Pricing -> Bank.checkpoint ~fault_tolerant:ft Node.pricing_stage nodes
+  in
+  (* Every bank but the deferred one certifies a phase as it ends. *)
+  let certify phase =
+    match params.bank with Deferred -> Ok () | _ -> verdict (evidence phase)
+  in
   (* --- the three certified construction phases --- *)
   let phase1 =
     {
@@ -298,19 +305,12 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
       certify =
         (fun () ->
           checkpoint "construction-1 (costs)"
-            (let complete = Array.for_all Node.finalize_costs nodes in
-             if not complete then Error "some node is missing transit costs"
-             else if params.deferred_certification then Ok ()
-             else
-               verdict
-                 (if params.checking then Bank.checkpoint_costs nodes else [])));
+            (if Array.for_all Node.finalize_costs nodes then certify `Costs
+             else Error "some node is missing transit costs"));
     }
   in
-  let table_checkpoint st ~check =
-    if check then Bank.checkpoint ~fault_tolerant:ft st nodes else []
-  in
   (* Construction 2a and 2b: one table each, the same obligations. *)
-  let phase2 st ~name ~drain_name ~anchor ~reset ~check =
+  let phase2 st ~name ~drain_name ~anchor ~reset =
     {
       Phase.name;
       run =
@@ -320,20 +320,16 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
           arm_faults anchor (Node.resend_to st);
           Array.iteri (fun i node -> Node.start st node sends.(i)) nodes;
           drain drain_name);
-      certify =
-        (fun () ->
-          checkpoint name
-            (if (not params.checking) || params.deferred_certification then Ok ()
-             else verdict (table_checkpoint st ~check)));
+      certify = (fun () -> checkpoint name (certify anchor));
     }
   in
   let phase2a =
     phase2 Node.routing_stage ~name:"construction-2a (routing)" ~drain_name:"phase2a"
-      ~anchor:`Routing ~reset:Node.reset_routing_phase ~check:true
+      ~anchor:`Routing ~reset:Node.reset_routing_phase
   in
   let phase2b =
     phase2 Node.pricing_stage ~name:"construction-2b (pricing)" ~drain_name:"phase2b"
-      ~anchor:`Pricing ~reset:Node.reset_pricing_phase ~check:params.checks.pricing_check
+      ~anchor:`Pricing ~reset:Node.reset_pricing_phase
   in
   Engine.reset_stats engine;
   let construction =
@@ -341,7 +337,12 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
   in
   let construction_messages = Engine.messages_sent engine in
   let construction_bytes = Engine.bytes_sent engine in
-  let bank_bytes = if params.checking then Bank.checkpoint_bytes nodes else 0 in
+  let bank_bytes =
+    match params.bank with
+    | Unchecked | Plain -> 0
+    | Certified | Deferred | Skip_pricing | Naive_settlement ->
+        Bank.checkpoint_bytes nodes
+  in
   (* Snapshot construction-epoch engine counters before the execution
      reset wipes them. *)
   (match Obs.metrics obs with
@@ -362,6 +363,65 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
       sim_time = Engine.now engine;
     }
   in
+  let execute progress =
+    (* --- execution phase --- *)
+    (* Fault injection ends with construction; channel loss and the
+       perturbation spare execution packets too, so Definition-8 utility
+       deltas stay attributable to the deviant rather than to fault
+       noise. *)
+    Option.iter (fun ctl -> Fault.deactivate engine ctl) fault;
+    Engine.reset_stats engine;
+    Obs.span obs ~cat:"phase" "execution" (fun () ->
+        current_phase := "execution";
+        Array.iter Node.reset_execution nodes;
+        dispatch :=
+          (fun i ~sender msg -> Node.on_packet nodes.(i) sends.(i) ~sender msg);
+        List.iter
+          (fun (src, dst, rate) ->
+            Node.originate_traffic nodes.(src) sends.(src) ~dst ~rate)
+          (Traffic.demand_pairs traffic);
+        drain "execution");
+    let execution_messages = Engine.messages_sent engine in
+    (match Obs.metrics obs with
+    | Some reg -> Engine.obs_metrics ~prefix:"engine.execution" engine reg
+    | None -> ());
+    let registry = Signer.create_registry ~seed:7 in
+    current_phase := "settlement";
+    let settlement =
+      Bank.settle ~obs
+        ~checking:
+          (match params.bank with
+          | Certified | Deferred | Skip_pricing -> true
+          | Naive_settlement | Unchecked | Plain -> false)
+        ~epsilon:params.epsilon ~registry ~nodes ~traffic
+    in
+    note settlement.Bank.detections;
+    let utilities =
+      Array.init n (fun i ->
+          let node = nodes.(i) in
+          let carried_load =
+            List.fold_left (fun acc (_, _, rate, _) -> acc +. rate) 0. node.Node.carried
+          in
+          (value_per_packet *. settlement.Bank.delivered.(i))
+          -. settlement.Bank.outlays.(i)
+          -. settlement.Bank.penalties.(i)
+          +. settlement.Bank.incomes.(i)
+          -. (node.Node.true_cost *. carried_load))
+    in
+    {
+      completed = true;
+      stuck_phase = None;
+      restarts = Phase.total_restarts progress;
+      detections = !detections;
+      utilities;
+      construction_messages;
+      construction_bytes;
+      execution_messages;
+      bank_bytes;
+      tables = Some (build_tables nodes);
+      sim_time = Engine.now engine;
+    }
+  in
   match construction with
   | Phase.Stuck { phase; progress; _ } ->
       if Obs.enabled obs then
@@ -369,74 +429,17 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
           ~args:[ ("phase", Json.String phase) ]
           "construction.stuck";
       stuck phase progress
-  | Phase.Completed progress
-    when params.deferred_certification && params.checking
-         && (let ds =
-               Bank.checkpoint_costs nodes
-               @ table_checkpoint Node.routing_stage ~check:true
-               @ table_checkpoint Node.pricing_stage ~check:params.checks.pricing_check
-             in
-             note ds;
-             ds <> []) ->
-      (* The ablation of experiment E8: with certification deferred to a
-         single final check, a deviation is only caught after the whole
-         construction has been paid for. *)
-      stuck "deferred-certification" progress
-  | Phase.Completed progress ->
-      (* --- execution phase --- *)
-      (* Fault injection ends with construction; channel loss and the
-         perturbation spare execution packets too, so Definition-8 utility
-         deltas stay attributable to the deviant rather than to fault
-         noise. *)
-      Option.iter (fun ctl -> Fault.deactivate engine ctl) fault;
-      Engine.reset_stats engine;
-      Obs.span obs ~cat:"phase" "execution" (fun () ->
-          current_phase := "execution";
-          Array.iter Node.reset_execution nodes;
-          dispatch :=
-            (fun i ~sender msg -> Node.on_packet nodes.(i) sends.(i) ~sender msg);
-          List.iter
-            (fun (src, dst, rate) ->
-              Node.originate_traffic nodes.(src) sends.(src) ~dst ~rate)
-            (Traffic.demand_pairs traffic);
-          drain "execution");
-      let execution_messages = Engine.messages_sent engine in
-      (match Obs.metrics obs with
-      | Some reg -> Engine.obs_metrics ~prefix:"engine.execution" engine reg
-      | None -> ());
-      let registry = Signer.create_registry ~seed:7 in
-      current_phase := "settlement";
-      let settlement =
-        Bank.settle ~obs
-          ~checking:(params.checking && params.checks.settlement_check)
-          ~epsilon:params.epsilon ~registry ~nodes ~traffic
-      in
-      note settlement.Bank.detections;
-      let utilities =
-        Array.init n (fun i ->
-            let node = nodes.(i) in
-            let carried_load =
-              List.fold_left (fun acc (_, _, rate, _) -> acc +. rate) 0. node.Node.carried
-            in
-            (value_per_packet *. settlement.Bank.delivered.(i))
-            -. settlement.Bank.outlays.(i)
-            -. settlement.Bank.penalties.(i)
-            +. settlement.Bank.incomes.(i)
-            -. (node.Node.true_cost *. carried_load))
-      in
-      {
-        completed = true;
-        stuck_phase = None;
-        restarts = Phase.total_restarts progress;
-        detections = !detections;
-        utilities;
-        construction_messages;
-        construction_bytes;
-        execution_messages;
-        bank_bytes;
-        tables = Some (build_tables nodes);
-        sim_time = Engine.now engine;
-      }
+  | Phase.Completed progress -> (
+      match params.bank with
+      | Deferred -> (
+          (* The ablation of experiment E8: with certification deferred to
+             a single final check, a deviation is only caught after the
+             whole construction has been paid for. *)
+          match verdict (evidence `Costs @ evidence `Routing @ evidence `Pricing) with
+          | Ok () -> execute progress
+          | Error _ -> stuck "deferred-certification" progress)
+      | Certified | Skip_pricing | Naive_settlement | Unchecked | Plain ->
+          execute progress)
 
 let run_faithful ?params ~graph ~traffic () =
   run ?params ~graph ~traffic

@@ -22,19 +22,29 @@
     through. Every environment loss is counted once, as sent and then
     lost, and none touches an execution packet. *)
 
-type bank_checks = {
-  pricing_check : bool;  (** BANK2 pricing checkpoint *)
-  settlement_check : bool;
-      (** verified execution clearing (DATA4 comparison + route audit) *)
-}
-(** The bank checks that can be switched off one by one, both [true] in
-    [all_checks]; the DATA1 and BANK1 checkpoints always run while
-    [checking] holds. Turning one off deliberately weakens the mechanism
-    — the gauntlet uses this to prove its faithfulness-violation oracle
-    has teeth (a weakened bank must let some sampled deviation profit).
-    [checking = false] overrides them all. *)
-
-val all_checks : bank_checks
+type bank =
+  | Certified
+      (** the stock bank of §4.2: the DATA1, BANK1 and BANK2 checkpoints
+          certify each construction phase as it ends, and settlement
+          clears execution against the certified tables *)
+  | Deferred
+      (** the same checks, run once after the whole construction (stuck
+          phase ["deferred-certification"] when one fails): the
+          phase-decomposition ablation of experiment E8 *)
+  | Skip_pricing  (** no BANK2: the pricing table is never compared *)
+  | Naive_settlement
+      (** every checkpoint runs, but settlement believes every DATA4
+          report and audits no route *)
+  | Unchecked
+      (** checkers still receive copies, but the bank checks nothing and
+          believes every report: the unfaithful baseline of experiment E7 *)
+  | Plain
+      (** plain FPSS: no checker copies, no checks, naive settlement — the
+          overhead baseline of experiment E6 *)
+(** The six banks a run can use. [Skip_pricing] and [Naive_settlement]
+    deliberately weaken the mechanism: the gauntlet runs them (with
+    [Unchecked]) to prove its faithfulness-violation oracle has teeth, a
+    weakened bank must let some sampled deviation profit. *)
 
 type perturb = {
   jitter : float;
@@ -69,18 +79,7 @@ type params = {
       (** utility when a construction phase never certifies (large) *)
   epsilon : float;  (** the bank's fine margin *)
   max_restarts : int;  (** restarts per phase before declaring it stuck *)
-  checking : bool;
-      (** false = disable checkers and bank verification (the unfaithful
-          baseline of experiment E7) *)
-  checks : bank_checks;  (** fine-grained switches, see [bank_checks] *)
-  copies : bool;
-      (** false = principals do not relay checker copies at all — the
-          plain-FPSS overhead baseline of experiment E6 (implies no
-          meaningful mirrors; use with [checking = false]) *)
-  deferred_certification : bool;
-      (** true = run all construction phases without intermediate
-          checkpoints and certify everything only at the end — the
-          phase-decomposition ablation of experiment E8 *)
+  bank : bank;  (** which of the six banks certifies and settles the run *)
   channel_loss : (float * int) option;
       (** [(p, seed)]: lose every construction message (every message
           but an execution [Packet]) independently with probability [p] —
@@ -122,9 +121,9 @@ type params = {
 }
 
 val default_params : params
-(** Progress penalty 10^5, epsilon 1, 2 restarts, checking and copies
-    on, phase-by-phase certification, constant latency. A delivered unit
-    of a node's own traffic is worth 50 to it in every run. *)
+(** Progress penalty 10^5, epsilon 1, 2 restarts, the [Certified] bank,
+    constant latency. A delivered unit of a node's own traffic is worth
+    50 to it in every run. *)
 
 type result = {
   completed : bool;
@@ -135,7 +134,7 @@ type result = {
   construction_messages : int;
   construction_bytes : int;
   execution_messages : int;
-  bank_bytes : int;
+  bank_bytes : int;  (** 0 for the [Unchecked] and [Plain] banks *)
   tables : Damd_fpss.Tables.t option;
       (** the certified tables, when the construction completed *)
   sim_time : float;

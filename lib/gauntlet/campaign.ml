@@ -44,19 +44,19 @@ let stock = { faults = false; epsilon = None }
 
 let is_stock m = m = stock
 
-type weaken = No_weaken | Weaken_pricing | Weaken_settlement | Weaken_all
-
 let weaken_name = function
-  | No_weaken -> "none"
-  | Weaken_pricing -> "pricing"
-  | Weaken_settlement -> "settlement"
-  | Weaken_all -> "all"
+  | Runner.Certified -> "none"
+  | Runner.Skip_pricing -> "pricing"
+  | Runner.Naive_settlement -> "settlement"
+  | Runner.Unchecked -> "all"
+  | Runner.Deferred -> "deferred"
+  | Runner.Plain -> "plain"
 
 let weaken_of_string = function
-  | "none" -> Some No_weaken
-  | "pricing" -> Some Weaken_pricing
-  | "settlement" -> Some Weaken_settlement
-  | "all" -> Some Weaken_all
+  | "none" -> Some Runner.Certified
+  | "pricing" -> Some Runner.Skip_pricing
+  | "settlement" -> Some Runner.Naive_settlement
+  | "all" -> Some Runner.Unchecked
   | _ -> None
 
 type verdict = Detected | Undetected_unprofitable | Violation
@@ -278,16 +278,10 @@ let of_seed ?(mix = stock) seed =
   in
   { descr0 with deviants; fault }
 
-let checks_of = function
-  | No_weaken | Weaken_all -> Runner.all_checks
-  | Weaken_pricing -> { Runner.all_checks with Runner.pricing_check = false }
-  | Weaken_settlement -> { Runner.all_checks with Runner.settlement_check = false }
-
-let params_of weaken descr =
+let params_of bank descr =
   {
     Runner.default_params with
-    Runner.checking = weaken <> Weaken_all;
-    checks = checks_of weaken;
+    Runner.bank;
     perturbation = descr.perturb;
     fault = descr.fault;
     (* Faults consume restarts (link loss hits every attempt, a crash or
@@ -318,14 +312,14 @@ let declared_graph g deviations =
 
 let profit_tolerance = 1e-6
 
-let grade ?(weaken = No_weaken) ?(obs = Obs.noop) descr =
+let grade ?(bank = Runner.Certified) ?(obs = Obs.noop) descr =
   Obs.span obs ~cat:"gauntlet"
     ~args:
       (if Obs.enabled obs then
          [
            ("seed", Json.Int descr.seed);
            ("topology", Json.String (topology_name descr.topology));
-           ("weaken", Json.String (weaken_name weaken));
+           ("weaken", Json.String (weaken_name bank));
          ]
        else [])
     "campaign"
@@ -353,7 +347,7 @@ let grade ?(weaken = No_weaken) ?(obs = Obs.noop) descr =
   let g = graph_of descr in
   let n = Graph.n g in
   let traffic = Traffic.uniform ~n ~rate:descr.traffic_rate in
-  let params = params_of weaken descr in
+  let params = params_of bank descr in
   (* ε-rational resolution: an ε-agent runs its inner deviation only when
      the unilateral gain exceeds its threshold (the Definition 8
      comparison, measured on this very campaign); otherwise it stays
@@ -522,7 +516,7 @@ let topology_shrinks descr =
   in
   List.filter fits cands |> List.map (fun t -> { descr with topology = t })
 
-let shrink ?(weaken = No_weaken) ?(max_grades = 60) graded =
+let shrink ?bank ?(max_grades = 60) graded =
   if graded.verdict <> Violation then graded
   else begin
     let budget = ref max_grades in
@@ -530,7 +524,7 @@ let shrink ?(weaken = No_weaken) ?(max_grades = 60) graded =
       if !budget <= 0 then None
       else begin
         decr budget;
-        let g = grade ~weaken d in
+        let g = grade ?bank d in
         if g.verdict = Violation then Some g else None
       end
     in
@@ -603,9 +597,9 @@ let shrink ?(weaken = No_weaken) ?(max_grades = 60) graded =
 
 let campaign_seed ~master i = seed_bits (Rng.fork (Rng.create master) i)
 
-let run_batch ?(weaken = No_weaken) ?(mix = stock) ?obs ~campaigns ~seed () =
+let run_batch ?bank ?(mix = stock) ?obs ~campaigns ~seed () =
   List.init campaigns (fun i ->
-      grade ~weaken ?obs (of_seed ~mix (campaign_seed ~master:seed i)))
+      grade ?bank ?obs (of_seed ~mix (campaign_seed ~master:seed i)))
 
 let json_opt f = function None -> Json.Null | Some v -> f v
 
@@ -719,7 +713,7 @@ let json_of_graded gr =
       ("sim_time", Json.Float gr.sim_time);
     ])
 
-let report ?(shrunk = []) ~weaken ~seed gradeds =
+let report ?(shrunk = []) ~bank ~seed gradeds =
   let count v =
     List.length (List.filter (fun gr -> gr.verdict = v) gradeds)
   in
@@ -734,7 +728,7 @@ let report ?(shrunk = []) ~weaken ~seed gradeds =
         Json.String (if mixed then "damd-gauntlet/2" else "damd-gauntlet/1") );
       ("master_seed", Json.Int seed);
       ("campaigns", Json.Int (List.length gradeds));
-      ("weaken", Json.String (weaken_name weaken));
+      ("weaken", Json.String (weaken_name bank));
       ( "summary",
         Json.Obj
           [

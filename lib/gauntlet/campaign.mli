@@ -24,8 +24,8 @@
     Every campaign is a pure function of a single integer seed, so any
     verdict replays bit-for-bit; failing campaigns are minimized by a
     greedy shrinker before reporting. Theorem 1 predicts zero violations
-    on the stock mechanism; the [weaken] switches disable individual bank
-    checkpoints to prove the verdict oracle has teeth. *)
+    on the stock mechanism; the weakened banks ([weaken_name]) disable
+    individual bank checks to prove the verdict oracle has teeth. *)
 
 module Adversary := Damd_faithful.Adversary
 module Runner := Damd_faithful.Runner
@@ -72,13 +72,15 @@ val stock : mix
 
 val is_stock : mix -> bool
 
-type weaken = No_weaken | Weaken_pricing | Weaken_settlement | Weaken_all
-(** Deliberate bank sabotage for oracle-validation runs: skip the BANK2
-    pricing-hash comparison, skip verified execution clearing, or disable
-    checking entirely. *)
+val weaken_name : Runner.bank -> string
+(** The gauntlet's name for a bank ([--weaken], the reports' ["weaken"]
+    field): ["none"] for the stock [Certified] bank, and for deliberate
+    sabotage in oracle-validation runs ["pricing"] ([Skip_pricing]),
+    ["settlement"] ([Naive_settlement]) and ["all"] ([Unchecked]). The
+    experiment banks print as ["deferred"] and ["plain"]. *)
 
-val weaken_name : weaken -> string
-val weaken_of_string : string -> weaken option
+val weaken_of_string : string -> Runner.bank option
+(** The inverse of [weaken_name] on the four gauntlet names. *)
 
 type verdict = Detected | Undetected_unprofitable | Violation
 
@@ -128,15 +130,16 @@ val graph_of : descr -> Damd_graph.Graph.t
 (** Rebuild the campaign's graph (pure in [topology] and [graph_seed];
     asserts biconnectivity). *)
 
-val grade : ?weaken:weaken -> ?obs:Damd_obs.Obs.t -> descr -> graded
-(** Run the campaign and every needed unilateral baseline, and pronounce
-    the verdict. Deterministic: byte-identical [graded] (and JSON) for
-    equal inputs. With [obs] (default noop — zero overhead) the whole
-    grade runs under a ["campaign"] span, the campaign's own run (not the
-    ε-resolution or unilateral-baseline counterfactuals) is traced through
-    [Runner], and a final ["verdict"] instant records the outcome. *)
+val grade : ?bank:Runner.bank -> ?obs:Damd_obs.Obs.t -> descr -> graded
+(** Run the campaign and every needed unilateral baseline on [bank]
+    (default [Runner.Certified]), and pronounce the verdict.
+    Deterministic: byte-identical [graded] (and JSON) for equal inputs.
+    With [obs] (default noop — zero overhead) the whole grade runs under
+    a ["campaign"] span, the campaign's own run (not the ε-resolution or
+    unilateral-baseline counterfactuals) is traced through [Runner], and
+    a final ["verdict"] instant records the outcome. *)
 
-val shrink : ?weaken:weaken -> ?max_grades:int -> graded -> graded
+val shrink : ?bank:Runner.bank -> ?max_grades:int -> graded -> graded
 (** Greedy minimization of a [Violation] campaign: repeatedly try
     dropping one deviant, zeroing drops, duplication and jitter, and
     shrinking the topology one step — keeping any mutation that still
@@ -149,7 +152,7 @@ val campaign_seed : master:int -> int -> int
     independent of every other index). *)
 
 val run_batch :
-  ?weaken:weaken ->
+  ?bank:Runner.bank ->
   ?mix:mix ->
   ?obs:Damd_obs.Obs.t ->
   campaigns:int ->
@@ -164,7 +167,7 @@ val json_of_graded : graded -> Damd_util.Json.t
 (** One campaign as JSON — also exactly what [--replay] prints. *)
 
 val report :
-  ?shrunk:graded list -> weaken:weaken -> seed:int -> graded list -> Damd_util.Json.t
+  ?shrunk:graded list -> bank:Runner.bank -> seed:int -> graded list -> Damd_util.Json.t
 (** The gauntlet report: config, per-verdict summary counts, every
     campaign ([json_of_graded]), and minimized violations. Schema is
     [damd-gauntlet/1] — byte-identical to the historical format — unless

@@ -631,17 +631,27 @@ let test_node_drop_copies_deviation () =
 let test_node_checker_rejects_bad_via () =
   let node = Node.create ~id:1 ~n:3 ~neighbor_sets:line3_sets ~true_cost:1. ~deviation:Adversary.Faithful () in
   let _, send = capture () in
-  (* A copy claiming provenance from node 1's own id... node 0's neighbors
-     are just [1], so via=2 is not a checker of 0. *)
-  Node.on_routing_msg node send ~sender:0
-    (Protocol.Copy
-       {
-         principal = 0;
-         via = 2;
-         inner = Protocol.Routing_update { origin = 2; table = Protocol.empty_routing ~n:3 ~self:2 };
-       });
-  check Alcotest.bool "flagged" true
-    (List.exists (fun (rule, _) -> rule = "CHECK2") node.Node.check_flags)
+  let copy ~principal ~via ~origin =
+    Protocol.Copy
+      {
+        principal;
+        via;
+        inner =
+          Protocol.Routing_update
+            { origin; table = Protocol.empty_routing ~n:3 ~self:origin };
+      }
+  in
+  let mirrored () = List.map fst node.Node.routing_slot.Node.mirrors.(0) in
+  (* Node 0's neighbors are just [1], so via=2 is not a checker of 0: the
+     copy never reaches the checker's mirror of 0. *)
+  Node.on_routing_msg node send ~sender:0 (copy ~principal:0 ~via:2 ~origin:2);
+  check Alcotest.(list int) "bad via dropped" [] (mirrored ());
+  Node.on_routing_msg node send ~sender:0 (copy ~principal:0 ~via:1 ~origin:2);
+  check Alcotest.(list int) "origin other than via dropped" [] (mirrored ());
+  Node.on_routing_msg node send ~sender:2 (copy ~principal:0 ~via:1 ~origin:1);
+  check Alcotest.(list int) "not sent by its principal dropped" [] (mirrored ());
+  Node.on_routing_msg node send ~sender:0 (copy ~principal:0 ~via:1 ~origin:1);
+  check Alcotest.(list int) "well-formed copy taken" [ 1 ] (mirrored ())
 
 (* --- Row-granular intake = full recompute ---
 
@@ -1012,7 +1022,7 @@ let test_no_profitable_deviation_ring () =
 
 (* --- The ablation: disable checking and manipulation pays --- *)
 
-let unchecked = { Runner.default_params with Runner.checking = false }
+let unchecked = { Runner.default_params with Runner.bank = Runner.Unchecked }
 
 let test_unchecked_underreporting_profits () =
   let g, _ = Lazy.force fig1 in
@@ -1186,7 +1196,7 @@ let test_no_copies_mode_cheaper () =
      bytes than the faithful construction. *)
   let g, _ = Lazy.force fig1 in
   let plain_params =
-    { Runner.default_params with Runner.checking = false; copies = false }
+    { Runner.default_params with Runner.bank = Runner.Plain }
   in
   let plain = Runner.run_faithful ~params:plain_params ~graph:g ~traffic:fig1_traffic () in
   let faithful = Lazy.force faithful_run in
@@ -1203,7 +1213,7 @@ let test_no_copies_mode_cheaper () =
 
 let test_deferred_certification_catches_late () =
   let g, _ = Lazy.force fig1 in
-  let params = { Runner.default_params with Runner.deferred_certification = true } in
+  let params = { Runner.default_params with Runner.bank = Runner.Deferred } in
   let deviations = Array.make 6 Adversary.Faithful in
   deviations.(2) <- Adversary.Inconsistent_cost (1., 8.);
   let r = Runner.run ~params ~graph:g ~traffic:fig1_traffic ~deviations () in
@@ -1213,7 +1223,7 @@ let test_deferred_certification_catches_late () =
 
 let test_deferred_certification_faithful_clean () =
   let g, _ = Lazy.force fig1 in
-  let params = { Runner.default_params with Runner.deferred_certification = true } in
+  let params = { Runner.default_params with Runner.bank = Runner.Deferred } in
   let r = Runner.run_faithful ~params ~graph:g ~traffic:fig1_traffic () in
   check Alcotest.bool "completed" true r.Runner.completed
 
@@ -1498,7 +1508,7 @@ let test_partitioning_own_pricing_cannot_raise_own_income () =
      checking disabled, inflating one's own announced prices does not
      raise one's own income. *)
   let rng = Rng.create 810 in
-  let unchecked = { Runner.default_params with Runner.checking = false } in
+  let unchecked = { Runner.default_params with Runner.bank = Runner.Unchecked } in
   for _ = 1 to 3 do
     let g = Gen.chordal_ring rng ~n:8 ~chords:2 (Gen.Uniform_int (1, 8)) in
     let traffic = Traffic.uniform ~n:8 ~rate:1. in
@@ -1581,7 +1591,7 @@ let test_audit_detects_escape_under_collusion () =
      not expressible here (matrix audits single deviants), so check that
      the unchecked configuration reports Escaped rows instead. *)
   let g, _ = Lazy.force fig1 in
-  let unchecked = { Runner.default_params with Runner.checking = false } in
+  let unchecked = { Runner.default_params with Runner.bank = Runner.Unchecked } in
   let rows =
     Audit.detection_matrix ~params:unchecked
       ~deviations:[ Adversary.Miscompute_routing (-2.) ]
@@ -1598,7 +1608,7 @@ let test_audit_max_gain_nonpositive_checked () =
 
 let test_audit_max_gain_positive_unchecked () =
   let g, _ = Lazy.force fig1 in
-  let unchecked = { Runner.default_params with Runner.checking = false } in
+  let unchecked = { Runner.default_params with Runner.bank = Runner.Unchecked } in
   let gain, name = Audit.max_gain ~params:unchecked ~graph:g ~traffic:fig1_traffic () in
   check Alcotest.bool "profit exists" true (gain > 0.);
   check Alcotest.bool "named" true (name <> "-")
@@ -2109,22 +2119,53 @@ let byzantine_golden =
     (39, "f37e63b480454755dab9222b5fae3e71");
   ]
 
-let byzantine_run_digest seed =
-  let g, _ = Lazy.force fig1 in
-  let deviations = Array.make 6 Adversary.Faithful in
-  deviations.(2) <- Adversary.Byzantine_arbitrary seed;
-  let r = Runner.run ~graph:g ~traffic:fig1_traffic ~deviations () in
-  let b = Buffer.create 256 in
+(* The golden digests' wording of a run: verdict, restarts and stuck
+   phase ([add_verdict]), every detection and the utilities in hex
+   ([add_blame]), and the certified tables, costs and prices in hex
+   ([add_tables]). *)
+let add_verdict b (r : Runner.result) =
   Printf.bprintf b "completed=%b;restarts=%d;stuck=%s;" r.Runner.completed
     r.Runner.restarts
-    (Option.value ~default:"-" r.Runner.stuck_phase);
+    (Option.value ~default:"-" r.Runner.stuck_phase)
+
+let add_blame b (r : Runner.result) =
   List.iter
     (fun (d : Bank.detection) ->
       Printf.bprintf b "detection=%s/%s/%s;" d.Bank.rule
         (match d.Bank.culprit with Some c -> string_of_int c | None -> "-")
         d.Bank.detail)
     r.Runner.detections;
-  Array.iter (fun u -> Printf.bprintf b "utility=%h;" u) r.Runner.utilities;
+  Array.iter (fun u -> Printf.bprintf b "utility=%h;" u) r.Runner.utilities
+
+let add_tables b (r : Runner.result) =
+  Option.iter
+    (fun (t : Tables.t) ->
+      Array.iteri
+        (fun src row ->
+          Array.iteri
+            (fun dst e ->
+              Printf.bprintf b "route %d %d=" src dst;
+              Option.iter
+                (fun (e : Dijkstra.entry) ->
+                  Printf.bprintf b "%h:%s" e.Dijkstra.cost
+                    (String.concat "," (List.map string_of_int e.Dijkstra.path)))
+                e;
+              List.iter
+                (fun (k, p) -> Printf.bprintf b " %d@%h" k p)
+                t.Tables.prices.(src).(dst);
+              Buffer.add_char b ';')
+            row)
+        t.Tables.routing)
+    r.Runner.tables
+
+let byzantine_run_digest seed =
+  let g, _ = Lazy.force fig1 in
+  let deviations = Array.make 6 Adversary.Faithful in
+  deviations.(2) <- Adversary.Byzantine_arbitrary seed;
+  let r = Runner.run ~graph:g ~traffic:fig1_traffic ~deviations () in
+  let b = Buffer.create 256 in
+  add_verdict b r;
+  add_blame b r;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let test_byzantine_golden () =
@@ -2316,9 +2357,7 @@ let environment_run_digest ((g, traffic), params, deviations) =
   let obs = Damd_obs.Obs.memory () in
   let r = Runner.run ~params:{ params with Runner.obs } ~graph:g ~traffic ~deviations () in
   let b = Buffer.create 1024 in
-  Printf.bprintf b "completed=%b;restarts=%d;stuck=%s;" r.Runner.completed
-    r.Runner.restarts
-    (Option.value ~default:"-" r.Runner.stuck_phase);
+  add_verdict b r;
   Option.iter
     (fun reg ->
       List.iter
@@ -2332,33 +2371,9 @@ let environment_run_digest ((g, traffic), params, deviations) =
           "engine.execution.events_processed";
         ])
     (Damd_obs.Obs.metrics obs);
-  List.iter
-    (fun (d : Bank.detection) ->
-      Printf.bprintf b "detection=%s/%s/%s;" d.Bank.rule
-        (match d.Bank.culprit with Some c -> string_of_int c | None -> "-")
-        d.Bank.detail)
-    r.Runner.detections;
-  Array.iter (fun u -> Printf.bprintf b "utility=%h;" u) r.Runner.utilities;
+  add_blame b r;
   Printf.bprintf b "sim_time=%h;" r.Runner.sim_time;
-  Option.iter
-    (fun (t : Tables.t) ->
-      Array.iteri
-        (fun src row ->
-          Array.iteri
-            (fun dst e ->
-              Printf.bprintf b "route %d %d=" src dst;
-              Option.iter
-                (fun (e : Dijkstra.entry) ->
-                  Printf.bprintf b "%h:%s" e.Dijkstra.cost
-                    (String.concat "," (List.map string_of_int e.Dijkstra.path)))
-                e;
-              List.iter
-                (fun (k, p) -> Printf.bprintf b " %d@%h" k p)
-                t.Tables.prices.(src).(dst);
-              Buffer.add_char b ';')
-            row)
-        t.Tables.routing)
-    r.Runner.tables;
+  add_tables b r;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let test_environment_golden () =
@@ -2377,6 +2392,224 @@ let test_environment_golden () =
     print_endline "actual list:";
     List.iter (fun (label, hex) -> Printf.printf "    (%S, %S);\n" label hex) actual;
     Alcotest.fail "environment golden digests moved"
+  end
+
+(* Cross-commit golden for the six bank modes, on fig1 and chordal:10:4,
+   honest and under five named deviations and two Byzantine plans, plus
+   the certified and skip-pricing banks under one [Fault] schedule
+   (fault-tolerant evidence). One digest per run covers the verdict,
+   stuck phase, restarts, every detection, the utilities and the final
+   clock in hex, the construction, execution and bank traffic, and the
+   certified tables. *)
+let bank_golden =
+  [
+    ("certified fig1 2:faithful", "137b59389df5a42408ebb452886ce71f");
+    ("certified fig1 2:miscompute-routing(-2)", "081c13fde5520dfe803a923c442b94fe");
+    ("certified fig1 2:miscompute-pricing(+2)", "f236ae60ed7363bd6546971da6a7db09");
+    ("certified fig1 2:underreport-payments(x0.5)", "5d0bb33bc95bf5d7a3dadf1996e8dce3");
+    ("certified fig1 2:drop-routing-copies", "19c741329f5b2036fd6ddd22fc29a602");
+    ("certified fig1 2:byzantine-arbitrary(1)", "af44a77ac6e4736d6fcf471da07afd6d");
+    ("certified fig1 2:byzantine-arbitrary(12)", "5a35a6270b148f93b3a86dd5a8df7700");
+    ("certified chordal:10:4 3:faithful", "999b49d7e97f18b8c9577269e77a0b62");
+    ("certified chordal:10:4 3:miscompute-routing(-2)", "ba614c2128b160569e39e2f53c14828c");
+    ("certified chordal:10:4 3:miscompute-pricing(+2)", "ffd440f4219b429645a6551efa880f04");
+    ("certified chordal:10:4 3:underreport-payments(x0.5)", "b1681e318f33b81230459535f0a7fb08");
+    ("certified chordal:10:4 3:drop-routing-copies", "3b5f759e7d11de3b202210c2488a643f");
+    ("certified chordal:10:4 3:byzantine-arbitrary(1)", "0272deda032ca9cf21860dc372439c80");
+    ("certified chordal:10:4 3:byzantine-arbitrary(12)", "ed7df0992c4da056b43a10ae633fdd90");
+    ("deferred fig1 2:faithful", "137b59389df5a42408ebb452886ce71f");
+    ("deferred fig1 2:miscompute-routing(-2)", "d89ea4ee0fbdfcd3dd43190c4b198f3c");
+    ("deferred fig1 2:miscompute-pricing(+2)", "518c14da1d6c335a85bcc6b660a45fc0");
+    ("deferred fig1 2:underreport-payments(x0.5)", "5d0bb33bc95bf5d7a3dadf1996e8dce3");
+    ("deferred fig1 2:drop-routing-copies", "185777396bbf702c02ba5ea2214ac8ff");
+    ("deferred fig1 2:byzantine-arbitrary(1)", "af44a77ac6e4736d6fcf471da07afd6d");
+    ("deferred fig1 2:byzantine-arbitrary(12)", "ad2156bee4107fca4cc63b1585db38df");
+    ("deferred chordal:10:4 3:faithful", "999b49d7e97f18b8c9577269e77a0b62");
+    ("deferred chordal:10:4 3:miscompute-routing(-2)", "2a3c4346d530713021cb3b78ce3de81e");
+    ("deferred chordal:10:4 3:miscompute-pricing(+2)", "a842aaf879bb9f0bc865b82369ad4ce1");
+    ("deferred chordal:10:4 3:underreport-payments(x0.5)", "b1681e318f33b81230459535f0a7fb08");
+    ("deferred chordal:10:4 3:drop-routing-copies", "ac3aa32c423d655d25768b4668be1364");
+    ("deferred chordal:10:4 3:byzantine-arbitrary(1)", "804ee8b552dfcfe4f15755a6e84e99cb");
+    ("deferred chordal:10:4 3:byzantine-arbitrary(12)", "6c76a2d4a4f51d23c2cb35b1a04dddc1");
+    ("skip-pricing fig1 2:faithful", "137b59389df5a42408ebb452886ce71f");
+    ("skip-pricing fig1 2:miscompute-routing(-2)", "081c13fde5520dfe803a923c442b94fe");
+    ("skip-pricing fig1 2:miscompute-pricing(+2)", "8ff3ca7144b41ac1a350313d307c6268");
+    ("skip-pricing fig1 2:underreport-payments(x0.5)", "5d0bb33bc95bf5d7a3dadf1996e8dce3");
+    ("skip-pricing fig1 2:drop-routing-copies", "19c741329f5b2036fd6ddd22fc29a602");
+    ("skip-pricing fig1 2:byzantine-arbitrary(1)", "af44a77ac6e4736d6fcf471da07afd6d");
+    ("skip-pricing fig1 2:byzantine-arbitrary(12)", "5a35a6270b148f93b3a86dd5a8df7700");
+    ("skip-pricing chordal:10:4 3:faithful", "999b49d7e97f18b8c9577269e77a0b62");
+    ("skip-pricing chordal:10:4 3:miscompute-routing(-2)", "ba614c2128b160569e39e2f53c14828c");
+    ("skip-pricing chordal:10:4 3:miscompute-pricing(+2)", "394bddbb907de80bfc6399970b15a958");
+    ("skip-pricing chordal:10:4 3:underreport-payments(x0.5)", "b1681e318f33b81230459535f0a7fb08");
+    ("skip-pricing chordal:10:4 3:drop-routing-copies", "3b5f759e7d11de3b202210c2488a643f");
+    ("skip-pricing chordal:10:4 3:byzantine-arbitrary(1)", "0272deda032ca9cf21860dc372439c80");
+    ("skip-pricing chordal:10:4 3:byzantine-arbitrary(12)", "ed7df0992c4da056b43a10ae633fdd90");
+    ("naive-settlement fig1 2:faithful", "137b59389df5a42408ebb452886ce71f");
+    ("naive-settlement fig1 2:miscompute-routing(-2)", "081c13fde5520dfe803a923c442b94fe");
+    ("naive-settlement fig1 2:miscompute-pricing(+2)", "f236ae60ed7363bd6546971da6a7db09");
+    ("naive-settlement fig1 2:underreport-payments(x0.5)", "c68107df3fbf6e982e8ceac691dc1c51");
+    ("naive-settlement fig1 2:drop-routing-copies", "19c741329f5b2036fd6ddd22fc29a602");
+    ("naive-settlement fig1 2:byzantine-arbitrary(1)", "af44a77ac6e4736d6fcf471da07afd6d");
+    ("naive-settlement fig1 2:byzantine-arbitrary(12)", "5a35a6270b148f93b3a86dd5a8df7700");
+    ("naive-settlement chordal:10:4 3:faithful", "999b49d7e97f18b8c9577269e77a0b62");
+    ("naive-settlement chordal:10:4 3:miscompute-routing(-2)", "ba614c2128b160569e39e2f53c14828c");
+    ("naive-settlement chordal:10:4 3:miscompute-pricing(+2)", "ffd440f4219b429645a6551efa880f04");
+    ("naive-settlement chordal:10:4 3:underreport-payments(x0.5)", "0b00a869a4f31a02cbf814572e62b1a2");
+    ("naive-settlement chordal:10:4 3:drop-routing-copies", "3b5f759e7d11de3b202210c2488a643f");
+    ("naive-settlement chordal:10:4 3:byzantine-arbitrary(1)", "0272deda032ca9cf21860dc372439c80");
+    ("naive-settlement chordal:10:4 3:byzantine-arbitrary(12)", "ed7df0992c4da056b43a10ae633fdd90");
+    ("unchecked fig1 2:faithful", "7703127b6d310fe8c5f24306d2b9f64d");
+    ("unchecked fig1 2:miscompute-routing(-2)", "9240dbea53b3c28f01c098ed8fce8a0a");
+    ("unchecked fig1 2:miscompute-pricing(+2)", "587ba6612088a3745021d1b812d0ad0f");
+    ("unchecked fig1 2:underreport-payments(x0.5)", "6c31f4d4605294fe7b9bd6324ea7b5ff");
+    ("unchecked fig1 2:drop-routing-copies", "522745a705c681f15f97cfb56e8966f9");
+    ("unchecked fig1 2:byzantine-arbitrary(1)", "497314cef5722d2d8075e50a47a88ac8");
+    ("unchecked fig1 2:byzantine-arbitrary(12)", "c93f65a54275ced37b818d01027d3249");
+    ("unchecked chordal:10:4 3:faithful", "2d9c852b74072f0dae41b6d1fd32632e");
+    ("unchecked chordal:10:4 3:miscompute-routing(-2)", "fd60c728e06a858002ee0c10e8634b99");
+    ("unchecked chordal:10:4 3:miscompute-pricing(+2)", "131fbaedb545607a463fc137b8f09ae0");
+    ("unchecked chordal:10:4 3:underreport-payments(x0.5)", "06d48147fd2262e9b479d6d2cfd0f79d");
+    ("unchecked chordal:10:4 3:drop-routing-copies", "635fe155e566fdcda0ba56f1e873377e");
+    ("unchecked chordal:10:4 3:byzantine-arbitrary(1)", "65594b4949aadfa464225d273e257309");
+    ("unchecked chordal:10:4 3:byzantine-arbitrary(12)", "20c6da4713603e0b324f865481e7540b");
+    ("plain fig1 2:faithful", "a86b51c54e049eb87e4c204d32aba6af");
+    ("plain fig1 2:miscompute-routing(-2)", "e64e87cb40d5214b8c0490abcfbe363a");
+    ("plain fig1 2:miscompute-pricing(+2)", "d3f176fc29ec06122ad380271d79bf68");
+    ("plain fig1 2:underreport-payments(x0.5)", "57f198bd6de74367cbd699533ac7e2fb");
+    ("plain fig1 2:drop-routing-copies", "a86b51c54e049eb87e4c204d32aba6af");
+    ("plain fig1 2:byzantine-arbitrary(1)", "bd2e520d18d71a41036bc20e10000a92");
+    ("plain fig1 2:byzantine-arbitrary(12)", "df44e96e012c4a11ad7a087ed7dad629");
+    ("plain chordal:10:4 3:faithful", "98e76e7714292aaa8a85b0377eb2cbf2");
+    ("plain chordal:10:4 3:miscompute-routing(-2)", "ce8240aefb66cecb3bda5f62c1c1b0f1");
+    ("plain chordal:10:4 3:miscompute-pricing(+2)", "3dfbadb19aca5376715eefdfc1baba32");
+    ("plain chordal:10:4 3:underreport-payments(x0.5)", "4b3ff147c442aa95b516dc0f797287cf");
+    ("plain chordal:10:4 3:drop-routing-copies", "98e76e7714292aaa8a85b0377eb2cbf2");
+    ("plain chordal:10:4 3:byzantine-arbitrary(1)", "c379be1ba9929713348563665e0765e0");
+    ("plain chordal:10:4 3:byzantine-arbitrary(12)", "e47cb799bceba4b5feedde2b58f0fbf3");
+    ("certified fault fig1 2:faithful", "22891fa997d0d6912e34662b37f1b2e3");
+    ("certified fault fig1 2:miscompute-routing(-2)", "ecd637141ebf160e6639b9b8c221d42e");
+    ("certified fault fig1 2:miscompute-pricing(+2)", "22891fa997d0d6912e34662b37f1b2e3");
+    ("certified fault fig1 2:underreport-payments(x0.5)", "22891fa997d0d6912e34662b37f1b2e3");
+    ("certified fault fig1 2:drop-routing-copies", "f89b60b22f0ac1ddc68cab04d2f67d3e");
+    ("certified fault fig1 2:byzantine-arbitrary(1)", "3c5bc7bdef6e2120a1d627b343a9828f");
+    ("certified fault fig1 2:byzantine-arbitrary(12)", "35487aa26a4ea45df5ebbd4b67514c4b");
+    ("certified fault chordal:10:4 3:faithful", "8d2f01324bfdfd1a60206c4ff1bdb668");
+    ("certified fault chordal:10:4 3:miscompute-routing(-2)", "afa24135acd6ea380e42923ed19a5b56");
+    ("certified fault chordal:10:4 3:miscompute-pricing(+2)", "8d2f01324bfdfd1a60206c4ff1bdb668");
+    ("certified fault chordal:10:4 3:underreport-payments(x0.5)", "8d2f01324bfdfd1a60206c4ff1bdb668");
+    ("certified fault chordal:10:4 3:drop-routing-copies", "02f08eff7c0ae8f46af57f5e4ba4fbcf");
+    ("certified fault chordal:10:4 3:byzantine-arbitrary(1)", "349b7f97e199302df0529e9fde7994ba");
+    ("certified fault chordal:10:4 3:byzantine-arbitrary(12)", "52e22e253bac6017c4b5582db3658b7b");
+    ("skip-pricing fault fig1 2:faithful", "22891fa997d0d6912e34662b37f1b2e3");
+    ("skip-pricing fault fig1 2:miscompute-routing(-2)", "ecd637141ebf160e6639b9b8c221d42e");
+    ("skip-pricing fault fig1 2:miscompute-pricing(+2)", "22891fa997d0d6912e34662b37f1b2e3");
+    ("skip-pricing fault fig1 2:underreport-payments(x0.5)", "22891fa997d0d6912e34662b37f1b2e3");
+    ("skip-pricing fault fig1 2:drop-routing-copies", "f89b60b22f0ac1ddc68cab04d2f67d3e");
+    ("skip-pricing fault fig1 2:byzantine-arbitrary(1)", "3c5bc7bdef6e2120a1d627b343a9828f");
+    ("skip-pricing fault fig1 2:byzantine-arbitrary(12)", "35487aa26a4ea45df5ebbd4b67514c4b");
+    ("skip-pricing fault chordal:10:4 3:faithful", "8d2f01324bfdfd1a60206c4ff1bdb668");
+    ("skip-pricing fault chordal:10:4 3:miscompute-routing(-2)", "afa24135acd6ea380e42923ed19a5b56");
+    ("skip-pricing fault chordal:10:4 3:miscompute-pricing(+2)", "8d2f01324bfdfd1a60206c4ff1bdb668");
+    ("skip-pricing fault chordal:10:4 3:underreport-payments(x0.5)", "8d2f01324bfdfd1a60206c4ff1bdb668");
+    ("skip-pricing fault chordal:10:4 3:drop-routing-copies", "02f08eff7c0ae8f46af57f5e4ba4fbcf");
+    ("skip-pricing fault chordal:10:4 3:byzantine-arbitrary(1)", "349b7f97e199302df0529e9fde7994ba");
+    ("skip-pricing fault chordal:10:4 3:byzantine-arbitrary(12)", "52e22e253bac6017c4b5582db3658b7b");
+  ]
+
+let bank_modes =
+  List.map
+    (fun (name, bank) -> (name, { Runner.default_params with Runner.bank }))
+    [
+      ("certified", Runner.Certified);
+      ("deferred", Runner.Deferred);
+      ("skip-pricing", Runner.Skip_pricing);
+      ("naive-settlement", Runner.Naive_settlement);
+      ("unchecked", Runner.Unchecked);
+      ("plain", Runner.Plain);
+    ]
+
+let bank_runs =
+  lazy
+    (let fig1, _ = Lazy.force fig1 in
+     let chordal =
+       Gen.chordal_ring (Rng.create 1) ~n:10 ~chords:4 (Gen.Uniform_int (1, 10))
+     in
+     let graphs =
+       [ ("fig1", fig1, fig1_traffic, 2); ("chordal:10:4", chordal, Traffic.uniform ~n:10 ~rate:1., 3) ]
+     in
+     let deviations =
+       [
+         Adversary.Faithful;
+         Adversary.Miscompute_routing (-2.);
+         Adversary.Miscompute_pricing 2.;
+         Adversary.Underreport_payments 0.5;
+         Adversary.Drop_routing_copies;
+         Adversary.Byzantine_arbitrary 1;
+         Adversary.Byzantine_arbitrary 12;
+       ]
+     in
+     let fault =
+       {
+         Fault.seed = 31;
+         link = Some { Fault.loss_p = 0.05; reorder_p = 0.2; reorder_delay = 1.5 };
+         partition = None;
+         crash = Some { Fault.node = 1; crash_phase = `Routing; at = 1.; recovers_at = 2.5 };
+       }
+     in
+     let faulty =
+       List.filter_map
+         (fun (mode, params) ->
+           if mode = "certified" || mode = "skip-pricing" then
+             Some
+               ( mode ^ " fault",
+                 { params with Runner.fault = Some fault; max_restarts = 4 } )
+           else None)
+         bank_modes
+     in
+     List.concat_map
+       (fun (mode, params) ->
+         List.concat_map
+           (fun (gname, g, traffic, seat) ->
+             List.map
+               (fun d ->
+                 let profile = Array.make (Graph.n g) Adversary.Faithful in
+                 profile.(seat) <- d;
+                 ( Printf.sprintf "%s %s %d:%s" mode gname seat (Adversary.name d),
+                   (g, traffic),
+                   params,
+                   profile ))
+               deviations)
+           graphs)
+       (bank_modes @ faulty))
+
+let bank_run_digest ((g, traffic), params, deviations) =
+  let r = Runner.run ~params ~graph:g ~traffic ~deviations () in
+  let b = Buffer.create 1024 in
+  add_verdict b r;
+  add_blame b r;
+  Printf.bprintf b "construction=%d/%d;execution=%d;bank=%d;sim_time=%h;"
+    r.Runner.construction_messages r.Runner.construction_bytes
+    r.Runner.execution_messages r.Runner.bank_bytes r.Runner.sim_time;
+  add_tables b r;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_bank_golden () =
+  let actual =
+    List.map
+      (fun (label, on, params, deviations) ->
+        (label, bank_run_digest (on, params, deviations)))
+      (Lazy.force bank_runs)
+  in
+  if actual <> bank_golden then begin
+    List.iter
+      (fun (label, hex) ->
+        if List.assoc_opt label bank_golden <> Some hex then
+          Printf.printf "bank golden mismatch: %s\n" label)
+      actual;
+    print_endline "actual list:";
+    List.iter (fun (label, hex) -> Printf.printf "    (%S, %S);\n" label hex) actual;
+    Alcotest.fail "bank golden digests moved"
   end
 
 let suites =
@@ -2427,6 +2660,8 @@ let suites =
         Alcotest.test_case "deterministic" `Quick test_run_deterministic;
         Alcotest.test_case "traffic flows" `Quick test_run_all_traffic_delivered;
         Alcotest.test_case "money conserved" `Quick test_run_money_conserved_faithful;
+        Alcotest.test_case "bank golden: six banks, fig1 and chordal" `Quick
+          test_bank_golden;
       ] );
     ( "faithful.detection",
       [

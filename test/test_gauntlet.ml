@@ -6,6 +6,7 @@ module Json = Damd_util.Json
 module Adversary = Damd_faithful.Adversary
 module Biconnect = Damd_graph.Biconnect
 module Campaign = Damd_gauntlet.Campaign
+module Runner = Damd_faithful.Runner
 
 let check = Alcotest.check
 
@@ -66,7 +67,7 @@ let test_weakened_bank_violates () =
      execution deviation must profit undetected. The first ten campaigns
      of master seed 42 are known to contain one. *)
   let graded =
-    Campaign.run_batch ~weaken:Campaign.Weaken_settlement ~campaigns:10 ~seed:42 ()
+    Campaign.run_batch ~bank:Runner.Naive_settlement ~campaigns:10 ~seed:42 ()
   in
   let violations =
     List.filter (fun gr -> gr.Campaign.verdict = Campaign.Violation) graded
@@ -79,7 +80,7 @@ let test_weakened_bank_violates () =
     violations;
   (* Shrinking preserves the violation and never grows the campaign. *)
   let gr = List.hd violations in
-  let s = Campaign.shrink ~weaken:Campaign.Weaken_settlement gr in
+  let s = Campaign.shrink ~bank:Runner.Naive_settlement gr in
   check Alcotest.bool "shrunk still violates" true
     (s.Campaign.verdict = Campaign.Violation);
   check Alcotest.bool "no more deviants than before" true
@@ -98,15 +99,22 @@ let test_shrink_identity_on_non_violation () =
 
 let test_weaken_of_string_roundtrip () =
   List.iter
-    (fun w ->
+    (fun (name, bank) ->
+      check Alcotest.string "gauntlet name" name (Campaign.weaken_name bank);
       check Alcotest.bool "round-trips" true
-        (Campaign.weaken_of_string (Campaign.weaken_name w) = Some w))
+        (Campaign.weaken_of_string name = Some bank))
     [
-      Campaign.No_weaken;
-      Campaign.Weaken_pricing;
-      Campaign.Weaken_settlement;
-      Campaign.Weaken_all;
+      ("none", Runner.Certified);
+      ("pricing", Runner.Skip_pricing);
+      ("settlement", Runner.Naive_settlement);
+      ("all", Runner.Unchecked);
     ];
+  (* The experiment banks have names but are not gauntlet settings. *)
+  List.iter
+    (fun bank ->
+      check Alcotest.bool "experiment bank not parsed" true
+        (Campaign.weaken_of_string (Campaign.weaken_name bank) = None))
+    [ Runner.Deferred; Runner.Plain ];
   check Alcotest.bool "unknown rejected" true
     (Campaign.weaken_of_string "bogus" = None)
 
@@ -278,8 +286,8 @@ let test_equal_cost_pair_is_a_declaration () =
 let violating_seed = 585031616423906090
 
 let test_weakened_violation_replays_and_shrinks () =
-  let weaken = Campaign.Weaken_settlement in
-  let gr = Campaign.grade ~weaken (Campaign.of_seed violating_seed) in
+  let bank = Runner.Naive_settlement in
+  let gr = Campaign.grade ~bank (Campaign.of_seed violating_seed) in
   check Alcotest.bool "violation found" true
     (gr.Campaign.verdict = Campaign.Violation);
   check (Alcotest.option Alcotest.string) "profit kind" (Some "profit")
@@ -289,15 +297,15 @@ let test_weakened_violation_replays_and_shrinks () =
   let j2 =
     Json.to_string ~indent:2
       (Campaign.json_of_graded
-         (Campaign.grade ~weaken (Campaign.of_seed violating_seed)))
+         (Campaign.grade ~bank (Campaign.of_seed violating_seed)))
   in
   check Alcotest.string "replay byte-identical" (j ()) j2;
   (* shrinker soundness: the minimized campaign re-grades to the same
      verdict class from its descr alone *)
-  let s = Campaign.shrink ~weaken gr in
+  let s = Campaign.shrink ~bank gr in
   check Alcotest.bool "shrunk still violates" true
     (s.Campaign.verdict = Campaign.Violation);
-  let regraded = Campaign.grade ~weaken s.Campaign.descr in
+  let regraded = Campaign.grade ~bank s.Campaign.descr in
   check Alcotest.bool "shrunk descr reproduces the violation" true
     (regraded.Campaign.verdict = Campaign.Violation);
   check (Alcotest.option Alcotest.string) "same kind" gr.Campaign.violation_kind
@@ -309,7 +317,7 @@ let test_epsilon_agents_activate_on_weakened_bank () =
      wrappers activate and the violation reappears. *)
   let mix = { Campaign.faults = false; epsilon = Some 0.05 } in
   let gr =
-    Campaign.grade ~weaken:Campaign.Weaken_settlement
+    Campaign.grade ~bank:Runner.Naive_settlement
       (Campaign.of_seed ~mix violating_seed)
   in
   check Alcotest.bool "violation with epsilon agents" true
@@ -325,10 +333,10 @@ let test_epsilon_agents_activate_on_weakened_bank () =
    moved campaigns in the change log. *)
 let golden_modes =
   [
-    ("stock", Campaign.No_weaken, Campaign.stock);
-    ("faults", Campaign.No_weaken, mixed);
-    ("weaken-settlement", Campaign.Weaken_settlement, Campaign.stock);
-    ("weaken-pricing", Campaign.Weaken_pricing, Campaign.stock);
+    ("stock", Runner.Certified, Campaign.stock);
+    ("faults", Runner.Certified, mixed);
+    ("weaken-settlement", Runner.Naive_settlement, Campaign.stock);
+    ("weaken-pricing", Runner.Skip_pricing, Campaign.stock);
   ]
 
 let replay_golden =
@@ -370,10 +378,10 @@ let replay_golden =
 let test_replay_golden () =
   let actual =
     List.concat_map
-      (fun (mode, weaken, mix) ->
+      (fun (mode, bank, mix) ->
         List.init 8 (fun i ->
             let d = Campaign.of_seed ~mix (Campaign.campaign_seed ~master:42 i) in
-            let g = Campaign.grade ~weaken d in
+            let g = Campaign.grade ~bank d in
             ( mode,
               i,
               Digest.to_hex

@@ -19,7 +19,10 @@
 #   - experiments, full and --quick;
 #   - routing on fig1 with node 2 running each CLI deviation, and the
 #     faithful run with --no-checking, --no-copies,
-#     --deferred-certification, --latency-seed 5 and --loss 0.05;
+#     --deferred-certification, --latency-seed 5 and --loss 0.05
+#     (routing_no_copies differs from revisions older than the one-bank
+#     Runner.params by design: --no-copies alone used to run the checking
+#     bank without copies and end STUCK; it now runs plain FPSS);
 #   - verify --json on fig1 and torus:4:4, keeping only the JSON with
 #     every "elapsed_s" and "states_per_sec" key removed (the stdout
 #     prints a rate);
