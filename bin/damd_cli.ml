@@ -28,6 +28,42 @@ module Export = Damd_obs.Export
 module Clock = Damd_obs.Clock
 module Json = Damd_util.Json
 
+(* Bad command-line input. Only argument parsing and validation raise it;
+   [main] turns it into exit 2 and a one-line {"error": ...} document on
+   stderr. Every other exception is a bug and still fails loudly. *)
+exception Input_error of string
+
+let input_error fmt = Printf.ksprintf (fun msg -> raise (Input_error msg)) fmt
+
+(* Output files. A command that writes any checks every output path it
+   was given with [output_paths] before it does any work, so a missing
+   directory is bad input rather than a crash after the run. A write that
+   still fails (no permission, a full disk) is bad input too. *)
+let output_paths paths =
+  List.iter
+    (function
+      | _, None -> ()
+      | flag, Some path ->
+          let dir = Filename.dirname path in
+          if not (Sys.file_exists dir && Sys.is_directory dir) then
+            input_error "bad %s %S: directory %S does not exist" flag path dir
+          else if Sys.file_exists path && Sys.is_directory path then
+            input_error "bad %s %S: is a directory" flag path)
+    paths
+
+let writing path write =
+  try write ()
+  with Sys_error msg | Fun.Finally_raised (Sys_error msg) ->
+    (* A failed open names the path, a failed flush does not. *)
+    input_error "cannot write %s"
+      (if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg)
+
+let write_text path text =
+  writing path (fun () ->
+      let oc = open_out path in
+      output_string oc text;
+      close_out oc)
+
 (* Every --trace-out writes the pair: the canonical damd-trace/1 document
    at PATH and the Chrome trace_event twin next to it. *)
 let chrome_path path =
@@ -36,18 +72,11 @@ let chrome_path path =
   else path ^ ".chrome.json"
 
 let write_trace ?meta ~path obs =
-  Export.write ?meta ~path obs;
+  writing path (fun () -> Export.write ?meta ~path obs);
   let cp = chrome_path path in
-  Export.write_chrome ?meta ~path:cp obs;
+  writing cp (fun () -> Export.write_chrome ?meta ~path:cp obs);
   Printf.printf "trace written to %s (damd-trace/1) and %s (chrome://tracing)\n"
     path cp
-
-(* Bad command-line input. Only argument parsing and validation raise it;
-   [main] turns it into exit 2 and a one-line {"error": ...} document on
-   stderr. Every other exception is a bug and still fails loudly. *)
-exception Input_error of string
-
-let input_error fmt = Printf.ksprintf (fun msg -> raise (Input_error msg)) fmt
 
 let number of_string what s =
   match of_string s with
@@ -299,6 +328,7 @@ let spread_dests n k =
   Array.init k (fun i -> i * n / k)
 
 let run_topo topology seed converge dests_k dot_path =
+  output_paths [ ("--dot", dot_path) ];
   at_least 1 "dests" dests_k;
   let t0 = Clock.now_ns () in
   let g, annotations = parse_topology_full topology seed in
@@ -338,9 +368,7 @@ let run_topo topology seed converge dests_k dot_path =
   (match dot_path with
   | None -> ()
   | Some path ->
-      let oc = open_out path in
-      output_string oc (Graph.to_dot g);
-      close_out oc;
+      write_text path (Graph.to_dot g);
       Printf.printf "dot written to %s\n" path);
   if converge then begin
     let dests = spread_dests n dests_k in
@@ -553,13 +581,14 @@ let report_findings ~schema ~json_path findings json =
   (match json_path with
   | None -> ()
   | Some path ->
-      Json.to_file path (json ());
+      writing path (fun () -> Json.to_file path (json ()));
       Printf.printf "report written to %s (schema %s)\n" path schema);
   exit (if errors = 0 then 0 else 1)
 
 let run_lint topology seed mutate json_path list_mutations =
   let module Speccheck = Damd_speccheck in
   let module Lint = Speccheck.Lint in
+  output_paths [ ("--json", json_path) ];
   if list_mutations then
     List.iter
       (fun name ->
@@ -614,6 +643,7 @@ let run_verify topology seed mutate json_path bound por_s domains key_audit
   let module Explore = Speccheck.Explore in
   let module Scenario = Speccheck.Scenario in
   let module Verify = Speccheck.Verify in
+  output_paths [ ("--json", json_path); ("--trace-out", trace_out) ];
   let g = parse_topology topology seed in
   check_mutation mutate;
   at_least 1 "bound" bound;
@@ -731,6 +761,7 @@ let run_analyze topology seed mutate json_path bound differential
   let module Absint = Speccheck.Absint in
   let module Scenario = Speccheck.Scenario in
   let module Analyze = Speccheck.Analyze in
+  output_paths [ ("--json", json_path); ("--trace-out", trace_out) ];
   let g = parse_topology topology seed in
   check_mutation mutate;
   at_least 1 "bound" bound;
@@ -845,6 +876,7 @@ let run_tla deviation nodes seat stall isolated out cfg_out =
   let module Speccheck = Damd_speccheck in
   let module Tla = Speccheck.Tla in
   let module Dev = Speccheck.Dev in
+  output_paths [ ("--out", out); ("--cfg", cfg_out) ];
   at_least 1 "nodes" nodes;
   if seat < 0 || seat > nodes then
     input_error "bad --seat %d (expected 0 to --nodes %d)" seat nodes;
@@ -863,9 +895,7 @@ let run_tla deviation nodes seat stall isolated out cfg_out =
   (match out with
   | None -> print_string module_text
   | Some path ->
-      let oc = open_out path in
-      output_string oc module_text;
-      close_out oc;
+      write_text path module_text;
       Printf.printf "TLA+ module written to %s (module %s)\n" path
         (Tla.sanitize ir.Speccheck.Ir.name));
   match cfg_out with
@@ -874,9 +904,7 @@ let run_tla deviation nodes seat stall isolated out cfg_out =
       let cfg_text =
         Tla.cfg ir ~deviation:dev ~nodes ~seat ~stall ~honest:(not isolated)
       in
-      let oc = open_out path in
-      output_string oc cfg_text;
-      close_out oc;
+      write_text path cfg_text;
       Printf.printf "TLC config written to %s (deviation %s, N=%d)\n" path
         (Dev.to_string dev) nodes
 
@@ -936,6 +964,7 @@ let tla_cfg_arg =
 let run_gauntlet campaigns seed weaken_s json_path replay no_shrink faults
     epsilon trace_out =
   let module Campaign = Damd_gauntlet.Campaign in
+  output_paths [ ("--json", json_path); ("--trace-out", trace_out) ];
   at_least 1 "campaigns" campaigns;
   let epsilon = Option.map (finite "--epsilon") epsilon in
   let bank =
@@ -1066,8 +1095,8 @@ let run_gauntlet campaigns seed weaken_s json_path replay no_shrink faults
       (match json_path with
       | None -> ()
       | Some path ->
-          Damd_util.Json.to_file path
-            (Campaign.report ~shrunk ~bank ~seed gradeds);
+          writing path (fun () ->
+              Json.to_file path (Campaign.report ~shrunk ~bank ~seed gradeds));
           Printf.printf "\nreport written to %s (schema damd-gauntlet/%d)\n" path
             (if Campaign.is_stock mix then 1 else 2));
       if violations <> [] then exit 1
@@ -1075,6 +1104,7 @@ let run_gauntlet campaigns seed weaken_s json_path replay no_shrink faults
 (* --- forensic tracing --- *)
 
 let run_trace topology seed deviants rate out =
+  output_paths [ ("--out", Some out) ];
   let rate = non_negative "--rate" rate in
   let g = parse_topology topology seed in
   let n = Graph.n g in

@@ -34,6 +34,25 @@ module Replication = Damd_faithful.Replication
 let csv_dir : string option ref = ref None
 let seed_base = ref 0
 
+(* Bad input (an unknown experiment, an --out directory that cannot be
+   made or written) exits 2 with one line on stderr. *)
+let bad_input fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
+let write_file file text =
+  try
+    let oc = open_out file in
+    output_string oc text;
+    close_out oc
+  with Sys_error msg ->
+    (* A failed open names the file, a failed flush does not. *)
+    bad_input "cannot write %s"
+      (if String.starts_with ~prefix:file msg then msg else file ^ ": " ^ msg)
+
 (* All experiment RNGs flow through here so that --seed re-randomizes every
    sweep coherently. *)
 let mk_rng k = Rng.create (k + (1000 * !seed_base))
@@ -59,9 +78,7 @@ let emit t =
           (String.lowercase_ascii !current_section)
           !table_counter
       in
-      let oc = open_out file in
-      output_string oc (Table.to_csv t);
-      close_out oc
+      write_file file (Table.to_csv t)
 
 (* Any [FAIL] verdict makes the run exit 1 once every selected experiment
    has printed its tables. *)
@@ -181,9 +198,7 @@ let e1 ~quick:_ =
   | Some dir ->
       (* Graphviz rendering of Figure 1 with the LCP tree bold, matching
          the paper's presentation. *)
-      let oc = open_out (Filename.concat dir "figure1.dot") in
-      output_string oc (Graph.to_dot ~highlight:tree g);
-      close_out oc;
+      write_file (Filename.concat dir "figure1.dot") (Graph.to_dot ~highlight:tree g);
       Printf.printf "(wrote %s/figure1.dot)\n" dir);
   let ok =
     cost (node "X") (node "Z") = 2.
@@ -1161,11 +1176,6 @@ let experiments =
 
 let run_selected names quick out seed =
   seed_base := seed;
-  (match out with
-  | None -> ()
-  | Some dir ->
-      (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      csv_dir := Some dir);
   let to_run =
     match names with
     | [] -> experiments
@@ -1175,11 +1185,20 @@ let run_selected names quick out seed =
             match List.assoc_opt (String.lowercase_ascii name) experiments with
             | Some f -> Some (name, f)
             | None ->
-                Printf.eprintf "unknown experiment %S (known: %s)\n" name
-                  (String.concat " " (List.map fst experiments));
-                exit 2)
+                bad_input "unknown experiment %S (known: %s)" name
+                  (String.concat " " (List.map fst experiments)))
           names
   in
+  (* The --out directory is made, or found, before any experiment runs. *)
+  Option.iter
+    (fun dir ->
+      (match Unix.mkdir dir 0o755 with
+      | () | (exception Unix.Unix_error (Unix.EEXIST, _, _)) -> ()
+      | exception Unix.Unix_error (e, _, _) ->
+          bad_input "cannot create --out directory %s: %s" dir (Unix.error_message e));
+      if not (Sys.is_directory dir) then bad_input "bad --out %s: not a directory" dir;
+      csv_dir := Some dir)
+    out;
   List.iter (fun (_, f) -> f ~quick) to_run;
   print_newline ();
   if !any_failed then exit 1
@@ -1206,7 +1225,8 @@ let cmd =
   let doc = "Regenerate the paper's figures, examples and theorem checks" in
   let exits =
     Cmd.Exit.info 1 ~doc:"some experiment printed a [FAIL] verdict."
-    :: Cmd.Exit.info 2 ~doc:"an unknown experiment was named."
+    :: Cmd.Exit.info 2
+         ~doc:"an unknown experiment was named, or --out could not be written."
     :: Cmd.Exit.defaults
   in
   Cmd.v

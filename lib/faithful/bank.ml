@@ -47,73 +47,24 @@ let digest_memo st =
             seen := (table, d) :: !seen;
             d)
 
-(* The table [checker] last heard [principal] announce. *)
-let heard_from st checker ~principal =
-  List.assoc_opt principal (st.Node.slot checker).Node.heard
-
-(* Stock evidence mode: every checker's mirror digest and the digest of
-   the announcement it holds must equal the principal's self digest. *)
-let checkpoint_stock st nodes =
-  let rule = st.Node.bank_rule in
-  let digest = digest_memo st in
-  let detections = ref [] in
-  Array.iter
-    (fun (node : Node.t) ->
-      let p = node.Node.id in
-      let expected = digest (st.Node.get node) in
-      let problems = ref [] in
-      List.iter
-        (fun c ->
-          let checker = nodes.(c) in
-          if Adversary.shields checker.Node.plan ~principal:p then
-            (* A coordinated lie: the checker echoes the principal's
-               self-report for both of its digests, so it contributes no
-               evidence. Honest checkers (if any remain) still catch the
-               deviation; a full-neighborhood coalition escapes — the
-               paper's "without collusion" boundary (experiment E14). *)
-            ()
-          else begin
-            let mirror = digest (st.Node.mirror checker ~principal:p) in
-            if not (String.equal mirror expected) then
-              problems := Printf.sprintf "checker %d mirror disagrees" c :: !problems;
-            match heard_from st checker ~principal:p with
-            | None -> problems := Printf.sprintf "no announcement seen by %d" c :: !problems
-            | Some announced ->
-                if not (String.equal (digest announced) expected) then
-                  problems :=
-                    Printf.sprintf "announcement to %d disagrees with internal state" c
-                    :: !problems
-          end)
-        node.Node.neighbors;
-      if !problems <> [] then
-        detections :=
-          { rule; culprit = Some p; detail = String.concat "; " (List.rev !problems) }
-          :: !detections)
-    nodes;
-  List.rev !detections
-
-(* Fault-tolerant evidence mode (DESIGN.md §14). Under injected link
-   faults a bare digest mismatch no longer implies deviation — a lost
-   copy or a stale announcement produces the same disagreement — so
-   blame requires a *contradiction between signed statements*:
-
-   - the announcement a checker holds matches what the principal itself
-     claims to have announced, yet differs from its certified internal
-     state (it announced a table it does not stand behind), or
-   - checker and principal consumed input sets with equal digests, yet
-     the mirror recomputation differs from the principal's self-report
-     (same inputs, different function: someone lied about the
-     computation).
-
-   Everything else — missing or stale announcements, mirrors computed
-   from different inputs — is an *omission*: evidence that a message was
-   lost, not of who is at fault. Omissions fail the checkpoint with
-   [culprit = None], triggering a restart; a deviation that keeps
-   producing omissions every attempt degrades the run to a stuck phase
-   (collective punishment) instead of an individual accusation. That is
-   the graceful-degradation contract: faults and fault-shaped deviations
-   cost progress, never honest reputations. *)
-let checkpoint_ft st nodes =
+(* One body for both evidence modes. Per principal, every checker that
+   does not shield it states two digests, its mirror recomputation and
+   the announcement it heard, and the bank compares each with the
+   principal's self digest. The modes fail a checkpoint on the same
+   disagreements and differ only in whom one names. The stock mode
+   blames the principal for every disagreement. Under injected link
+   faults a lost copy or a stale announcement produces the same
+   mismatch as a lie, so the fault-tolerant mode (DESIGN.md §14) blames
+   only a contradiction between signed statements: a mirror that differs
+   from the self-report although checker and principal consumed inputs
+   with equal digests (same inputs, different function), or a held
+   announcement that equals what the principal claims to have announced
+   yet differs from its certified state. Every other disagreement is an
+   omission, evidence that a message was lost rather than of who is at
+   fault; omissions fail the checkpoint with one [culprit = None]
+   detection, and a deviation that keeps producing them ends in a stuck
+   phase, collective punishment with no one accused. *)
+let checkpoint ~fault_tolerant st nodes =
   let rule = st.Node.bank_rule in
   let digest = digest_memo st in
   let detections = ref [] in
@@ -122,60 +73,53 @@ let checkpoint_ft st nodes =
     (fun (node : Node.t) ->
       let p = node.Node.id in
       let expected = digest (st.Node.get node) in
-      let claimed = Option.map digest (st.Node.slot node).Node.announced in
-      (* Read only when some mirror disagrees. *)
+      (* Read by the fault-tolerant mode only, at a disagreement. *)
       let own_inputs = lazy (st.Node.inputs_digest node) in
-      let contradictions = ref [] in
-      let omitted = ref [] in
+      let claimed = lazy (Option.map digest (st.Node.slot node).Node.announced) in
+      let blamed = ref [] and omitted = ref [] in
+      let blame fmt = Printf.ksprintf (fun d -> blamed := d :: !blamed) fmt in
+      (* The stock mode blames the principal for an omission too. *)
+      let omission = if fault_tolerant then omitted else blamed in
+      let omit fmt = Printf.ksprintf (fun d -> omission := d :: !omission) fmt in
       List.iter
         (fun c ->
           let checker = nodes.(c) in
-          if Adversary.shields checker.Node.plan ~principal:p then ()
-          else begin
-            let mirror = digest (st.Node.mirror checker ~principal:p) in
-            if not (String.equal mirror expected) then begin
-              if
+          (* A shielding checker echoes the principal's self-report for
+             both of its digests, a coordinated lie that contributes no
+             evidence. Honest checkers (if any remain) still catch the
+             deviation; a full-neighborhood coalition escapes, the
+             paper's "without collusion" boundary (experiment E14). *)
+          if not (Adversary.shields checker.Node.plan ~principal:p) then begin
+            if not (String.equal (digest (st.Node.mirror checker ~principal:p)) expected)
+            then
+              if not fault_tolerant then blame "checker %d mirror disagrees" c
+              else if
                 String.equal (st.Node.mirror_inputs_digest checker ~principal:p)
                   (Lazy.force own_inputs)
-              then
-                contradictions :=
-                  Printf.sprintf "checker %d mirror disagrees on matching inputs" c
-                  :: !contradictions
-              else
-                omitted :=
-                  Printf.sprintf "checker %d mirror ran on different inputs" c
-                  :: !omitted
-            end;
-            match heard_from st checker ~principal:p with
-            | None -> omitted := Printf.sprintf "no announcement seen by %d" c :: !omitted
+              then blame "checker %d mirror disagrees on matching inputs" c
+              else omit "checker %d mirror ran on different inputs" c;
+            match List.assoc_opt p (st.Node.slot checker).Node.heard with
+            | None -> omit "no announcement seen by %d" c
             | Some announced ->
                 let announced = digest announced in
                 if String.equal announced expected then ()
-                else if Option.equal String.equal (Some announced) claimed then
-                  contradictions :=
-                    Printf.sprintf
-                      "announcement to %d contradicts certified internal state" c
-                    :: !contradictions
-                else
-                  omitted :=
-                    Printf.sprintf "stale announcement held by %d" c :: !omitted
+                else if not fault_tolerant then
+                  blame "announcement to %d disagrees with internal state" c
+                else if Option.equal String.equal (Some announced) (Lazy.force claimed)
+                then blame "announcement to %d contradicts certified internal state" c
+                else omit "stale announcement held by %d" c
           end)
         node.Node.neighbors;
-      if !contradictions <> [] then
+      if !blamed <> [] then
         detections :=
-          {
-            rule;
-            culprit = Some p;
-            detail = String.concat "; " (List.rev !contradictions);
-          }
+          { rule; culprit = Some p; detail = String.concat "; " (List.rev !blamed) }
           :: !detections
       else if !omitted <> [] then
         omissions :=
           Printf.sprintf "node %d: %s" p (String.concat "; " (List.rev !omitted))
           :: !omissions)
     nodes;
-  let detections = List.rev !detections in
-  if detections = [] && !omissions <> [] then
+  if !detections = [] && !omissions <> [] then
     [
       {
         rule;
@@ -185,23 +129,22 @@ let checkpoint_ft st nodes =
             (String.concat " | " (List.rev !omissions));
       };
     ]
-  else detections
-
-let checkpoint ~fault_tolerant st nodes =
-  if fault_tolerant then checkpoint_ft st nodes else checkpoint_stock st nodes
+  else List.rev !detections
 
 let checkpoint_routing nodes = checkpoint ~fault_tolerant:false Node.routing_stage nodes
 let checkpoint_pricing nodes = checkpoint ~fault_tolerant:false Node.pricing_stage nodes
 
-let checkpoint_bytes nodes =
+let checkpoint_bytes phase nodes =
   (* DATA1: one digest per node; BANK1 and BANK2: per principal one
      self-digest plus two digests (mirror + announced) per checker. Each
      digest is 32 bytes plus a 64-byte signed envelope. *)
   let per_digest = 32 + 64 in
   Array.fold_left
     (fun acc (node : Node.t) ->
-      let deg = List.length node.Node.neighbors in
-      acc + per_digest (* DATA1 *) + (2 * per_digest * (1 + (2 * deg))))
+      match phase with
+      | `Costs -> acc + per_digest
+      | `Routing | `Pricing ->
+          acc + (per_digest * (1 + (2 * List.length node.Node.neighbors))))
     0 nodes
 
 let serialize_report entries =

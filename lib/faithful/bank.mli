@@ -10,8 +10,8 @@
     (resp. [DATA3*]) digest plus, from each of its checkers, the digest of
     the mirror recomputation and the digest of the principal's last
     announcement — and demands they all agree ([BANK1]/[BANK2]). Any
-    disagreement restarts the phase. Both tables go through one
-    [checkpoint] body per evidence mode, parameterized by the table's
+    disagreement restarts the phase. Both tables and both evidence modes
+    go through one [checkpoint] body, parameterized by the table's
     [Node.stage].
 
     Execution: every source's signed [DATA4] payment report is compared
@@ -37,16 +37,22 @@ val checkpoint : fault_tolerant:bool -> 'tbl Node.stage -> Node.t array -> detec
 (** The stage's table checkpoint, [BANK1] for routing and [BANK2] for
     pricing. Empty list = green light.
 
-    With [fault_tolerant] ([false] is the stock behavior), the evidence
-    model assumes injected link faults are possible and accuses only on
-    *contradictions between signed statements*: an announcement the
-    principal stands behind that differs from its certified state, or a
-    mirror that disagrees although checker and principal consumed input
-    sets with equal digests (for pricing, both tables' inputs, since a
-    pricing mirror consumes routing state too).
-    Bare mismatches explainable by a lost or stale message are reported
-    as a single [culprit = None] omission detection — the checkpoint
-    still fails (restart), but no one is blamed. This is the
+    Per principal, the bank walks the checkers that do not shield it
+    once and compares each one's mirror digest and heard-announcement
+    digest with the principal's self digest. Both modes fail the
+    checkpoint on the same disagreements, so restarts and stuck phases
+    depend on the environment, not on the mode; the mode decides only
+    whom a disagreement names. The stock mode ([fault_tolerant = false])
+    blames the principal for every one. The fault-tolerant mode blames
+    only a *contradiction between signed statements*: a held
+    announcement equal to the one the principal claims to have made
+    that differs from its certified state, or a mirror that disagrees
+    although checker and principal consumed input sets with equal
+    digests (for pricing, both tables' inputs, since a pricing mirror
+    consumes routing state too). Every other disagreement, explainable
+    by a lost or stale message, is an omission; when no one is blamed,
+    the omissions make one [culprit = None] detection — the checkpoint
+    still fails (restart), but no one is named. This is the
     blame-correctness contract the fault gauntlet asserts: an injected
     fault must never cost an honest node its reputation, at the price of
     demoting some fault-shaped deviations (copy-dropping, spoofing) from
@@ -58,9 +64,10 @@ val checkpoint : fault_tolerant:bool -> 'tbl Node.stage -> Node.t array -> detec
     the mirror, which is recomputed every time — but within one call each
     distinct table is hashed once: digests go through a memo looked up by
     physical identity, then by the stage's [equal], which holds exactly
-    when two tables serialize to the same bytes. In the fault-tolerant
-    mode the principal's own inputs digest is computed only when some
-    mirror disagrees. The one-digest-per-query bodies are the test oracle
+    when two tables serialize to the same bytes. The principal's inputs
+    digest and claimed announcement are read only by the fault-tolerant
+    mode, at a disagreement that needs them. The old bodies, one per mode
+    and one digest per query, are the test oracle
     [test/bank_reference.ml]. *)
 
 val checkpoint_routing : Node.t array -> detection list
@@ -69,9 +76,9 @@ val checkpoint_routing : Node.t array -> detection list
 val checkpoint_pricing : Node.t array -> detection list
 (** [checkpoint ~fault_tolerant:false Node.pricing_stage] ([BANK2]). *)
 
-val checkpoint_bytes : Node.t array -> int
-(** Bytes moved over the signed bank channel for one full set of
-    construction checkpoints (E10's cost model). *)
+val checkpoint_bytes : [ `Costs | `Routing | `Pricing ] -> Node.t array -> int
+(** Bytes moved over the signed bank channel for one construction
+    checkpoint, [DATA1], [BANK1] or [BANK2] (E10's cost model). *)
 
 type settlement = {
   outlays : float array;  (** what each source ends up paying *)

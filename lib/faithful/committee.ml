@@ -28,12 +28,3 @@ let decide committee ~evidence =
   else Green_light
 
 let tolerates ~replicas ~corrupt = 2 * corrupt < replicas
-
-let checkpoint committee ~stage nodes =
-  let evidence =
-    match stage with
-    | `Costs -> Bank.checkpoint_costs nodes
-    | `Routing -> Bank.checkpoint_routing nodes
-    | `Pricing -> Bank.checkpoint_pricing nodes
-  in
-  decide committee ~evidence

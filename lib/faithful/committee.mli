@@ -35,11 +35,3 @@ val decide : behavior list -> evidence:Bank.detection list -> verdict
 val tolerates : replicas:int -> corrupt:int -> bool
 (** [corrupt] arbitrary liars cannot change any verdict of a committee of
     [replicas] honest-majority members: [corrupt <= (replicas - 1) / 2]. *)
-
-val checkpoint :
-  behavior list ->
-  stage:[ `Costs | `Routing | `Pricing ] ->
-  Node.t array ->
-  verdict
-(** Run the corresponding [Bank] checkpoint as the committee's evidence
-    and vote on it. *)

@@ -274,14 +274,22 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
     note ds;
     match ds with [] -> Ok () | d :: _ -> Error d.Bank.detail
   in
-  (* The bank's evidence on one construction phase: DATA1, BANK1, BANK2.
-     The unchecked and plain banks collect none, skip-pricing no BANK2. *)
-  let evidence (phase : Fault.phase_tag) =
-    match (params.bank, phase) with
-    | (Unchecked | Plain), _ | Skip_pricing, `Pricing -> []
-    | _, `Costs -> Bank.checkpoint_costs nodes
-    | _, `Routing -> Bank.checkpoint ~fault_tolerant:ft Node.routing_stage nodes
-    | _, `Pricing -> Bank.checkpoint ~fault_tolerant:ft Node.pricing_stage nodes
+  (* The construction checkpoints the bank collects, DATA1, BANK1 and
+     BANK2: the unchecked and plain banks none, skip-pricing no BANK2.
+     The bank's evidence and its channel bytes both follow this list. *)
+  let collected : Fault.phase_tag list =
+    match params.bank with
+    | Unchecked | Plain -> []
+    | Skip_pricing -> [ `Costs; `Routing ]
+    | Certified | Deferred | Naive_settlement -> [ `Costs; `Routing; `Pricing ]
+  in
+  let evidence phase =
+    if not (List.mem phase collected) then []
+    else
+      match phase with
+      | `Costs -> Bank.checkpoint_costs nodes
+      | `Routing -> Bank.checkpoint ~fault_tolerant:ft Node.routing_stage nodes
+      | `Pricing -> Bank.checkpoint ~fault_tolerant:ft Node.pricing_stage nodes
   in
   (* Every bank but the deferred one certifies a phase as it ends. *)
   let certify phase =
@@ -338,10 +346,7 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
   let construction_messages = Engine.messages_sent engine in
   let construction_bytes = Engine.bytes_sent engine in
   let bank_bytes =
-    match params.bank with
-    | Unchecked | Plain -> 0
-    | Certified | Deferred | Skip_pricing | Naive_settlement ->
-        Bank.checkpoint_bytes nodes
+    List.fold_left (fun acc phase -> acc + Bank.checkpoint_bytes phase nodes) 0 collected
   in
   (* Snapshot construction-epoch engine counters before the execution
      reset wipes them. *)
@@ -435,7 +440,7 @@ let run ?(params = default_params) ~graph ~traffic ~deviations () =
           (* The ablation of experiment E8: with certification deferred to
              a single final check, a deviation is only caught after the
              whole construction has been paid for. *)
-          match verdict (evidence `Costs @ evidence `Routing @ evidence `Pricing) with
+          match verdict (List.concat_map evidence collected) with
           | Ok () -> execute progress
           | Error _ -> stuck "deferred-certification" progress)
       | Certified | Skip_pricing | Naive_settlement | Unchecked | Plain ->

@@ -134,7 +134,10 @@ type result = {
   construction_messages : int;
   construction_bytes : int;
   execution_messages : int;
-  bank_bytes : int;  (** 0 for the [Unchecked] and [Plain] banks *)
+  bank_bytes : int;
+      (** signed bank-channel bytes of the construction checkpoints the
+          bank collects ([Bank.checkpoint_bytes]): 0 for the [Unchecked]
+          and [Plain] banks, DATA1 and BANK1 for [Skip_pricing] *)
   tables : Damd_fpss.Tables.t option;
       (** the certified tables, when the construction completed *)
   sim_time : float;

@@ -1,8 +1,7 @@
 (** Trace serialization: [damd-trace/1] and Chrome [trace_event].
 
     Both exports read the buffered events of a memory sink; for [noop]
-    or file sinks they produce valid-but-empty documents (file sinks
-    stream their own JSONL form, see [Obs.file]). *)
+    they produce valid-but-empty documents. *)
 
 val to_json : ?meta:Obs.args -> Obs.t -> Damd_util.Json.t
 (** The [damd-trace/1] document (schema in DESIGN.md §15): header,

@@ -22,9 +22,7 @@ type ring = {
   mutable ring_dropped : int;
 }
 
-type file_state = { oc : out_channel; mutable closed : bool }
-
-type kind = Noop | Memory of ring | File of file_state
+type kind = Noop | Memory of ring
 
 type t = {
   kind : kind;
@@ -88,19 +86,7 @@ let memory ?(detail = false) ?(capacity = 65536) () =
     t0 = Clock.now_ns ();
   }
 
-let file ?(detail = false) path =
-  let oc = open_out path in
-  output_string oc
-    "{\"schema\":\"damd-trace/1\",\"stream\":true,\"clock\":\"monotonic\",\"unit\":\"ns\"}\n";
-  {
-    kind = File { oc; closed = false };
-    reg = Some (Metrics.create ());
-    detail;
-    depth = 0;
-    t0 = Clock.now_ns ();
-  }
-
-let enabled t = match t.kind with Noop -> false | Memory _ | File _ -> true
+let enabled t = match t.kind with Noop -> false | Memory _ -> true
 let detailed t = t.detail
 let metrics t = t.reg
 
@@ -112,30 +98,25 @@ let record t ev =
       else r.len <- r.len + 1;
       r.buf.(r.head) <- ev;
       r.head <- (r.head + 1) mod r.capacity
-  | File f ->
-      if not f.closed then begin
-        output_string f.oc (Json.to_string ~indent:0 (json_of_event ev));
-        output_char f.oc '\n'
-      end
 
 let rel_now t = Int64.sub (Clock.now_ns ()) t.t0
 
 let instant t ?(cat = "") ?(args = []) name =
   match t.kind with
   | Noop -> ()
-  | Memory _ | File _ ->
+  | Memory _ ->
       record t (Instant { name; cat; ts_ns = rel_now t; args })
 
 let sample t name value =
   match t.kind with
   | Noop -> ()
-  | Memory _ | File _ ->
+  | Memory _ ->
       record t (Sample { name; ts_ns = rel_now t; value })
 
 let span t ?(cat = "") ?(args = []) name f =
   match t.kind with
   | Noop -> f ()
-  | Memory _ | File _ -> (
+  | Memory _ -> (
       let depth = t.depth in
       t.depth <- depth + 1;
       let start = rel_now t in
@@ -154,36 +135,20 @@ let span t ?(cat = "") ?(args = []) name f =
 
 let events t =
   match t.kind with
-  | Noop | File _ -> []
+  | Noop -> []
   | Memory r ->
       let start = (r.head - r.len + r.capacity) mod r.capacity in
       List.init r.len (fun i -> r.buf.((start + i) mod r.capacity))
 
 let dropped t =
-  match t.kind with Noop | File _ -> 0 | Memory r -> r.ring_dropped
+  match t.kind with Noop -> 0 | Memory r -> r.ring_dropped
 
 let reset t =
   (match t.kind with
-  | Noop | File _ -> ()
+  | Noop -> ()
   | Memory r ->
       r.len <- 0;
       r.head <- 0;
       r.ring_dropped <- 0);
   t.depth <- 0;
   match t.reg with None -> () | Some m -> Metrics.reset m
-
-let close t =
-  match t.kind with
-  | Noop | Memory _ -> ()
-  | File f ->
-      if not f.closed then begin
-        f.closed <- true;
-        (match t.reg with
-        | None -> ()
-        | Some m ->
-            output_string f.oc
-              (Json.to_string ~indent:0
-                 (Json.Obj [ ("metrics", Metrics.to_json m) ]));
-            output_char f.oc '\n');
-        close_out f.oc
-      end

@@ -1,10 +1,9 @@
 (** Trace sinks: spans, instants and counter samples.
 
     A sink is either [noop] (discards everything; the hot-path guard is
-    a single tag test and no allocation happens), an in-memory ring
+    a single tag test and no allocation happens) or an in-memory ring
     buffer (keeps the most recent [capacity] events, counting what it
-    overwrote), or a streaming file sink (JSON-lines, one event per
-    line, for traces too big to buffer).
+    overwrote).
 
     Spans use the monotonic [Clock] and nest by recording the sink's
     current depth: a span emitted while [k] spans are open has
@@ -44,11 +43,6 @@ val noop : t
 val memory : ?detail:bool -> ?capacity:int -> unit -> t
 (** Ring buffer of [capacity] events (default 65536), newest win. *)
 
-val file : ?detail:bool -> string -> t
-(** Stream events to [path] as JSON lines (header line first, metrics
-    trailer on [close]). Unbounded; nothing is retained in memory, so
-    [events] returns []. *)
-
 val enabled : t -> bool
 (** [false] only for [noop]. *)
 
@@ -68,17 +62,13 @@ val instant : t -> ?cat:string -> ?args:args -> string -> unit
 val sample : t -> string -> float -> unit
 
 val events : t -> event list
-(** Buffered events, oldest first. [] for [noop] and file sinks. *)
+(** Buffered events, oldest first. [] for [noop]. *)
 
 val dropped : t -> int
 (** Events overwritten by ring-buffer wrap-around. *)
 
 val reset : t -> unit
 (** Clear buffered events, the drop count and the metrics registry. *)
-
-val close : t -> unit
-(** Flush and close a file sink (writes the metrics trailer);
-    no-op otherwise. *)
 
 val json_of_event : event -> Damd_util.Json.t
 (** One event in [damd-trace/1] form (see DESIGN.md §15). *)

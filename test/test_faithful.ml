@@ -766,14 +766,28 @@ let test_bank_checkpoint_costs () =
   b.Node.costs <- [| 1.; 3. |];
   check Alcotest.int "inconsistent" 1 (List.length (Bank.checkpoint_costs [| a; b |]))
 
-let test_bank_checkpoint_bytes_positive () =
+(* A run's bank bytes are those of the checkpoints its bank collects: the
+   skip-pricing bank never collects BANK2. *)
+let test_bank_checkpoint_bytes () =
   let g, _ = Lazy.force fig1 in
   let sets = Array.init 6 (Graph.neighbors g) in
   let nodes =
     Array.init 6 (fun id ->
         Node.create ~id ~n:6 ~neighbor_sets:sets ~true_cost:1. ~deviation:Adversary.Faithful ())
   in
-  check Alcotest.bool "bytes > 0" true (Bank.checkpoint_bytes nodes > 0)
+  let data1 = Bank.checkpoint_bytes `Costs nodes
+  and bank1 = Bank.checkpoint_bytes `Routing nodes
+  and bank2 = Bank.checkpoint_bytes `Pricing nodes in
+  check Alcotest.bool "bytes > 0" true (data1 > 0 && bank1 > 0 && bank2 > 0);
+  let bank_bytes bank =
+    let params = { Runner.default_params with Runner.bank } in
+    (Runner.run_faithful ~params ~graph:g ~traffic:fig1_traffic ()).Runner.bank_bytes
+  in
+  check Alcotest.int "certified = DATA1 + BANK1 + BANK2" (data1 + bank1 + bank2)
+    (bank_bytes Runner.Certified);
+  check Alcotest.int "skip-pricing = DATA1 + BANK1" (data1 + bank1)
+    (bank_bytes Runner.Skip_pricing);
+  check Alcotest.int "unchecked collects none" 0 (bank_bytes Runner.Unchecked)
 
 (* --- Bank.checkpoint vs the one-digest-per-query reference ---
 
@@ -788,7 +802,10 @@ let test_bank_checkpoint_bytes_positive () =
    After each checkpoint one principal's own table is replaced by a
    distorted copy and the bank is asked again, so checkers' mirrors
    disagree with it on matching inputs: a branch the fault campaigns
-   do not reach. *)
+   do not reach. At every query the two modes must also differ only in
+   blame: the stock mode fails the checkpoint exactly when the
+   fault-tolerant mode does, and names every principal that mode
+   names. *)
 
 let construction_deviation rng n =
   Rng.choose rng
@@ -803,12 +820,23 @@ let same_detections =
       && String.equal x.Bank.detail y.Bank.detail)
 
 let checkpoints_agree c st =
-  List.for_all
-    (fun fault_tolerant ->
-      same_detections
-        (Bank.checkpoint ~fault_tolerant st c.nodes)
-        (Bank_reference.checkpoint ~fault_tolerant st c.nodes))
-    [ false; true ]
+  let checkpoint fault_tolerant =
+    let ds = Bank.checkpoint ~fault_tolerant st c.nodes in
+    if not (same_detections ds (Bank_reference.checkpoint ~fault_tolerant st c.nodes))
+    then QCheck.Test.fail_reportf "%s checkpoint differs from the reference" st.Node.bank_rule;
+    ds
+  in
+  let stock = checkpoint false and ft = checkpoint true in
+  let named ds = List.filter_map (fun (d : Bank.detection) -> d.Bank.culprit) ds in
+  if (stock = []) <> (ft = []) then
+    QCheck.Test.fail_reportf "%s: stock %s, fault-tolerant %s" st.Node.bank_rule
+      (if stock = [] then "certifies" else "fails")
+      (if ft = [] then "certifies" else "fails");
+  List.for_all (fun p -> List.mem p (named stock)) (named ft)
+  || QCheck.Test.fail_reportf "%s: fault-tolerant culprits %s, stock culprits %s"
+       st.Node.bank_rule
+       (String.concat "," (List.map string_of_int (named ft)))
+       (String.concat "," (List.map string_of_int (named stock)))
 
 let prop_checkpoint_equals_reference =
   QCheck.Test.make ~name:"checkpoint = one-digest-per-query reference" ~count:100
@@ -1497,7 +1525,8 @@ let test_committee_checkpoint_end_to_end () =
     [ Committee.Honest_replica; Committee.Honest_replica; Committee.Always_restart ]
   in
   check Alcotest.bool "routing green-lit despite liar" true
-    (Committee.checkpoint committee ~stage:`Routing nodes = Committee.Green_light)
+    (Committee.decide committee ~evidence:(Bank.checkpoint_routing nodes)
+    = Committee.Green_light)
 
 (* --- FPSS partitioning (footnote 8 of the paper) --- *)
 
@@ -2431,20 +2460,20 @@ let bank_golden =
     ("deferred chordal:10:4 3:drop-routing-copies", "ac3aa32c423d655d25768b4668be1364");
     ("deferred chordal:10:4 3:byzantine-arbitrary(1)", "804ee8b552dfcfe4f15755a6e84e99cb");
     ("deferred chordal:10:4 3:byzantine-arbitrary(12)", "6c76a2d4a4f51d23c2cb35b1a04dddc1");
-    ("skip-pricing fig1 2:faithful", "137b59389df5a42408ebb452886ce71f");
-    ("skip-pricing fig1 2:miscompute-routing(-2)", "081c13fde5520dfe803a923c442b94fe");
-    ("skip-pricing fig1 2:miscompute-pricing(+2)", "8ff3ca7144b41ac1a350313d307c6268");
-    ("skip-pricing fig1 2:underreport-payments(x0.5)", "5d0bb33bc95bf5d7a3dadf1996e8dce3");
-    ("skip-pricing fig1 2:drop-routing-copies", "19c741329f5b2036fd6ddd22fc29a602");
-    ("skip-pricing fig1 2:byzantine-arbitrary(1)", "af44a77ac6e4736d6fcf471da07afd6d");
-    ("skip-pricing fig1 2:byzantine-arbitrary(12)", "5a35a6270b148f93b3a86dd5a8df7700");
-    ("skip-pricing chordal:10:4 3:faithful", "999b49d7e97f18b8c9577269e77a0b62");
-    ("skip-pricing chordal:10:4 3:miscompute-routing(-2)", "ba614c2128b160569e39e2f53c14828c");
-    ("skip-pricing chordal:10:4 3:miscompute-pricing(+2)", "394bddbb907de80bfc6399970b15a958");
-    ("skip-pricing chordal:10:4 3:underreport-payments(x0.5)", "b1681e318f33b81230459535f0a7fb08");
-    ("skip-pricing chordal:10:4 3:drop-routing-copies", "3b5f759e7d11de3b202210c2488a643f");
-    ("skip-pricing chordal:10:4 3:byzantine-arbitrary(1)", "0272deda032ca9cf21860dc372439c80");
-    ("skip-pricing chordal:10:4 3:byzantine-arbitrary(12)", "ed7df0992c4da056b43a10ae633fdd90");
+    ("skip-pricing fig1 2:faithful", "85e75eec83e5eaa5425ba3f21b73c008");
+    ("skip-pricing fig1 2:miscompute-routing(-2)", "987b218a0c965775fdaa8adb435cd90f");
+    ("skip-pricing fig1 2:miscompute-pricing(+2)", "6e128b46f7d1b5e5b2da87f41fe3679b");
+    ("skip-pricing fig1 2:underreport-payments(x0.5)", "d7d5a77ac7fbe1d5aba8dbd4990ca8de");
+    ("skip-pricing fig1 2:drop-routing-copies", "f03cf091e9266fef7ee1461009c76d97");
+    ("skip-pricing fig1 2:byzantine-arbitrary(1)", "27252fc9e8ab0ba8ecb42d61a379cae7");
+    ("skip-pricing fig1 2:byzantine-arbitrary(12)", "08737e030efae6c826a6599f8bb34373");
+    ("skip-pricing chordal:10:4 3:faithful", "556e6fbcd3ee01aa56bd2f21f662eb44");
+    ("skip-pricing chordal:10:4 3:miscompute-routing(-2)", "218ff20f67fded2e0f8da06e74435b8c");
+    ("skip-pricing chordal:10:4 3:miscompute-pricing(+2)", "5fc1c1651294ff15d63cb2ab4d000431");
+    ("skip-pricing chordal:10:4 3:underreport-payments(x0.5)", "8a0257210d8c7238b39eee4424a22fcb");
+    ("skip-pricing chordal:10:4 3:drop-routing-copies", "161970f2ac90816c2233af5d0419465c");
+    ("skip-pricing chordal:10:4 3:byzantine-arbitrary(1)", "e573bda421e9be6c130f52b6b460d213");
+    ("skip-pricing chordal:10:4 3:byzantine-arbitrary(12)", "55ad515f7958cefacd39bebaf07504b5");
     ("naive-settlement fig1 2:faithful", "137b59389df5a42408ebb452886ce71f");
     ("naive-settlement fig1 2:miscompute-routing(-2)", "081c13fde5520dfe803a923c442b94fe");
     ("naive-settlement fig1 2:miscompute-pricing(+2)", "f236ae60ed7363bd6546971da6a7db09");
@@ -2501,20 +2530,20 @@ let bank_golden =
     ("certified fault chordal:10:4 3:drop-routing-copies", "02f08eff7c0ae8f46af57f5e4ba4fbcf");
     ("certified fault chordal:10:4 3:byzantine-arbitrary(1)", "349b7f97e199302df0529e9fde7994ba");
     ("certified fault chordal:10:4 3:byzantine-arbitrary(12)", "52e22e253bac6017c4b5582db3658b7b");
-    ("skip-pricing fault fig1 2:faithful", "22891fa997d0d6912e34662b37f1b2e3");
-    ("skip-pricing fault fig1 2:miscompute-routing(-2)", "ecd637141ebf160e6639b9b8c221d42e");
-    ("skip-pricing fault fig1 2:miscompute-pricing(+2)", "22891fa997d0d6912e34662b37f1b2e3");
-    ("skip-pricing fault fig1 2:underreport-payments(x0.5)", "22891fa997d0d6912e34662b37f1b2e3");
-    ("skip-pricing fault fig1 2:drop-routing-copies", "f89b60b22f0ac1ddc68cab04d2f67d3e");
-    ("skip-pricing fault fig1 2:byzantine-arbitrary(1)", "3c5bc7bdef6e2120a1d627b343a9828f");
-    ("skip-pricing fault fig1 2:byzantine-arbitrary(12)", "35487aa26a4ea45df5ebbd4b67514c4b");
-    ("skip-pricing fault chordal:10:4 3:faithful", "8d2f01324bfdfd1a60206c4ff1bdb668");
-    ("skip-pricing fault chordal:10:4 3:miscompute-routing(-2)", "afa24135acd6ea380e42923ed19a5b56");
-    ("skip-pricing fault chordal:10:4 3:miscompute-pricing(+2)", "8d2f01324bfdfd1a60206c4ff1bdb668");
-    ("skip-pricing fault chordal:10:4 3:underreport-payments(x0.5)", "8d2f01324bfdfd1a60206c4ff1bdb668");
-    ("skip-pricing fault chordal:10:4 3:drop-routing-copies", "02f08eff7c0ae8f46af57f5e4ba4fbcf");
-    ("skip-pricing fault chordal:10:4 3:byzantine-arbitrary(1)", "349b7f97e199302df0529e9fde7994ba");
-    ("skip-pricing fault chordal:10:4 3:byzantine-arbitrary(12)", "52e22e253bac6017c4b5582db3658b7b");
+    ("skip-pricing fault fig1 2:faithful", "de777e75a30e53bc8f4323b2ed00db64");
+    ("skip-pricing fault fig1 2:miscompute-routing(-2)", "94474c46ac50ba4639a32383612cf73f");
+    ("skip-pricing fault fig1 2:miscompute-pricing(+2)", "de777e75a30e53bc8f4323b2ed00db64");
+    ("skip-pricing fault fig1 2:underreport-payments(x0.5)", "de777e75a30e53bc8f4323b2ed00db64");
+    ("skip-pricing fault fig1 2:drop-routing-copies", "7e79e25ecfdaf785287bd2756ae7b1fa");
+    ("skip-pricing fault fig1 2:byzantine-arbitrary(1)", "629b6d1863aa73ccac623352345ca5dc");
+    ("skip-pricing fault fig1 2:byzantine-arbitrary(12)", "36c60c85854e8cfed23a178e8d9327bd");
+    ("skip-pricing fault chordal:10:4 3:faithful", "2aae38b29d5c681d2db414a372b7cec7");
+    ("skip-pricing fault chordal:10:4 3:miscompute-routing(-2)", "c59fc41c9e6cbd86d1eb3b6a11ff21d5");
+    ("skip-pricing fault chordal:10:4 3:miscompute-pricing(+2)", "2aae38b29d5c681d2db414a372b7cec7");
+    ("skip-pricing fault chordal:10:4 3:underreport-payments(x0.5)", "2aae38b29d5c681d2db414a372b7cec7");
+    ("skip-pricing fault chordal:10:4 3:drop-routing-copies", "8c27e6a1e4f8a61acb32487fab033359");
+    ("skip-pricing fault chordal:10:4 3:byzantine-arbitrary(1)", "7bdf0a97475dd7d6054d8350193787c2");
+    ("skip-pricing fault chordal:10:4 3:byzantine-arbitrary(12)", "0323e52ec44fcbc90c65d1451a3b8160");
   ]
 
 let bank_modes =
@@ -2647,7 +2676,7 @@ let suites =
       [
         Alcotest.test_case "serialize canonical" `Quick test_bank_serialize_report_canonical;
         Alcotest.test_case "checkpoint costs" `Quick test_bank_checkpoint_costs;
-        Alcotest.test_case "checkpoint bytes" `Quick test_bank_checkpoint_bytes_positive;
+        Alcotest.test_case "checkpoint bytes" `Quick test_bank_checkpoint_bytes;
         QCheck_alcotest.to_alcotest prop_checkpoint_equals_reference;
       ] );
     ( "faithful.run",

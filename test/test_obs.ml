@@ -197,28 +197,6 @@ let test_ring_wraps_and_counts_dropped () =
   check Alcotest.int "reset clears" 0 (List.length (Obs.events obs));
   check Alcotest.int "reset clears dropped" 0 (Obs.dropped obs)
 
-let test_file_sink_streams_jsonl () =
-  let path = Filename.temp_file "damd_obs" ".jsonl" in
-  let obs = Obs.file path in
-  Obs.span obs "s" (fun () -> Obs.instant obs "i");
-  Metrics.incr (Metrics.counter (Option.get (Obs.metrics obs)) "c");
-  Obs.close obs;
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  let lines = List.rev !lines in
-  Sys.remove path;
-  (* header + instant + span + metrics trailer *)
-  check Alcotest.int "four lines" 4 (List.length lines);
-  check Alcotest.bool "header declares schema" true
-    (Astring.String.is_infix ~affix:"damd-trace/1" (List.hd lines));
-  check Alcotest.bool "trailer has metrics" true
-    (Astring.String.is_infix ~affix:"metrics" (List.nth lines 3))
-
 (* --- exports --- *)
 
 let traced_sink () =
@@ -340,7 +318,6 @@ let suites =
         Alcotest.test_case "span exception recorded" `Quick
           test_span_exception_recorded;
         Alcotest.test_case "ring wraps" `Quick test_ring_wraps_and_counts_dropped;
-        Alcotest.test_case "file sink jsonl" `Quick test_file_sink_streams_jsonl;
       ] );
     ( "obs.export",
       [
