@@ -511,9 +511,7 @@ let run_election topology seed deviants no_checking benefit =
         input_error "deviant node %d out of range" who;
       deviations.(who) <- d)
     deviants;
-  let params =
-    { Election.default_params with Election.checking = not no_checking; benefit }
-  in
+  let params = { Election.benefit; checking = not no_checking } in
   Printf.printf "topology %s: %d nodes; benefit=%g\n" topology n benefit;
   Array.iteri
     (fun i d ->

@@ -99,22 +99,23 @@ let name_of i = fst (List.find (fun (_, id) -> id = i) (fig1_names ()))
 
 let e0 ~quick:_ =
   section "E0" "the extended-FPSS specification: action classification (sections 3.4 / 4.1)";
-  let module Spec = Damd_faithful.Spec in
+  let module Ir = Damd_speccheck.Ir in
+  let ir = Damd_speccheck.Fpss_spec.ir in
   let t =
     Table.create
       ~aligns:[ Table.Left; Table.Left; Table.Left; Table.Left ]
       [ "external action"; "class"; "phase"; "rule" ]
   in
   List.iter
-    (fun (e : Spec.entry) ->
+    (fun (a : Ir.action) ->
       Table.add_row t
         [
-          e.Spec.action;
-          Damd_core.Action.to_string e.Spec.cls;
-          Spec.phase_name e.Spec.phase;
-          String.concat "/" (List.map Spec.Rule.to_string e.Spec.rules);
+          a.Ir.descr;
+          Option.fold ~none:"unclassified" ~some:Damd_core.Action.to_string a.Ir.cls;
+          Option.fold ~none:"-" ~some:(fun p -> p.Ir.pname) (Ir.phase_of_action ir a.Ir.id);
+          String.concat "/" (List.map Damd_speccheck.Rule.to_string a.Ir.rules);
         ])
-    Spec.catalogue;
+    ir.Ir.actions;
   emit t;
   print_newline ();
   Printf.printf
@@ -151,8 +152,8 @@ let e0 ~quick:_ =
   describe "waxman n=16" (Gen.waxman rng ~n:16 ~alpha:0.7 ~beta:0.4 (Gen.Uniform_int (1, 10)));
   emit mt;
   print_newline ();
-  verdict
-    (List.length (Damd_faithful.Spec.classes_covered ()) = 3)
+  let classes = List.sort_uniq compare (List.filter_map (fun a -> a.Ir.cls) ir.Ir.actions) in
+  verdict (List.length classes = 3)
     "the specification exercises all three external action classes"
 
 (* ------------------------------------------------------------------ *)

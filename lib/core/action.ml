@@ -6,8 +6,6 @@ let to_string = function
   | Computation -> "computation"
   | Internal -> "internal"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 let all_external = [ Information_revelation; Message_passing; Computation ]
 
 let is_external = function

@@ -22,8 +22,6 @@ type t =
 
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 val all_external : t list
 (** The three external classes, in the paper's order. *)
 

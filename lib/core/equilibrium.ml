@@ -32,7 +32,10 @@ let pp_report ppf r =
     (if holds r then "HOLDS" else Printf.sprintf "VIOLATED (%d)" (List.length r.violations))
     r.profiles_tested r.deviations_tested r.comparisons r.max_gain
 
-let check ~property ~rng ~profiles ~sample_types ~deviations ?(epsilon = 1e-9) dm =
+(* Utility differences at or below this are float noise, not a gain. *)
+let epsilon = 1e-9
+
+let check ~property ~rng ~profiles ~sample_types ~deviations dm =
   let comparisons = ref 0 in
   let violations = ref [] in
   for profile_index = 0 to profiles - 1 do
@@ -71,21 +74,20 @@ let check ~property ~rng ~profiles ~sample_types ~deviations ?(epsilon = 1e-9) d
 let filter_classes pred deviations =
   List.filter (fun d -> pred d.classes) deviations
 
-let ex_post_nash ~rng ~profiles ~sample_types ~deviations ?epsilon dm =
-  check ~property:"ex post Nash (faithfulness)" ~rng ~profiles ~sample_types ~deviations
-    ?epsilon dm
+let ex_post_nash ~rng ~profiles ~sample_types ~deviations dm =
+  check ~property:"ex post Nash (faithfulness)" ~rng ~profiles ~sample_types ~deviations dm
 
-let strong_cc ~rng ~profiles ~sample_types ~deviations ?epsilon dm =
+let strong_cc ~rng ~profiles ~sample_types ~deviations dm =
   let deviations =
     filter_classes (fun cs -> List.mem Action.Message_passing cs) deviations
   in
-  check ~property:"strong-CC" ~rng ~profiles ~sample_types ~deviations ?epsilon dm
+  check ~property:"strong-CC" ~rng ~profiles ~sample_types ~deviations dm
 
-let strong_ac ~rng ~profiles ~sample_types ~deviations ?epsilon dm =
+let strong_ac ~rng ~profiles ~sample_types ~deviations dm =
   let deviations = filter_classes (fun cs -> List.mem Action.Computation cs) deviations in
-  check ~property:"strong-AC" ~rng ~profiles ~sample_types ~deviations ?epsilon dm
+  check ~property:"strong-AC" ~rng ~profiles ~sample_types ~deviations dm
 
-let best_response_dynamics ~start ~candidates ~types ~max_rounds ?(epsilon = 1e-9) dm =
+let best_response_dynamics ~start ~candidates ~types ~max_rounds dm =
   let n = dm.Dmech.n in
   if Array.length start <> n then invalid_arg "best_response_dynamics: arity";
   let profile = Array.copy start in
@@ -121,8 +123,8 @@ let best_response_dynamics ~start ~candidates ~types ~max_rounds ?(epsilon = 1e-
   in
   rounds 0
 
-let incentive_compatible ~rng ~profiles ~sample_types ~deviations ?epsilon dm =
+let incentive_compatible ~rng ~profiles ~sample_types ~deviations dm =
   let deviations =
     filter_classes (fun cs -> cs = [ Action.Information_revelation ]) deviations
   in
-  check ~property:"IC" ~rng ~profiles ~sample_types ~deviations ?epsilon dm
+  check ~property:"IC" ~rng ~profiles ~sample_types ~deviations dm

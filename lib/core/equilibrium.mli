@@ -15,7 +15,10 @@
       over "whatever its computational and information-revelation
       actions") — i.e. any deviation whose classes include message-passing;
     - strong-AC symmetrically for [Computation];
-    - the full ex post Nash check examines everything. *)
+    - the full ex post Nash check examines everything.
+
+    Every check treats a utility gain at or below 1e-9 as floating-point
+    noise, not a violation. *)
 
 type ('theta, 'strategy) deviation = {
   name : string;
@@ -57,19 +60,17 @@ val check :
   profiles:int ->
   sample_types:(Damd_util.Rng.t -> 'theta array) ->
   deviations:('theta, 'strategy) deviation list ->
-  ?epsilon:float ->
   ('theta, 'strategy, 'outcome) Dmech.t ->
   report
 (** For each sampled profile, each deviation, and each node it applies to,
     compare the deviant's utility against the faithful run. Gains at or
-    below [epsilon] (default 1e-9) are ignored. *)
+    below 1e-9 are ignored. *)
 
 val ex_post_nash :
   rng:Damd_util.Rng.t ->
   profiles:int ->
   sample_types:(Damd_util.Rng.t -> 'theta array) ->
   deviations:('theta, 'strategy) deviation list ->
-  ?epsilon:float ->
   ('theta, 'strategy, 'outcome) Dmech.t ->
   report
 (** [check] over the whole deviation library: Definition 8's faithfulness,
@@ -80,7 +81,6 @@ val strong_cc :
   profiles:int ->
   sample_types:(Damd_util.Rng.t -> 'theta array) ->
   deviations:('theta, 'strategy) deviation list ->
-  ?epsilon:float ->
   ('theta, 'strategy, 'outcome) Dmech.t ->
   report
 (** Definition 12: restrict to deviations whose classes include
@@ -91,7 +91,6 @@ val strong_ac :
   profiles:int ->
   sample_types:(Damd_util.Rng.t -> 'theta array) ->
   deviations:('theta, 'strategy) deviation list ->
-  ?epsilon:float ->
   ('theta, 'strategy, 'outcome) Dmech.t ->
   report
 (** Definition 13: deviations whose classes include [Computation]. *)
@@ -101,13 +100,12 @@ val best_response_dynamics :
   candidates:(int -> 'strategy list) ->
   types:'theta array ->
   max_rounds:int ->
-  ?epsilon:float ->
   ('theta, 'strategy, 'outcome) Dmech.t ->
   [ `Converged of 'strategy array * int | `No_convergence of 'strategy array ]
 (** Sequential (Gauss–Seidel) best-response dynamics over a finite
     candidate set: each round, each node in turn switches to a candidate
     strategy only if it *strictly* improves its utility (by more than
-    [epsilon]) against the others' current strategies — the inertia
+    1e-9) against the others' current strategies — the inertia
     reading of the paper's Remark 1 benevolence. Returns the profile and
     the number of rounds once a full round passes with no switch.
 
@@ -124,7 +122,6 @@ val incentive_compatible :
   profiles:int ->
   sample_types:(Damd_util.Rng.t -> 'theta array) ->
   deviations:('theta, 'strategy) deviation list ->
-  ?epsilon:float ->
   ('theta, 'strategy, 'outcome) Dmech.t ->
   report
 (** Definition 9: deviations touching only [Information_revelation]. *)

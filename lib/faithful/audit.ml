@@ -89,7 +89,7 @@ let detection_matrix ?params ?(deviations = Adversary.library) ~targets () =
 
 let clean rows = List.for_all (fun r -> r.escaped = 0) rows
 
-let max_gain ?params ?(deviations = Adversary.library) ~graph ~traffic () =
+let max_gain ?params ~graph ~traffic () =
   let n = Graph.n graph in
   let best = ref neg_infinity and best_name = ref "-" in
   List.iter
@@ -101,5 +101,5 @@ let max_gain ?params ?(deviations = Adversary.library) ~graph ~traffic () =
           best_name := Adversary.name d
         end
       done)
-    deviations;
+    Adversary.library;
   (!best, !best_name)

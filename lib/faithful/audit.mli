@@ -62,11 +62,10 @@ val clean : matrix_row list -> bool
 
 val max_gain :
   ?params:Runner.params ->
-  ?deviations:Adversary.t list ->
   graph:Damd_graph.Graph.t ->
   traffic:Damd_fpss.Traffic.t ->
   unit ->
   float * string
-(** Largest deviation gain over all nodes and library deviations, with the
-    name of the deviation achieving it — faithfulness demands it be
-    non-positive. *)
+(** Largest deviation gain over all nodes and every [Adversary.library]
+    deviation, with the name of the deviation achieving it — faithfulness
+    demands it be non-positive. *)

@@ -33,16 +33,12 @@ let classify = function
   | Miscompute_winner -> [ Action.Computation ]
   | Refuse_to_serve -> [ Action.Computation ]
 
-type params = {
-  benefit : float;
-  progress_penalty : float;
-  epsilon : float;
-  max_restarts : int;
-  checking : bool;
-}
+type params = { benefit : float; checking : bool }
 
-let default_params =
-  { benefit = 2.; progress_penalty = 1e4; epsilon = 1.; max_restarts = 2; checking = true }
+let default_params = { benefit = 2.; checking = true }
+let progress_penalty = 1e4
+let epsilon = 1.
+let max_restarts = 2
 
 type result = {
   completed : bool;
@@ -197,16 +193,14 @@ let run ?(params = default_params) ~graph ~profile ~deviations () =
           end);
     }
   in
-  match
-    Phase.execute ~max_restarts:params.max_restarts () [ bid_phase; outcome_phase ]
-  with
+  match Phase.execute ~max_restarts () [ bid_phase; outcome_phase ] with
   | Phase.Stuck { progress; _ } ->
       {
         completed = false;
         leader = None;
         detections = !detections;
         restarts = Phase.total_restarts progress;
-        utilities = Array.make n (-.params.progress_penalty);
+        utilities = Array.make n (-.progress_penalty);
         messages = Engine.messages_sent engine;
       }
   | Phase.Completed progress ->
@@ -241,7 +235,7 @@ let run ?(params = default_params) ~graph ~profile ~deviations () =
               -. profile.(i).Leader.cost
             else begin
               detect (Printf.sprintf "EXEC: leader %d refused to serve" leader);
-              -.params.epsilon
+              -.epsilon
             end)
       in
       {

@@ -47,11 +47,11 @@ val classify : deviation -> Damd_core.Action.t list
 
 type params = {
   benefit : float;  (** per-node benefit per unit of leader power *)
-  progress_penalty : float;
-  epsilon : float;
-  max_restarts : int;
   checking : bool;  (** false = the bank believes self-nominations *)
 }
+(** The rest is constant: each phase is retried at most 2 times, a run
+    that stays stuck costs every node 1e4, and a leader that refuses to
+    serve is fined 1. *)
 
 val default_params : params
 

@@ -401,99 +401,89 @@ let grade ?(bank = Runner.Certified) ?(obs = Obs.noop) descr =
            | None -> false)
          detections
   in
-  if not full.Runner.completed then
-    let verdict, violation_kind =
-      if honest_accused then (Violation, Some "false-accusation")
-      else (Detected, None)
-    in
-    finish
+  (* The oracle and the unilateral baselines grade certified tables: a run
+     that never certified has none, and every node eats the progress
+     penalty. *)
+  let tables_match, deltas, max_delta =
+    if not full.Runner.completed then (None, [], None)
+    else begin
+      let tables_match =
+        match full.Runner.tables with
+        | None -> false
+        | Some t ->
+            let oracle = Pricing.compute (declared_graph g deviations) in
+            Tables.routing_equal t oracle && Tables.prices_equal t oracle
+      in
+      (* Unilateral baselines: deviant i against the same campaign with only
+         its own deviation reverted. With one deviant this is the
+         Definition 8 comparison. Theorem 1 is ex post Nash and assumes the
+         others faithful, so with several deviants the comparison is
+         stricter than the theorem, and it has an open counterexample
+         (replay 772341180993425955: a misreporter gains while a neighbour
+         misroutes). *)
+      let deltas =
+        List.map
+          (fun (i, _) ->
+            let dev' = Array.copy deviations in
+            dev'.(i) <- Adversary.Faithful;
+            let base = Runner.run ~params ~graph:g ~traffic ~deviations:dev' () in
+            let delta =
+              if base.Runner.completed then
+                full.Runner.utilities.(i) -. base.Runner.utilities.(i)
+              else neg_infinity
+            in
+            (i, delta))
+          descr.deviants
+      in
+      ( Some tables_match,
+        deltas,
+        Some (List.fold_left (fun acc (_, d) -> Float.max acc d) neg_infinity deltas) )
+    end
+  in
+  let undetected =
+    List.filter (fun (i, _) -> attributed i = None) descr.deviants
+  in
+  let profit =
+    List.exists
+      (fun (i, _) ->
+        match List.assoc_opt i deltas with
+        | Some d -> d > profit_tolerance
+        | None -> false)
+      undetected
+  in
+  let integrity = tables_match = Some false && undetected <> [] in
+  (* The detection round: the phase a stuck run stopped in, else the rule
+     of the first detection naming a deviant. A violation names none,
+     except a false accusation in a stuck run, which keeps the phase. *)
+  let caught =
+    match full.Runner.stuck_phase with
+    | Some _ as phase -> phase
+    | None -> List.find_map (fun (i, _) -> attributed i) descr.deviants
+  in
+  let verdict, violation_kind, detected_in =
+    if honest_accused then
+      (Violation, Some "false-accusation", full.Runner.stuck_phase)
+    else if profit then (Violation, Some "profit", None)
+    else if integrity then (Violation, Some "integrity", None)
+    else if caught <> None then (Detected, None, caught)
+    else (Undetected_unprofitable, None, None)
+  in
+  finish
     {
       descr;
       verdict;
       violation_kind;
       epsilon_active;
-      completed = false;
+      completed = full.Runner.completed;
       stuck_phase = full.Runner.stuck_phase;
-      detected_in = full.Runner.stuck_phase;
-      restarts = full.Runner.restarts;
-      detections;
-      deltas = [];
-      max_delta = None;
-      tables_match = None;
-      sim_time = full.Runner.sim_time;
-    }
-  else begin
-    let tables_match =
-      match full.Runner.tables with
-      | None -> false
-      | Some t ->
-          let oracle = Pricing.compute (declared_graph g deviations) in
-          Tables.routing_equal t oracle && Tables.prices_equal t oracle
-    in
-    (* Unilateral baselines: deviant i against the same campaign with only
-       its own deviation reverted. With one deviant this is the
-       Definition 8 comparison. Theorem 1 is ex post Nash and assumes the
-       others faithful, so with several deviants the comparison is
-       stricter than the theorem, and it has an open counterexample
-       (replay 772341180993425955: a misreporter gains while a neighbour
-       misroutes). *)
-    let deltas =
-      List.map
-        (fun (i, _) ->
-          let dev' = Array.copy deviations in
-          dev'.(i) <- Adversary.Faithful;
-          let base = Runner.run ~params ~graph:g ~traffic ~deviations:dev' () in
-          let delta =
-            if base.Runner.completed then
-              full.Runner.utilities.(i) -. base.Runner.utilities.(i)
-            else neg_infinity
-          in
-          (i, delta))
-        descr.deviants
-    in
-    let max_delta =
-      List.fold_left (fun acc (_, d) -> Float.max acc d) neg_infinity deltas
-    in
-    let undetected =
-      List.filter (fun (i, _) -> attributed i = None) descr.deviants
-    in
-    let profit =
-      List.exists
-        (fun (i, _) ->
-          match List.assoc_opt i deltas with
-          | Some d -> d > profit_tolerance
-          | None -> false)
-        undetected
-    in
-    let integrity = (not tables_match) && undetected <> [] in
-    let verdict, violation_kind, detected_in =
-      if honest_accused then (Violation, Some "false-accusation", None)
-      else if profit then (Violation, Some "profit", None)
-      else if integrity then (Violation, Some "integrity", None)
-      else
-        match
-          List.find_map (fun (i, _) -> attributed i) descr.deviants
-        with
-        | Some rule -> (Detected, None, Some rule)
-        | None -> (Undetected_unprofitable, None, None)
-    in
-    finish
-    {
-      descr;
-      verdict;
-      violation_kind;
-      epsilon_active;
-      completed = true;
-      stuck_phase = None;
       detected_in;
       restarts = full.Runner.restarts;
       detections;
       deltas;
-      max_delta = Some max_delta;
-      tables_match = Some tables_match;
+      max_delta;
+      tables_match;
       sim_time = full.Runner.sim_time;
     }
-  end
 
 (* --- greedy shrinking --- *)
 
@@ -516,10 +506,10 @@ let topology_shrinks descr =
   in
   List.filter fits cands |> List.map (fun t -> { descr with topology = t })
 
-let shrink ?bank ?(max_grades = 60) graded =
+let shrink ?bank graded =
   if graded.verdict <> Violation then graded
   else begin
-    let budget = ref max_grades in
+    let budget = ref 60 in
     let regrade d =
       if !budget <= 0 then None
       else begin

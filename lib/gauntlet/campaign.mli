@@ -139,12 +139,12 @@ val grade : ?bank:Runner.bank -> ?obs:Damd_obs.Obs.t -> descr -> graded
     unilateral-baseline counterfactuals) is traced through [Runner], and
     a final ["verdict"] instant records the outcome. *)
 
-val shrink : ?bank:Runner.bank -> ?max_grades:int -> graded -> graded
+val shrink : ?bank:Runner.bank -> graded -> graded
 (** Greedy minimization of a [Violation] campaign: repeatedly try
     dropping one deviant, zeroing drops, duplication and jitter, and
     shrinking the topology one step — keeping any mutation that still
-    grades [Violation] — until a fixpoint or the [max_grades] re-grade
-    budget (default 60). Identity on non-violations. *)
+    grades [Violation] — until a fixpoint or a budget of 60 re-grades.
+    Identity on non-violations. *)
 
 val campaign_seed : master:int -> int -> int
 (** [campaign_seed ~master i] is the replay seed printed for campaign [i]

@@ -134,12 +134,3 @@ let to_dot ?(highlight = []) g =
     (edges g);
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>graph n=%d m=%d@," g.n (num_edges g);
-  for i = 0 to g.n - 1 do
-    Format.fprintf ppf "  %d (c=%g): %a@," i g.costs.(i)
-      (Format.pp_print_list ~pp_sep:Format.pp_print_space Format.pp_print_int)
-      g.adj.(i)
-  done;
-  Format.fprintf ppf "@]"

@@ -63,5 +63,3 @@ val hop_diameter : t -> int
 val to_dot : ?highlight:(int * int) list -> t -> string
 (** Graphviz rendering; [highlight] edges are drawn bold (used to reproduce
     Figure 1's bold LCP tree). *)
-
-val pp : Format.formatter -> t -> unit

@@ -83,12 +83,6 @@ let compute g =
     biconnected = Biconnect.is_biconnected g;
   }
 
-let pp ppf m =
-  Format.fprintf ppf
-    "n=%d m=%d deg=[%d..%d] mean_deg=%.2f diam=%d mean_dist=%.2f clust=%.3f biconnected=%b"
-    m.nodes m.edges m.min_degree m.max_degree m.mean_degree m.hop_diameter
-    m.mean_hop_distance m.clustering m.biconnected
-
 let degree_histogram g =
   let tbl = Hashtbl.create 16 in
   for v = 0 to Graph.n g - 1 do

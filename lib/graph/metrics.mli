@@ -16,7 +16,5 @@ type t = {
 
 val compute : Graph.t -> t
 
-val pp : Format.formatter -> t -> unit
-
 val degree_histogram : Graph.t -> (int * int) list
 (** [(degree, count)] pairs, sorted by degree. *)

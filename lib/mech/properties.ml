@@ -16,7 +16,10 @@ let sweep ~rng ~trials ~sample_profile measure =
   done;
   { trials; failures = !failures; worst = -. !worst }
 
-let individually_rational ~rng ~trials ~sample_profile ?(epsilon = 1e-9) mech =
+(* Shortfalls at or below this are float noise, not a failure. *)
+let epsilon = 1e-9
+
+let individually_rational ~rng ~trials ~sample_profile mech =
   sweep ~rng ~trials ~sample_profile (fun profile ->
       let worst = ref 0. in
       for i = 0 to mech.Mechanism.n - 1 do
@@ -25,12 +28,12 @@ let individually_rational ~rng ~trials ~sample_profile ?(epsilon = 1e-9) mech =
       done;
       !worst)
 
-let budget_balanced ~rng ~trials ~sample_profile ?(epsilon = 1e-9) mech =
+let budget_balanced ~rng ~trials ~sample_profile mech =
   sweep ~rng ~trials ~sample_profile (fun profile ->
       let paid_out = Mechanism.budget mech profile in
       if paid_out > epsilon then paid_out else 0.)
 
-let efficient ~rng ~trials ~sample_profile ~candidates ?(epsilon = 1e-9) mech =
+let efficient ~rng ~trials ~sample_profile ~candidates mech =
   sweep ~rng ~trials ~sample_profile (fun profile ->
       let chosen, _ = mech.Mechanism.run profile in
       let welfare o = Mechanism.social_welfare mech profile o in

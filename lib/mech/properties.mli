@@ -22,32 +22,31 @@ val individually_rational :
   rng:Damd_util.Rng.t ->
   trials:int ->
   sample_profile:(Damd_util.Rng.t -> 'theta array) ->
-  ?epsilon:float ->
   ('theta, 'outcome) Mechanism.t ->
   report
-(** Under truthful play, does every node get utility >= 0? *)
+(** Under truthful play, does every node get utility >= 0? Losses at or
+    below 1e-9 are float noise and pass. *)
 
 val budget_balanced :
   rng:Damd_util.Rng.t ->
   trials:int ->
   sample_profile:(Damd_util.Rng.t -> 'theta array) ->
-  ?epsilon:float ->
   ('theta, 'outcome) Mechanism.t ->
   report
 (** Do the transfers sum to (at most) zero — i.e. the mechanism never
     injects money? [failures] counts profiles where the mechanism runs a
-    deficit; [worst] is the largest deficit. (The Clarke tax typically
-    runs a *surplus*, which passes.) *)
+    deficit above 1e-9; [worst] is the largest deficit. (The Clarke tax
+    typically runs a *surplus*, which passes.) *)
 
 val efficient :
   rng:Damd_util.Rng.t ->
   trials:int ->
   sample_profile:(Damd_util.Rng.t -> 'theta array) ->
   candidates:'outcome list ->
-  ?epsilon:float ->
   ('theta, 'outcome) Mechanism.t ->
   report
 (** Does the truthful outcome maximize social welfare over the
-    [candidates] outcome set? [worst] is the largest welfare shortfall. *)
+    [candidates] outcome set? Shortfalls at or below 1e-9 pass; [worst] is
+    the largest welfare shortfall. *)
 
 val all_pass : report -> bool

@@ -13,7 +13,10 @@ type 'theta report = {
   max_gain : float;
 }
 
-let try_lie ~epsilon mech profile agent lie acc =
+(* Gains at or below this are floating-point noise. *)
+let epsilon = 1e-9
+
+let try_lie mech profile agent lie acc =
   let truthful_utility = Mechanism.utility mech agent profile.(agent) profile in
   let reports = Array.copy profile in
   reports.(agent) <- lie;
@@ -29,8 +32,7 @@ let finish trials violations =
   let max_gain = match violations with [] -> 0. | v :: _ -> v.gain in
   { trials; violations; max_gain }
 
-let check ~rng ~profiles ~lies_per_agent ~sample_profile ~sample_lie ?(epsilon = 1e-9)
-    mech =
+let check ~rng ~profiles ~lies_per_agent ~sample_profile ~sample_lie mech =
   let trials = ref 0 in
   let violations = ref [] in
   for _ = 1 to profiles do
@@ -39,13 +41,13 @@ let check ~rng ~profiles ~lies_per_agent ~sample_profile ~sample_lie ?(epsilon =
       for _ = 1 to lies_per_agent do
         let lie = sample_lie rng agent profile.(agent) in
         incr trials;
-        violations := try_lie ~epsilon mech profile agent lie !violations
+        violations := try_lie mech profile agent lie !violations
       done
     done
   done;
   finish !trials !violations
 
-let check_exhaustive ~profiles ~lies ?(epsilon = 1e-9) mech =
+let check_exhaustive ~profiles ~lies mech =
   let trials = ref 0 in
   let violations = ref [] in
   List.iter
@@ -54,7 +56,7 @@ let check_exhaustive ~profiles ~lies ?(epsilon = 1e-9) mech =
         List.iter
           (fun lie ->
             incr trials;
-            violations := try_lie ~epsilon mech profile agent lie !violations)
+            violations := try_lie mech profile agent lie !violations)
           (lies agent profile.(agent))
       done)
     profiles;

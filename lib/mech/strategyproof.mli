@@ -28,21 +28,20 @@ val check :
   lies_per_agent:int ->
   sample_profile:(Damd_util.Rng.t -> 'theta array) ->
   sample_lie:(Damd_util.Rng.t -> int -> 'theta -> 'theta) ->
-  ?epsilon:float ->
   ('theta, 'outcome) Mechanism.t ->
   'theta report
 (** Randomized sweep. [sample_lie rng i theta_i] proposes a misreport for
-    node [i] whose true type is [theta_i]. Gains at or below [epsilon]
-    (default [1e-9]) are attributed to floating-point noise and ignored. *)
+    node [i] whose true type is [theta_i]. Gains at or below 1e-9 are
+    attributed to floating-point noise and ignored. *)
 
 val check_exhaustive :
   profiles:'theta array list ->
   lies:(int -> 'theta -> 'theta list) ->
-  ?epsilon:float ->
   ('theta, 'outcome) Mechanism.t ->
   'theta report
 (** Deterministic sweep over explicitly enumerated profiles and lies; used
-    for small discrete type spaces where full coverage is feasible. *)
+    for small discrete type spaces where full coverage is feasible. Gains
+    at or below 1e-9 are ignored, as in [check]. *)
 
 val is_strategyproof : 'theta report -> bool
 (** No violations found. *)

@@ -59,7 +59,7 @@ let gauge_max g = g.g_max
 
 (* 1-2-5 progression over nine decades: generic enough for nanosecond
    durations, queue depths and exploration depths alike. *)
-let default_buckets =
+let buckets =
   let decades = 9 in
   let b = Array.make (3 * decades) 0. in
   for d = 0 to decades - 1 do
@@ -70,13 +70,13 @@ let default_buckets =
   done;
   b
 
-let histogram ?(buckets = default_buckets) t name =
+let histogram t name =
   match Hashtbl.find_opt t.histograms name with
   | Some h -> h
   | None ->
       let h =
         {
-          bounds = Array.copy buckets;
+          bounds = buckets;
           counts = Array.make (Array.length buckets + 1) 0;
           h_count = 0;
           h_sum = 0.;

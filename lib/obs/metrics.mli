@@ -49,12 +49,11 @@ type histogram
 
 val reservoir_capacity : int
 
-val histogram : ?buckets:float array -> t -> string -> histogram
-(** [buckets] are ascending finite upper bounds; observations above the
-    last bound land in an implicit overflow bucket. The default covers
-    1..1e9 in a 1-2-5 progression (suits both nanosecond durations and
-    small cardinalities). [buckets] is ignored when [name] is already
-    registered. *)
+val histogram : t -> string -> histogram
+(** The bucket upper bounds run 1, 2, 5, 10, ... 5e8 (a 1-2-5
+    progression that suits both nanosecond durations and small
+    cardinalities); observations above 5e8 land in an implicit overflow
+    bucket. Returns the registered histogram when [name] already is. *)
 
 val observe : histogram -> float -> unit
 val hist_count : histogram -> int

@@ -17,8 +17,6 @@ type spec = {
   crash : crash option;
 }
 
-let none = { seed = 0; link = None; partition = None; crash = None }
-
 let is_none s = s.link = None && s.partition = None && s.crash = None
 
 let phase_name = function `Costs -> "costs" | `Routing -> "routing" | `Pricing -> "pricing"

@@ -49,9 +49,6 @@ type spec = {
   crash : crash option;
 }
 
-val none : spec
-(** No faults (all components [None], seed 0). *)
-
 val is_none : spec -> bool
 
 val phase_name : phase_tag -> string

@@ -1,8 +1,5 @@
 module Action = Damd_core.Action
 
-let phase_names =
-  [ "construction-1"; "construction-2a"; "construction-2b"; "execution" ]
-
 (* States of the suggested linear pass; each action advances one state. *)
 let s_cost_announce = "cost-announce"
 let s_cost_flood = "cost-flood"

@@ -1,15 +1,11 @@
 (** The extended-FPSS suggested specification [s^m] as a spec IR.
 
-    The single source of truth for the §4.1 catalogue: [Damd_faithful.Spec]
-    derives its entries from [ir]'s actions, the checkers read it through
-    [Machine] (an undefined transition self-loops), and [damd_cli lint]
-    checks it statically. The suggested play is the linear pass through the four
+    The single source of truth for the §4.1 catalogue: experiment E0
+    prints [ir]'s actions, the checkers read it through [Machine] (an
+    undefined transition self-loops), and [damd_cli lint] checks it
+    statically. The suggested play is the linear pass through the four
     phases — cost flood, routing construction, pricing construction,
     execution — visiting each of the 11 external actions once, exactly the
     walkthrough at the end of §4.1. *)
 
 val ir : Ir.t
-
-val phase_names : string list
-(** The four phase names, in order: construction-1, construction-2a,
-    construction-2b, execution. *)

@@ -1,69 +1,6 @@
 module Graph = Damd_graph.Graph
 module Biconnect = Damd_graph.Biconnect
 
-let all =
-  [
-    ("drop-checkpoint", "missing-checkpoint");
-    ("unclassify-action", "unclassified-action");
-    ("orphan-deviation", "orphan-deviation");
-    ("leak-private-info", "cc-private-leak");
-    ("unmirror-computation", "ac-unmirrored");
-    ("undigest-computation", "ac-undigested");
-    ("cut-checker-edge", "checker-cut");
-    ("dead-state", "dead-state");
-    ("loop-forever", "non-termination");
-  ]
-
-let expected name = List.assoc_opt name all
-
-(* The dynamic counterpart: the flow/exploration finding [Verify.run] must
-   additionally produce for each mutation. Annotation-level mutations
-   surface as escapes in the product space; the input-annotation mutation
-   surfaces in the taint diff; the shape mutations surface as coverage and
-   reentry violations. *)
-let all_verify =
-  [
-    ("drop-checkpoint", "undetected-deviation");
-    ("unclassify-action", "undetected-deviation");
-    ("orphan-deviation", "undetected-deviation");
-    ("leak-private-info", "decl-flow-slack");
-    ("unmirror-computation", "undetected-deviation");
-    ("undigest-computation", "undetected-deviation");
-    ("cut-checker-edge", "undetected-deviation");
-    ("dead-state", "unexplored-state");
-    ("loop-forever", "phase-reentry");
-  ]
-
-let expected_verify name = List.assoc_opt name all_verify
-
-(* The static-analysis counterpart: the finding [Analyze.run] must produce
-   for each mutation. The last three mutations are invisible to the
-   syntactic checks (lint exits 0 on them) and exist precisely to exercise
-   the flow-sensitive layer: a private value laundered through an
-   intermediate computation, a leak through the digest channel, and a
-   checkpoint whose evidence sources are silently defanged. *)
-let all_analyze =
-  [
-    ("drop-checkpoint", "certifier-blind-spot");
-    ("unclassify-action", "certifier-blind-spot");
-    ("orphan-deviation", "certifier-blind-spot");
-    ("leak-private-info", "cc-private-leak-flow");
-    ("unmirror-computation", "ac-unmirrored-flow");
-    ("undigest-computation", "ac-undigested-flow");
-    ("cut-checker-edge", "certifier-blind-spot");
-    ("dead-state", "unexplored-state");
-    ("loop-forever", "phase-reentry");
-    ("launder-private-taint", "cc-private-leak-flow");
-    ("private-digest-channel", "cc-private-leak-flow");
-    ("starve-checkpoint-evidence", "checkpoint-starved");
-  ]
-
-let expected_analyze name = List.assoc_opt name all_analyze
-
-let names = List.map fst all_analyze
-
-let known name = List.mem_assoc name all_analyze
-
 let map_action id f (ir : Ir.t) =
   {
     ir with
@@ -94,86 +31,160 @@ let cut_checker_edge g =
   in
   go (List.tl (Graph.edges g))
 
-let apply name ((ir : Ir.t), g) =
-  match name with
-  | "drop-checkpoint" ->
-      Some
-        ( map_phase "construction-2a"
-            (fun p -> { p with Ir.checkpoint = None })
-            ir,
-          g )
-  | "unclassify-action" ->
-      Some (map_action "recompute-routing" (fun a -> { a with Ir.cls = None }) ir, g)
-  | "orphan-deviation" ->
-      Some
-        ( map_action "forward-packets"
-            (fun a ->
-              {
-                a with
-                Ir.deviations =
-                  List.filter (fun d -> d <> Dev.Misroute_packets) a.Ir.deviations;
-              })
-            ir,
-          g )
-  | "leak-private-info" ->
-      Some
-        ( map_action "forward-routing-copies"
-            (fun a -> { a with Ir.inputs = Ir.Private_info :: a.Ir.inputs })
-            ir,
-          g )
-  | "unmirror-computation" ->
-      Some
-        ( map_action "recompute-pricing"
-            (fun a -> { a with Ir.mirrored = false })
-            ir,
-          g )
-  | "undigest-computation" ->
-      Some
-        ( map_action "report-payments"
-            (fun a -> { a with Ir.digested = false })
-            ir,
-          g )
-  | "cut-checker-edge" -> Some (ir, cut_checker_edge g)
-  | "launder-private-taint" ->
+(* One row per mutation: the finding each checker must produce on it.
+   [lint] is the one error finding [Lint.run] must report. [verify] is the
+   flow/exploration finding [Verify.run] must additionally produce:
+   annotation-level mutations surface as escapes in the product space, the
+   input-annotation mutation in the taint diff, the shape mutations as
+   coverage and reentry violations. [analyze] is the finding [Analyze.run]
+   must produce. The last three rows are invisible to the syntactic checks
+   (lint exits 0 on them, so [lint] and [verify] are [None]) and exist
+   precisely to exercise the flow-sensitive layer: a private value
+   laundered through an intermediate computation, a leak through the
+   digest channel, and a checkpoint whose evidence sources are silently
+   defanged. *)
+type mutation = {
+  name : string;
+  lint : string option;
+  verify : string option;
+  analyze : string;
+  edit : Ir.t * Graph.t -> Ir.t * Graph.t;
+}
+
+let on_ir f (ir, g) = (f ir, g)
+
+let add_private_input (a : Ir.action) = { a with Ir.inputs = Ir.Private_info :: a.Ir.inputs }
+
+let mutations =
+  [
+    {
+      name = "drop-checkpoint";
+      lint = Some "missing-checkpoint";
+      verify = Some "undetected-deviation";
+      analyze = "certifier-blind-spot";
+      edit = on_ir (map_phase "construction-2a" (fun p -> { p with Ir.checkpoint = None }));
+    };
+    {
+      name = "unclassify-action";
+      lint = Some "unclassified-action";
+      verify = Some "undetected-deviation";
+      analyze = "certifier-blind-spot";
+      edit = on_ir (map_action "recompute-routing" (fun a -> { a with Ir.cls = None }));
+    };
+    {
+      name = "orphan-deviation";
+      lint = Some "orphan-deviation";
+      verify = Some "undetected-deviation";
+      analyze = "certifier-blind-spot";
+      edit =
+        on_ir
+          (map_action "forward-packets" (fun a ->
+               {
+                 a with
+                 Ir.deviations =
+                   List.filter (fun d -> d <> Dev.Misroute_packets) a.Ir.deviations;
+               }));
+    };
+    {
+      name = "leak-private-info";
+      lint = Some "cc-private-leak";
+      verify = Some "decl-flow-slack";
+      analyze = "cc-private-leak-flow";
+      edit = on_ir (map_action "forward-routing-copies" add_private_input);
+    };
+    {
+      name = "unmirror-computation";
+      lint = Some "ac-unmirrored";
+      verify = Some "undetected-deviation";
+      analyze = "ac-unmirrored-flow";
+      edit = on_ir (map_action "recompute-pricing" (fun a -> { a with Ir.mirrored = false }));
+    };
+    {
+      name = "undigest-computation";
+      lint = Some "ac-undigested";
+      verify = Some "undetected-deviation";
+      analyze = "ac-undigested-flow";
+      edit = on_ir (map_action "report-payments" (fun a -> { a with Ir.digested = false }));
+    };
+    {
+      name = "cut-checker-edge";
+      lint = Some "checker-cut";
+      verify = Some "undetected-deviation";
+      analyze = "certifier-blind-spot";
+      edit = (fun (ir, g) -> (ir, cut_checker_edge g));
+    };
+    {
+      name = "dead-state";
+      lint = Some "dead-state";
+      verify = Some "unexplored-state";
+      analyze = "unexplored-state";
+      edit = on_ir (fun ir -> { ir with Ir.states = ir.Ir.states @ [ "limbo" ] });
+    };
+    {
+      name = "loop-forever";
+      lint = Some "non-termination";
+      verify = Some "phase-reentry";
+      analyze = "phase-reentry";
+      (* suggested play at the halting state loops back into execution *)
+      edit =
+        on_ir (fun ir ->
+            {
+              ir with
+              Ir.transitions =
+                ir.Ir.transitions
+                @ [ { Ir.src = "halt"; act = "forward-packets"; dst = "exec-forward" } ];
+              suggested = ir.Ir.suggested @ [ ("halt", "forward-packets") ];
+            });
+    };
+    {
+      name = "launder-private-taint";
+      lint = None;
+      verify = None;
+      analyze = "cc-private-leak-flow";
       (* the private cost flows into the mirrored routing computation,
          whose output then reaches later message-passing actions through
          protocol state — every individual declaration still looks
          innocent, so the syntactic CC scan stays silent *)
-      Some
-        ( map_action "recompute-routing"
-            (fun a -> { a with Ir.inputs = Ir.Private_info :: a.Ir.inputs })
-            ir,
-          g )
-  | "private-digest-channel" ->
+      edit = on_ir (map_action "recompute-routing" add_private_input);
+    };
+    {
+      name = "private-digest-channel";
+      lint = None;
+      verify = None;
+      analyze = "cc-private-leak-flow";
       (* same laundering, but through the bank-digest reporting channel *)
-      Some
-        ( map_action "report-digests"
-            (fun a -> { a with Ir.inputs = Ir.Private_info :: a.Ir.inputs })
-            ir,
-          g )
-  | "starve-checkpoint-evidence" ->
+      edit = on_ir (map_action "report-digests" add_private_input);
+    };
+    {
+      name = "starve-checkpoint-evidence";
+      lint = None;
+      verify = None;
+      analyze = "checkpoint-starved";
       (* construction-1 keeps its DATA1 certifier, but both of the phase's
          evidence sources are defanged: the cost announcement loses its
          digest and the flood loses its enforcement rule — syntactically
          legal (digests and rules are optional), statically fatal *)
-      Some
-        ( map_action "declare-cost"
-            (fun a -> { a with Ir.digested = false })
-            (map_action "flood-costs" (fun a -> { a with Ir.rules = [] }) ir),
-          g )
-  | "dead-state" -> Some ({ ir with Ir.states = ir.Ir.states @ [ "limbo" ] }, g)
-  | "loop-forever" ->
-      (* suggested play at the halting state loops back into execution *)
-      Some
-        ( {
-            ir with
-            Ir.transitions =
-              ir.Ir.transitions
-              @ [ { Ir.src = "halt"; act = "forward-packets"; dst = "exec-forward" } ];
-            suggested = ir.Ir.suggested @ [ ("halt", "forward-packets") ];
-          },
-          g )
-  | _ -> None
+      edit =
+        on_ir (fun ir ->
+            map_action "declare-cost"
+              (fun a -> { a with Ir.digested = false })
+              (map_action "flood-costs" (fun a -> { a with Ir.rules = [] }) ir));
+    };
+  ]
+
+let column f = List.filter_map (fun m -> Option.map (fun id -> (m.name, id)) (f m)) mutations
+let all = column (fun m -> m.lint)
+let expected name = List.assoc_opt name all
+let all_verify = column (fun m -> m.verify)
+let expected_verify name = List.assoc_opt name all_verify
+let all_analyze = List.map (fun m -> (m.name, m.analyze)) mutations
+let expected_analyze name = List.assoc_opt name all_analyze
+let names = List.map (fun m -> m.name) mutations
+let known name = List.mem_assoc name all_analyze
+
+let apply name pair =
+  List.find_opt (fun m -> String.equal m.name name) mutations
+  |> Option.map (fun m -> m.edit pair)
 
 let apply_opt mutation pair =
   match mutation with

@@ -6,9 +6,6 @@
     (pool_seq.ml4) with the same signature, so callers never condition
     on the runtime. *)
 
-val available : bool
-(** Whether this build can actually run jobs concurrently. *)
-
 val default_domains : unit -> int
 (** The fan-out width used when the caller does not pick one:
     [min 8 (Domain.recommended_domain_count ())] on OCaml 5, 1 on the

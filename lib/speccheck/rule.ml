@@ -11,5 +11,3 @@ let to_string = function
   | CHECK2 -> "CHECK2"
   | BANK2 -> "BANK2"
   | EXEC -> "EXEC"
-
-let of_string s = List.find_opt (fun r -> to_string r = s) all

@@ -1,11 +1,9 @@
 (** The enforcement rules of the extended-FPSS specification (§4.2–4.3).
 
     Each rule names one certificate or checker obligation the bank (or a
-    checker acting for the bank) evaluates. The catalogue ([Damd_faithful.Spec])
-    and the spec IR ([Ir]) reference rules through this variant, so a typo'd
-    or retired rule tag is a compile error rather than a silent string
-    mismatch — previously [Spec.entry.rule] was a free-form string
-    ("BANK1/BANK2"). *)
+    checker acting for the bank) evaluates. The spec IR ([Ir]) references
+    rules through this variant, so a typo'd or retired rule tag is a
+    compile error rather than a silent string mismatch. *)
 
 type t =
   | DATA1  (** phase-1 certificate: all cost digests identical *)
@@ -22,6 +20,5 @@ val all : t list
 
 val to_string : t -> string
 (** The paper's tag, e.g. ["BANK1"] — matches the strings
-    [Damd_faithful.Bank] puts in [detection.rule]. *)
-
-val of_string : string -> t option
+    [Damd_faithful.Bank] puts in [detection.rule] (a [faithful.run] test
+    checks this over the bank golden's runs). *)

@@ -88,6 +88,6 @@ let to_channel ?indent oc v =
   output_string oc (to_string ?indent v);
   output_char oc '\n'
 
-let to_file ?indent path v =
+let to_file path v =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> to_channel ?indent oc v)
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> to_channel oc v)

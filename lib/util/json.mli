@@ -20,5 +20,6 @@ val to_string : ?indent:int -> t -> string
 val to_channel : ?indent:int -> out_channel -> t -> unit
 (** [to_string] plus a trailing newline. *)
 
-val to_file : ?indent:int -> string -> t -> unit
-(** Write to [path], creating or truncating it. *)
+val to_file : string -> t -> unit
+(** [to_channel] with 2-space indent into [path], creating or truncating
+    it. *)

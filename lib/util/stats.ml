@@ -83,11 +83,6 @@ let summarize xs =
     p99 = percentile_of_sorted a 99.;
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.4g sd=%.4g min=%.4g med=%.4g p95=%.4g p99=%.4g max=%.4g" s.n
-    s.mean s.stddev s.min s.median s.p95 s.p99 s.max
-
 let histogram ~bins xs =
   if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
   match xs with

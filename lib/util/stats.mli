@@ -27,8 +27,6 @@ val median : float list -> float
 val summarize : float list -> summary
 (** Full summary. Raises [Invalid_argument] on the empty list. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 val histogram : bins:int -> float list -> (float * float * int) array
 (** [histogram ~bins xs] buckets [xs] into [bins] equal-width bins over
     [min..max]; each cell is [(lo, hi, count)]. *)

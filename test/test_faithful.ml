@@ -1739,36 +1739,44 @@ let test_election_classification_total () =
         (Election.classify d <> []))
     Election.deviation_library
 
-(* --- Spec catalogue --- *)
+(* --- Spec catalogue: the spec IR's actions --- *)
 
-module Spec = Damd_faithful.Spec
+module Ir = Damd_speccheck.Ir
+module Rule = Damd_speccheck.Rule
+
+let spec_ir = Damd_speccheck.Fpss_spec.ir
 
 let test_spec_covers_all_classes () =
-  check Alcotest.int "three classes" 3 (List.length (Spec.classes_covered ()))
+  (* Option.get: every action of the stock IR is classified. *)
+  let classes = List.map (fun a -> Option.get a.Ir.cls) spec_ir.Ir.actions in
+  check Alcotest.int "three classes" 3 (List.length (List.sort_uniq compare classes))
 
 let test_spec_covers_all_phases () =
-  let phases = List.sort_uniq compare (List.map (fun e -> e.Spec.phase) Spec.catalogue) in
+  let phases =
+    List.sort_uniq String.compare
+      (List.map
+         (fun a -> (Option.get (Ir.phase_of_action spec_ir a.Ir.id)).Ir.pname)
+         spec_ir.Ir.actions)
+  in
   check Alcotest.int "four phases" 4 (List.length phases)
 
 let test_spec_deviations_exist_in_library () =
-  (* Every deviation label referenced by the catalogue corresponds to a
+  (* Every deviation label referenced by the spec corresponds to a
      constructor of the adversary library. *)
   List.iter
-    (fun e ->
+    (fun a ->
       List.iter
         (fun d ->
           check Alcotest.bool
-            (Spec.Dev.to_string d ^ " exists")
+            (Damd_speccheck.Dev.to_string d ^ " exists")
             true
             (List.mem d Adversary.all_labels))
-        e.Spec.deviations)
-    Spec.catalogue
+        a.Ir.deviations)
+    spec_ir.Ir.actions
 
 let test_spec_every_library_deviation_targets_an_action () =
   (* Conversely, every library deviation is accounted for in the spec. *)
-  let targeted =
-    List.concat_map (fun e -> e.Spec.deviations) Spec.catalogue
-  in
+  let targeted = List.concat_map (fun a -> a.Ir.deviations) spec_ir.Ir.actions in
   List.iter
     (fun d ->
       check Alcotest.bool
@@ -1778,13 +1786,11 @@ let test_spec_every_library_deviation_targets_an_action () =
     Adversary.library
 
 let test_spec_rules_cover_all_rule_tags () =
-  (* The catalogue exercises the full enforcement-rule vocabulary. *)
+  (* The spec exercises the full enforcement-rule vocabulary. *)
   let used =
-    List.sort_uniq compare (List.concat_map (fun e -> e.Spec.rules) Spec.catalogue)
+    List.sort_uniq compare (List.concat_map (fun a -> a.Ir.rules) spec_ir.Ir.actions)
   in
-  check Alcotest.int "all rule tags used"
-    (List.length Damd_speccheck.Rule.all)
-    (List.length used)
+  check Alcotest.int "all rule tags used" (List.length Rule.all) (List.length used)
 
 (* --- Adversary bookkeeping --- *)
 
@@ -2605,15 +2611,12 @@ let bank_runs =
                  let profile = Array.make (Graph.n g) Adversary.Faithful in
                  profile.(seat) <- d;
                  ( Printf.sprintf "%s %s %d:%s" mode gname seat (Adversary.name d),
-                   (g, traffic),
-                   params,
-                   profile ))
+                   Runner.run ~params ~graph:g ~traffic ~deviations:profile () ))
                deviations)
            graphs)
        (bank_modes @ faulty))
 
-let bank_run_digest ((g, traffic), params, deviations) =
-  let r = Runner.run ~params ~graph:g ~traffic ~deviations () in
+let bank_run_digest r =
   let b = Buffer.create 1024 in
   add_verdict b r;
   add_blame b r;
@@ -2624,12 +2627,7 @@ let bank_run_digest ((g, traffic), params, deviations) =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let test_bank_golden () =
-  let actual =
-    List.map
-      (fun (label, on, params, deviations) ->
-        (label, bank_run_digest (on, params, deviations)))
-      (Lazy.force bank_runs)
-  in
+  let actual = List.map (fun (label, r) -> (label, bank_run_digest r)) (Lazy.force bank_runs) in
   if actual <> bank_golden then begin
     List.iter
       (fun (label, hex) ->
@@ -2640,6 +2638,29 @@ let test_bank_golden () =
     List.iter (fun (label, hex) -> Printf.printf "    (%S, %S);\n" label hex) actual;
     Alcotest.fail "bank golden digests moved"
   end
+
+let test_bank_speaks_spec_rules () =
+  (* Every rule the bank puts in a detection is a spec rule tag, except
+     LIVELOCK: the runner's event-limit stop, which no spec rule covers. *)
+  let vocabulary = "LIVELOCK" :: List.map Rule.to_string Rule.all in
+  List.iter
+    (fun (label, r) ->
+      List.iter
+        (fun d ->
+          if not (List.mem d.Bank.rule vocabulary) then
+            Alcotest.failf "%s: detection rule %S is not a spec rule" label d.Bank.rule)
+        r.Runner.detections)
+    (Lazy.force bank_runs);
+  let certifier pname =
+    let phase = List.find (fun p -> String.equal p.Ir.pname pname) spec_ir.Ir.phases in
+    match phase.Ir.checkpoint with
+    | Some c -> Rule.to_string c.Ir.certifier
+    | None -> Alcotest.failf "%s has no checkpoint" pname
+  in
+  check Alcotest.string "routing stage certifier" (certifier "construction-2a")
+    Node.routing_stage.Node.bank_rule;
+  check Alcotest.string "pricing stage certifier" (certifier "construction-2b")
+    Node.pricing_stage.Node.bank_rule
 
 let suites =
   [
@@ -2691,6 +2712,8 @@ let suites =
         Alcotest.test_case "money conserved" `Quick test_run_money_conserved_faithful;
         Alcotest.test_case "bank golden: six banks, fig1 and chordal" `Quick
           test_bank_golden;
+        Alcotest.test_case "bank detections use the spec's rule tags" `Quick
+          test_bank_speaks_spec_rules;
       ] );
     ( "faithful.detection",
       [

@@ -23,9 +23,11 @@
 #     (routing_no_copies differs from revisions older than the one-bank
 #     Runner.params by design: --no-copies alone used to run the checking
 #     bank without copies and end STUCK; it now runs plain FPSS);
-#   - verify --json on fig1 and torus:4:4, keeping only the JSON with
-#     every "elapsed_s" and "states_per_sec" key removed (the stdout
-#     prints a rate);
+#   - the stdout of lint --list-mutations, and the checker recipe: lint,
+#     verify, analyze and analyze --differential on fig1 and torus:4:4,
+#     stock and under every listed mutation (104 runs), keeping each
+#     run's exit code and its --json document with every "elapsed_s" and
+#     "states_per_sec" key removed (the stdout prints rates);
 #   - the gauntlet.campaign tests (whose "replay golden" case pins 32
 #     campaign digests) and the faithful.fault tests (whose "byzantine
 #     golden" case pins 40 Byzantine-plan run digests), exit codes only;
@@ -126,12 +128,21 @@ drive() {
   run routing_deferred "$C" routing -t fig1 --deferred-certification
   run routing_latency "$C" routing -t fig1 --latency-seed 5
   run routing_loss "$C" routing -t fig1 --loss 0.05
-  "$C" verify --json verify_fig1.json >/dev/null 2>&1
-  echo "$?" >verify_fig1.exit
-  "$C" verify -t torus:4:4 --json verify_torus.json >/dev/null 2>&1
-  echo "$?" >verify_torus.exit
-  strip_rates verify_fig1.json
-  strip_rates verify_torus.json
+  run list_mutations "$C" lint --list-mutations
+  local t m cmd name args
+  for t in fig1 torus:4:4; do
+    for m in stock $(cut -d' ' -f1 list_mutations.out); do
+      for cmd in lint verify analyze analyze_differential; do
+        name="${cmd}_${t%%:*}_$m"
+        args=("${cmd%_differential}" -t "$t" --json "$name.json")
+        [ "$cmd" = analyze_differential ] && args+=(--differential)
+        [ "$m" = stock ] || args+=(--mutate "$m")
+        "$C" "${args[@]}" >/dev/null 2>&1
+        echo "$?" >"$name.exit"
+        strip_rates "$name.json"
+      done
+    done
+  done
   (cd "$tree" && ./_build/default/test/test_main.exe test gauntlet.campaign >/dev/null 2>&1)
   echo "$?" >tests_gauntlet_campaign.exit
   (cd "$tree" && ./_build/default/test/test_main.exe test faithful.fault >/dev/null 2>&1)
