@@ -1,6 +1,6 @@
 type 'state t = {
   name : string;
-  run : 'state -> 'state;
+  run : attempt:int -> 'state -> 'state;
   certify : 'state -> (unit, string) result;
 }
 
@@ -13,27 +13,25 @@ type 'state outcome =
   | Completed of 'state progress
   | Stuck of { phase : string; reason : string; progress : 'state progress }
 
-let execute ?(max_restarts = 3) initial phases =
+let execute ~max_restarts initial phases =
   let rec run_phase progress phase attempt =
-    let state = phase.run progress.state in
+    let state = phase.run ~attempt progress.state in
     match phase.certify state with
     | Ok () -> Ok { progress with state }
     | Error reason ->
         let progress =
           { state; restarts = progress.restarts @ [ (phase.name, reason) ] }
         in
-        if attempt >= max_restarts then Error (phase.name, reason, progress)
+        if attempt > max_restarts then Error (phase.name, reason, progress)
         else run_phase progress phase (attempt + 1)
   in
   let rec go progress = function
     | [] -> Completed progress
     | phase :: rest -> (
-        match run_phase progress phase 0 with
+        match run_phase progress phase 1 with
         | Ok progress -> go progress rest
         | Error (name, reason, progress) -> Stuck { phase = name; reason; progress })
   in
   go { state = initial; restarts = [] } phases
 
 let total_restarts p = List.length p.restarts
-
-let uncertified phase = { phase with certify = (fun _ -> Ok ()) }

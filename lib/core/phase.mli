@@ -8,13 +8,16 @@
 
     A phase transforms a state and a checkpoint certifies the result; a
     failed certificate restarts the phase (the paper's construction-phase
-    penalty: the mechanism does not progress). The ablation experiment E8
-    runs the same protocol with certification disabled to show that the
-    checkpoints are load-bearing. *)
+    penalty: the mechanism does not progress). [execute] is the one
+    counter of a phase's attempts: it passes each run its number, so a
+    caller that must act on the first attempt only (the faithful runner
+    arms its fault schedule there) reads it instead of counting again. *)
 
 type 'state t = {
   name : string;
-  run : 'state -> 'state;
+  run : attempt:int -> 'state -> 'state;
+      (** [attempt] is 1 on the phase's first run and grows by one on
+          each restart. *)
   certify : 'state -> (unit, string) result;
       (** [Ok ()] green-lights the next phase; [Error reason] restarts this
           one. The checkpointing node in the FPSS extension is the bank. *)
@@ -29,14 +32,12 @@ type 'state progress = {
 type 'state outcome =
   | Completed of 'state progress
   | Stuck of { phase : string; reason : string; progress : 'state progress }
-      (** a phase kept failing certification [max_restarts] times — with a
-          persistent deviant this is the paper's "penalty of no progress" *)
+      (** a phase failed certification on all of its [max_restarts + 1]
+          attempts — with a persistent deviant this is the paper's
+          "penalty of no progress" *)
 
-val execute : ?max_restarts:int -> 'state -> 'state t list -> 'state outcome
-(** Run phases in order; each must certify before the next begins
-    ([max_restarts] per phase, default 3). *)
+val execute : max_restarts:int -> 'state -> 'state t list -> 'state outcome
+(** Run phases in order; each must certify before the next begins. A
+    phase runs at most [max_restarts + 1] times, attempts numbered from 1. *)
 
 val total_restarts : 'state progress -> int
-
-val uncertified : 'state t -> 'state t
-(** The ablation: same phase, certificate always accepts. *)

@@ -164,31 +164,6 @@ let rec plan = function
 let shields p ~principal =
   match p.shield with Nobody -> false | Everyone -> true | Principal q -> q = principal
 
-let rec name = function
-  | Faithful -> "faithful"
-  | Misreport_cost c -> Printf.sprintf "misreport-cost(%g)" c
-  | Inconsistent_cost (a, b) -> Printf.sprintf "inconsistent-cost(%g|%g)" a b
-  | Corrupt_cost_forward d -> Printf.sprintf "corrupt-cost-forward(+%g)" d
-  | Drop_routing_copies -> "drop-routing-copies"
-  | Drop_pricing_copies -> "drop-pricing-copies"
-  | Corrupt_routing_copies d -> Printf.sprintf "corrupt-routing-copies(+%g)" d
-  | Corrupt_pricing_copies d -> Printf.sprintf "corrupt-pricing-copies(+%g)" d
-  | Spoof_routing_update d -> Printf.sprintf "spoof-routing-update(+%g)" d
-  | Spoof_pricing_update d -> Printf.sprintf "spoof-pricing-update(+%g)" d
-  | Miscompute_routing d -> Printf.sprintf "miscompute-routing(%+g)" d
-  | Miscompute_pricing d -> Printf.sprintf "miscompute-pricing(%+g)" d
-  | Underreport_payments f -> Printf.sprintf "underreport-payments(x%g)" f
-  | Misroute_packets -> "misroute-packets"
-  | Misattribute_payments -> "misattribute-payments"
-  | Silent_in_construction -> "silent-in-construction"
-  | Combined_routing_attack d -> Printf.sprintf "combined-routing-attack(%g)" d
-  | Combined_pricing_attack d -> Printf.sprintf "combined-pricing-attack(%g)" d
-  | Lying_checker -> "lying-checker"
-  | Collude_with p -> Printf.sprintf "collude-with(%d)" p
-  | Byzantine_arbitrary seed -> Printf.sprintf "byzantine-arbitrary(%d)" seed
-  | Epsilon_rational (eps, inner) ->
-      Printf.sprintf "epsilon-rational(%g|%s)" eps (name inner)
-
 module Dev = Damd_speccheck.Dev
 
 let rec label = function
@@ -217,6 +192,29 @@ let rec label = function
      behavior — so its catalogue label is the inner's: when it activates
      it plays exactly that deviation, when it does not it is [Faithful] *)
   | Epsilon_rational (_, inner) -> label inner
+
+(* The epsilon wrapper carries its inner deviation's label, so it
+   spells its own prefix. *)
+let rec name d =
+  let tag = Dev.to_string (label d) in
+  match d with
+  | Faithful | Drop_routing_copies | Drop_pricing_copies | Misroute_packets
+  | Misattribute_payments | Silent_in_construction | Lying_checker ->
+      tag
+  | Misreport_cost x | Combined_routing_attack x | Combined_pricing_attack x ->
+      Printf.sprintf "%s(%g)" tag x
+  | Inconsistent_cost (a, b) -> Printf.sprintf "%s(%g|%g)" tag a b
+  | Corrupt_cost_forward d
+  | Corrupt_routing_copies d
+  | Corrupt_pricing_copies d
+  | Spoof_routing_update d
+  | Spoof_pricing_update d ->
+      Printf.sprintf "%s(+%g)" tag d
+  | Miscompute_routing d | Miscompute_pricing d -> Printf.sprintf "%s(%+g)" tag d
+  | Underreport_payments f -> Printf.sprintf "%s(x%g)" tag f
+  | Collude_with i | Byzantine_arbitrary i -> Printf.sprintf "%s(%d)" tag i
+  | Epsilon_rational (eps, inner) ->
+      Printf.sprintf "epsilon-rational(%g|%s)" eps (name inner)
 
 let rec classify = function
   | Faithful -> []

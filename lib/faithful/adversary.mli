@@ -173,6 +173,11 @@ val epsilon : t -> (float * t) option
 (** [Some (threshold, inner)] for [Epsilon_rational], else [None]. *)
 
 val name : t -> string
+(** Display name: the label's [Dev.to_string] spelling, followed by the
+    payload in parentheses when there is one (["miscompute-routing(-2)"]).
+    The epsilon wrapper carries its inner deviation's label, so it spells
+    its own prefix around the inner name
+    (["epsilon-rational(0.5|miscompute-routing(-2))"]). *)
 
 val label : t -> Damd_speccheck.Dev.t
 (** Payload-stripped label of the constructor, shared with the spec IR.

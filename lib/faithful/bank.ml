@@ -165,9 +165,6 @@ type settlement = {
 
 (* The certified view: node s's own tables (which, after a clean
    checkpoint, equal every checker's mirror). *)
-let certified_prices (nodes : Node.t array) s dst =
-  Protocol.price_pairs nodes.(s).Node.pricing.(dst)
-
 let certified_path (nodes : Node.t array) s dst =
   match nodes.(s).Node.routing.(dst) with
   | Some e -> Some e.Dijkstra.path
@@ -213,62 +210,41 @@ let settle ~obs ~checking ~epsilon ~registry ~nodes ~traffic =
           (deliveries_for nodes ~src ~dst)
     done
   done;
-  if not checking then begin
-    (* Naive clearing: believe every report. *)
-    Array.iteri
-      (fun s entries ->
-        List.iter
-          (fun (k, amount) ->
-            outlays.(s) <- outlays.(s) +. amount;
-            if k >= 0 && k < n then incomes.(k) <- incomes.(k) +. amount)
-          entries)
-      reports
-  end
-  else begin
-    (* Verified clearing at certified prices. *)
-    let expected_total = Array.make n 0. in
-    for s = 0 to n - 1 do
-      for dst = 0 to n - 1 do
-        let rate = traffic.(s).(dst) in
-        if s <> dst && rate > 0. then
-          List.iter
-            (fun (k, price) ->
-              expected_total.(s) <- expected_total.(s) +. (price *. rate);
-              incomes.(k) <- incomes.(k) +. (price *. rate))
-            (certified_prices nodes s dst)
-      done
-    done;
+  (* Clearing credits each source's outlay and its transits' incomes
+     from one DATA4 ledger: the signed reports when naive, the DATA4 the
+     bank recomputes from the certified pricing tables when verified. *)
+  let ledger =
+    if checking then Array.map (fun node -> Node.payments node traffic) nodes else reports
+  in
+  Array.iteri
+    (fun s entries ->
+      List.iter
+        (fun (k, amount) ->
+          outlays.(s) <- outlays.(s) +. amount;
+          if k >= 0 && k < n then incomes.(k) <- incomes.(k) +. amount)
+        entries)
+    ledger;
+  if checking then begin
+    (* Verified clearing: each report against the ledger. *)
     for s = 0 to n - 1 do
       let reported = List.fold_left (fun acc (_, v) -> acc +. v) 0. reports.(s) in
-      outlays.(s) <- expected_total.(s);
-      let delta = Float.abs (reported -. expected_total.(s)) in
+      let delta = Float.abs (reported -. outlays.(s)) in
       if delta > 1e-6 then begin
         detect "EXEC" (Some s)
           (Printf.sprintf "payment report off by %g (reported %g, owed %g)" delta
-             reported expected_total.(s));
+             reported outlays.(s));
         penalties.(s) <- penalties.(s) +. delta +. epsilon
       end
       else begin
         (* Totals agree: also verify per-transit attribution against the
            certified tables — shifting money between transits is fraud
            against the shorted transit. *)
-        let expected_entries = Hashtbl.create 8 in
-        for dst = 0 to n - 1 do
-          let rate = traffic.(s).(dst) in
-          if s <> dst && rate > 0. then
-            List.iter
-              (fun (k, price) ->
-                Hashtbl.replace expected_entries k
-                  (price *. rate
-                  +. Option.value ~default:0. (Hashtbl.find_opt expected_entries k)))
-              (certified_prices nodes s dst)
-        done;
         let misattributed =
-          Hashtbl.fold
-            (fun k owed acc ->
+          List.fold_left
+            (fun acc (k, amount) ->
               let claimed = Option.value ~default:0. (List.assoc_opt k reports.(s)) in
-              acc +. Float.abs (claimed -. owed))
-            expected_entries 0.
+              acc +. Float.abs (claimed -. amount))
+            0. ledger.(s)
         in
         if misattributed > 1e-6 then begin
           detect "EXEC" (Some s)

@@ -15,9 +15,11 @@
     [Node.stage].
 
     Execution: every source's signed [DATA4] payment report is compared
-    against the certified pricing tables; packet traces are compared
-    against certified routes; deviations are fined ε-above the attempted
-    gain. All node↔bank traffic is signed ([Damd_crypto.Signer]). *)
+    with the [DATA4] the bank recomputes from the certified pricing
+    tables ([Node.payments], i.e. [Damd_fpss.Tables.payments]); packet
+    traces are compared against certified routes; deviations are fined
+    ε-above the attempted gain. All node↔bank traffic is signed
+    ([Damd_crypto.Signer]). *)
 
 type detection = {
   rule : string;  (** "DATA1" | "BANK1" | "BANK2" | "EXEC" | "LIVELOCK" *)
@@ -96,12 +98,17 @@ val settle :
   nodes:Node.t array ->
   traffic:Damd_fpss.Traffic.t ->
   settlement
-(** Clear the execution phase. With [checking = true] payments are
-    corrected to the certified tables, misreports and misroutes are
-    detected and fined; with [checking = false] the bank naively believes
-    every report ([Runner]'s [Naive_settlement], [Unchecked] and [Plain]
-    banks). [obs] (pass [Damd_obs.Obs.noop] when not tracing) runs the
-    settlement under a ["bank.settle"] span. *)
+(** Clear the execution phase: credit each source's outlay and its
+    transits' incomes from one [DATA4] ledger. With [checking = false]
+    the ledger is the signed reports, believed as sent ([Runner]'s
+    [Naive_settlement], [Unchecked] and [Plain] banks). With
+    [checking = true] it is every source's [Node.payments] at its
+    certified pricing tables, and each report is compared with it: a
+    total that differs is fined the difference plus ε, a matching total
+    attributed to the wrong transits is fined ε, and a packet trace that
+    strays from its certified route fines the node that forwarded it
+    off-path ε. [obs] (pass [Damd_obs.Obs.noop] when not tracing) runs
+    the settlement under a ["bank.settle"] span. *)
 
 val serialize_report : (int * float) list -> string
 (** Canonical DATA4 payload placed under the signature. *)

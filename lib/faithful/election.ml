@@ -116,7 +116,7 @@ let run ?(params = default_params) ~graph ~profile ~deviations () =
     {
       Phase.name = "bids";
       run =
-        (fun () ->
+        (fun ~attempt:_ () ->
           Array.iter (fun s -> Array.fill s.bids 0 n None) states;
           Array.iter
             (fun s ->
@@ -161,7 +161,7 @@ let run ?(params = default_params) ~graph ~profile ~deviations () =
     {
       Phase.name = "outcome";
       run =
-        (fun () ->
+        (fun ~attempt:_ () ->
           Array.iteri
             (fun i s ->
               let bids = Array.map Option.get s.bids in

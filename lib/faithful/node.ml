@@ -444,25 +444,12 @@ let on_packet node (send : send) ~sender msg =
       end
   | _ -> () (* a table message during execution is dropped *)
 
+let payments node traffic =
+  Damd_fpss.Tables.payments (Array.map Protocol.price_pairs node.pricing) traffic.(node.id)
+
 let payment_report node traffic =
-  let totals = Hashtbl.create 8 in
-  Array.iteri
-    (fun dst entries ->
-      let rate = traffic.(node.id).(dst) in
-      if rate > 0. then
-        List.iter
-          (fun (pe : Protocol.price_entry) ->
-            let prev = Option.value ~default:0. (Hashtbl.find_opt totals pe.Protocol.transit) in
-            Hashtbl.replace totals pe.Protocol.transit (prev +. (pe.Protocol.price *. rate)))
-          entries)
-    node.pricing;
   let scale = Option.value node.plan.Adversary.underreport ~default:1. in
-  let entries =
-    Hashtbl.fold (fun k v acc -> (k, v *. scale) :: acc) totals []
-    |> List.sort (fun (a, x) (b, y) ->
-           let c = Int.compare a b in
-           if c <> 0 then c else Float.compare x y)
-  in
+  let entries = List.map (fun (k, v) -> (k, v *. scale)) (payments node traffic) in
   match entries with
   | (k0, _) :: _ when node.plan.Adversary.misattribute ->
       (* correct total, all credited to the first transit *)

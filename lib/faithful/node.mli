@@ -187,9 +187,16 @@ val originate_traffic : t -> send -> dst:int -> rate:float -> unit
 
 val on_packet : t -> send -> sender:int -> Protocol.msg -> unit
 
+val payments : t -> Damd_fpss.Traffic.t -> (int * float) list
+(** The honest DATA4 of the node's own pricing rows and traffic row:
+    [Damd_fpss.Tables.payments], per-transit totals sorted by transit.
+    After a clean pricing checkpoint these rows are the certified ones,
+    so the bank's verified clearing reads this too. *)
+
 val payment_report : t -> Damd_fpss.Traffic.t -> (int * float) list
-(** The signed DATA4 report: per-transit totals owed according to the
-    node's own pricing table (deviation: scaled down). *)
+(** The DATA4 report the node signs: its plan applied to [payments]
+    (under-reporting scales every total; misattribution credits the whole
+    total to the first transit). *)
 
 (** {2 What the bank collects}
 

@@ -94,7 +94,10 @@ type params = {
       (** seeded mixed-failure injection ([Damd_sim.Fault]): per-link
           loss/reordering, a healing partition, fail-stop crash/recover
           with protocol-level table handoff. Active during construction
-          only ([Fault.deactivate] at execution start). When set, the
+          only ([Fault.deactivate] at execution start), and armed on a
+          phase's first attempt only: the runner reads the attempt number
+          [Phase.execute] passes, so a restart runs without re-injecting.
+          When set, the
           bank's routing/pricing checkpoints run in fault-tolerant
           evidence mode ([Bank.checkpoint ~fault_tolerant:true]):
           blame only on signed-statement contradictions, restarts without
@@ -110,8 +113,9 @@ type params = {
           allocation-free on the hot path). With a live sink the runner
           instruments the engine (per-message-kind counters, queue-depth
           samples, per-message instants when the sink is detailed), wraps
-          each construction phase attempt and the execution/settlement in
-          spans, and emits ["checkpoint"] instants (certified/failed with
+          each construction phase attempt (its [attempt] arg is
+          [Phase.execute]'s number, from 1) and the execution/settlement
+          in spans, and emits ["checkpoint"] instants (certified/failed with
           reason) and ["accusation"] instants — one per bank detection,
           tagged with rule, culprit, evidence class
           (contradiction/omission/livelock) and the phase in which the

@@ -45,14 +45,14 @@ let flood_costs g =
   (* The final round carried no news; don't count it as convergence work. *)
   (max 0 (!rounds - 1), !messages)
 
-(* DATA2 and DATA3 are [Sparse]'s fixpoints over every destination. The
-   full n-fact flood above replaces [Sparse.flood]'s destination-only
-   accounting, so [Sparse.messages] counts the two fixpoints alone. *)
+(* DATA2 and DATA3 are [Sparse]'s fixpoints over every destination,
+   converged by [Sparse.rerun] from the fresh state. The full n-fact flood
+   above replaces [Sparse.flood]'s destination-only accounting, so
+   [Sparse.messages] counts the two fixpoints alone. *)
 let run g =
   let rounds_flood, flood_msgs = flood_costs g in
   let sp = Sparse.create g in
-  Sparse.routing_fixpoint sp;
-  Sparse.pricing_fixpoint sp;
+  Sparse.rerun sp;
   {
     tables = Sparse.to_tables sp;
     rounds_flood;

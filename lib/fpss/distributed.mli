@@ -6,9 +6,10 @@
     [DATA3] (pricing tables). This module is the *obedient* computation
     over all destinations, run in deterministic synchronous rounds: the
     flood below, then [Sparse]'s change-driven fixpoints with every node
-    as a destination. The faithful extension ([Damd_faithful]) runs the
-    same update rules as per-node message handlers on the simulator, with
-    checkers mirroring them.
+    as a destination, converged by [Sparse.rerun] on a fresh state. The
+    faithful extension ([Damd_faithful]) runs the same update rules as
+    per-node message handlers on the simulator, with checkers mirroring
+    them.
 
     The pricing recurrence (derived in DESIGN.md §5): for transit node [k]
     on [i]'s LCP to [j],

@@ -369,9 +369,6 @@ let pricing ?offsets t =
         ]
       "sparse.pricing.done"
 
-let routing_fixpoint t = routing t
-let pricing_fixpoint t = pricing t
-
 let run ?routing_offsets ?pricing_offsets t =
   flood t;
   routing ?offsets:routing_offsets t;

@@ -46,10 +46,6 @@ val run : ?routing_offsets:float array -> ?pricing_offsets:float array -> t -> u
     distortions applied inside the fixpoints; they must keep effective
     costs non-negative. *)
 
-val routing_fixpoint : t -> unit
-val pricing_fixpoint : t -> unit
-(** One stage of [run], honest rows, same round budget. *)
-
 val update_cost : t -> int -> float -> unit
 (** Change one node's transit cost in place (the announced state is
     untouched — call [rerun] to reconverge). Raises [Invalid_argument]
@@ -57,7 +53,9 @@ val update_cost : t -> int -> float -> unit
 
 val rerun : t -> unit
 (** Warm restart after [update_cost]: reconverge the routing and pricing
-    fixpoints from the current announced state without re-flooding.
+    fixpoints from the current announced state without re-flooding. On a
+    fresh state it is [run] without the flood and without offsets, which
+    is how [Distributed.run] converges its all-destinations state.
     Reaches state byte-identical to a cold [run] on the updated graph
     (the fixpoint is unique independent of the starting point; stale
     loop-carried candidates from a cost increase inflate by at least the

@@ -13,49 +13,57 @@ let price t ~src ~dst ~transit = List.assoc_opt transit t.prices.(src).(dst)
 
 let packet_payments t ~src ~dst = t.prices.(src).(dst)
 
-let fold_demands t traffic f acc =
-  let n = Array.length t.routing in
-  let acc = ref acc in
-  for src = 0 to n - 1 do
-    for dst = 0 to n - 1 do
-      if src <> dst then begin
-        let rate = traffic.(src).(dst) in
-        if rate > 0. then acc := f !acc ~src ~dst ~rate
-      end
-    done
-  done;
-  !acc
-
 let transit_load t traffic k =
-  fold_demands t traffic
-    (fun acc ~src ~dst ~rate ->
-      match t.routing.(src).(dst) with
-      | Some e when List.mem k (Dijkstra.transit_nodes e.Dijkstra.path) -> acc +. rate
-      | _ -> acc)
-    0.
+  let load = ref 0. in
+  Array.iteri
+    (fun src row ->
+      Array.iteri
+        (fun dst e ->
+          match e with
+          | Some e
+            when src <> dst
+                 && traffic.(src).(dst) > 0.
+                 && List.mem k (Dijkstra.transit_nodes e.Dijkstra.path) ->
+              load := !load +. traffic.(src).(dst)
+          | _ -> ())
+        row)
+    t.routing;
+  !load
 
-let income t traffic k =
-  fold_demands t traffic
-    (fun acc ~src ~dst ~rate ->
-      match price t ~src ~dst ~transit:k with
-      | Some p -> acc +. (p *. rate)
-      | None -> acc)
-    0.
+let payments prices rates =
+  let owed = ref [] in
+  Array.iteri
+    (fun dst row ->
+      if rates.(dst) > 0. then
+        List.iter
+          (fun (k, p) ->
+            let sum = Option.value ~default:0. (List.assoc_opt k !owed) in
+            owed := (k, sum +. (p *. rates.(dst))) :: List.remove_assoc k !owed)
+          row)
+    prices;
+  List.sort (fun (a, _) (b, _) -> Int.compare a b) !owed
 
-let outlay t traffic i =
-  let n = Array.length t.routing in
-  let acc = ref 0. in
-  for dst = 0 to n - 1 do
-    if dst <> i && traffic.(i).(dst) > 0. then
+(* Every transit's income and every source's outlay, credited from each
+   source's DATA4. *)
+let ledger t traffic =
+  let n = Array.length t.prices in
+  let income = Array.make n 0. and outlay = Array.make n 0. in
+  Array.iteri
+    (fun src row ->
       List.iter
-        (fun (_, p) -> acc := !acc +. (p *. traffic.(i).(dst)))
-        t.prices.(i).(dst)
-  done;
-  !acc
+        (fun (k, amount) ->
+          outlay.(src) <- outlay.(src) +. amount;
+          income.(k) <- income.(k) +. amount)
+        (payments row traffic.(src)))
+    t.prices;
+  (income, outlay)
+
+let income t traffic k = (fst (ledger t traffic)).(k)
+let outlay t traffic i = (snd (ledger t traffic)).(i)
 
 let transfers t traffic =
-  let n = Array.length t.routing in
-  Array.init n (fun k -> income t traffic k -. outlay t traffic k)
+  let income, outlay = ledger t traffic in
+  Array.map2 ( -. ) income outlay
 
 let routing_equal a b =
   let paths t =

@@ -2,8 +2,8 @@
 
     Both pricing schemes ([Pricing] = VCG, [Naive] = declared-cost) produce
     this structure; the execution-phase accounting ([transit_load],
-    [income], [outlay]) is scheme-independent. Tables are indexed
-    [src].(dst). *)
+    [payments] and the [income], [outlay] and [transfers] read off it) is
+    scheme-independent. Tables are indexed [src].(dst). *)
 
 type t = {
   routing : Damd_graph.Dijkstra.entry option array array;
@@ -25,11 +25,21 @@ val packet_payments : t -> src:int -> dst:int -> (int * float) list
 val transit_load : t -> Traffic.t -> int -> float
 (** Total packets node [k] transits under the given traffic matrix. *)
 
+val payments : (int * float) list array -> float array -> (int * float) list
+(** [payments prices rates] is one source's [DATA4]: given its price rows
+    ([prices.(dst)], per-packet payment to each transit) and its traffic
+    row ([rates.(dst)]), what it owes each transit, summed over the
+    destinations with a positive rate and sorted by transit id. The one
+    definition of the sum: the centralized transfers below, a faithful
+    node's payment report and the bank's verified clearing all read it. *)
+
 val income : t -> Traffic.t -> int -> float
-(** Total payments node [k] receives for transiting. *)
+(** Total payments node [k] receives for transiting: its entries in every
+    source's [payments]. *)
 
 val outlay : t -> Traffic.t -> int -> float
-(** Total payments node [k] owes for its own originated traffic. *)
+(** Total payments node [k] owes for its own originated traffic: the sum
+    of its [payments]. *)
 
 val transfers : t -> Traffic.t -> float array
 (** Per-node [income - outlay]; the execution-phase money flow. *)

@@ -92,24 +92,24 @@ let fold_nodes f g acc =
   done;
   !acc
 
-let hop_eccentricity g s =
+let hop_distances g s =
   let dist = Array.make g.n (-1) in
   dist.(s) <- 0;
   let q = Queue.create () in
   Queue.push s q;
-  let far = ref 0 in
   while not (Queue.is_empty q) do
     let u = Queue.pop q in
-    List.iter
+    Array.iter
       (fun v ->
         if dist.(v) = -1 then begin
           dist.(v) <- dist.(u) + 1;
-          if dist.(v) > !far then far := dist.(v);
           Queue.push v q
         end)
-      g.adj.(u)
+      g.adj_arr.(u)
   done;
-  !far
+  dist
+
+let hop_eccentricity g s = Array.fold_left Int.max 0 (hop_distances g s)
 
 let hop_diameter g =
   let best = ref 0 in

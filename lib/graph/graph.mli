@@ -52,8 +52,13 @@ val is_connected : t -> bool
 
 val fold_nodes : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
+val hop_distances : t -> int -> int array
+(** BFS (hop) distance from a node to every node, [-1] where unreachable:
+    the one BFS behind [hop_eccentricity], [hop_diameter] and
+    [Metrics.compute]. *)
+
 val hop_eccentricity : t -> int -> int
-(** Longest BFS (hop) distance from a node to any reachable node. *)
+(** Longest hop distance from a node to any reachable node. *)
 
 val hop_diameter : t -> int
 (** Maximum hop eccentricity over all nodes; 0 for the empty graph. The

@@ -10,24 +10,6 @@ type t = {
   biconnected : bool;
 }
 
-let bfs_distances g s =
-  let n = Graph.n g in
-  let dist = Array.make n (-1) in
-  dist.(s) <- 0;
-  let q = Queue.create () in
-  Queue.push s q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    List.iter
-      (fun v ->
-        if dist.(v) = -1 then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.push v q
-        end)
-      (Graph.neighbors g u)
-  done;
-  dist
-
 let local_clustering g v =
   let nbrs = Graph.neighbors g v in
   let k = List.length nbrs in
@@ -50,7 +32,7 @@ let compute g =
   in
   let diameter = ref 0 and dist_sum = ref 0 and dist_count = ref 0 in
   for s = 0 to n - 1 do
-    let dist = bfs_distances g s in
+    let dist = Graph.hop_distances g s in
     Array.iteri
       (fun v d ->
         if v <> s && d >= 0 then begin

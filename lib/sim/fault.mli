@@ -78,12 +78,13 @@ val arm :
   control ->
   phase:phase_tag ->
   unit
-(** Called by the runner at a construction phase's start: schedules the
-    crash/recover timers and materializes the partition window for the
-    components anchored to [phase], relative to the current clock.
-    Fires on the phase's *first* attempt only — a bank-ordered restart
-    re-runs the phase without re-injecting, which is the recovery the
-    graceful-degradation grading expects. [on_recover] is where the
+(** Called at a construction phase's start: schedules the crash/recover
+    timers and materializes the partition window for the components
+    anchored to [phase], relative to the current clock. Every call arms
+    them again; [Damd_faithful.Runner] calls it on a phase's first
+    attempt only, so a bank-ordered restart re-runs the phase without
+    re-injecting, which is the recovery the graceful-degradation grading
+    expects. Does nothing once [deactivate]d. [on_recover] is where the
     runner performs table handoff. *)
 
 val deactivate : 'msg Engine.t -> control -> unit

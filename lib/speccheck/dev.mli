@@ -40,4 +40,6 @@ val all : t list
 
 val to_string : t -> string
 (** Kebab-case name; the prefix of [Adversary.name] for the matching
-    constructor (e.g. [Misreport_cost] -> ["misreport-cost"]). *)
+    constructor (e.g. [Misreport_cost] -> ["misreport-cost"]), which
+    [Adversary.name] spells with this function. The epsilon wrapper,
+    labelled as its inner deviation, keeps its own prefix. *)

@@ -392,11 +392,15 @@ let test_knowledge_strings_distinct () =
 
 (* --- Phase --- *)
 
-let counting_phase name log ?(fail_times = 0) () =
+let counting_phase name log ?(attempts = ref []) ?(fail_times = 0) () =
   let failures = ref fail_times in
   {
     Phase.name;
-    run = (fun state -> log := !log @ [ name ]; state + 1);
+    run =
+      (fun ~attempt state ->
+        log := !log @ [ name ];
+        attempts := !attempts @ [ attempt ];
+        state + 1);
     certify =
       (fun _ ->
         if !failures > 0 then begin
@@ -409,7 +413,7 @@ let counting_phase name log ?(fail_times = 0) () =
 let test_phase_sequence () =
   let log = ref [] in
   let phases = [ counting_phase "a" log (); counting_phase "b" log () ] in
-  match Phase.execute 0 phases with
+  match Phase.execute ~max_restarts:3 0 phases with
   | Phase.Completed p ->
       check Alcotest.int "state threaded" 2 p.Phase.state;
       check (Alcotest.list Alcotest.string) "order" [ "a"; "b" ] !log;
@@ -417,12 +421,15 @@ let test_phase_sequence () =
   | Phase.Stuck _ -> Alcotest.fail "unexpected stuck"
 
 let test_phase_restart_then_pass () =
-  let log = ref [] in
-  let phases = [ counting_phase "a" log ~fail_times:2 (); counting_phase "b" log () ] in
+  let log = ref [] and attempts = ref [] in
+  let phases =
+    [ counting_phase "a" log ~attempts ~fail_times:2 (); counting_phase "b" log () ]
+  in
   match Phase.execute ~max_restarts:3 0 phases with
   | Phase.Completed p ->
       (* phase a ran 3 times (2 failures + success), then b once *)
       check (Alcotest.list Alcotest.string) "replay" [ "a"; "a"; "a"; "b" ] !log;
+      check (Alcotest.list Alcotest.int) "attempts numbered from 1" [ 1; 2; 3 ] !attempts;
       check Alcotest.int "two restarts" 2 (Phase.total_restarts p)
   | Phase.Stuck _ -> Alcotest.fail "unexpected stuck"
 
@@ -446,13 +453,6 @@ let test_phase_later_phase_not_run_when_stuck () =
   | Phase.Stuck _ -> ()
   | Phase.Completed _ -> Alcotest.fail "should be stuck");
   check Alcotest.bool "b never ran" false (List.mem "b" !log)
-
-let test_phase_uncertified_ablation () =
-  let log = ref [] in
-  let failing = counting_phase "a" log ~fail_times:100 () in
-  match Phase.execute 0 [ Phase.uncertified failing ] with
-  | Phase.Completed p -> check Alcotest.int "slides through" 0 (Phase.total_restarts p)
-  | Phase.Stuck _ -> Alcotest.fail "uncertified phase cannot stick"
 
 (* --- Faithfulness --- *)
 
@@ -564,7 +564,6 @@ let suites =
         Alcotest.test_case "stuck" `Quick test_phase_stuck;
         Alcotest.test_case "stuck blocks later phases" `Quick
           test_phase_later_phase_not_run_when_stuck;
-        Alcotest.test_case "uncertified ablation" `Quick test_phase_uncertified_ablation;
       ] );
     ( "core.faithfulness",
       [

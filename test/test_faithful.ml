@@ -1799,6 +1799,30 @@ let test_adversary_names_unique () =
   check Alcotest.int "unique" (List.length names)
     (List.length (List.sort_uniq compare names))
 
+let test_adversary_name_prefix () =
+  (* dev.mli's contract: a constructor's name is its label's
+     [Dev.to_string], alone or followed by a parenthesized payload. *)
+  let module Dev = Damd_speccheck.Dev in
+  List.iter
+    (fun d ->
+      let name = Adversary.name d and tag = Dev.to_string (Adversary.label d) in
+      let n = String.length name and t = String.length tag in
+      check Alcotest.bool (name ^ " starts with " ^ tag) true
+        (String.equal name tag
+        || n > t + 1
+           && String.equal (String.sub name 0 (t + 1)) (tag ^ "(")
+           && name.[n - 1] = ')'))
+    (Adversary.Faithful :: Adversary.Collude_with 0 :: Adversary.Byzantine_arbitrary 7
+   :: Adversary.library);
+  (* The epsilon wrapper carries its inner deviation's label, so it spells
+     its own prefix around the inner name. *)
+  let inner = Adversary.Miscompute_routing (-2.) in
+  let wrapped = Adversary.Epsilon_rational (0.5, inner) in
+  check Alcotest.string "epsilon wrapper name" "epsilon-rational(0.5|miscompute-routing(-2))"
+    (Adversary.name wrapped);
+  check Alcotest.bool "epsilon wrapper label" true
+    (Adversary.label wrapped = Adversary.label inner)
+
 let test_adversary_classes_nonempty () =
   List.iter
     (fun d ->
@@ -2076,6 +2100,46 @@ let test_plan_of_seed_equal_pair () =
   check Alcotest.bool "inconsistent-cost (3, 3) declares 3" true
     ((Adversary.plan (Adversary.Inconsistent_cost (3., 3.))).Adversary.declare
     = Adversary.Declare 3.)
+
+let test_fault_armed_on_first_attempt_only () =
+  (* The runner arms a phase's fault schedule on its first attempt only,
+     so a bank-ordered restart re-runs the phase without re-injecting.
+     Node 2 miscomputes routing, which fails every construction-2a
+     checkpoint: the phase runs max_restarts + 1 times, with a crash
+     anchored to it, and node 1 crashes once. *)
+  let g, _ = Lazy.force fig1 in
+  let obs = Damd_obs.Obs.memory () in
+  let fault =
+    {
+      Fault.seed = 5;
+      link = None;
+      partition = None;
+      crash = Some { Fault.node = 1; crash_phase = `Routing; at = 1.; recovers_at = 2.5 };
+    }
+  in
+  let deviations = Array.make 6 Adversary.Faithful in
+  deviations.(2) <- Adversary.Miscompute_routing (-2.);
+  let params = { Runner.default_params with Runner.fault = Some fault; obs } in
+  let r = Runner.run ~params ~graph:g ~traffic:fig1_traffic ~deviations () in
+  check (Alcotest.option Alcotest.string) "stuck in routing"
+    (Some "construction-2a (routing)") r.Runner.stuck_phase;
+  let events = Damd_obs.Obs.events obs in
+  let attempts =
+    List.filter_map
+      (function
+        | Damd_obs.Obs.Span { name = "construction-2a (routing)"; args; _ } ->
+            List.assoc_opt "attempt" args
+        | _ -> None)
+      events
+  in
+  check Alcotest.bool "routing attempts numbered 1..3" true
+    (attempts = List.map (fun a -> Damd_util.Json.Int a) [ 1; 2; 3 ]);
+  let crashes =
+    List.filter
+      (function Damd_obs.Obs.Instant { name = "fault.crash"; _ } -> true | _ -> false)
+      events
+  in
+  check Alcotest.int "one fault.crash instant" 1 (List.length crashes)
 
 let test_byzantine_deviant_caught () =
   (* A Byzantine node never slides damage past certification: either the
@@ -2564,15 +2628,19 @@ let bank_modes =
       ("plain", Runner.Plain);
     ]
 
-let bank_runs =
+(* The two networks of the bank and settlement goldens, each with the
+   seat its deviant plays. *)
+let golden_graphs =
   lazy
     (let fig1, _ = Lazy.force fig1 in
      let chordal =
        Gen.chordal_ring (Rng.create 1) ~n:10 ~chords:4 (Gen.Uniform_int (1, 10))
      in
-     let graphs =
-       [ ("fig1", fig1, fig1_traffic, 2); ("chordal:10:4", chordal, Traffic.uniform ~n:10 ~rate:1., 3) ]
-     in
+     [ ("fig1", fig1, fig1_traffic, 2); ("chordal:10:4", chordal, Traffic.uniform ~n:10 ~rate:1., 3) ])
+
+let bank_runs =
+  lazy
+    (let graphs = Lazy.force golden_graphs in
      let deviations =
        [
          Adversary.Faithful;
@@ -2662,6 +2730,124 @@ let test_bank_speaks_spec_rules () =
   check Alcotest.string "pricing stage certifier" (certifier "construction-2b")
     Node.pricing_stage.Node.bank_rule
 
+(* Cross-commit golden for settlement: the six banks on fig1 and
+   chordal:10:4, honest and under the execution deviations, the two
+   payment-report lies and packet misrouting, plus misrouting at the seat
+   with misattribution at the seat's lowest-numbered neighbour, so the
+   report total check, the attribution check and the route audit all
+   run under every bank. One digest per run covers the verdict, every
+   detection, the utilities in hex and the execution message count. *)
+let settlement_golden =
+  [
+    ("certified fig1 2:faithful", "c9b79077809fbdad8bb6b48a506b8bba");
+    ("certified fig1 2:underreport-payments(x0.5)", "71ab78e1cefb42f9ddfa793bfbdbb9b7");
+    ("certified fig1 2:misattribute-payments", "58edca4e4cb387fc3133bb240438fd0c");
+    ("certified fig1 2:misroute-packets", "63e7980c554e1bd84ea046b9f0408926");
+    ("certified fig1 2:misroute-packets+3:misattribute-payments", "9ff436b3d405968b25a09d618e66487a");
+    ("certified chordal:10:4 3:faithful", "a7ab3d7b7a8315d37004435144baa2a8");
+    ("certified chordal:10:4 3:underreport-payments(x0.5)", "98b8400b55303fee97c9f42eb74a1837");
+    ("certified chordal:10:4 3:misattribute-payments", "32fc0f39253820e9ab7cb28d1922cf6c");
+    ("certified chordal:10:4 3:misroute-packets", "f0cea0ef4666299f3a215d187367d121");
+    ("certified chordal:10:4 3:misroute-packets+2:misattribute-payments", "f7adc48ee31cd638c2cc6f6dbfc77172");
+    ("deferred fig1 2:faithful", "c9b79077809fbdad8bb6b48a506b8bba");
+    ("deferred fig1 2:underreport-payments(x0.5)", "71ab78e1cefb42f9ddfa793bfbdbb9b7");
+    ("deferred fig1 2:misattribute-payments", "58edca4e4cb387fc3133bb240438fd0c");
+    ("deferred fig1 2:misroute-packets", "63e7980c554e1bd84ea046b9f0408926");
+    ("deferred fig1 2:misroute-packets+3:misattribute-payments", "9ff436b3d405968b25a09d618e66487a");
+    ("deferred chordal:10:4 3:faithful", "a7ab3d7b7a8315d37004435144baa2a8");
+    ("deferred chordal:10:4 3:underreport-payments(x0.5)", "98b8400b55303fee97c9f42eb74a1837");
+    ("deferred chordal:10:4 3:misattribute-payments", "32fc0f39253820e9ab7cb28d1922cf6c");
+    ("deferred chordal:10:4 3:misroute-packets", "f0cea0ef4666299f3a215d187367d121");
+    ("deferred chordal:10:4 3:misroute-packets+2:misattribute-payments", "f7adc48ee31cd638c2cc6f6dbfc77172");
+    ("skip-pricing fig1 2:faithful", "c9b79077809fbdad8bb6b48a506b8bba");
+    ("skip-pricing fig1 2:underreport-payments(x0.5)", "71ab78e1cefb42f9ddfa793bfbdbb9b7");
+    ("skip-pricing fig1 2:misattribute-payments", "58edca4e4cb387fc3133bb240438fd0c");
+    ("skip-pricing fig1 2:misroute-packets", "63e7980c554e1bd84ea046b9f0408926");
+    ("skip-pricing fig1 2:misroute-packets+3:misattribute-payments", "9ff436b3d405968b25a09d618e66487a");
+    ("skip-pricing chordal:10:4 3:faithful", "a7ab3d7b7a8315d37004435144baa2a8");
+    ("skip-pricing chordal:10:4 3:underreport-payments(x0.5)", "98b8400b55303fee97c9f42eb74a1837");
+    ("skip-pricing chordal:10:4 3:misattribute-payments", "32fc0f39253820e9ab7cb28d1922cf6c");
+    ("skip-pricing chordal:10:4 3:misroute-packets", "f0cea0ef4666299f3a215d187367d121");
+    ("skip-pricing chordal:10:4 3:misroute-packets+2:misattribute-payments", "f7adc48ee31cd638c2cc6f6dbfc77172");
+    ("naive-settlement fig1 2:faithful", "c9b79077809fbdad8bb6b48a506b8bba");
+    ("naive-settlement fig1 2:underreport-payments(x0.5)", "9901d1c2bbf5491505da05e4d85a13ae");
+    ("naive-settlement fig1 2:misattribute-payments", "508f0ca1f9660ce4c50af1a2d6495a43");
+    ("naive-settlement fig1 2:misroute-packets", "9b3608d720890c982b703848bfb0a97a");
+    ("naive-settlement fig1 2:misroute-packets+3:misattribute-payments", "ade1205af988d4febef1097ff28cf19a");
+    ("naive-settlement chordal:10:4 3:faithful", "a7ab3d7b7a8315d37004435144baa2a8");
+    ("naive-settlement chordal:10:4 3:underreport-payments(x0.5)", "b52b597ab76fb2d28819d2ff38d62087");
+    ("naive-settlement chordal:10:4 3:misattribute-payments", "03afdbdc001f7d94117c88b627cb203e");
+    ("naive-settlement chordal:10:4 3:misroute-packets", "71c70130aa8d5d4cbdda2b7802902fdb");
+    ("naive-settlement chordal:10:4 3:misroute-packets+2:misattribute-payments", "4d7a33f0932abdc0420322806554453a");
+    ("unchecked fig1 2:faithful", "c9b79077809fbdad8bb6b48a506b8bba");
+    ("unchecked fig1 2:underreport-payments(x0.5)", "9901d1c2bbf5491505da05e4d85a13ae");
+    ("unchecked fig1 2:misattribute-payments", "508f0ca1f9660ce4c50af1a2d6495a43");
+    ("unchecked fig1 2:misroute-packets", "9b3608d720890c982b703848bfb0a97a");
+    ("unchecked fig1 2:misroute-packets+3:misattribute-payments", "ade1205af988d4febef1097ff28cf19a");
+    ("unchecked chordal:10:4 3:faithful", "a7ab3d7b7a8315d37004435144baa2a8");
+    ("unchecked chordal:10:4 3:underreport-payments(x0.5)", "b52b597ab76fb2d28819d2ff38d62087");
+    ("unchecked chordal:10:4 3:misattribute-payments", "03afdbdc001f7d94117c88b627cb203e");
+    ("unchecked chordal:10:4 3:misroute-packets", "71c70130aa8d5d4cbdda2b7802902fdb");
+    ("unchecked chordal:10:4 3:misroute-packets+2:misattribute-payments", "4d7a33f0932abdc0420322806554453a");
+    ("plain fig1 2:faithful", "c9b79077809fbdad8bb6b48a506b8bba");
+    ("plain fig1 2:underreport-payments(x0.5)", "9901d1c2bbf5491505da05e4d85a13ae");
+    ("plain fig1 2:misattribute-payments", "508f0ca1f9660ce4c50af1a2d6495a43");
+    ("plain fig1 2:misroute-packets", "9b3608d720890c982b703848bfb0a97a");
+    ("plain fig1 2:misroute-packets+3:misattribute-payments", "ade1205af988d4febef1097ff28cf19a");
+    ("plain chordal:10:4 3:faithful", "a7ab3d7b7a8315d37004435144baa2a8");
+    ("plain chordal:10:4 3:underreport-payments(x0.5)", "b52b597ab76fb2d28819d2ff38d62087");
+    ("plain chordal:10:4 3:misattribute-payments", "03afdbdc001f7d94117c88b627cb203e");
+    ("plain chordal:10:4 3:misroute-packets", "71c70130aa8d5d4cbdda2b7802902fdb");
+    ("plain chordal:10:4 3:misroute-packets+2:misattribute-payments", "4d7a33f0932abdc0420322806554453a");
+  ]
+
+let settlement_runs () =
+  List.concat_map
+    (fun (mode, params) ->
+      List.concat_map
+        (fun (gname, g, traffic, seat) ->
+          let nbr = List.hd (Graph.neighbors g seat) in
+          let profiles =
+            List.map (fun d -> (Adversary.name d, [ (seat, d) ]))
+              [
+                Adversary.Faithful;
+                Adversary.Underreport_payments 0.5;
+                Adversary.Misattribute_payments;
+                Adversary.Misroute_packets;
+              ]
+            @ [
+                ( Printf.sprintf "misroute-packets+%d:misattribute-payments" nbr,
+                  [ (seat, Adversary.Misroute_packets); (nbr, Adversary.Misattribute_payments) ] );
+              ]
+          in
+          List.map
+            (fun (pname, deviants) ->
+              let profile = Array.make (Graph.n g) Adversary.Faithful in
+              List.iter (fun (i, d) -> profile.(i) <- d) deviants;
+              let r = Runner.run ~params ~graph:g ~traffic ~deviations:profile () in
+              let b = Buffer.create 512 in
+              add_verdict b r;
+              add_blame b r;
+              Printf.bprintf b "execution=%d;" r.Runner.execution_messages;
+              ( Printf.sprintf "%s %s %d:%s" mode gname seat pname,
+                Digest.to_hex (Digest.string (Buffer.contents b)) ))
+            profiles)
+        (Lazy.force golden_graphs))
+    bank_modes
+
+let test_settlement_golden () =
+  let actual = settlement_runs () in
+  if actual <> settlement_golden then begin
+    List.iter
+      (fun (label, hex) ->
+        if List.assoc_opt label settlement_golden <> Some hex then
+          Printf.printf "settlement golden mismatch: %s\n" label)
+      actual;
+    print_endline "actual list:";
+    List.iter (fun (label, hex) -> Printf.printf "    (%S, %S);\n" label hex) actual;
+    Alcotest.fail "settlement golden digests moved"
+  end
+
 let suites =
   [
     ( "faithful.protocol",
@@ -2714,6 +2900,8 @@ let suites =
           test_bank_golden;
         Alcotest.test_case "bank detections use the spec's rule tags" `Quick
           test_bank_speaks_spec_rules;
+        Alcotest.test_case "settlement golden: six banks, execution deviations" `Quick
+          test_settlement_golden;
       ] );
     ( "faithful.detection",
       [
@@ -2847,6 +3035,8 @@ let suites =
         Alcotest.test_case "classes nonempty" `Quick test_adversary_classes_nonempty;
         Alcotest.test_case "phase partition" `Quick test_adversary_phases_partition;
         QCheck_alcotest.to_alcotest prop_scope_predicates_equal_reference;
+        Alcotest.test_case "names extend the catalogue label" `Quick
+          test_adversary_name_prefix;
       ] );
     ( "faithful.scale",
       [
@@ -2878,5 +3068,7 @@ let suites =
           test_plan_of_seed_equal_pair;
         Alcotest.test_case "environment golden: loss, perturbation, faults" `Quick
           test_environment_golden;
+        Alcotest.test_case "fault armed on a phase's first attempt only" `Quick
+          test_fault_armed_on_first_attempt_only;
       ] );
   ]

@@ -205,6 +205,40 @@ let test_transfers_balance () =
   let transfers = Tables.transfers t traffic in
   checkf "zero sum" 0. (Array.fold_left ( +. ) 0. transfers)
 
+(* On integer costs and rates of 0.5, 1 or 2 every price, product and
+   partial sum is exact, so summing per transit first (the DATA4 ledger)
+   and summing per demand (the reference) agree to the bit. *)
+let prop_transfers_equal_reference =
+  QCheck.Test.make ~name:"transfers = per-demand reference (int costs)" ~count:30
+    QCheck.(pair small_nat (float_bound_inclusive 1.))
+    (fun (seed, p) ->
+      let rng = Rng.create (seed + 900) in
+      let n = 5 + (seed mod 9) in
+      let g =
+        match seed mod 3 with
+        | 0 -> Gen.erdos_renyi rng ~n ~p:(0.2 +. (p *. 0.4)) (Gen.Uniform_int (0, 10))
+        | 1 -> Gen.chordal_ring rng ~n ~chords:(n / 4) (Gen.Uniform_int (1, 10))
+        | _ -> fst (Gen.as_like rng ~n ~m:2 (Gen.Uniform_int (1, 10)))
+      in
+      (* A quarter of the pairs carry no demand. *)
+      let traffic =
+        Array.init n (fun src ->
+            Array.init n (fun dst ->
+                if src = dst then 0. else [| 0.; 0.5; 1.; 2. |].(Rng.int rng 4)))
+      in
+      let same a b = Array.for_all2 Float.equal a b in
+      List.for_all
+        (fun t ->
+          same (Tables.transfers t traffic) (Tables_reference.transfers t traffic)
+          && List.for_all
+               (fun k ->
+                 Float.equal (Tables.income t traffic k)
+                   (Tables_reference.income t traffic k)
+                 && Float.equal (Tables.outlay t traffic k)
+                      (Tables_reference.outlay t traffic k))
+               (List.init n Fun.id))
+        [ Pricing.compute g; Naive.compute g ])
+
 let test_traffic_generators () =
   let rng = Rng.create 304 in
   let u = Traffic.uniform ~n:4 ~rate:2. in
@@ -703,6 +737,7 @@ let suites =
         Alcotest.test_case "vcg price >= declared cost" `Quick test_vcg_price_at_least_naive;
         Alcotest.test_case "idle node earns nothing" `Quick test_income_zero_for_pure_endpoints;
         Alcotest.test_case "demand pairs" `Quick test_demand_pairs_roundtrip;
+        QCheck_alcotest.to_alcotest prop_transfers_equal_reference;
       ] );
     ( "fpss.distributed",
       [

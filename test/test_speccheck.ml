@@ -210,7 +210,7 @@ let prop_compiled_equals_hand_written =
 (* Each IR phase becomes a [Phase.t] that advances the compiled machine
    through the phase's member states under the suggested play. *)
 let ir_phase ~certify (p : Ir.phase) =
-  let run state =
+  let run ~attempt:_ state =
     let rec go s =
       if List.mem s p.Ir.members then
         match machine.Sm.suggested s with
@@ -226,7 +226,7 @@ let test_phase_execute_clean () =
   let phases =
     List.map (ir_phase ~certify:(fun _ -> Ok ())) ir.Ir.phases
   in
-  match Phase.execute ir.Ir.initial phases with
+  match Phase.execute ~max_restarts:3 ir.Ir.initial phases with
   | Phase.Completed p ->
       check Alcotest.string "reaches halt" "halt" p.Phase.state;
       check Alcotest.int "no restarts" 0 (Phase.total_restarts p)
@@ -249,7 +249,7 @@ let test_phase_execute_restart_accounting () =
         ir_phase ~certify p)
       ir.Ir.phases
   in
-  match Phase.execute ir.Ir.initial phases with
+  match Phase.execute ~max_restarts:3 ir.Ir.initial phases with
   | Phase.Completed p ->
       check Alcotest.string "reaches halt" "halt" p.Phase.state;
       check Alcotest.int "two restarts" 2 (Phase.total_restarts p);

@@ -12,10 +12,11 @@
 #     --weaken settlement and --weaken pricing; 40 campaigns with
 #     --faults --epsilon 0.5; --replay of seeds 1 2 3 42, and of
 #     4285784464683832136 with --faults;
-#   - 40 campaigns with --faults --trace-out, keeping only the trace's
-#     instant events (name and args, in order: checkpoint outcomes and
+#   - 40 campaigns with --faults --trace-out, keeping the name and args
+#     of the trace's instant events (in order: checkpoint outcomes and
 #     reasons, accusations with their detail strings, verdicts, fault
-#     events); spans and samples carry timings and are dropped;
+#     events) and of its spans (the phase spans' attempt numbers among
+#     them); timestamps, durations and samples are dropped;
 #   - experiments, full and --quick;
 #   - routing on fig1 with node 2 running each CLI deviation, and the
 #     faithful run with --no-checking, --no-copies,
@@ -33,7 +34,9 @@
 #     golden" case pins 40 Byzantine-plan run digests), exit codes only;
 #     and, on its own, the exit code of faithful.fault case 7, the
 #     "environment golden" (50 runs under channel loss, perturbations and
-#     fault schedules). A REV older than that case exits 1 there.
+#     fault schedules), and of faithful.run case 8, the "settlement
+#     golden" (60 runs: six banks, two networks, the execution
+#     deviations). A REV older than either case exits 1 there.
 # Then `diff -r` on the two directories. Exit 0 when they are identical,
 # 1 on any difference, 2 on a usage or build error. About two minutes per
 # tree.
@@ -86,15 +89,15 @@ print(json.dumps(strip(json.load(open(sys.argv[1]))), indent=1))' "$1" >"$1.stri
     rm "$1"
 }
 
-# instants FILE: the name and args of every instant event of a
-# damd-trace/1 document, one JSON line each, into FILE.instants; the
+# instants FILE: the name and args of every instant event and every span
+# of a damd-trace/1 document, one JSON line each, into FILE.instants; the
 # document and its Chrome twin are removed.
 instants() {
   python3 -c '
 import json, sys
 for e in json.load(open(sys.argv[1]))["events"]:
-    if e["type"] == "instant":
-        print(json.dumps([e["name"], e.get("args")], sort_keys=True))' "$1" >"$1.instants" &&
+    if e["type"] in ("instant", "span"):
+        print(json.dumps([e["type"], e["name"], e.get("args")], sort_keys=True))' "$1" >"$1.instants" &&
     rm "$1" "${1%.json}.chrome.json"
 }
 
@@ -149,6 +152,8 @@ drive() {
   echo "$?" >tests_faithful_fault.exit
   (cd "$tree" && ./_build/default/test/test_main.exe test faithful.fault 7 >/dev/null 2>&1)
   echo "$?" >tests_environment_golden.exit
+  (cd "$tree" && ./_build/default/test/test_main.exe test faithful.run 8 >/dev/null 2>&1)
+  echo "$?" >tests_settlement_golden.exit
 }
 
 (drive "$work/base" "$work/out/base")
